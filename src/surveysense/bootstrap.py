@@ -6,13 +6,17 @@ shifted by the posited-confounding bias at the stated sensitivity
 parameters before taking empirical quantiles. A fixed-weight variant
 skips the re-solve and keeps the baseline scale, making the adjustment
 an exact additive shift of the unadjusted interval.
+
+Each re-solve runs on the distinct design rows (cells) its resample
+touches, with the resampled base mass of each cell as its base weight.
+The dual sees only that mass, so this is exact, and a draw costs the
+number of cells rather than the number of rows.
 """
 
 from __future__ import annotations
 
 import logging
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +63,6 @@ def bootstrap_interval(
     seed: int = 0,
     reestimate: bool = True,
     baseline: WeightVector | None = None,
-    threads: int | None = None,
 ) -> BootstrapResult:
     """Percentile CI of the adjusted estimate at ``params``.
 
@@ -97,20 +100,30 @@ def bootstrap_interval(
 
     if not reestimate:
         baseline_shift = bias(params, ObservedScale.from_sample(y, baseline.values))
+    else:
+        cells, cell_of_row = np.unique(problem.matrix, axis=0, return_inverse=True)
+        cell_of_row = cell_of_row.reshape(-1)
+        n_cells = cells.shape[0]
 
     def one_draw(index: int) -> float | None:
         rows = stream(seed, index, STAGE_BOOTSTRAP).integers(0, n, size=n)
         yb = y[rows]
         if not reestimate:
             return weighted_mean(yb, baseline.values[rows]) - baseline_shift
+        row_cells = cell_of_row[rows]
+        qb = base_weights[rows]
+        counts = np.bincount(row_cells, minlength=n_cells)
+        touched = np.flatnonzero(counts)
+        mass = np.bincount(row_cells, weights=qb, minlength=n_cells)[touched]
         sub = CalibrationProblem(
-            matrix=problem.matrix[rows],
+            matrix=cells[touched],
             targets=problem.targets,
             column_names=problem.column_names,
             column_sources=problem.column_sources,
-            base_weights=base_weights[rows],
+            base_weights=mass,
             tol=problem.tol,
             max_iter=problem.max_iter,
+            row_counts=counts[touched],
         )
         try:
             wv = solve_raking(sub, warm_start=base_dual)
@@ -118,7 +131,10 @@ def bootstrap_interval(
             return None
         if not wv.diagnostics.converged:
             return None
-        scale = ObservedScale.from_sample(yb, wv.values)
+        # a row's weight is its cell's weight shared in proportion to base mass
+        share = np.zeros(n_cells)
+        share[touched] = wv.values * (n / touched.size) / mass
+        scale = ObservedScale.from_sample(yb, share[row_cells] * qb)
         return scale.mu_hat - bias(params, scale)
 
     # failed draws surface through the dropped count; per-draw solver logs
@@ -127,12 +143,7 @@ def bootstrap_interval(
     previous_level = solver_logger.level
     solver_logger.setLevel(logging.ERROR)
     try:
-        indices = range(b)
-        if threads is not None and threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                raw = list(pool.map(one_draw, indices))
-        else:
-            raw = [one_draw(i) for i in indices]
+        raw = [one_draw(i) for i in range(b)]
     finally:
         solver_logger.setLevel(previous_level)
 

@@ -12,17 +12,18 @@ Newton iteration with backtracking line search drives the violation below
 ``tol``; when the Hessian is ill conditioned the solver falls back to
 coordinate-wise tilting (the classic one-margin-at-a-time update, exact for
 0/1 columns). Targets outside the achievable range raise
-``InfeasibleTargetsError`` naming the violated constraint.
+``InfeasibleTargetsError`` naming the violated constraint; jointly
+infeasible targets are certified by a phase-1 linear program as soon as
+Newton first gives way to coordinate sweeps, instead of after ``max_iter``.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.special import logsumexp
 
 from .errors import InfeasibleTargetsError
 
@@ -30,6 +31,9 @@ logger = logging.getLogger(__name__)
 
 #: Hessian condition number beyond which Newton hands over to coordinate sweeps
 ILL_CONDITIONED = 1e10
+
+#: minimal phase-1 slack above which targets are reported jointly infeasible
+INFEASIBLE_SLACK = 1e-7
 
 _ARMIJO = 1e-4
 _MAX_BACKTRACKS = 40
@@ -65,7 +69,14 @@ class WeightVector:
 
 @dataclass(frozen=True)
 class CalibrationProblem:
-    """Design matrix, targets, and solver settings for one calibration."""
+    """Design matrix, targets, and solver settings for one calibration.
+
+    A row may stand for several identical respondent rows (a weighted
+    design cell): ``row_counts`` then holds each row's multiplicity and
+    ``base_weights`` the cell's total base mass. The dual only sees that
+    mass, and the rank guard weighs each row by its count, so the solve
+    decides exactly as it would on the expanded rows.
+    """
 
     matrix: np.ndarray  # (n, p)
     targets: np.ndarray  # (p,)
@@ -74,6 +85,7 @@ class CalibrationProblem:
     base_weights: np.ndarray | None = None
     tol: float = 1e-8
     max_iter: int = 200
+    row_counts: np.ndarray | None = None
 
     def __post_init__(self):
         matrix = np.atleast_2d(np.asarray(self.matrix, dtype=np.float64))
@@ -98,10 +110,18 @@ class CalibrationProblem:
                 raise ValueError("base_weights length differs from rows")
             if not np.all(np.isfinite(base)) or np.any(base <= 0):
                 raise ValueError("base_weights must be positive and finite")
+        counts = self.row_counts
+        if counts is not None:
+            counts = np.asarray(counts, dtype=np.float64)
+            if counts.shape[0] != matrix.shape[0]:
+                raise ValueError("row_counts length differs from rows")
+            if not np.all(np.isfinite(counts)) or np.any(counts <= 0):
+                raise ValueError("row_counts must be positive and finite")
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "column_names", tuple(names))
         object.__setattr__(self, "base_weights", base)
+        object.__setattr__(self, "row_counts", counts)
 
     @property
     def n(self) -> int:
@@ -143,6 +163,9 @@ def _drop_dependent_columns(problem: CalibrationProblem) -> tuple[np.ndarray, tu
     matrix = problem.matrix
     scale = np.maximum(np.abs(matrix).max(axis=0), 1e-300)
     augmented = np.column_stack([np.ones(problem.n), matrix / scale])
+    if problem.row_counts is not None:
+        # sqrt(count) row scaling keeps the Gram matrix, hence R, of the expanded rows
+        augmented *= np.sqrt(problem.row_counts)[:, None]
     r, pivots = scipy.linalg.qr(augmented, mode="r", pivoting=True)
     diag = np.abs(np.diag(r))
     rank = int(np.sum(diag > 1e-10 * max(diag[0], 1.0)))
@@ -155,13 +178,18 @@ def _drop_dependent_columns(problem: CalibrationProblem) -> tuple[np.ndarray, tu
     return kept, tuple(dropped)
 
 
-def _classify_failure(problem: CalibrationProblem) -> None:
+def _classify_failure(
+    problem: CalibrationProblem, threshold: float = INFEASIBLE_SLACK
+) -> np.ndarray | None:
     """Distinguish jointly infeasible targets from plain non-convergence.
 
     Runs a phase-1 feasibility program over the probability simplex with
-    per-constraint slack; a positive minimal slack proves infeasibility and
-    the largest slack names the constraint.
+    per-constraint slack; a minimal total slack above ``threshold`` proves
+    infeasibility and the largest slack names the constraint. Otherwise
+    returns the slack (None when the program fails) for later reuse.
     """
+    from scipy.optimize import linprog
+
     n, p = problem.n, problem.p
     c = np.concatenate([np.zeros(n), np.ones(2 * p)])
     a_eq = np.zeros((p + 1, n + 2 * p))
@@ -172,17 +200,22 @@ def _classify_failure(problem: CalibrationProblem) -> None:
     b_eq = np.concatenate([problem.targets, [1.0]])
     res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     if not res.success:
-        return
+        return None
     slack = res.x[n : n + p] + res.x[n + p :]
-    if slack.sum() > 1e-7:
-        j = int(np.argmax(slack))
-        col = problem.matrix[:, j]
-        raise InfeasibleTargetsError(
-            problem.column_names[j],
-            float(problem.targets[j]),
-            (float(col.min()), float(col.max())),
-            joint=True,
-        )
+    if slack.sum() > threshold:
+        _raise_joint(problem, slack)
+    return slack
+
+
+def _raise_joint(problem: CalibrationProblem, slack: np.ndarray) -> NoReturn:
+    j = int(np.argmax(slack))
+    col = problem.matrix[:, j]
+    raise InfeasibleTargetsError(
+        problem.column_names[j],
+        float(problem.targets[j]),
+        (float(col.min()), float(col.max())),
+        joint=True,
+    )
 
 
 def solve_raking(
@@ -209,6 +242,12 @@ def solve_raking(
         limit is hit on a feasible problem the best iterate is returned
         with ``diagnostics.converged`` False and a warning is logged;
         infeasible targets raise ``InfeasibleTargetsError`` instead.
+
+    The phase-1 program runs at most once per solve: at the first
+    iteration where Newton gives way to coordinate sweeps, raising there
+    when its minimal total slack exceeds both ``INFEASIBLE_SLACK`` and
+    ``p * tol`` (no iterate can then meet ``tol``), and otherwise kept
+    for the verdict after the last iteration.
     """
     n = problem.n
     q = problem.base_weights if problem.base_weights is not None else np.ones(n)
@@ -246,10 +285,13 @@ def solve_raking(
             raise ValueError("warm_start length matches neither full nor kept columns")
 
     def state(lam_vec):
-        logits = log_q + phi @ lam_vec
-        log_z = logsumexp(logits)
-        prob = np.exp(logits - log_z)
-        return prob, float(log_z - lam_vec @ t)
+        prob = log_q + phi @ lam_vec
+        top = prob.max()
+        prob -= top
+        np.exp(prob, out=prob)
+        total = prob.sum()
+        prob /= total
+        return prob, float(top + np.log(total) - lam_vec @ t)
 
     prob, objective = state(lam)
     trace = [objective]
@@ -257,11 +299,14 @@ def solve_raking(
     fallback_sweeps = 0
     iterations = 0
     converged = False
+    phase1_run = False
+    slack = None
 
     for iterations in range(1, problem.max_iter + 1):
         mean = phi.T @ prob
         grad = mean - t
-        if float(np.max(np.abs(grad))) <= problem.tol:
+        # initial=0: every column may have been dropped as dependent
+        if float(np.max(np.abs(grad), initial=0.0)) <= problem.tol:
             converged = True
             iterations -= 1
             break
@@ -293,6 +338,11 @@ def solve_raking(
                     step *= 0.5
 
         if not used_newton:
+            if not phase1_run:
+                phase1_run = True
+                slack = _classify_failure(
+                    problem, max(INFEASIBLE_SLACK, problem.p * problem.tol)
+                )
             # coordinate-wise tilt: exact log-odds update for 0/1 columns,
             # damped one-dimensional Newton otherwise
             fallback_sweeps += 1
@@ -332,7 +382,11 @@ def solve_raking(
     converged = full_violation <= problem.tol
 
     if not converged:
-        _classify_failure(problem)  # raises when the targets are the problem
+        # raises when the targets are the problem
+        if not phase1_run:
+            _classify_failure(problem)
+        elif slack is not None and slack.sum() > INFEASIBLE_SLACK:
+            _raise_joint(problem, slack)
         logger.warning(
             "calibration did not converge in %d iterations (violation %.3g); "
             "returning best iterate", problem.max_iter, full_violation,

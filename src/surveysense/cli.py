@@ -3,8 +3,8 @@
 Subcommands: weight, summary, contour, benchmark, partial, detect,
 bootstrap, simulate. Exit codes: 0 success, 1 runtime or solver failure,
 2 config or schema failure; failures print a JSON error object to
-stderr. SURVEYSENSE_OUT and SURVEYSENSE_THREADS override the config;
-explicit flags override both.
+stderr. SURVEYSENSE_OUT overrides the config's output directory; the
+--out flag overrides both.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", metavar="PATH", help="JSON run configuration")
     common.add_argument("--out", metavar="DIR", help="output directory override")
     common.add_argument("--seed", type=int, help="seed override")
-    common.add_argument("--threads", type=int, help="worker thread override")
     common.add_argument(
         "--format",
         choices=("json", "csv", "svg"),
@@ -106,17 +105,9 @@ def _load(args) -> tuple[RunConfig, str, Path]:
         raise ConfigError("--config is required for this command")
     cfg, sha = load_config(args.config)
     env_out = os.environ.get("SURVEYSENSE_OUT")
-    env_threads = os.environ.get("SURVEYSENSE_THREADS")
-    threads = args.threads
-    if threads is None and env_threads:
-        try:
-            threads = int(env_threads)
-        except ValueError:
-            raise ConfigError(f"SURVEYSENSE_THREADS={env_threads!r} is not an integer")
     cfg = cfg.with_overrides(
         out=args.out if args.out is not None else env_out,
         seed=args.seed,
-        threads=threads,
     )
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -276,18 +267,17 @@ def cmd_simulate(args) -> int:
     names = dgp.feature_names
 
     lines = [",".join(names)]
-    lines += [",".join(str(v) for v in row) for row in feats[pop.cell]]
+    lines += [",".join(str(v) for v in row) for row in feats]
     (out / "population.csv").write_text("\n".join(lines) + "\n")
 
     header = ",".join(names) + ",y"
     rows = [header]
-    sample_feats = feats[pop.cell[idx]]
-    for row, y in zip(sample_feats, pop.y[idx]):
+    for row, y in zip(feats[idx], pop.y[idx]):
         rows.append(",".join(str(v) for v in row) + f",{repr(float(y))}")
     (out / "survey.csv").write_text("\n".join(rows) + "\n")
 
     margin_rows = ["variable,level,value"]
-    pop_means = feats[pop.cell].mean(axis=0)
+    pop_means = feats.mean(axis=0)
     for name, mean in zip(names, pop_means):
         margin_rows.append(f"{name},1,{repr(float(mean))}")
     (out / "margins.csv").write_text("\n".join(margin_rows) + "\n")

@@ -22,7 +22,7 @@ __all__ = ["RunConfig", "load_config", "config_from_dict"]
 _TOP_KEYS = {
     "survey", "columns", "outcome", "out", "margins", "population",
     "weighting", "b_star", "grid", "sweep", "benchmark", "bootstrap",
-    "detection", "filters", "seed", "threads",
+    "detection", "filters", "seed",
 }
 
 
@@ -56,7 +56,6 @@ class RunConfig:
     detection_lambda: float | str = "cv"
     filters: tuple[dict, ...] = ()
     seed: int = 0
-    threads: int | None = None
 
     def __post_init__(self):
         if not self.survey:
@@ -105,8 +104,6 @@ class RunConfig:
             raise ConfigError("grid steps must lie in (0, 1]")
         if not 0.0 < self.r2_max < 1.0:
             raise ConfigError("r2_max must lie in (0, 1)")
-        if self.threads is not None and self.threads < 1:
-            raise ConfigError("threads must be positive")
         if isinstance(self.detection_lambda, str):
             if self.detection_lambda != "cv":
                 raise ConfigError('detection lambda must be "cv" or a positive number')
@@ -127,15 +124,12 @@ class RunConfig:
         *,
         out: str | None = None,
         seed: int | None = None,
-        threads: int | None = None,
     ) -> "RunConfig":
         changes: dict[str, Any] = {}
         if out is not None:
             changes["out"] = out
         if seed is not None:
             changes["seed"] = seed
-        if threads is not None:
-            changes["threads"] = threads
         return replace(self, **changes) if changes else self
 
 
@@ -244,7 +238,6 @@ def config_from_dict(raw: dict) -> RunConfig:
             detection_lambda=det.get("lambda", "cv"),
             filters=tuple(filters),
             seed=int(raw.get("seed", 0)),
-            threads=raw.get("threads"),
         )
     except (TypeError, ValueError) as err:
         raise ConfigError(f"invalid config value: {err}") from err

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from math import ceil
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import DetectionError
 from .paths import PathMatrix
@@ -42,6 +41,8 @@ class SeparatingSetResult:
 
 
 def _lp_bound(rows: list[frozenset[int]], costs: dict[int, float]) -> float:
+    from scipy.optimize import linprog
+
     if not rows:
         return 0.0
     cols = sorted(set().union(*rows))

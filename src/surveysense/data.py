@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
-import scipy.linalg
 
 from .errors import RankDeficiencyError, SchemaError
 
@@ -462,6 +461,8 @@ def _margin_lookup(target: MarginTarget, term: FeatureTerm, column: str) -> floa
 def check_rank(matrix: np.ndarray) -> tuple[int, ...]:
     """Indices of linearly dependent columns, judged with the implicit
     normalization constraint included (a constant column is dependent)."""
+    import scipy.linalg
+
     n = matrix.shape[0]
     scaled = matrix / np.maximum(np.abs(matrix).max(axis=0), 1e-300)
     augmented = np.column_stack([np.ones(n), scaled])

@@ -19,7 +19,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DetectionError
 
@@ -103,6 +102,8 @@ def _cd_weighted(x, z, obs_w, lam, beta, intercept, tol, max_sweeps=200):
 
 
 def _fit_logistic(x, y, lam, beta, intercept, tol, max_outer=60):
+    from scipy.special import expit
+
     for _ in range(max_outer):
         eta = intercept + x @ beta
         prob = np.clip(expit(eta), _PROB_CLIP, 1 - _PROB_CLIP)
@@ -190,6 +191,8 @@ def _lambda_max(x: np.ndarray, response: np.ndarray, kind: str) -> float:
 
 
 def _holdout_loss(x, response, kind, coefs) -> float:
+    from scipy.special import expit
+
     if kind == "continuous":
         resid = response - x @ coefs[0]
         return float(resid @ resid / len(response))

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 import scipy
 
@@ -304,7 +303,6 @@ def build_bootstrap(pipe: Pipeline) -> BootstrapResult:
         seed=cfg.seed,
         reestimate=cfg.bootstrap_reestimate,
         baseline=pipe.baseline,
-        threads=cfg.threads,
     )
 
 
@@ -371,6 +369,8 @@ def _schema() -> dict:
 
 def validate_report(report: dict) -> None:
     """Schema validation; raises ``SchemaError`` with the failing path."""
+    import jsonschema
+
     from .errors import SchemaError
 
     try:
@@ -415,19 +415,21 @@ def write_balance_csv(path: Path, pipe: Pipeline) -> None:
 
 
 def write_contour_csv(path: Path, grid: ContourGrid) -> None:
-    rows = []
-    for i, rho in enumerate(grid.rho_axis):
-        for j, r2 in enumerate(grid.r2_axis):
-            rows.append(
-                [
-                    _cell(float(rho)),
-                    _cell(float(r2)),
-                    _cell(float(grid.bias[i, j])),
-                    _cell(float(grid.adjusted[i, j])),
-                    "1" if grid.killer_mask[i, j] else "0",
-                ]
-            )
-    _write_rows(path, ["rho", "r2", "bias", "adjusted", "killer"], rows)
+    # one line per grid point; reprs of Python floats equal _cell's, and no
+    # field ever needs CSV quoting, so this matches _write_rows byte for byte
+    r2_cells = [repr(v) for v in grid.r2_axis.tolist()]
+    lines = ["rho,r2,bias,adjusted,killer"]
+    lines += [
+        f"{rho_cell},{r2_cell},{b!r},{a!r},{1 if k else 0}"
+        for rho_cell, bias_row, adj_row, kill_row in zip(
+            map(repr, grid.rho_axis.tolist()),
+            grid.bias.tolist(),
+            grid.adjusted.tolist(),
+            grid.killer_mask.tolist(),
+        )
+        for r2_cell, b, a, k in zip(r2_cells, bias_row, adj_row, kill_row)
+    ]
+    path.write_text("\n".join(lines) + "\n", newline="")
 
 
 def write_benchmarks_csv(path: Path, blocks: list[dict]) -> None:

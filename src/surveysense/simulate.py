@@ -25,7 +25,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .bias import pop_cor, pop_cov, pop_var
 from .calibrate import oracle_ipw, weighted_mean
@@ -122,6 +121,8 @@ class SyntheticDGP:
         return np.asarray(self.cell_features, dtype=np.float64)
 
     def selection_prob(self, cell: np.ndarray, u: np.ndarray) -> np.ndarray:
+        from scipy.special import expit
+
         logit = (
             self.sel_intercept
             + self.features()[cell] @ np.asarray(self.sel_coef)

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from surveysense.bias import SensitivityParams
+from surveysense.bias import ObservedScale, SensitivityParams, bias
 from surveysense.bootstrap import bootstrap_interval
-from surveysense.calibrate import solve_raking
+from surveysense.calibrate import CalibrationProblem, solve_raking
+from surveysense.errors import InfeasibleTargetsError, RankDeficiencyError
+from surveysense.simulate import STAGE_BOOTSTRAP, stream
 
 ZERO = SensitivityParams(rho=0.0, r2=0.0)
 
@@ -71,13 +73,6 @@ def test_argument_validation(outcome):
         bootstrap_interval(problem, y[:-1], ZERO, b=200)
 
 
-def test_threads_match_serial(outcome):
-    problem, y = outcome
-    serial = bootstrap_interval(problem, y, ZERO, b=120, seed=11, threads=None)
-    pooled = bootstrap_interval(problem, y, ZERO, b=120, seed=11, threads=4)
-    np.testing.assert_array_equal(serial.draws, pooled.draws)
-
-
 def test_supplied_baseline_skips_resolve(outcome):
     problem, y = outcome
     baseline = solve_raking(problem)
@@ -86,3 +81,74 @@ def test_supplied_baseline_skips_resolve(outcome):
     )
     direct = bootstrap_interval(problem, y, ZERO, b=150, seed=2, reestimate=False)
     np.testing.assert_array_equal(res.draws, direct.draws)
+
+
+def row_level_draws(problem, y, params, b, seed):
+    """Each draw re-solved on its resampled rows, the oracle for the
+    cell-collapsed solve in ``bootstrap_interval``."""
+    n = problem.n
+    base = problem.base_weights if problem.base_weights is not None else np.ones(n)
+    warm = solve_raking(problem).dual
+    kept = []
+    for index in range(b):
+        rows = stream(seed, index, STAGE_BOOTSTRAP).integers(0, n, size=n)
+        sub = CalibrationProblem(
+            problem.matrix[rows],
+            problem.targets,
+            column_names=problem.column_names,
+            base_weights=base[rows],
+        )
+        try:
+            wv = solve_raking(sub, warm_start=warm)
+        except (InfeasibleTargetsError, RankDeficiencyError):
+            continue
+        if wv.diagnostics.converged:
+            scale = ObservedScale.from_sample(y[rows], wv.values)
+            kept.append(scale.mu_hat - bias(params, scale))
+    return np.asarray(kept)
+
+
+def categorical_problem(n, rare_ones, base_weights):
+    """Three binary margins over few cells, the third set on ``rare_ones`` rows."""
+    rng = np.random.default_rng(12)
+    x1 = (rng.random(n) < 0.5).astype(float)
+    x2 = (rng.random(n) < 0.4).astype(float)
+    x3 = np.zeros(n)
+    x3[rng.choice(n, size=rare_ones, replace=False)] = 1.0
+    matrix = np.column_stack([x1, x2, x3])
+    targets = matrix.mean(axis=0) + np.array([0.03, -0.02, 0.0])
+    base = np.exp(2.0 * rng.normal(size=n)) if base_weights else None
+    y = 1.0 + x1 - 0.5 * x2 + 2.0 * x3 + rng.normal(size=n)
+    problem = CalibrationProblem(
+        matrix, targets, column_names=("x1", "x2", "x3"), base_weights=base
+    )
+    return problem, y
+
+
+@pytest.mark.parametrize("base_weights", [False, True])
+def test_cell_draws_match_row_level_resolve(base_weights):
+    problem, y = categorical_problem(400, 40, base_weights)
+    params = SensitivityParams(rho=0.3, r2=0.2)
+    res = bootstrap_interval(problem, y, params, b=100, seed=4)
+    oracle = row_level_draws(problem, y, params, 100, 4)
+    assert res.dropped == 0
+    np.testing.assert_allclose(res.draws, oracle, rtol=0.0, atol=1e-12)
+
+
+def test_resample_with_a_constant_column_is_dropped_on_both_paths():
+    # x3 is 1 on four of 60 rows: about 2% of resamples miss all four, the
+    # column turns constant at 0 against a positive target, and the draw fails
+    problem, y = categorical_problem(60, 4, base_weights=True)
+    res = bootstrap_interval(problem, y, ZERO, b=200, seed=6)
+    oracle = row_level_draws(problem, y, ZERO, 200, 6)
+    assert res.dropped > 0
+    assert res.dropped == 200 - oracle.size
+    np.testing.assert_allclose(res.draws, oracle, rtol=0.0, atol=1e-12)
+
+
+def test_continuous_design_matches_row_level_resolve(outcome):
+    problem, y = outcome
+    res = bootstrap_interval(problem, y, ZERO, b=100, seed=9)
+    np.testing.assert_allclose(
+        res.draws, row_level_draws(problem, y, ZERO, 100, 9), rtol=0.0, atol=1e-12
+    )

@@ -9,6 +9,7 @@ from surveysense import (
     CalibrationProblem,
     InfeasibleTargetsError,
     balance_table,
+    calibrate,
     entropy_divergence,
     oracle_ipw,
     solve_raking,
@@ -95,7 +96,7 @@ class TestSolveRaking:
             solve_raking(at_edge)
 
     @staticmethod
-    def test_joint_infeasibility_detected():
+    def test_joint_infeasibility_detected(monkeypatch):
         # weighted mean of x1*x2 can never exceed that of x1
         rng = np.random.default_rng(11)
         x1 = (rng.random(400) < 0.5).astype(float)
@@ -105,10 +106,56 @@ class TestSolveRaking:
             np.array([0.3, 0.5]),
             column_names=("x1", "x1:x2"),
         )
+        phase1 = calibrate._classify_failure
+        calls = []
+        monkeypatch.setattr(
+            calibrate, "_classify_failure", lambda *a: calls.append(a) or phase1(*a)
+        )
         with pytest.raises(InfeasibleTargetsError) as info:
             solve_raking(problem)
         assert info.value.joint
         assert "jointly" in str(info.value)
+        assert len(calls) == 1  # certified once, where Newton first stalls
+
+    @staticmethod
+    def test_joint_gap_below_certification_returns_unconverged():
+        # x1:x2 asks 5e-8 above x1: infeasible, but by less than the phase-1
+        # program certifies (1e-7), so the best iterate comes back flagged
+        rng = np.random.default_rng(11)
+        x1 = (rng.random(400) < 0.5).astype(float)
+        x2 = (rng.random(400) < 0.5).astype(float)
+        problem = CalibrationProblem(
+            np.column_stack([x1, x1 * x2]),
+            np.array([0.3, 0.3 + 5e-8]),
+            column_names=("x1", "x1:x2"),
+        )
+        result = solve_raking(problem)
+        assert not result.diagnostics.converged
+        assert result.diagnostics.fallback_sweeps > 0
+        assert 1e-8 < result.diagnostics.max_violation < 1e-7
+
+    @staticmethod
+    def test_row_counts_rank_guard_matches_expanded_rows():
+        # b departs from a by 1e-9 on a single row out of 10,001: dependent
+        # at the rank guard's tolerance on the rows, independent on three
+        # unweighted cells, dependent again once cells carry their counts
+        cells = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1e-9]])
+        counts = np.array([5000.0, 5000.0, 1.0])
+        targets = np.array([0.5, 0.5])
+        names = ("a", "b")
+        rows = CalibrationProblem(np.repeat(cells, [5000, 5000, 1], axis=0), targets,
+                                  column_names=names)
+        weighted = CalibrationProblem(cells, targets, column_names=names,
+                                      base_weights=counts, row_counts=counts)
+        unweighted = CalibrationProblem(cells, targets, column_names=names,
+                                        base_weights=counts)
+        by_rows = solve_raking(rows)
+        by_cells = solve_raking(weighted)
+        assert by_rows.diagnostics.dropped_columns == ("b",)
+        assert by_cells.diagnostics.dropped_columns == ("b",)
+        assert solve_raking(unweighted).diagnostics.dropped_columns == ()
+        per_row = np.repeat(by_cells.values * (rows.n / 3) / counts, [5000, 5000, 1])
+        np.testing.assert_allclose(by_rows.values, per_row, rtol=1e-12)
 
     @staticmethod
     def test_duplicate_column_dropped_but_verified():

@@ -2,9 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from surveysense import cli
+from surveysense.simulate import draw_sample, generate, three_covariate_dgp
 
 
 def run(capsys, argv):
@@ -20,6 +22,23 @@ def test_simulate_bundle_layout(demo_bundle):
     assert 0.02 < truth["n_sample"] / truth["n_population"] < 0.10
     header = (demo_bundle / "survey.csv").read_text().splitlines()[0]
     assert header == "x1,x2,x3,y"
+
+
+def test_simulate_bundle_rows_carry_each_unit_features(demo_bundle):
+    # every population and sample row holds its own unit's features, and
+    # the margins are the population means of those features
+    truth = json.loads((demo_bundle / "truth.json").read_text())
+    pop = generate(three_covariate_dgp(seed=truth["dgp_seed"]), replication=0)
+    idx = draw_sample(pop, replication=0)
+    feats = pop.features()
+    population = np.loadtxt(demo_bundle / "population.csv", delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(population, feats)
+    survey = np.loadtxt(demo_bundle / "survey.csv", delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(survey[:, :-1], feats[idx])
+    np.testing.assert_array_equal(survey[:, -1], pop.y[idx])
+    margins = (demo_bundle / "margins.csv").read_text().splitlines()[1:]
+    values = [float(line.split(",")[2]) for line in margins]
+    np.testing.assert_array_equal(values, feats.mean(axis=0))
 
 
 def test_simulate_stdout_points_at_files(capsys, tmp_path):
@@ -184,11 +203,11 @@ def test_flag_beats_env(capsys, demo_bundle, tmp_path, monkeypatch):
     assert not (tmp_path / "ignored").exists()
 
 
-def test_bad_threads_env_exits_2(capsys, demo_bundle, monkeypatch):
-    monkeypatch.setenv("SURVEYSENSE_THREADS", "lots")
-    rc, _, err = run(capsys, ["weight", "--config", str(demo_bundle / "config.json")])
-    assert rc == 2
-    assert "SURVEYSENSE_THREADS" in json.loads(err)["error"]["message"]
+def test_threads_flag_is_rejected(capsys, demo_bundle):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["weight", "--config", str(demo_bundle / "config.json"), "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_summary_deterministic_across_runs(capsys, demo_bundle, tmp_path):

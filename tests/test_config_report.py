@@ -41,6 +41,11 @@ class TestConfigDict:
         with pytest.raises(ConfigError, match="unknown config keys.*tpyo"):
             config_from_dict(minimal_config(tpyo=1))
 
+    def test_threads_key_is_rejected(self):
+        # the bootstrap thread pool is gone; naming it must fail, not be ignored
+        with pytest.raises(ConfigError, match="unknown config keys.*threads"):
+            config_from_dict(minimal_config(threads=2))
+
     def test_unknown_block_key(self):
         with pytest.raises(ConfigError, match="unknown grid keys"):
             config_from_dict(minimal_config(grid={"rho_step": 0.1, "extra": 2}))
@@ -96,8 +101,8 @@ class TestConfigDict:
         cfg = config_from_dict(minimal_config(seed=5))
         same = cfg.with_overrides()
         assert same is cfg
-        bumped = cfg.with_overrides(out="elsewhere", seed=9, threads=2)
-        assert (bumped.out, bumped.seed, bumped.threads) == ("elsewhere", 9, 2)
+        bumped = cfg.with_overrides(out="elsewhere", seed=9)
+        assert (bumped.out, bumped.seed) == ("elsewhere", 9)
         assert cfg.seed == 5  # original untouched
 
 
