@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .config import RunConfig, load_config
 from .data import apply_filters, load_table
-from .detect import detect, edge_rows, graph_to_dot
+from .detect import detect
 from .errors import ConfigError, SchemaError, SurveySenseError
 from .report import (
     assemble_report,
@@ -153,7 +153,8 @@ def cmd_summary(args) -> int:
         detection=None if detection is None else detection.to_dict(),
         bootstrap=None,
     )
-    (out / "report.json").write_text(canonical_json(report))
+    text = canonical_json(report)
+    (out / "report.json").write_text(text)
     write_weights_csv(out / "weights.csv", pipe)
     write_balance_csv(out / "balance.csv", pipe)
     write_contour_csv(out / "contour.csv", grid)
@@ -164,7 +165,7 @@ def cmd_summary(args) -> int:
         (out / "sweep.svg").write_text(render_sweep(sweep))
     if detection is not None:
         write_detection_artifacts(out, detection)
-    sys.stdout.write(canonical_json(report))
+    sys.stdout.write(text)
     return 0
 
 
@@ -235,13 +236,13 @@ def cmd_detect(args) -> int:
         lam=cfg.detection_lambda,
         seed=cfg.seed,
     )
-    write_detection_artifacts(out, report)
+    text = write_detection_artifacts(out, report)
     if args.format == "csv":
         lines = ["a,b,weight"]
-        lines += [f"{a},{b},{repr(w)}" for a, b, w in edge_rows(report.graph)]
+        lines += [f"{a},{b},{repr(w)}" for a, b, w in report.graph.edges()]
         sys.stdout.write("\n".join(lines) + "\n")
     else:
-        sys.stdout.write(canonical_json(report.to_dict()))
+        sys.stdout.write(text)
     return 0
 
 
@@ -251,8 +252,9 @@ def cmd_bootstrap(args) -> int:
     pipe = build_pipeline(cfg)
     result = build_bootstrap(pipe)
     block = bootstrap_block(result)
-    (out / "bootstrap.json").write_text(canonical_json(block))
-    sys.stdout.write(canonical_json(block))
+    text = canonical_json(block)
+    (out / "bootstrap.json").write_text(text)
+    sys.stdout.write(text)
     return 0
 
 

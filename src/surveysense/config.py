@@ -45,7 +45,6 @@ class RunConfig:
     sweep_variable: str | None = None
     sweep_grid: tuple[float, ...] | None = None
     benchmark_covariates: tuple[str, ...] | None = None
-    benchmark_subsets: tuple[tuple[str, ...], ...] = ()
     bootstrap_draws: int = 1000
     bootstrap_alpha: float = 0.05
     bootstrap_rho: float = 0.0
@@ -189,7 +188,7 @@ def config_from_dict(raw: dict) -> RunConfig:
         ):
             raise ConfigError("sweep.grid must be a list of numbers")
         sweep_grid = tuple(float(v) for v in sweep_grid)
-    bench = _expect(raw.get("benchmark", {}), {"covariates", "subsets"}, "benchmark")
+    bench = _expect(raw.get("benchmark", {}), {"covariates"}, "benchmark")
     covariates = bench.get("covariates")
     boot = _expect(
         raw.get("bootstrap", {}),
@@ -223,9 +222,6 @@ def config_from_dict(raw: dict) -> RunConfig:
             sweep_grid=sweep_grid,
             benchmark_covariates=None if covariates is None
             else _str_list(covariates, "benchmark.covariates"),
-            benchmark_subsets=tuple(
-                _str_list(s, "benchmark.subsets entry") for s in bench.get("subsets", [])
-            ),
             bootstrap_draws=int(boot.get("draws", 1000)),
             bootstrap_alpha=float(boot.get("alpha", 0.05)),
             bootstrap_rho=float(boot.get("rho", 0.0)),

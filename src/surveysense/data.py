@@ -197,28 +197,6 @@ def apply_filters(frame: SurveyFrame, filters: list[dict]) -> SurveyFrame:
     return kept
 
 
-def derive_indicator(
-    frame: SurveyFrame, name: str, source: str, op: str, value
-) -> SurveyFrame:
-    """Add a 0/1 column from a comparison on an existing column."""
-    if name in frame.columns:
-        raise SchemaError(f"column {name!r} already exists")
-    if op not in _FILTER_OPS:
-        raise SchemaError(f"op {op!r} not supported")
-    values = frame.column(source)
-    if frame.kind(source) == "categorical":
-        if op not in ("==", "!="):
-            raise SchemaError(f"op {op!r} needs a numeric column, {source!r} is categorical")
-        flag = np.asarray([_FILTER_OPS[op](v, str(value)) for v in values.tolist()])
-    else:
-        flag = _FILTER_OPS[op](values, float(value))
-    columns = dict(frame.columns)
-    columns[name] = flag.astype(np.float64)
-    kinds = dict(frame.kinds)
-    kinds[name] = "binary"
-    return SurveyFrame(columns, kinds, frame.row_ids)
-
-
 # --- targets -----------------------------------------------------------------
 
 

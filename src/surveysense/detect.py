@@ -24,7 +24,7 @@ from .errors import DetectionError
 from .mrf import MixedGraph, fit_mrf
 from .paths import MAX_PATH_EDGES, PATH_CAP, PathMatrix, enumerate_paths
 
-__all__ = ["DetectionReport", "detect", "graph_to_dot", "edge_rows"]
+__all__ = ["DetectionReport", "detect", "graph_to_dot"]
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ class DetectionReport:
                 float(self.graph.node_lambdas[name]) for name in self.graph.names
             ],
             "edges": [
-                {"a": a, "b": b, "weight": float(w)} for a, b, w in edge_rows(self.graph)
+                {"a": a, "b": b, "weight": float(w)} for a, b, w in self.graph.edges()
             ],
             "flags": list(self.graph.flags),
             "path_count": self.path_matrix.n_paths,
@@ -167,17 +167,6 @@ def detect(
     )
 
 
-def edge_rows(graph: MixedGraph) -> list[tuple[str, str, float]]:
-    """Edges as (a, b, weight) with a < b, sorted; one row per edge."""
-    rows = []
-    for i, a in enumerate(graph.names):
-        for j in range(i + 1, len(graph.names)):
-            w = graph.weights[i, j]
-            if w > 0.0:
-                rows.append((a, graph.names[j], float(w)))
-    return rows
-
-
 def graph_to_dot(report: DetectionReport) -> str:
     """Graphviz source for the fitted graph with roles styled.
 
@@ -200,7 +189,7 @@ def graph_to_dot(report: DetectionReport) -> str:
             attrs.append('style=filled fillcolor="#cfe3f5"')
         suffix = f" [{' '.join(attrs)}]" if attrs else ""
         lines.append(f'  "{name}"{suffix};')
-    for a, b, w in edge_rows(report.graph):
+    for a, b, w in report.graph.edges():
         lines.append(f'  "{a}" -- "{b}" [label="{w:.3f}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

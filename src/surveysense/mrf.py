@@ -1,8 +1,16 @@
 """Mixed Markov random field estimation via nodewise penalized regressions.
 
 Each node is regressed on all remaining nodes: linear lasso for continuous
-responses, logistic for binary, multinomial logistic for categorical, all
-solved by cyclic coordinate descent with active-set passes. The edge weight
+responses, logistic for binary, multinomial logistic for categorical. All
+three run one cyclic coordinate descent kernel in Gram (covariance-update)
+form (Friedman, Hastie & Tibshirani 2010, J. Stat. Softw. 33(1)): it works
+on G = XᵀWX/n and the gradient c − Gβ, which it keeps current with one
+O(p) update per changed coordinate, so a sweep never touches an n-length
+array. The linear lasso forms G once per path (W = I) and uses
+active-set passes; the logistic and multinomial fits form G once per
+iteratively reweighted least squares step, with the intercept as an
+unpenalized coordinate 0 whose Gram row is Xᵀw/n, and stop at the first
+sweep that moves no coefficient by the tolerance. The edge weight
 between two nodes averages the coefficient-group norms from the two
 directions, so an edge survives when either regression keeps the other node
 (the OR rule). The penalty level comes from 10-fold cross validation with
@@ -41,103 +49,96 @@ def _soft(z: float, g: float) -> float:
     return 0.0
 
 
-def _cd_gaussian(x, y, lam, beta, tol, max_sweeps=1000):
-    """Cyclic coordinate descent with active-set passes; x standardized."""
-    n, p = x.shape
-    r = y - x @ beta
-    sq = np.einsum("ij,ij->j", x, x) / n
+def _cd(gram, grad, lam, beta, tol, *, intercept, active_set, max_sweeps):
+    """Cyclic coordinate descent on ½βᵀGβ − cᵀβ + lam·Σ|β_j| in Gram form.
+
+    ``gram`` is G = XᵀWX/n and ``grad`` the gradient c − Gβ at ``beta``.
+    ``beta`` and ``grad`` are updated in place, ``grad`` with one O(p) row
+    update per changed coordinate, so a sweep never touches an n-length
+    array. With
+    ``intercept`` coordinate 0 is unpenalized, moved first in every sweep
+    and left out of the stopping rule. Without ``active_set`` the descent
+    stops at the first sweep that moves no coordinate by ``tol``; with it,
+    such a sweep is followed by passes over the nonzero coordinates until
+    they settle, and it stops at a settled full sweep that changed no
+    coordinate's support.
+    """
+    rows = list(gram)
+    diag = gram.diagonal().tolist()
+    b = beta.tolist()
+    first = 1 if intercept else 0
     active_only = False
     for _ in range(max_sweeps):
+        if intercept:
+            shift = grad.item(0) / diag[0]
+            if shift != 0.0:
+                b[0] += shift
+                grad -= rows[0] * shift
         delta = 0.0
         changed_support = False
-        for j in range(p):
-            bj = beta[j]
+        for j in range(first, len(b)):
+            bj = b[j]
             if active_only and bj == 0.0:
                 continue
-            if sq[j] == 0.0:
+            sq = diag[j]
+            if sq == 0.0:
                 continue
-            rho = (x[:, j] @ r) / n + sq[j] * bj
-            new = _soft(rho, lam) / sq[j]
+            new = _soft(grad.item(j) + sq * bj, lam) / sq
             if new != bj:
-                r += x[:, j] * (bj - new)
-                beta[j] = new
+                grad += rows[j] * (bj - new)
+                b[j] = new
                 delta = max(delta, abs(new - bj))
                 if (bj == 0.0) != (new == 0.0):
                     changed_support = True
         if delta < tol:
-            if active_only:
-                active_only = False  # full pass to look for violations
-            elif not changed_support:
-                return beta
-        else:
+            if not active_only and not (active_set and changed_support):
+                break
+            active_only = False  # full pass to look for violations
+        elif active_set:
             active_only = True
-    logger.debug("gaussian coordinate descent hit the sweep limit")
-    return beta
+    else:
+        logger.debug("coordinate descent hit the sweep limit")
+    beta[:] = b
 
 
-def _cd_weighted(x, z, obs_w, lam, beta, intercept, tol, max_sweeps=200):
-    """Weighted least squares lasso for one quadratic approximation."""
-    n, p = x.shape
-    r = z - intercept - x @ beta
-    w_sum = obs_w.sum()
-    sq = (obs_w @ (x * x)) / n
-    for _ in range(max_sweeps):
-        delta = 0.0
-        shift = (obs_w @ r) / w_sum
-        intercept += shift
-        r -= shift
-        for j in range(p):
-            if sq[j] == 0.0:
-                continue
-            bj = beta[j]
-            rho = (obs_w @ (x[:, j] * r)) / n + sq[j] * bj
-            new = _soft(rho, lam) / sq[j]
-            if new != bj:
-                r += x[:, j] * (bj - new)
-                beta[j] = new
-                delta = max(delta, abs(new - bj))
-        if delta < tol:
-            break
-    return beta, intercept
+def _irls_step(xt, y, prob, lam, theta, tol):
+    """One weighted lasso for the quadratic approximation at ``prob``.
+
+    ``xt`` carries a leading column of ones for the intercept. The
+    gradient c − Gθ of the working problem is the score Xᵀ(y − p)/n.
+    """
+    n = xt.shape[0]
+    obs_w = np.maximum(prob * (1 - prob), _WEIGHT_FLOOR)
+    gram = (xt.T * obs_w) @ xt / n
+    grad = xt.T @ (y - prob) / n
+    _cd(gram, grad, lam, theta, tol, intercept=True, active_set=False, max_sweeps=200)
 
 
-def _fit_logistic(x, y, lam, beta, intercept, tol, max_outer=60):
+def _fit_logistic(xt, y, lam, theta, tol, max_outer=60):
     from scipy.special import expit
 
     for _ in range(max_outer):
-        eta = intercept + x @ beta
-        prob = np.clip(expit(eta), _PROB_CLIP, 1 - _PROB_CLIP)
-        obs_w = np.maximum(prob * (1 - prob), _WEIGHT_FLOOR)
-        z = eta + (y - prob) / obs_w
-        old = beta.copy()
-        old_int = intercept
-        beta, intercept = _cd_weighted(x, z, obs_w, lam, beta, intercept, tol)
-        if max(np.max(np.abs(beta - old)), abs(intercept - old_int)) < tol:
+        prob = np.clip(expit(xt @ theta), _PROB_CLIP, 1 - _PROB_CLIP)
+        old = theta.copy()
+        _irls_step(xt, y, prob, lam, theta, tol)
+        if np.max(np.abs(theta - old)) < tol:
             break
-    return beta, intercept
 
 
-def _fit_multinomial(x, y_onehot, lam, coefs, intercepts, tol, max_outer=60):
-    n, p = x.shape
+def _fit_multinomial(xt, y_onehot, lam, theta, tol, max_outer=60):
     k = y_onehot.shape[1]
     for _ in range(max_outer):
-        old = coefs.copy()
+        old = theta[:, 1:].copy()
         for cls in range(k):
-            eta = intercepts[None, :] + x @ coefs.T
+            eta = xt @ theta.T
             eta -= eta.max(axis=1, keepdims=True)
             prob = np.exp(eta)
             prob /= prob.sum(axis=1, keepdims=True)
             pk = np.clip(prob[:, cls], _PROB_CLIP, 1 - _PROB_CLIP)
-            obs_w = np.maximum(pk * (1 - pk), _WEIGHT_FLOOR)
-            eta_k = intercepts[cls] + x @ coefs[cls]
-            z = eta_k + (y_onehot[:, cls] - pk) / obs_w
-            coefs[cls], intercepts[cls] = _cd_weighted(
-                x, z, obs_w, lam, coefs[cls], intercepts[cls], tol
-            )
-        intercepts -= intercepts.mean()  # symmetric parameterization
-        if np.max(np.abs(coefs - old)) < tol:
+            _irls_step(xt, y_onehot[:, cls], pk, lam, theta[cls], tol)
+        theta[:, 0] -= theta[:, 0].mean()  # symmetric parameterization
+        if np.max(np.abs(theta[:, 1:] - old)) < tol:
             break
-    return coefs, intercepts
 
 
 def lasso_path(
@@ -154,30 +155,31 @@ def lasso_path(
     """
     n, p = x.shape
     if kind == "continuous":
+        gram = x.T @ x / n
         beta = np.zeros(p)
         out = []
         for lam in lambdas:
-            beta = _cd_gaussian(x, response, lam, beta, tol)
+            grad = x.T @ (response - x @ beta) / n
+            _cd(gram, grad, lam, beta, tol, intercept=False, active_set=True,
+                max_sweeps=1000)
             out.append(beta.copy()[None, :])
         return out
+    if kind not in ("binary", "categorical"):
+        raise DetectionError(f"unknown node kind {kind!r}")
+    xt = np.hstack([np.ones((n, 1)), x])
     if kind == "binary":
-        beta = np.zeros(p)
-        intercept = 0.0
+        theta = np.zeros(p + 1)
         out = []
         for lam in lambdas:
-            beta, intercept = _fit_logistic(x, response, lam, beta, intercept, tol)
-            out.append(beta.copy()[None, :])
+            _fit_logistic(xt, response, lam, theta, tol)
+            out.append(theta[1:].copy()[None, :])
         return out
-    if kind == "categorical":
-        k = response.shape[1]
-        coefs = np.zeros((k, p))
-        intercepts = np.zeros(k)
-        out = []
-        for lam in lambdas:
-            coefs, intercepts = _fit_multinomial(x, response, lam, coefs, intercepts, tol)
-            out.append(coefs.copy())
-        return out
-    raise DetectionError(f"unknown node kind {kind!r}")
+    theta = np.zeros((response.shape[1], p + 1))
+    out = []
+    for lam in lambdas:
+        _fit_multinomial(xt, response, lam, theta, tol)
+        out.append(theta[:, 1:].copy())
+    return out
 
 
 def _lambda_max(x: np.ndarray, response: np.ndarray, kind: str) -> float:

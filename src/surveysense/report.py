@@ -464,6 +464,9 @@ def write_sweep_csv(path: Path, sweep: PartialSweep) -> None:
     )
 
 
-def write_detection_artifacts(out: Path, rep: DetectionReport) -> None:
-    (out / "detection.json").write_text(canonical_json(rep.to_dict()))
+def write_detection_artifacts(out: Path, rep: DetectionReport) -> str:
+    """Write detection.json and detection.dot; returns the JSON text."""
+    text = canonical_json(rep.to_dict())
+    (out / "detection.json").write_text(text)
     (out / "detection.dot").write_text(graph_to_dot(rep))
+    return text

@@ -210,6 +210,22 @@ def test_threads_flag_is_rejected(capsys, demo_bundle):
     assert "--threads" in capsys.readouterr().err
 
 
+def test_benchmark_subsets_key_exits_2(capsys, demo_bundle, tmp_path):
+    config = json.loads((demo_bundle / "config.json").read_text())
+    config["benchmark"] = {"subsets": [["x1", "x2"]]}
+    path = demo_bundle / "config_subsets.json"
+    path.write_text(json.dumps(config))
+    rc, out, err = run(
+        capsys, ["benchmark", "--config", str(path), "--out", str(tmp_path / "b")]
+    )
+    assert rc == 2
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"]["type"] == "ConfigError"
+    assert "unknown benchmark keys" in payload["error"]["message"]
+    assert "subsets" in payload["error"]["message"]
+
+
 def test_summary_deterministic_across_runs(capsys, demo_bundle, tmp_path):
     outs = []
     for name in ("r1", "r2"):

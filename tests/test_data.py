@@ -15,7 +15,7 @@ from surveysense import (
     load_table,
     terms_from_config,
 )
-from surveysense.data import check_rank, derive_indicator
+from surveysense.data import check_rank
 
 
 def write(tmp_path, name, text):
@@ -84,15 +84,6 @@ def test_apply_filters(tmp_path):
         apply_filters(frame, [{"column": "age", "op": ">", "value": 100}])
     with pytest.raises(SchemaError, match="categorical"):
         apply_filters(frame, [{"column": "party", "op": "<", "value": 1}])
-
-
-def test_derive_indicator(tmp_path):
-    frame = load_table(write(tmp_path, "s.csv", SURVEY), SCHEMA)
-    frame = derive_indicator(frame, "senior", "age", ">=", 50)
-    assert frame.kind("senior") == "binary"
-    assert frame.column("senior").tolist() == [0.0, 1.0, 0.0, 1.0, 0.0]
-    with pytest.raises(SchemaError, match="already exists"):
-        derive_indicator(frame, "age", "age", ">", 0)
 
 
 class TestMargins:

@@ -7,6 +7,124 @@ from surveysense.errors import DetectionError
 from surveysense.mrf import MixedGraph, cv_lambda, fit_mrf, lasso_path
 from surveysense.simulate import gaussian_mrf_sample
 
+# --- row-form oracle ----------------------------------------------------------
+# Coordinate descent in row form: every coordinate update reads and writes the
+# n-length residual. The package's Gram-form kernel runs the same sweeps and
+# stopping rules, so it must reproduce these iterates up to rounding.
+
+
+def _soft(z, g):
+    if z > g:
+        return z - g
+    if z < -g:
+        return z + g
+    return 0.0
+
+
+def _cd_gaussian(x, y, lam, beta, tol, max_sweeps=1000):
+    n, p = x.shape
+    r = y - x @ beta
+    sq = np.einsum("ij,ij->j", x, x) / n
+    active_only = False
+    for _ in range(max_sweeps):
+        delta = 0.0
+        changed_support = False
+        for j in range(p):
+            bj = beta[j]
+            if active_only and bj == 0.0:
+                continue
+            if sq[j] == 0.0:
+                continue
+            rho = (x[:, j] @ r) / n + sq[j] * bj
+            new = _soft(rho, lam) / sq[j]
+            if new != bj:
+                r += x[:, j] * (bj - new)
+                beta[j] = new
+                delta = max(delta, abs(new - bj))
+                if (bj == 0.0) != (new == 0.0):
+                    changed_support = True
+        if delta < tol:
+            if active_only:
+                active_only = False
+            elif not changed_support:
+                return beta
+        else:
+            active_only = True
+    return beta
+
+
+def _cd_weighted(x, z, obs_w, lam, beta, intercept, tol, max_sweeps=200):
+    n, p = x.shape
+    r = z - intercept - x @ beta
+    w_sum = obs_w.sum()
+    sq = (obs_w @ (x * x)) / n
+    for _ in range(max_sweeps):
+        delta = 0.0
+        shift = (obs_w @ r) / w_sum
+        intercept += shift
+        r -= shift
+        for j in range(p):
+            if sq[j] == 0.0:
+                continue
+            bj = beta[j]
+            rho = (obs_w @ (x[:, j] * r)) / n + sq[j] * bj
+            new = _soft(rho, lam) / sq[j]
+            if new != bj:
+                r += x[:, j] * (bj - new)
+                beta[j] = new
+                delta = max(delta, abs(new - bj))
+        if delta < tol:
+            break
+    return beta, intercept
+
+
+def _oracle_path(x, response, kind, lambdas, tol=1e-7):
+    from scipy.special import expit
+
+    p = x.shape[1]
+    out = []
+    if kind == "continuous":
+        beta = np.zeros(p)
+        for lam in lambdas:
+            beta = _cd_gaussian(x, response, lam, beta, tol)
+            out.append(beta.copy()[None, :])
+    elif kind == "binary":
+        beta, intercept = np.zeros(p), 0.0
+        for lam in lambdas:
+            for _ in range(60):
+                eta = intercept + x @ beta
+                prob = np.clip(expit(eta), 1e-9, 1 - 1e-9)
+                obs_w = np.maximum(prob * (1 - prob), 1e-5)
+                z = eta + (response - prob) / obs_w
+                old, old_int = beta.copy(), intercept
+                beta, intercept = _cd_weighted(x, z, obs_w, lam, beta, intercept, tol)
+                if max(np.max(np.abs(beta - old)), abs(intercept - old_int)) < tol:
+                    break
+            out.append(beta.copy()[None, :])
+    else:
+        k = response.shape[1]
+        coefs, intercepts = np.zeros((k, p)), np.zeros(k)
+        for lam in lambdas:
+            for _ in range(60):
+                old = coefs.copy()
+                for cls in range(k):
+                    eta = intercepts[None, :] + x @ coefs.T
+                    eta -= eta.max(axis=1, keepdims=True)
+                    prob = np.exp(eta)
+                    prob /= prob.sum(axis=1, keepdims=True)
+                    pk = np.clip(prob[:, cls], 1e-9, 1 - 1e-9)
+                    obs_w = np.maximum(pk * (1 - pk), 1e-5)
+                    eta_k = intercepts[cls] + x @ coefs[cls]
+                    z = eta_k + (response[:, cls] - pk) / obs_w
+                    coefs[cls], intercepts[cls] = _cd_weighted(
+                        x, z, obs_w, lam, coefs[cls], intercepts[cls], tol
+                    )
+                intercepts -= intercepts.mean()
+                if np.max(np.abs(coefs - old)) < tol:
+                    break
+            out.append(coefs.copy())
+    return out
+
 
 CHAIN_PRECISION = np.array(
     [[1.0, 0.6, 0.0], [0.6, 2.0, 0.6], [0.0, 0.6, 1.0]]
@@ -132,3 +250,123 @@ def test_mixed_graph_helpers():
     assert graph.edges() == [("a", "b", 0.4), ("b", "c", 0.2)]
     with pytest.raises(DetectionError):
         graph.index("z")
+
+
+# --- Gram-form kernel against the row-form oracle -----------------------------
+
+
+def _response(kind, signal, rng):
+    if kind == "continuous":
+        y = signal + 0.5 * rng.standard_normal(len(signal))
+        return (y - y.mean()) / y.std()
+    if kind == "binary":
+        return (rng.random(len(signal)) < 1.0 / (1.0 + np.exp(-signal))).astype(float)
+    codes = np.searchsorted(np.quantile(signal, [1 / 3, 2 / 3]), signal)
+    return np.eye(3)[codes]
+
+
+def _penalties(x, response, kind, ratio):
+    centered = response if kind == "continuous" else response - response.mean(axis=0)
+    top = float(np.max(np.abs(x.T @ centered)) / len(x))
+    return np.geomspace(top, top * ratio, 10)
+
+
+@pytest.mark.parametrize("kind", ["continuous", "binary", "categorical"])
+@pytest.mark.parametrize("design", ["plain", "constant_column", "n_below_p"])
+def test_lasso_path_matches_row_form_oracle(kind, design):
+    rng = np.random.default_rng(31)
+    n, p = (12, 20) if design == "n_below_p" else (240, 7)
+    x = rng.standard_normal((n, p))
+    if design == "constant_column":
+        x[:, 2] = 0.0  # a standardized one-level indicator: the sq == 0 skip
+    x = (x - x.mean(axis=0)) / np.where(x.std(axis=0) == 0.0, 1.0, x.std(axis=0))
+    signal = 1.2 * x[:, 0] - 0.8 * x[:, 1] + 0.5 * x[:, 3]
+    response = _response(kind, signal, rng)
+    lambdas = _penalties(x, response, kind, 0.2 if design == "n_below_p" else 0.01)
+    got = lasso_path(x, response, kind, lambdas)
+    want = _oracle_path(x, response, kind, lambdas)
+    assert len(got) == len(want) == 10
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        np.testing.assert_allclose(g, w, rtol=0.0, atol=1e-10)
+    assert np.count_nonzero(got[-1]) > 0  # the path reaches a nontrivial fit
+    if design == "constant_column":
+        assert all(np.all(c[:, 2] == 0.0) for c in got)
+
+
+def _mixed_16_node_sample(n, seed):
+    """16 nodes laid out like the graph-16 benchmark: a chain plus cross
+    edges, five nodes thresholded to binary and one cut into three levels."""
+    q = 16
+    precision = np.zeros((q, q))
+    for i in range(q - 1):
+        precision[i, i + 1] = precision[i + 1, i] = -0.45
+    for i, j in ((0, 6), (0, 10), (2, 9), (4, 12), (7, 14), (3, 11)):
+        precision[i, j] = precision[j, i] = -0.4
+    np.fill_diagonal(precision, 1.0 + np.abs(precision).sum(axis=1))
+    names = tuple(f"n{i:02d}" for i in range(q))
+    cols = gaussian_mrf_sample(precision, names, n, seed=seed)
+    kinds = {name: "continuous" for name in names}
+    for i in (3, 5, 7, 9, 11):
+        cols[names[i]] = (cols[names[i]] > 0.0).astype(float)
+        kinds[names[i]] = "binary"
+    z = cols[names[13]]
+    cols[names[13]] = np.searchsorted(np.quantile(z, [1 / 3, 2 / 3]), z).astype(float)
+    kinds[names[13]] = "categorical"
+    return cols, kinds
+
+
+@pytest.mark.parametrize("lam", [0.08, "cv"])
+def test_fit_mrf_matches_row_form_oracle(lam, monkeypatch):
+    import surveysense.mrf as mrf
+
+    cols, kinds = _mixed_16_node_sample(300, seed=4)
+    got = fit_mrf(cols, kinds, lam=lam, seed=1, n_lambdas=12)
+    monkeypatch.setattr(mrf, "lasso_path", _oracle_path)
+    want = fit_mrf(cols, kinds, lam=lam, seed=1, n_lambdas=12)
+    # Under cross validation n14 and n15 both pick their lambda_max, where the
+    # row form leaves a coefficient of about 1e-16 and so an edge of weight
+    # 5.6e-17; the Gram form reads exactly zero there (see the next test).
+    # Support is compared above that rounding level.
+    np.testing.assert_array_equal(got.weights > 1e-12, want.weights > 1e-12)
+    if lam != "cv":
+        np.testing.assert_array_equal(got.adjacency(), want.adjacency())
+    np.testing.assert_allclose(got.weights, want.weights, rtol=0.0, atol=1e-8)
+    assert got.node_lambdas == want.node_lambdas
+    assert got.flags == want.flags
+    assert len(got.edges()) >= 10
+
+
+def test_continuous_fit_at_lambda_max_is_exactly_zero():
+    # The score at beta = 0 is the same product that defines lambda_max, so
+    # the largest one meets the penalty exactly and soft-thresholds to zero.
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((50, 4))
+    y = x[:, 0] + rng.standard_normal(50)
+    top = float(np.max(np.abs(x.T @ y)) / 50)
+    assert np.all(lasso_path(x, y, "continuous", np.array([top]))[0] == 0.0)
+
+
+def test_support_change_in_a_settled_full_sweep_continues():
+    # The penalty is set so that coordinate 0, first in the sweep, stays out
+    # until coordinates 1 and 2 are fit and then enters by about 6e-8, below
+    # the tolerance, in the settling full sweep. That sweep changed the
+    # support, so the descent must go on and re-settle 1 and 2, as the row
+    # form does; stopping there leaves them about 3e-8 off.
+    rng = np.random.default_rng(33)
+    n = 200
+    x = rng.standard_normal((n, 3)) @ rng.standard_normal((3, 3))
+    x = (x - x.mean(axis=0)) / x.std(axis=0)
+    y = x @ rng.standard_normal(3) + 0.5 * rng.standard_normal(n)
+    y = (y - y.mean()) / y.std()
+    gram, score = x.T @ x / n, x.T @ y / n
+    rhs = np.column_stack([score[1:], np.sign(score[1:])])
+    fit = np.linalg.solve(gram[1:, 1:], rhs)
+    # coordinate 0's score at the (1, 2) lasso fit is a + b * lam
+    a, b = score[0] - gram[0, 1:] @ fit[:, 0], gram[0, 1:] @ fit[:, 1]
+    lam = (a - 3e-8) / (1.0 - b)
+    assert abs(score[0]) < lam
+    got = lasso_path(x, y, "continuous", np.array([lam]))[0][0]
+    want = _oracle_path(x, y, "continuous", np.array([lam]))[0][0]
+    assert 0.0 < got[0] < 1e-7
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
