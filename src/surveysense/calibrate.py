@@ -25,6 +25,7 @@ from typing import NoReturn
 
 import numpy as np
 
+from .data import check_rank
 from .errors import InfeasibleTargetsError
 
 logger = logging.getLogger(__name__)
@@ -156,28 +157,6 @@ def _check_marginal_feasibility(problem: CalibrationProblem) -> None:
             raise InfeasibleTargetsError(problem.column_names[j], t, (lo, hi))
 
 
-def _drop_dependent_columns(problem: CalibrationProblem) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Indices of kept and dropped columns (QR with pivoting, intercept included)."""
-    import scipy.linalg
-
-    matrix = problem.matrix
-    scale = np.maximum(np.abs(matrix).max(axis=0), 1e-300)
-    augmented = np.column_stack([np.ones(problem.n), matrix / scale])
-    if problem.row_counts is not None:
-        # sqrt(count) row scaling keeps the Gram matrix, hence R, of the expanded rows
-        augmented *= np.sqrt(problem.row_counts)[:, None]
-    r, pivots = scipy.linalg.qr(augmented, mode="r", pivoting=True)
-    diag = np.abs(np.diag(r))
-    rank = int(np.sum(diag > 1e-10 * max(diag[0], 1.0)))
-    dropped = sorted(int(j) - 1 for j in pivots[rank:] if j > 0)
-    if 0 in pivots[rank:]:
-        # pivoting discarded the intercept; blame a constant design column
-        constants = [j for j in range(problem.p) if np.ptp(matrix[:, j]) == 0.0]
-        dropped = sorted(set(dropped) | set(constants))
-    kept = np.asarray([j for j in range(problem.p) if j not in dropped], dtype=int)
-    return kept, tuple(dropped)
-
-
 def _classify_failure(
     problem: CalibrationProblem, threshold: float = INFEASIBLE_SLACK
 ) -> np.ndarray | None:
@@ -263,7 +242,8 @@ def solve_raking(
         return WeightVector(w, np.zeros(0), (), diag)
 
     _check_marginal_feasibility(problem)
-    kept, dropped_idx = _drop_dependent_columns(problem)
+    dropped_idx = check_rank(problem.matrix, problem.row_counts)
+    kept = np.asarray([j for j in range(problem.p) if j not in dropped_idx], dtype=int)
     dropped_names = tuple(problem.column_names[j] for j in dropped_idx)
     if dropped_names:
         logger.warning("dropping dependent constraint columns: %s", ", ".join(dropped_names))

@@ -13,7 +13,7 @@ import csv
 import logging
 import operator
 from dataclasses import dataclass, replace
-from itertools import product
+from itertools import compress, product
 
 import numpy as np
 
@@ -128,43 +128,59 @@ def load_table(
 ) -> SurveyFrame:
     """Read a delimited file, keeping only the declared columns.
 
-    Rows with a missing token in any declared column are dropped and the
-    count is logged. Raises ``SchemaError`` for undeclared kinds, absent
-    columns, or unparseable cells.
+    Rows with a missing token in any declared column, or too short to hold
+    one, are dropped and the count is logged; blank lines are skipped. Raises
+    ``SchemaError`` for undeclared kinds, absent columns, or unparseable cells
+    (the first in row order). Of duplicate header names the last wins.
     """
     for name, kind in schema.items():
         if kind not in KINDS:
             raise SchemaError(f"column {name!r}: unknown kind {kind!r}")
-    raw: dict[str, list] = {name: [] for name in schema}
-    row_ids: list[int] = []
-    dropped = 0
     with open(path, newline="") as handle:
-        reader = csv.DictReader(handle, delimiter=delimiter)
-        header = reader.fieldnames or []
+        reader = csv.reader(handle, delimiter=delimiter)
+        header = next(reader, [])
         absent = [name for name in schema if name not in header]
         if absent:
             raise SchemaError(f"{path}: declared columns missing from header: {absent}")
-        for lineno, record in enumerate(reader, start=1):
-            cells = {name: record[name] for name in schema}
-            if any(cells[name] is None or cells[name].strip() in missing for name in schema):
-                dropped += 1
+        rows = [row for row in reader if row]
+    position = {name: j for j, name in enumerate(header)}
+    width = max((position[name] + 1 for name in schema), default=0)
+    # a row shorter than that lacks a declared column, so it is dropped
+    keep = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)) >= width
+    if not keep.all():
+        rows = [row if len(row) >= width else [""] * width for row in rows]
+    missing_set = set(missing)
+    cells = {}
+    for name in schema:
+        cells[name] = col = list(map(str.strip, map(operator.itemgetter(position[name]), rows)))
+        if not missing_set.isdisjoint(col):
+            keep &= ~np.fromiter(map(missing_set.__contains__, col), dtype=bool, count=len(col))
+    del rows
+    row_ids = np.flatnonzero(keep) + 1
+    cells = {name: list(compress(col, keep)) for name, col in cells.items()}
+    columns: dict | None = {}
+    try:
+        for name, kind in schema.items():
+            if kind == "categorical":
+                columns[name] = np.asarray(cells[name], dtype=object)
                 continue
-            for name in schema:
-                raw[name].append(_parse_cell(cells[name].strip(), schema[name], name, lineno))
-            row_ids.append(lineno)
+            values = np.fromiter(map(float, cells[name]), dtype=np.float64, count=len(row_ids))
+            if kind == "binary" and not np.all(np.isin(values, (0.0, 1.0))):
+                raise ValueError(name)
+            columns[name] = values
+    except ValueError:
+        columns = None
+    if columns is None:
+        # replay cell by cell so the error names the first bad cell in row order
+        for row_id, *row in zip(row_ids.tolist(), *cells.values()):
+            for (name, kind), text in zip(schema.items(), row):
+                _parse_cell(text, kind, name, row_id)
+    dropped = len(keep) - len(row_ids)
     if dropped:
         logger.info("%s: dropped %d rows with missing values (listwise)", path, dropped)
-    if not row_ids:
+    if not row_ids.size:
         raise SchemaError(f"{path}: no complete rows after listwise deletion")
-    columns = {
-        name: (
-            np.asarray(raw[name], dtype=object)
-            if schema[name] == "categorical"
-            else np.asarray(raw[name], dtype=np.float64)
-        )
-        for name in schema
-    }
-    return SurveyFrame(columns, dict(schema), np.asarray(row_ids, dtype=np.int64))
+    return SurveyFrame(columns, dict(schema), row_ids)
 
 
 def apply_filters(frame: SurveyFrame, filters: list[dict]) -> SurveyFrame:
@@ -436,26 +452,27 @@ def _margin_lookup(target: MarginTarget, term: FeatureTerm, column: str) -> floa
     return float(entry["1"])
 
 
-def check_rank(matrix: np.ndarray) -> tuple[int, ...]:
+def check_rank(matrix: np.ndarray, row_counts: np.ndarray | None = None) -> tuple[int, ...]:
     """Indices of linearly dependent columns, judged with the implicit
-    normalization constraint included (a constant column is dependent)."""
+    normalization constraint included (a constant column is dependent).
+
+    ``row_counts`` weighs rows by multiplicity (sqrt(count) row scaling). The
+    n-row QR runs on numpy's BLAS; scipy's pivoted QR sees only the (p+1)-row
+    R, whose column inner products, hence pivots, are the full matrix's."""
     import scipy.linalg
 
-    n = matrix.shape[0]
     scaled = matrix / np.maximum(np.abs(matrix).max(axis=0), 1e-300)
-    augmented = np.column_stack([np.ones(n), scaled])
-    r = scipy.linalg.qr(augmented, mode="r", pivoting=True)
-    diag = np.abs(np.diag(r[0]))
-    pivots = r[1]
+    augmented = np.column_stack([np.ones(len(matrix)), scaled])
+    if row_counts is not None:
+        augmented *= np.sqrt(row_counts)[:, None]
+    r, pivots = scipy.linalg.qr(np.linalg.qr(augmented, mode="r"), mode="r", pivoting=True)
+    diag = np.abs(np.diag(r))
     rank = int(np.sum(diag > 1e-10 * max(diag[0], 1.0)))
     dependent = sorted(int(j) - 1 for j in pivots[rank:] if j > 0)
-    # if the intercept itself got pivoted out, blame the constant column kept
-    if len(dependent) < len(pivots) - rank:
-        constant = [
-            j for j in range(matrix.shape[1])
-            if np.ptp(matrix[:, j]) == 0.0 and j not in dependent
-        ]
-        dependent = sorted(set(dependent) | set(constant))
+    if 0 in pivots[rank:]:
+        # pivoting discarded the intercept; blame a constant design column
+        constants = [j for j in range(matrix.shape[1]) if np.ptp(matrix[:, j]) == 0.0]
+        dependent = sorted(set(dependent) | set(constants))
     return tuple(dependent)
 
 

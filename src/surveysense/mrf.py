@@ -369,6 +369,8 @@ def fit_mrf(
         else:
             lam_i = float(lam)
         node_lambdas[name] = lam_i
+        if lam_i >= lam_max:  # zero is exact; a fit may leave 1e-16 phantom edges
+            continue
         coefs = lasso_path(x, response, kinds[name], np.asarray([lam_i]))[0]
         if np.max(np.abs(coefs)) > SEPARATION_BOUND:
             flags.append(f"{name}: quasi-separated fit (|coef| > {SEPARATION_BOUND:g})")

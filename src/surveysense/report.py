@@ -373,9 +373,10 @@ def validate_report(report: dict) -> None:
 
     from .errors import SchemaError
 
-    try:
-        jsonschema.validate(report, _schema())
-    except jsonschema.ValidationError as err:
+    schema = _schema()  # checked against its metaschema by the tests, not per run
+    validator = jsonschema.validators.validator_for(schema)(schema)
+    err = jsonschema.exceptions.best_match(validator.iter_errors(report))
+    if err is not None:
         path = "/".join(str(p) for p in err.absolute_path) or "<root>"
         raise SchemaError(f"report failed schema validation at {path}: {err.message}")
 

@@ -152,3 +152,48 @@ def test_continuous_design_matches_row_level_resolve(outcome):
     np.testing.assert_allclose(
         res.draws, row_level_draws(problem, y, ZERO, 100, 9), rtol=0.0, atol=1e-12
     )
+
+
+def test_scipy_qr_sees_no_more_than_p_plus_one_rows(tmp_path, monkeypatch):
+    # numpy and scipy each load their own BLAS thread pool; n-row
+    # factorizations stay on numpy's, and scipy's pivoted QR sees only the
+    # rank guard's (p+1)-row R factor
+    import scipy.linalg
+
+    from surveysense.config import config_from_dict
+    from surveysense.report import build_pipeline
+
+    rng = np.random.default_rng(3)
+
+    def write(name, n, shift):
+        x1 = (rng.random(n) < 0.4 + shift).astype(int)
+        x2 = rng.normal(shift, 1.0, size=n)
+        g = rng.choice(["a", "b", "c"], size=n)
+        y = x1 + 0.5 * x2 + rng.normal(size=n)
+        cells = zip(x1.tolist(), x2.tolist(), g.tolist(), y.tolist())
+        lines = ["x1,x2,g,y"] + [f"{a},{b!r},{c},{d!r}" for a, b, c, d in cells]
+        (tmp_path / name).write_text("\n".join(lines) + "\n")
+        return str(tmp_path / name)
+
+    cfg = config_from_dict({
+        "survey": write("survey.csv", 2000, 0.0),
+        "population": write("population.csv", 3000, 0.1),
+        "columns": {"x1": "binary", "x2": "continuous", "g": "categorical", "y": "continuous"},
+        "outcome": "y",
+        "weighting": {"variables": ["x1", "x2", "g"]},
+    })
+    rows_seen = []
+    qr = scipy.linalg.qr
+
+    def recording_qr(a, *args, **kwargs):
+        rows_seen.append(np.shape(a)[0])
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "qr", recording_qr)
+    pipe = build_pipeline(cfg)
+    with pytest.warns(UserWarning, match="below the 100"):
+        res = bootstrap_interval(pipe.problem, pipe.y, ZERO, b=5, seed=0)
+    assert pipe.problem.n == 2000 and res.n_draws == 5
+    # build_features, the pipeline baseline, the bootstrap baseline, each draw
+    assert len(rows_seen) == 1 + 1 + 1 + 5
+    assert max(rows_seen) <= pipe.problem.p + 1

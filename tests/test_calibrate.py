@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import event, given
+from hypothesis import strategies as st
+from test_calibrate_properties import SETTINGS, problems
 
 from surveysense import (
     CalibrationProblem,
@@ -16,6 +19,52 @@ from surveysense import (
     weighted_mean,
     weighted_se,
 )
+from surveysense.data import check_rank
+
+
+def full_row_rank_guard(matrix, row_counts=None):
+    """The rank guard with scipy's pivoted QR over all n rows, kept as the
+    oracle for ``check_rank``, which pivots only the (p+1)-row R factor."""
+    import scipy.linalg
+
+    scale = np.maximum(np.abs(matrix).max(axis=0), 1e-300)
+    augmented = np.column_stack([np.ones(len(matrix)), matrix / scale])
+    if row_counts is not None:
+        augmented *= np.sqrt(row_counts)[:, None]
+    r, pivots = scipy.linalg.qr(augmented, mode="r", pivoting=True)
+    diag = np.abs(np.diag(r))
+    rank = int(np.sum(diag > 1e-10 * max(diag[0], 1.0)))
+    dropped = sorted(int(j) - 1 for j in pivots[rank:] if j > 0)
+    if 0 in pivots[rank:]:
+        constants = [j for j in range(matrix.shape[1]) if np.ptp(matrix[:, j]) == 0.0]
+        dropped = sorted(set(dropped) | set(constants))
+    return tuple(dropped)
+
+
+def assert_rank_guard_matches_oracle(matrix, counts=None):
+    got, want = check_rank(matrix, counts), full_row_rank_guard(matrix, counts)
+    if got != want:
+        # An exact tie in pivoting (a duplicated column, or equal norms left
+        # once the intercept is taken) is broken by rounding, differently in
+        # the two factorizations. Which tied column goes is then arbitrary,
+        # but the guard must drop as many and keep a basis of the same span.
+        event("tie broken differently")
+        assert len(got) == len(want)
+        kept = [j for j in range(matrix.shape[1]) if j not in got]
+        assert full_row_rank_guard(matrix[:, kept], counts) == ()
+
+
+@SETTINGS
+@given(problems(), st.data())
+def test_rank_guard_matches_full_row_oracle(problem, data):
+    # the property tests' adversarial designs, as plain rows and as design
+    # cells carrying counts of 1 to 1e6
+    assert_rank_guard_matches_oracle(problem.matrix)
+    counts = np.asarray(
+        data.draw(st.lists(st.sampled_from([1.0, 2.0, 7.0, 1e3, 1e6]),
+                           min_size=problem.n, max_size=problem.n))
+    )
+    assert_rank_guard_matches_oracle(problem.matrix, counts)
 
 
 def random_problem(seed, n=2000, max_p=30):
@@ -156,6 +205,15 @@ class TestSolveRaking:
         assert solve_raking(unweighted).diagnostics.dropped_columns == ()
         per_row = np.repeat(by_cells.values * (rows.n / 3) / counts, [5000, 5000, 1])
         np.testing.assert_allclose(by_rows.values, per_row, rtol=1e-12)
+
+    @staticmethod
+    def test_row_counts_rank_guard_matches_full_row_oracle():
+        cells = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1e-9]])
+        counts = np.array([5000.0, 5000.0, 1.0])
+        rows = np.repeat(cells, [5000, 5000, 1], axis=0)
+        assert check_rank(cells, counts) == full_row_rank_guard(cells, counts) == (1,)
+        assert check_rank(rows) == full_row_rank_guard(rows) == (1,)
+        assert check_rank(cells) == full_row_rank_guard(cells) == ()
 
     @staticmethod
     def test_duplicate_column_dropped_but_verified():

@@ -8,6 +8,7 @@ import pytest
 from surveysense.config import config_from_dict, load_config
 from surveysense.errors import ConfigError, SchemaError
 from surveysense.report import (
+    _schema,
     assemble_report,
     build_pipeline,
     canonical_json,
@@ -180,6 +181,13 @@ class TestAssembledReport:
         report["n_rows"] = "many"
         with pytest.raises(SchemaError, match="n_rows"):
             validate_report(report)
+
+    def test_shipped_schema_meets_its_metaschema(self):
+        # validate_report skips this check on every run; it is made here once
+        import jsonschema
+
+        schema = _schema()
+        jsonschema.validators.validator_for(schema).check_schema(schema)
 
     def test_weights_csv_round_trips_floats(self, pipeline, tmp_path):
         pipe, _ = pipeline

@@ -1,5 +1,8 @@
 """Loading, filtering, and feature expansion."""
 
+import csv
+import logging
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,7 @@ from surveysense import (
     load_table,
     terms_from_config,
 )
-from surveysense.data import check_rank
+from surveysense.data import MISSING_TOKENS, _parse_cell, check_rank
 
 
 def write(tmp_path, name, text):
@@ -54,6 +57,125 @@ def test_load_table_rejects_bad_cells(tmp_path):
         load_table(path, {"income": "continuous"})
     with pytest.raises(SchemaError, match="unknown kind"):
         load_table(path, {"age": "numeric"})
+
+
+def dictreader_load_table(path, schema, *, delimiter=",", missing=MISSING_TOKENS):
+    """Row-by-row loader, kept as the oracle for the column-wise one."""
+    raw = {name: [] for name in schema}
+    row_ids = []
+    dropped = 0
+    with open(path, newline="") as handle:
+        reader = csv.DictReader(handle, delimiter=delimiter)
+        header = reader.fieldnames or []
+        absent = [name for name in schema if name not in header]
+        if absent:
+            raise SchemaError(f"{path}: declared columns missing from header: {absent}")
+        for lineno, record in enumerate(reader, start=1):
+            cells = {name: record[name] for name in schema}
+            if any(cells[name] is None or cells[name].strip() in missing for name in schema):
+                dropped += 1
+                continue
+            for name in schema:
+                raw[name].append(_parse_cell(cells[name].strip(), schema[name], name, lineno))
+            row_ids.append(lineno)
+    if dropped:
+        logging.getLogger("surveysense.data").info(
+            "%s: dropped %d rows with missing values (listwise)", path, dropped
+        )
+    if not row_ids:
+        raise SchemaError(f"{path}: no complete rows after listwise deletion")
+    columns = {
+        name: np.asarray(raw[name], dtype=object if schema[name] == "categorical" else np.float64)
+        for name in schema
+    }
+    return columns, np.asarray(row_ids, dtype=np.int64)
+
+
+def _load_outcome(loader, path, schema, caplog):
+    """Columns, row ids and log lines of a load, or its SchemaError text."""
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="surveysense.data"):
+        try:
+            result = loader(path, schema)
+        except SchemaError as err:
+            return "error", str(err), caplog.messages
+    if isinstance(result, tuple):
+        columns, row_ids = result
+    else:
+        columns, row_ids = result.columns, result.row_ids
+    return columns, row_ids, caplog.messages
+
+
+INGEST_CASES = {
+    "blank_short_long_rows": (
+        "a,b,c\n1,x,0\n\n2,y\n3,z,1,extra,more\n\n\n4,w,0\n5\n",
+        {"a": "continuous", "b": "categorical", "c": "binary"},
+    ),
+    "duplicate_header": (
+        "a,b,a\n1,x,7\n2,y\n3,z,9\n",
+        {"a": "continuous", "b": "categorical"},
+    ),
+    "quoted_delimiter_and_newline": (
+        'a,b\n1,"x,y"\n2,"two\nlines"\n3," padded "\n',
+        {"a": "continuous", "b": "categorical"},
+    ),
+    "padded_cells": (
+        "a,b,c\n 1 ,  x ,1 \n\t2\t, y,  0\n",
+        {"a": "continuous", "b": "categorical", "c": "binary"},
+    ),
+    "missing_in_one_column": (
+        "a,b,c\n1,x,1\n2,NA,0\n3,,1\n4, NA ,1\n5,v,0\n",
+        {"a": "continuous", "b": "categorical", "c": "binary"},
+    ),
+    "float_accepts": (
+        'a,c\n" 1e3 ",1\ninf,0.0\n1_0,1e0\n-inf,-0\nnan,1\n',
+        {"a": "continuous", "c": "binary"},
+    ),
+    "bad_numeric_cell": (
+        "a,c\n1,0\n2,NA\n3,1\nforty,1\nfifty,0\n",
+        {"a": "continuous", "c": "binary"},
+    ),
+    "bad_binary_cell": (
+        "a,c\n1,0\n2,1\n3,2\n4,0.5\n",
+        {"a": "continuous", "c": "binary"},
+    ),
+    "bad_cells_in_two_columns": (
+        "a,c\n1,0\n2,nan\nsix,1\n",
+        {"a": "continuous", "c": "binary"},
+    ),
+    "bad_cells_in_one_row": (
+        "a,c\n1,0\nsix,2\n",
+        {"a": "continuous", "c": "binary"},
+    ),
+    "bad_cell_in_a_dropped_row": (
+        "a,c\nforty,NA\n2,1\n",
+        {"a": "continuous", "c": "binary"},
+    ),
+    "every_row_dropped": (
+        "a,b\n1,NA\n,x\n3\n",
+        {"a": "continuous", "b": "categorical"},
+    ),
+    "header_only": ("a,b\n", {"a": "continuous"}),
+    "empty_file": ("", {"a": "continuous"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INGEST_CASES))
+def test_load_table_matches_dictreader_oracle(tmp_path, caplog, case):
+    text, schema = INGEST_CASES[case]
+    path = write(tmp_path, "s.csv", text)
+    got = _load_outcome(load_table, path, schema, caplog)
+    want = _load_outcome(dictreader_load_table, path, schema, caplog)
+    if want[0] == "error" or got[0] == "error":
+        assert got == want
+        return
+    assert got[2] == want[2]  # the same logged drop count
+    np.testing.assert_array_equal(got[1], want[1])
+    assert got[1].dtype == want[1].dtype
+    assert list(got[0]) == list(want[0])
+    for name in schema:
+        assert got[0][name].dtype == want[0][name].dtype
+        np.testing.assert_array_equal(got[0][name], want[0][name])
 
 
 def test_load_table_binary_must_be_01(tmp_path):
