@@ -35,6 +35,7 @@ from .calibrate import (
     balance_table,
     entropy_divergence,
     oracle_ipw,
+    solve_many,
     solve_raking,
     weighted_mean,
     weighted_se,
@@ -108,6 +109,7 @@ __all__ = [
     "balance_table",
     "entropy_divergence",
     "oracle_ipw",
+    "solve_many",
     "solve_raking",
     "weighted_mean",
     "weighted_se",

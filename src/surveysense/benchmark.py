@@ -131,10 +131,7 @@ def loo_weights(
             else None
         ),
     )
-    warm = None
-    if baseline is not None and keep:
-        lookup = dict(zip(baseline.constraint_ids, baseline.dual))
-        warm = np.asarray([lookup.get(name, 0.0) for name in sub.column_names])
+    warm = baseline.dual_for(sub.column_names) if baseline is not None and keep else None
     return solve_raking(sub, warm_start=warm, debug=debug)
 
 
@@ -197,10 +194,7 @@ def benchmark_subset(
             else None
         ),
     )
-    warm = None
-    if keep:
-        lookup = dict(zip(w.constraint_ids, w.dual))
-        warm = np.asarray([lookup.get(name, 0.0) for name in sub.column_names])
+    warm = w.dual_for(sub.column_names) if keep else None
     wv = solve_raking(sub, warm_start=warm, debug=debug)
     record = benchmark(w.values, wv.values, y, label=label or "+".join(subset))
     record = replace(record, converged=wv.diagnostics.converged)

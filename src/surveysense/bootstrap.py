@@ -10,7 +10,12 @@ an exact additive shift of the unadjusted interval.
 Each re-solve runs on the distinct design rows (cells) its resample
 touches, with the resampled base mass of each cell as its base weight.
 The dual sees only that mass, so this is exact, and a draw costs the
-number of cells rather than the number of rows.
+number of cells rather than the number of rows. A draw keeps only its
+cell sums (counts, base mass, sums of q*y and q^2) and the variance of
+its resampled outcome, never a row-length array. Draws are solved
+together by ``calibrate.solve_many``, in chunks of ``batch_size`` draws
+over the union of the cells each chunk touches, so memory stays bounded
+by ``calibrate.BATCH_BYTES``.
 """
 
 from __future__ import annotations
@@ -23,12 +28,17 @@ import numpy as np
 
 from .bias import ObservedScale, SensitivityParams, bias
 from .calibrate import (
+    FAILURE_REASONS,
     CalibrationProblem,
     WeightVector,
+    batch_size,
+    failure_reason,
+    solve_many,
     solve_raking,
     weighted_mean,
 )
-from .errors import InfeasibleTargetsError, RankDeficiencyError, SurveySenseError
+from .data import design_cells
+from .errors import SurveySenseError
 from .simulate import STAGE_BOOTSTRAP, stream
 
 __all__ = ["BootstrapResult", "bootstrap_interval"]
@@ -47,6 +57,8 @@ class BootstrapResult:
     alpha: float
     params: SensitivityParams
     reestimate: bool
+    #: dropped draws by ``calibrate.FAILURE_REASONS`` key; sums to ``dropped``
+    dropped_by_reason: dict[str, int]
 
     @property
     def interval(self) -> tuple[float, float]:
@@ -68,9 +80,10 @@ def bootstrap_interval(
 
     Resampling unit is the respondent row; population targets stay
     fixed. Draws whose re-solve fails to converge (or becomes
-    infeasible under the resample) are dropped, erroring past a 5%
-    drop rate. With ``reestimate`` off, baseline weights ride along
-    with the resampled rows and the bias term uses the baseline scale.
+    infeasible under the resample) are dropped and counted by reason,
+    erroring past a 5% drop rate. With ``reestimate`` off, baseline
+    weights ride along with the resampled rows and the bias term uses
+    the baseline scale.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.shape[0] != problem.n:
@@ -90,64 +103,29 @@ def bootstrap_interval(
         baseline = solve_raking(problem)
         if not baseline.diagnostics.converged:
             raise SurveySenseError("baseline calibration did not converge")
-    base_dual = baseline.dual
-    n = problem.n
-    base_weights = (
-        problem.base_weights
-        if problem.base_weights is not None
-        else np.ones(n, dtype=np.float64)
-    )
 
-    if not reestimate:
-        baseline_shift = bias(params, ObservedScale.from_sample(y, baseline.values))
-    else:
-        cells, cell_of_row = np.unique(problem.matrix, axis=0, return_inverse=True)
-        cell_of_row = cell_of_row.reshape(-1)
-        n_cells = cells.shape[0]
-
-    def one_draw(index: int) -> float | None:
-        rows = stream(seed, index, STAGE_BOOTSTRAP).integers(0, n, size=n)
-        yb = y[rows]
-        if not reestimate:
-            return weighted_mean(yb, baseline.values[rows]) - baseline_shift
-        row_cells = cell_of_row[rows]
-        qb = base_weights[rows]
-        counts = np.bincount(row_cells, minlength=n_cells)
-        touched = np.flatnonzero(counts)
-        mass = np.bincount(row_cells, weights=qb, minlength=n_cells)[touched]
-        sub = CalibrationProblem(
-            matrix=cells[touched],
-            targets=problem.targets,
-            column_names=problem.column_names,
-            column_sources=problem.column_sources,
-            base_weights=mass,
-            tol=problem.tol,
-            max_iter=problem.max_iter,
-            row_counts=counts[touched],
-        )
+    if reestimate:
+        # failed draws surface through the dropped counts; per-draw solver
+        # logs would swamp the output at B = 1000
+        solver_logger = logging.getLogger("surveysense.calibrate")
+        previous_level = solver_logger.level
+        solver_logger.setLevel(logging.ERROR)
         try:
-            wv = solve_raking(sub, warm_start=base_dual)
-        except (InfeasibleTargetsError, RankDeficiencyError):
-            return None
-        if not wv.diagnostics.converged:
-            return None
-        # a row's weight is its cell's weight shared in proportion to base mass
-        share = np.zeros(n_cells)
-        share[touched] = wv.values * (n / touched.size) / mass
-        scale = ObservedScale.from_sample(yb, share[row_cells] * qb)
-        return scale.mu_hat - bias(params, scale)
+            kept, dropped_by_reason = _reestimated_draws(
+                problem, y, params, b, seed, baseline.dual_for(problem.column_names)
+            )
+        finally:
+            solver_logger.setLevel(previous_level)
+    else:
+        n = problem.n
+        shift = bias(params, ObservedScale.from_sample(y, baseline.values))
+        kept = []
+        dropped_by_reason = dict.fromkeys(FAILURE_REASONS, 0)
+        for index in range(b):
+            rows = stream(seed, index, STAGE_BOOTSTRAP).integers(0, n, size=n)
+            kept.append(weighted_mean(y[rows], baseline.values[rows]) - shift)
 
-    # failed draws surface through the dropped count; per-draw solver logs
-    # would swamp the output at B = 1000
-    solver_logger = logging.getLogger("surveysense.calibrate")
-    previous_level = solver_logger.level
-    solver_logger.setLevel(logging.ERROR)
-    try:
-        raw = [one_draw(i) for i in range(b)]
-    finally:
-        solver_logger.setLevel(previous_level)
-
-    kept = np.array([v for v in raw if v is not None], dtype=np.float64)
+    kept = np.asarray(kept, dtype=np.float64)
     dropped = b - kept.shape[0]
     if dropped > MAX_DROP_FRACTION * b:
         raise SurveySenseError(
@@ -164,4 +142,73 @@ def bootstrap_interval(
         alpha=alpha,
         params=params,
         reestimate=reestimate,
+        dropped_by_reason=dropped_by_reason,
     )
+
+
+def _reestimated_draws(
+    problem: CalibrationProblem,
+    y: np.ndarray,
+    params: SensitivityParams,
+    b: int,
+    seed: int,
+    warm: np.ndarray,
+) -> tuple[list[float], dict[str, int]]:
+    """Adjusted estimates of the draws whose re-solve converged, in draw
+    order, and the other draws counted by reason."""
+    n = problem.n
+    q = problem.base_weights
+    cells, cell_of_row = design_cells(problem.matrix)
+    n_cells = cells.shape[0]
+    chunk = batch_size(n_cells, problem.p)
+    kept = []
+    dropped_by_reason = dict.fromkeys(FAILURE_REASONS, 0)
+    for start in range(0, b, chunk):
+        draws = range(start, min(b, start + chunk))
+        counts = np.empty((len(draws), n_cells))
+        var_y = np.empty(len(draws))
+        # per-cell sums of the base weight q, of q*y and of q^2
+        sums = np.empty((3, len(draws), n_cells))
+        for row, index in enumerate(draws):
+            rows = stream(seed, index, STAGE_BOOTSTRAP).integers(0, n, size=n)
+            at = cell_of_row[rows]
+            yb = y[rows]
+            counts[row] = np.bincount(at, minlength=n_cells)
+            if q is None:
+                sums[0, row] = sums[2, row] = counts[row]
+                sums[1, row] = np.bincount(at, weights=yb, minlength=n_cells)
+            else:
+                qb = q[rows]
+                for stat, values in zip(sums, (qb, qb * yb, qb * qb)):
+                    stat[row] = np.bincount(at, weights=values, minlength=n_cells)
+            centered = yb - yb.mean()
+            var_y[row] = centered @ centered / n
+        touched = counts.any(axis=0)
+        counts = counts[:, touched]
+        mass, qy, q2 = sums[:, :, touched]
+        union = CalibrationProblem(
+            cells[touched],
+            problem.targets,
+            column_names=problem.column_names,
+            column_sources=problem.column_sources,
+            tol=problem.tol,
+            max_iter=problem.max_iter,
+        )
+        targets = np.broadcast_to(problem.targets, (len(draws), problem.p))
+        outcomes = solve_many(union, targets, mass, counts, warm_start=warm)
+        for row, outcome in enumerate(outcomes):
+            own = counts[row] > 0
+            reason = failure_reason(outcome, union.matrix[own], counts[row, own])
+            if reason is not None:
+                dropped_by_reason[reason] += 1
+                continue
+            # a row's weight is its cell's weight shared in proportion to
+            # base mass: w_i = share[cell(i)] * q_i, summing to n
+            share = outcome.values * (n / own.sum()) / mass[row, own]
+            total = share @ mass[row, own]
+            var_w = max(share**2 @ q2[row, own] / n - (total / n) ** 2, 0.0)
+            scale = ObservedScale(
+                var_y=var_y[row], var_w=var_w, mu_hat=share @ qy[row, own] / total
+            )
+            kept.append(scale.mu_hat - bias(params, scale))
+    return kept, dropped_by_reason

@@ -15,12 +15,18 @@ coordinate-wise tilting (the classic one-margin-at-a-time update, exact for
 ``InfeasibleTargetsError`` naming the violated constraint; jointly
 infeasible targets are certified by a phase-1 linear program as soon as
 Newton first gives way to coordinate sweeps, instead of after ``max_iter``.
+
+``solve_many`` solves a stack of such problems that share one matrix of
+design cells (distinct design rows carrying base mass and row counts), as
+the bootstrap draws and the sweep points do: one vectorized Newton over the
+stack, in batches bounded by ``BATCH_BYTES``, with every problem it cannot
+finish on solve_raking's own terms handed to ``solve_raking``.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NoReturn
 
 import numpy as np
@@ -33,11 +39,19 @@ logger = logging.getLogger(__name__)
 #: Hessian condition number beyond which Newton hands over to coordinate sweeps
 ILL_CONDITIONED = 1e10
 
+#: ``solve_many`` hands a problem to ``solve_raking`` once trace(E[f f']) over
+#: the Hessian's smallest eigenvalue, an upper bound on its condition number,
+#: comes within this factor of ``ILL_CONDITIONED``
+_COND_MARGIN = 10.0
+
 #: minimal phase-1 slack above which targets are reported jointly infeasible
 INFEASIBLE_SLACK = 1e-7
 
 _ARMIJO = 1e-4
 _MAX_BACKTRACKS = 40
+
+#: working-set budget of one ``solve_many`` batch, in bytes
+BATCH_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -66,6 +80,12 @@ class WeightVector:
     dual: np.ndarray
     constraint_ids: tuple[str, ...]
     diagnostics: RakingDiagnostics
+
+    def dual_for(self, names: tuple[str, ...]) -> np.ndarray:
+        """The dual aligned with ``names``, 0 for a column this solve did
+        not enforce: a warm start for a problem on other columns."""
+        lookup = dict(zip(self.constraint_ids, self.dual))
+        return np.asarray([lookup.get(name, 0.0) for name in names])
 
 
 @dataclass(frozen=True)
@@ -384,6 +404,243 @@ def solve_raking(
         message="" if converged else "iteration limit reached",
     )
     return WeightVector(w, lam, names, diag)
+
+
+#: why a calibration gave no usable weights
+FAILURE_REASONS = ("infeasible", "rank_deficient", "not_converged")
+
+
+def failure_reason(
+    outcome: WeightVector | InfeasibleTargetsError,
+    matrix: np.ndarray,
+    row_counts: np.ndarray | None = None,
+) -> str | None:
+    """The ``FAILURE_REASONS`` key of a solve's outcome on ``matrix`` (with
+    ``row_counts``), or None for converged weights.
+
+    Jointly infeasible targets on a design the rank guard cuts are
+    ``rank_deficient``: the dropped columns' targets disagree with the
+    columns they depend on. Other infeasible targets are ``infeasible``,
+    and a returned unconverged iterate is ``not_converged``.
+    """
+    if isinstance(outcome, InfeasibleTargetsError):
+        if outcome.joint and check_rank(matrix, row_counts):
+            return "rank_deficient"
+        return "infeasible"
+    return None if outcome.diagnostics.converged else "not_converged"
+
+
+def batch_size(cells: int, columns: int) -> int:
+    """Problems per ``solve_many`` batch over ``cells`` design cells and
+    ``columns`` constraint columns: as many as keep the batch's working set,
+    two float64 arrays of shape (B, k, p+1) in the rank guard's QR, within
+    ``BATCH_BYTES``, and at least one."""
+    return max(1, BATCH_BYTES // (16 * cells * (columns + 1)))
+
+
+def solve_many(
+    problem: CalibrationProblem,
+    targets: np.ndarray,
+    base_weights: np.ndarray,
+    row_counts: np.ndarray,
+    *,
+    warm_start: np.ndarray | None = None,
+) -> list[WeightVector | InfeasibleTargetsError]:
+    """Solve a stack of calibrations that share one matrix of design cells.
+
+    ``problem`` gives the cells (its ``matrix``), the column names and
+    sources, ``tol`` and ``max_iter``. Problem b has targets ``targets[b]``
+    and keeps the cells where ``row_counts[b]`` is positive, with base mass
+    ``base_weights[b]`` there; a (k,) mass or count is shared by every
+    problem. ``warm_start`` is one dual for all problems or one per problem.
+
+    Returns, per problem, what ``solve_raking`` gives on that problem's own
+    cells from the same warm start: a ``WeightVector`` whose values follow
+    those cells in order, or the ``InfeasibleTargetsError`` it raises. One
+    vectorized damped Newton runs over the problems, with solve_raking's
+    raw-step, Armijo and backtracking rules and a convergence mask per
+    problem, in batches of ``batch_size`` problems. A problem the batch
+    cannot finish goes to ``solve_raking`` from its warm start, so its
+    result is the serial path's: a target outside its column's range, a
+    design the rank guard would cut, an ill-conditioned Hessian, a failed
+    line search, or ``max_iter`` iterations. The batch's conditioning test
+    is stricter than solve_raking's by ``_COND_MARGIN`` and also counts the
+    digits lost to centring, so rounding, which differs between the two
+    paths, cannot make their Newton steps part ways.
+    """
+    k, p = problem.matrix.shape
+    targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
+    b = targets.shape[0]
+    if targets.shape[1] != p:
+        raise ValueError(f"{p} design columns but {targets.shape[1]} targets per problem")
+    for name, arr in (("base_weights", base_weights), ("row_counts", row_counts)):
+        if np.shape(arr) not in ((k,), (b, k)):
+            raise ValueError(f"{name} must have shape ({k},) or ({b}, {k})")
+    base = np.broadcast_to(np.asarray(base_weights, dtype=np.float64), (b, k))
+    counts = np.broadcast_to(np.asarray(row_counts, dtype=np.float64), (b, k))
+    present = counts > 0
+    if not (np.all(np.isfinite(base)) and np.all(np.isfinite(counts))):
+        raise ValueError("base_weights and row_counts must be finite")
+    if np.any(counts < 0) or np.any(base < 0) or np.any(base[present] == 0):
+        raise ValueError(
+            "base_weights and row_counts must be nonnegative, with positive "
+            "base mass on every cell a problem counts"
+        )
+    if not np.all(present.any(axis=1)):
+        raise ValueError("every problem needs at least one cell")
+    warm = np.broadcast_to(
+        np.zeros(p) if warm_start is None else np.asarray(warm_start, dtype=np.float64),
+        (b, p),
+    )
+
+    results: list = [None] * b
+    batched = np.zeros(b, dtype=bool)
+    if p > 0:
+        batched = _marginally_feasible(problem.matrix, present, targets)
+        if np.ndim(row_counts) == 1:
+            batched &= not check_rank(problem.matrix, counts[0])
+        elif batched.any():
+            ranked = np.flatnonzero(batched)
+            cut = check_rank(problem.matrix, counts[ranked])
+            batched[ranked] = [not dropped for dropped in cut]
+    ids = np.flatnonzero(batched)
+    size = batch_size(k, p)
+    for start in range(0, ids.size, size):
+        chunk = ids[start : start + size]
+        with np.errstate(divide="ignore"):
+            log_q = np.log(base[chunk] / base[chunk].sum(axis=1, keepdims=True))
+        prob, lam, iterations, traces = _newton_batch(
+            problem, log_q, targets[chunk], warm[chunk]
+        )
+        # the final verdict of solve_raking, over each problem's own cells
+        done = np.flatnonzero(iterations >= 0)
+        own = present[chunk[done]]
+        n_own = own.sum(axis=1)[:, None]
+        w = n_own * prob[done]
+        w /= w.sum(axis=1, keepdims=True) / n_own
+        gaps = np.abs(w @ problem.matrix / n_own - targets[chunk[done]]).max(axis=1)
+        for j, w_j, own_j, gap in zip(done, w, own, gaps):
+            if gap > problem.tol:
+                continue
+            diag = RakingDiagnostics(
+                converged=True,
+                iterations=int(iterations[j]),
+                max_violation=float(gap),
+                dual_norm=float(np.linalg.norm(lam[j])),
+                objective_trace=tuple(traces[j]),
+                newton_steps=int(iterations[j]),
+                fallback_sweeps=0,
+                dropped_columns=(),
+            )
+            results[chunk[j]] = WeightVector(w_j[own_j], lam[j], problem.column_names, diag)
+    for i in range(b):
+        if results[i] is not None:
+            continue
+        keep = present[i]
+        try:
+            results[i] = solve_raking(
+                replace(
+                    problem,
+                    matrix=problem.matrix[keep],
+                    targets=targets[i],
+                    base_weights=base[i, keep],
+                    row_counts=counts[i, keep],
+                ),
+                warm_start=warm[i],
+            )
+        except InfeasibleTargetsError as err:
+            results[i] = err
+    return results
+
+
+def _marginally_feasible(
+    matrix: np.ndarray, present: np.ndarray, targets: np.ndarray
+) -> np.ndarray:
+    """Per problem, whether every target passes ``_check_marginal_feasibility``
+    on the cells the problem counts."""
+    if present.all():
+        lo, hi = matrix.min(axis=0), matrix.max(axis=0)
+    else:
+        stack = np.broadcast_to(matrix, present.shape + matrix.shape[1:])
+        lo = np.min(stack, axis=1, where=present[:, :, None], initial=np.inf)
+        hi = np.max(stack, axis=1, where=present[:, :, None], initial=-np.inf)
+    constant = np.abs(targets - lo) <= 1e-9 * np.maximum(1.0, np.abs(lo))
+    inside = (lo < targets) & (targets < hi)
+    return np.where(hi == lo, constant, inside).all(axis=1)
+
+
+def _newton_batch(problem, log_q, targets, lam):
+    """Damped Newton over a stack of full-rank problems on shared cells.
+
+    Returns the cell probabilities, duals, iteration counts and objective
+    traces of every problem; the iteration count is -1 for a problem that
+    must go to ``solve_raking``.
+    """
+    phi = problem.matrix
+    squares = (phi**2).sum(axis=1)
+    p = phi.shape[1]
+    diagonal = np.arange(p)
+
+    def states(lam_stack, lq, t):
+        logits = lq + lam_stack @ phi.T
+        top = logits.max(axis=1, keepdims=True)
+        logits -= top
+        np.exp(logits, out=logits)
+        total = logits.sum(axis=1, keepdims=True)
+        logits /= total
+        return logits, top[:, 0] + np.log(total[:, 0]) - np.einsum("bp,bp->b", lam_stack, t)
+
+    m = targets.shape[0]
+    iterations = np.full(m, -1)
+    prob_out = np.zeros_like(log_q)
+    lam_out = np.zeros((m, p))
+    live = np.arange(m)  # positions of the problems still iterating
+    lam = lam.copy()
+    prob, objective = states(lam, log_q, targets)
+    traces = [[float(o)] for o in objective]
+    for iteration in range(1, problem.max_iter + 1):
+        t = targets[live]
+        mean = prob @ phi
+        grad = mean - t
+        done = np.abs(grad).max(axis=1) <= problem.tol
+        finished = live[done]
+        prob_out[finished], lam_out[finished] = prob[done], lam[done]
+        iterations[finished] = iteration - 1
+        go = ~done
+        live, prob, lam, objective, mean, grad, t = (
+            a[go] for a in (live, prob, lam, objective, mean, grad, t)
+        )
+        if live.size == 0:
+            break
+        hess = np.matmul(phi.T, phi * prob[:, :, None]) - mean[:, :, None] * mean[:, None, :]
+        hess[:, diagonal, diagonal] += (
+            1e-12 * (1.0 + np.trace(hess, axis1=1, axis2=2) / p)
+        )[:, None]
+        # trace(E[f f']) over the smallest eigenvalue bounds cond(hess) from
+        # above, and also grows with the digits that centring cancels
+        smallest = np.linalg.svd(hess, compute_uv=False)[:, -1]
+        go = prob @ squares < smallest * (ILL_CONDITIONED / _COND_MARGIN)
+        live, prob, lam, objective, grad, t, hess = (
+            a[go] for a in (live, prob, lam, objective, grad, t, hess)
+        )
+        if live.size == 0:
+            break
+        direction = np.linalg.solve(hess, -grad[:, :, None])[:, :, 0]
+        slope = np.einsum("bp,bp->b", grad, direction)
+        cand = lam + direction
+        cand_prob, cand_obj = states(cand, log_q[live], t)
+        # below objective resolution the raw step is taken, as in solve_raking;
+        # a step that must backtrack goes to solve_raking, since a damped path
+        # can magnify rounding that differs between the two
+        go = (-slope <= 1e-13 * (1.0 + np.abs(objective))) | (
+            cand_obj <= objective + _ARMIJO * slope
+        )
+        live, lam, prob, objective = live[go], cand[go], cand_prob[go], cand_obj[go]
+        for pos, obj in zip(live, objective):
+            traces[pos].append(float(obj))
+    # problems still live after max_iter steps are left to solve_raking,
+    # which takes its verdict from its own last iterate
+    return prob_out, lam_out, iterations, traces
 
 
 def weighted_mean(y: np.ndarray, w: np.ndarray) -> float:

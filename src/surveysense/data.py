@@ -452,28 +452,119 @@ def _margin_lookup(target: MarginTarget, term: FeatureTerm, column: str) -> floa
     return float(entry["1"])
 
 
-def check_rank(matrix: np.ndarray, row_counts: np.ndarray | None = None) -> tuple[int, ...]:
+#: remaining column norms this close to the largest, relative to the
+#: columns' own norms and per square root of the rows, count as tied in
+#: pivoting; the earliest is taken. The n-row QR leaves equal columns'
+#: R factors up to about sqrt(n) ulps apart.
+PIVOT_TIE = 8 * np.finfo(np.float64).eps
+
+
+def check_rank(
+    matrix: np.ndarray, row_counts: np.ndarray | None = None
+) -> tuple[int, ...] | list[tuple[int, ...]]:
     """Indices of linearly dependent columns, judged with the implicit
     normalization constraint included (a constant column is dependent).
 
-    ``row_counts`` weighs rows by multiplicity (sqrt(count) row scaling). The
-    n-row QR runs on numpy's BLAS; scipy's pivoted QR sees only the (p+1)-row
-    R, whose column inner products, hence pivots, are the full matrix's."""
-    import scipy.linalg
-
-    scaled = matrix / np.maximum(np.abs(matrix).max(axis=0), 1e-300)
-    augmented = np.column_stack([np.ones(len(matrix)), scaled])
+    ``row_counts`` weighs rows by multiplicity (sqrt(count) row scaling). A
+    (B, n) stack of counts checks B problems on the same rows at once and
+    returns one tuple per problem; a row with count 0 is absent from that
+    problem. Columns are scaled by their largest magnitude over the rows
+    present. The n-row QR runs in numpy, and so does the column-pivoted QR
+    of its (p+1)-row R factor, whose column inner products, hence pivots,
+    are the full matrix's. Pivoting takes the earliest of the columns whose
+    remaining norms tie to within ``PIVOT_TIE * sqrt(n)`` of their own norms,
+    so of two equal columns the later one is dropped, whatever the rounding.
+    A smallest singular value far above the rank threshold settles full
+    rank without pivoting.
+    """
+    matrix = np.asarray(matrix, dtype=np.float64)
+    n, p = matrix.shape
+    stacked = row_counts is not None and np.ndim(row_counts) == 2
+    counts = np.ones((1, n)) if row_counts is None else np.atleast_2d(row_counts)
+    present = counts > 0
+    if present.all():
+        peak = np.abs(matrix).max(axis=0, initial=0.0)[None]
+    else:
+        peak = np.max(
+            np.broadcast_to(np.abs(matrix), (len(counts), n, p)),
+            axis=1, where=present[:, :, None], initial=0.0,
+        )
+    augmented = np.ones((len(counts), n, p + 1))
+    augmented[:, :, 1:] = matrix / np.maximum(peak, 1e-300)[:, None, :]
     if row_counts is not None:
-        augmented *= np.sqrt(row_counts)[:, None]
-    r, pivots = scipy.linalg.qr(np.linalg.qr(augmented, mode="r"), mode="r", pivoting=True)
-    diag = np.abs(np.diag(r))
-    rank = int(np.sum(diag > 1e-10 * max(diag[0], 1.0)))
-    dependent = sorted(int(j) - 1 for j in pivots[rank:] if j > 0)
-    if 0 in pivots[rank:]:
-        # pivoting discarded the intercept; blame a constant design column
-        constants = [j for j in range(matrix.shape[1]) if np.ptp(matrix[:, j]) == 0.0]
-        dependent = sorted(set(dependent) | set(constants))
-    return tuple(dependent)
+        augmented *= np.sqrt(counts)[:, :, None]
+    r = np.linalg.qr(augmented, mode="r")
+    found = [()] * len(counts)
+    unclear = np.arange(len(counts))
+    if r.shape[1] == p + 1:
+        # Every diagonal entry of any QR of a matrix, pivoted or not, is at
+        # least its smallest singular value, and the largest column norm is
+        # pivoting's first entry; far above the rank threshold, pivoting
+        # could not find a dependent column.
+        biggest = np.sqrt(np.einsum("bij,bij->bj", r, r).max(axis=1))
+        smallest = np.linalg.svd(r, compute_uv=False)[:, -1]
+        unclear = np.flatnonzero(smallest <= 1e-8 * np.maximum(biggest, 1.0))
+    if unclear.size == 0:
+        return found if stacked else found[0]
+    diag, pivots = _pivoted_diagonal(r[unclear], PIVOT_TIE * np.sqrt(n))
+    ranks = np.sum(diag > 1e-10 * np.maximum(diag[:, :1], 1.0), axis=1)
+    for i, rank, order in zip(unclear, ranks, pivots):
+        dependent = sorted(int(j) - 1 for j in order[rank:] if j > 0)
+        if 0 in order[rank:]:
+            # pivoting discarded the intercept; blame a constant design column
+            rows = present[i]
+            constants = [j for j in range(p) if np.ptp(matrix[rows, j]) == 0.0]
+            dependent = sorted(set(dependent) | set(constants))
+        found[i] = tuple(dependent)
+    return found if stacked else found[0]
+
+
+def design_cells(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``matrix`` in lexicographic order, and the index
+    of each row's cell: ``np.unique(matrix, axis=0, return_inverse=True)``
+    by one lexsort, which is several times faster."""
+    n, p = matrix.shape
+    if p == 0:
+        return matrix[:1], np.zeros(n, dtype=np.intp)
+    order = np.lexsort(matrix.T[::-1])
+    ordered = matrix[order]
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    cell_of_row = np.empty(n, dtype=np.intp)
+    cell_of_row[order] = np.cumsum(starts) - 1
+    return ordered[starts], cell_of_row
+
+
+def _pivoted_diagonal(r: np.ndarray, tie: float) -> tuple[np.ndarray, np.ndarray]:
+    """|diag R| and the column order of a column-pivoted Householder QR of
+    each matrix in a (B, m, c) stack, taking the earliest of the columns
+    whose remaining norms are within ``tie`` times their own norms of the
+    largest."""
+    r = r.copy()
+    batch, m, c = r.shape
+    order = np.tile(np.arange(c), (batch, 1))
+    diag = np.zeros((batch, min(m, c)))
+    every = np.arange(batch)
+    slack = tie * np.sqrt(np.einsum("bij,bij->bj", r, r))
+    for k in range(min(m, c)):
+        tail = r[:, k:, k:]
+        norms = np.sqrt(np.einsum("bij,bij->bj", tail, tail))
+        top = np.argmax(norms, axis=1)
+        bar = norms[every, top][:, None] - np.maximum(slack[:, k:], slack[every, k + top][:, None])
+        # swaps reorder the columns, so earliest means the smallest index
+        pick = np.argmin(np.where(norms >= bar, order[:, k:], c), axis=1)
+        alpha = norms[every, pick]
+        swap = k + pick
+        for arr in (r, order, slack):
+            arr[every, ..., k], arr[every, ..., swap] = arr[every, ..., swap], arr[every, ..., k].copy()
+        diag[:, k] = alpha
+        # reflect column k onto the axis: v = x + sign(x0)|x| e0
+        v = r[:, k:, k].copy()
+        v[:, 0] += np.copysign(alpha, v[:, 0])
+        scale = np.einsum("bi,bi->b", v, v)
+        v /= np.sqrt(np.where(scale > 0.0, scale, 1.0))[:, None]
+        tail -= 2.0 * v[:, :, None] * np.einsum("bi,bij->bj", v, tail)[:, None, :]
+    return diag, order
 
 
 def build_features(

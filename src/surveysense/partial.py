@@ -4,7 +4,11 @@ A partially observed variable V cannot enter the calibration because its
 population margin is unknown. The sweep posits a grid of margins T_V, adds
 the matching constraint, re-solves from the baseline tilt, and records the
 estimate at every point. Posited margins outside the achievable range are
-flagged, not dropped, so the curve keeps its x axis.
+flagged, not dropped, so the curve keeps its x axis. The grid is solved by
+``calibrate.solve_many`` on the distinct rows of the augmented design
+[X | v], each carrying its respondents' base mass and count, so a point
+costs the number of cells rather than the number of rows, and proving a
+point infeasible runs the phase-1 program on the cells.
 
 ``partial_ipw_error`` gives the exact weighting error implied by posited
 conditional means of a binary V inside discrete feature strata, which feeds
@@ -14,7 +18,7 @@ the covariance form of the bias.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,10 +26,12 @@ from .bias import ipw_error
 from .calibrate import (
     CalibrationProblem,
     WeightVector,
+    solve_many,
     solve_raking,
     weighted_mean,
     weighted_se,
 )
+from .data import design_cells
 from .errors import InfeasibleTargetsError
 
 logger = logging.getLogger(__name__)
@@ -103,7 +109,6 @@ def partial_sweep(
     label: str = "V",
     grid: np.ndarray | None = None,
     baseline: WeightVector | None = None,
-    debug: bool = False,
 ) -> PartialSweep:
     """Estimate the outcome under each posited margin for ``v``.
 
@@ -134,7 +139,7 @@ def partial_sweep(
         raise ValueError(f"{label!r} is constant; nothing to sweep")
 
     if baseline is None:
-        baseline = solve_raking(problem, debug=debug)
+        baseline = solve_raking(problem)
     baseline_t = weighted_mean(v, baseline.values)
     baseline_mu = weighted_mean(y, baseline.values)
 
@@ -143,44 +148,52 @@ def partial_sweep(
         grid = binary_grid() if is_binary else standardized_grid(v)
     grid = np.unique(np.concatenate([np.asarray(grid, dtype=np.float64), [baseline_t]]))
 
-    augmented = replace(
-        problem,
-        matrix=np.column_stack([problem.matrix, v]),
-        targets=np.append(problem.targets, 0.0),
+    # the augmented design [X | v] on its distinct rows, each carrying the
+    # base mass and count of the respondents it stands for
+    q = problem.base_weights if problem.base_weights is not None else np.ones(problem.n)
+    cells, cell_of_row = design_cells(np.column_stack([problem.matrix, v]))
+    mass = np.bincount(cell_of_row, weights=q)
+    counts = np.bincount(cell_of_row).astype(np.float64)
+    augmented = CalibrationProblem(
+        cells,
+        np.append(problem.targets, baseline_t),
         column_names=problem.column_names + (label,),
         column_sources=(
             problem.column_sources + (frozenset({label}),)
             if problem.column_sources is not None
             else None
         ),
+        tol=problem.tol,
+        max_iter=problem.max_iter,
     )
-    warm = np.append(
-        _dual_for(baseline, problem.column_names), 0.0
-    )
+    targets = np.column_stack([np.tile(problem.targets, (grid.size, 1)), grid])
+    warm = np.append(baseline.dual_for(problem.column_names), 0.0)
+    outcomes = solve_many(augmented, targets, mass, counts, warm_start=warm)
 
     points = []
-    for t_v in grid:
-        point_problem = replace(augmented, targets=np.append(problem.targets, t_v))
-        try:
-            solved = solve_raking(point_problem, warm_start=warm, debug=debug)
-        except InfeasibleTargetsError:
+    for t_v, outcome in zip(grid, outcomes):
+        is_baseline = bool(t_v == baseline_t)
+        if isinstance(outcome, InfeasibleTargetsError):
             points.append(
                 SweepPoint(
                     t_v=float(t_v), estimate=float("nan"), se=float("nan"),
                     feasible=False, converged=False, max_violation=float("inf"),
-                    is_baseline=bool(t_v == baseline_t),
+                    is_baseline=is_baseline,
                 )
             )
             continue
+        # a respondent's weight is its cell's weight shared in proportion to
+        # base mass; the estimate and its SE do not depend on the scale
+        w = (outcome.values / mass)[cell_of_row] * q
         points.append(
             SweepPoint(
                 t_v=float(t_v),
-                estimate=weighted_mean(y, solved.values),
-                se=weighted_se(y, solved.values),
+                estimate=weighted_mean(y, w),
+                se=weighted_se(y, w),
                 feasible=True,
-                converged=solved.diagnostics.converged,
-                max_violation=solved.diagnostics.max_violation,
-                is_baseline=bool(t_v == baseline_t),
+                converged=outcome.diagnostics.converged,
+                max_violation=outcome.diagnostics.max_violation,
+                is_baseline=is_baseline,
             )
         )
     return PartialSweep(
@@ -189,11 +202,6 @@ def partial_sweep(
         baseline_t=float(baseline_t),
         baseline_estimate=float(baseline_mu),
     )
-
-
-def _dual_for(baseline: WeightVector, names: tuple[str, ...]) -> np.ndarray:
-    lookup = dict(zip(baseline.constraint_ids, baseline.dual))
-    return np.asarray([lookup.get(name, 0.0) for name in names])
 
 
 def partial_ipw_error(

@@ -312,6 +312,7 @@ def bootstrap_block(result: BootstrapResult) -> dict:
         "upper": float(result.upper),
         "draws_kept": int(result.draws.size),
         "dropped": int(result.dropped),
+        "dropped_by_reason": {k: int(v) for k, v in result.dropped_by_reason.items()},
         "n_draws": int(result.n_draws),
         "alpha": float(result.alpha),
         "rho": float(result.params.rho),

@@ -1,8 +1,13 @@
 """Bootstrap interval behavior: determinism, shift algebra, guard rails."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+from surveysense import calibrate
 from surveysense.bias import ObservedScale, SensitivityParams, bias
 from surveysense.bootstrap import bootstrap_interval
 from surveysense.calibrate import CalibrationProblem, solve_raking
@@ -143,7 +148,24 @@ def test_resample_with_a_constant_column_is_dropped_on_both_paths():
     oracle = row_level_draws(problem, y, ZERO, 200, 6)
     assert res.dropped > 0
     assert res.dropped == 200 - oracle.size
+    assert res.dropped_by_reason == {
+        "infeasible": res.dropped, "rank_deficient": 0, "not_converged": 0
+    }
     np.testing.assert_allclose(res.draws, oracle, rtol=0.0, atol=1e-12)
+
+
+def test_chunk_size_does_not_change_draws(monkeypatch):
+    # at the default budget all 100 draws share one batch; at a budget of
+    # one byte every draw is a batch of its own over its own cells
+    problem, y = categorical_problem(400, 40, base_weights=True)
+    params = SensitivityParams(rho=0.3, r2=0.2)
+    assert calibrate.batch_size(8, problem.p) >= 100
+    whole = bootstrap_interval(problem, y, params, b=100, seed=4)
+    monkeypatch.setattr(calibrate, "BATCH_BYTES", 1)
+    assert calibrate.batch_size(8, problem.p) == 1
+    single = bootstrap_interval(problem, y, params, b=100, seed=4)
+    assert single.dropped == whole.dropped == 0
+    np.testing.assert_allclose(single.draws, whole.draws, rtol=0.0, atol=1e-12)
 
 
 def test_continuous_design_matches_row_level_resolve(outcome):
@@ -154,15 +176,11 @@ def test_continuous_design_matches_row_level_resolve(outcome):
     )
 
 
-def test_scipy_qr_sees_no_more_than_p_plus_one_rows(tmp_path, monkeypatch):
-    # numpy and scipy each load their own BLAS thread pool; n-row
-    # factorizations stay on numpy's, and scipy's pivoted QR sees only the
-    # rank guard's (p+1)-row R factor
-    import scipy.linalg
-
-    from surveysense.config import config_from_dict
-    from surveysense.report import build_pipeline
-
+def test_build_and_bootstrap_leave_scipy_linalg_unimported(tmp_path):
+    # scipy's LAPACK brings its own BLAS thread pool, which contends with
+    # numpy's, and importing scipy.linalg costs set-up time; a design that
+    # converges by Newton needs neither the phase-1 program nor any scipy
+    # linear algebra, from the CLI import through a re-estimating bootstrap
     rng = np.random.default_rng(3)
 
     def write(name, n, shift):
@@ -175,25 +193,32 @@ def test_scipy_qr_sees_no_more_than_p_plus_one_rows(tmp_path, monkeypatch):
         (tmp_path / name).write_text("\n".join(lines) + "\n")
         return str(tmp_path / name)
 
-    cfg = config_from_dict({
+    config = {
         "survey": write("survey.csv", 2000, 0.0),
         "population": write("population.csv", 3000, 0.1),
         "columns": {"x1": "binary", "x2": "continuous", "g": "categorical", "y": "continuous"},
         "outcome": "y",
         "weighting": {"variables": ["x1", "x2", "g"]},
-    })
-    rows_seen = []
-    qr = scipy.linalg.qr
+    }
+    script = f"""
+import sys, warnings
+import surveysense.cli
+from surveysense.bias import SensitivityParams
+from surveysense.bootstrap import bootstrap_interval
+from surveysense.config import config_from_dict
+from surveysense.report import build_pipeline
 
-    def recording_qr(a, *args, **kwargs):
-        rows_seen.append(np.shape(a)[0])
-        return qr(a, *args, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg, "qr", recording_qr)
-    pipe = build_pipeline(cfg)
-    with pytest.warns(UserWarning, match="below the 100"):
-        res = bootstrap_interval(pipe.problem, pipe.y, ZERO, b=5, seed=0)
-    assert pipe.problem.n == 2000 and res.n_draws == 5
-    # build_features, the pipeline baseline, the bootstrap baseline, each draw
-    assert len(rows_seen) == 1 + 1 + 1 + 5
-    assert max(rows_seen) <= pipe.problem.p + 1
+pipe = build_pipeline(config_from_dict({config!r}))
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")
+    res = bootstrap_interval(pipe.problem, pipe.y, SensitivityParams(0.0, 0.0), b=20, seed=0)
+assert pipe.baseline.diagnostics.fallback_sweeps == 0
+assert res.n_draws == 20 and res.dropped == 0
+print(sorted(m for m in sys.modules if m.startswith("scipy.linalg")))
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    run = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"

@@ -1,6 +1,7 @@
 """Raking solver: closed forms, feasibility screening, estimator helpers."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -65,6 +66,77 @@ def test_rank_guard_matches_full_row_oracle(problem, data):
                            min_size=problem.n, max_size=problem.n))
     )
     assert_rank_guard_matches_oracle(problem.matrix, counts)
+
+
+def test_rank_guard_drops_the_later_of_tied_columns():
+    # Pivoting takes the earliest of tied columns, so the later of two equal
+    # columns is the one dropped whatever the rounding: as rows, as cells
+    # with counts, and in the design where the guard that pivoted with
+    # scipy dropped the first of the pair
+    found = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
+    assert check_rank(found) == (1,)
+    assert check_rank(found, np.array([1e6, 1e6, 1.0])) == (1,)
+    rng = np.random.default_rng(11)
+    for n in (400, 5000, 30000):
+        for _ in range(8):
+            p = int(rng.integers(2, 7))
+            matrix = np.column_stack([
+                (rng.random(n) < rng.uniform(0.05, 0.9)).astype(float)
+                if rng.random() < 0.5 else rng.normal(size=n)
+                for _ in range(p)
+            ])
+            first, second = sorted(rng.choice(p, size=2, replace=False))
+            matrix[:, second] = matrix[:, first]
+            counts = rng.choice([1.0, 2.0, 7.0, 1e3, 1e6], size=n)
+            assert check_rank(matrix) == check_rank(matrix, counts) == (second,)
+
+
+def test_stacked_counts_judge_each_problem_on_its_own_rows():
+    # a (B, n) stack of counts gives each problem the verdict of its own
+    # rows, rows with count 0 left out
+    rng = np.random.default_rng(12)
+    cells = np.column_stack([
+        (rng.random(20) < 0.5).astype(float), rng.normal(size=20), np.zeros(20)
+    ])
+    cells[:3, 2] = 1.0  # a column that only three cells set
+    counts = rng.choice([0.0, 1.0, 5.0], size=(40, 20))
+    counts[:, 3] = 1.0
+    stacked = check_rank(cells, counts)
+    assert any(stacked) and not all(stacked)
+    for row, verdict in zip(counts, stacked):
+        own = row > 0
+        assert verdict == check_rank(cells[own], row[own])
+
+
+def test_solve_many_failure_reasons():
+    # four problems over one set of cells; x3 equals x1 except on cell 4
+    cells = np.array([
+        [0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [1.0, 1.0, 1.0],
+        [1.0, 0.0, 0.0],
+    ])
+    template = CalibrationProblem(
+        cells, np.full(3, 0.5), column_names=("x1", "x2", "x3"), max_iter=3
+    )
+    counts = np.ones((4, 5))
+    counts[2, 4] = 0.0  # without cell 4 the guard must drop x3
+    targets = np.array([
+        [0.6, 0.5, 0.4],  # feasible
+        [1.2, 0.5, 0.4],  # x1 outside its range
+        [0.6, 0.5, 0.4],  # x3 = x1 on these cells, with another target
+        [0.6, 0.5, 0.4],  # feasible, but three steps from a far start
+    ])
+    warm = np.zeros((4, 3))
+    solved = calibrate.solve_raking(replace(template, targets=targets[0], max_iter=200))
+    warm[0] = solved.dual
+    warm[3] = [9.0, -9.0, 9.0]
+    results = calibrate.solve_many(template, targets, counts, counts, warm_start=warm)
+    reasons = [
+        calibrate.failure_reason(r, cells[row > 0], row[row > 0])
+        for r, row in zip(results, counts)
+    ]
+    assert reasons == [None, "infeasible", "rank_deficient", "not_converged"]
+    np.testing.assert_allclose(results[0].values, solved.values, rtol=0.0, atol=1e-12)
+    assert results[2].joint and results[1].constraint == "x1"
 
 
 def random_problem(seed, n=2000, max_p=30):

@@ -8,7 +8,9 @@ then stall short of ``tol``, and the solver returns the best iterate
 flagged unconverged, never weights that hide infeasible targets. A
 jointly infeasible case runs the phase-1 program once and names the same
 constraint as that program run on its own, the verdict the solver used to
-reach only after ``max_iter`` iterations.
+reach only after ``max_iter`` iterations. ``solve_many`` must give every
+problem of a stack built on these designs what ``solve_raking`` gives it
+on its own cells.
 """
 
 from contextlib import contextmanager
@@ -19,7 +21,7 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from surveysense import calibrate
-from surveysense.calibrate import CalibrationProblem, solve_raking
+from surveysense.calibrate import CalibrationProblem, solve_many, solve_raking
 from surveysense.errors import InfeasibleTargetsError
 
 PHASE1 = calibrate._classify_failure
@@ -129,3 +131,57 @@ def test_solve_converges_or_names_a_constraint(problem):
         assert diag.message == "iteration limit reached"
         assert diag.fallback_sweeps > 0
         assert phase1_names(problem) is None
+
+
+@st.composite
+def stacks(draw):
+    """A stack of problems on one drawn design, its rows taken as cells:
+    each problem has its own targets, base mass, counts (0 drops a cell)
+    and warm start."""
+    problem = draw(problems())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, p = problem.n, problem.p
+    b = draw(st.integers(1, 6))
+    counts = rng.choice([0.0, 1.0, 2.0, 7.0, 1e3], size=(b, n))
+    counts[np.arange(b), rng.integers(n, size=b)] = 1.0  # at least one cell each
+    mass = np.where(counts > 0, counts * 10.0 ** rng.uniform(-4.0, 4.0, size=(b, n)), 0.0)
+    targets = np.empty((b, p))
+    for i in range(b):
+        kind = draw(st.sampled_from(["drawn", "feasible", "independent"]))
+        own = problem.matrix[counts[i] > 0]
+        if kind == "drawn":
+            targets[i] = problem.targets
+        elif kind == "feasible":
+            w = np.exp(rng.normal(size=len(own)))
+            targets[i] = own.T @ w / w.sum()
+        else:
+            lo, hi = problem.matrix.min(axis=0), problem.matrix.max(axis=0)
+            targets[i] = lo + rng.uniform(0.05, 0.95, size=p) * (hi - lo)
+    warm = rng.normal(scale=0.3, size=(b, p)) if draw(st.booleans()) else None
+    return problem, targets, mass, counts, warm
+
+
+@SETTINGS
+@given(stacks())
+def test_solve_many_matches_solve_raking_on_each_problem(stack):
+    problem, targets, mass, counts, warm = stack
+    results = solve_many(problem, targets, mass, counts, warm_start=warm)
+    assert len(results) == len(targets)
+    for i, got in enumerate(results):
+        own = counts[i] > 0
+        alone = CalibrationProblem(
+            problem.matrix[own], targets[i], column_names=problem.column_names,
+            base_weights=mass[i, own], row_counts=counts[i, own],
+        )
+        try:
+            want = solve_raking(alone, warm_start=None if warm is None else warm[i])
+        except InfeasibleTargetsError as err:
+            event("infeasible")
+            assert isinstance(got, InfeasibleTargetsError)
+            assert (got.constraint, got.joint) == (err.constraint, err.joint)
+            continue
+        event("converged" if want.diagnostics.converged else "unconverged")
+        assert isinstance(got, calibrate.WeightVector)
+        assert got.diagnostics.converged == want.diagnostics.converged
+        assert got.diagnostics.dropped_columns == want.diagnostics.dropped_columns
+        np.testing.assert_allclose(got.values, want.values, rtol=0.0, atol=1e-12)

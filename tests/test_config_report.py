@@ -5,11 +5,14 @@ import json
 import numpy as np
 import pytest
 
+from surveysense.bias import SensitivityParams
+from surveysense.bootstrap import bootstrap_interval
 from surveysense.config import config_from_dict, load_config
 from surveysense.errors import ConfigError, SchemaError
 from surveysense.report import (
     _schema,
     assemble_report,
+    bootstrap_block,
     build_pipeline,
     canonical_json,
     validate_report,
@@ -181,6 +184,22 @@ class TestAssembledReport:
         report["n_rows"] = "many"
         with pytest.raises(SchemaError, match="n_rows"):
             validate_report(report)
+
+    def test_bootstrap_block_with_drop_reasons_validates(self, pipeline):
+        pipe, sha = pipeline
+        block = bootstrap_block(
+            bootstrap_interval(pipe.problem, pipe.y, SensitivityParams(0.0, 0.0), b=100)
+        )
+        assert block["dropped_by_reason"] == {
+            "infeasible": 0, "rank_deficient": 0, "not_converged": 0
+        }
+        validate_report(assemble_report(pipe, sha, bootstrap=block))
+        # the key is an addition: a block written without it still validates
+        del block["dropped_by_reason"]
+        validate_report(assemble_report(pipe, sha, bootstrap=block))
+        block["dropped_by_reason"] = {"infeasible": 1}
+        with pytest.raises(SchemaError, match="schema validation"):
+            validate_report(assemble_report(pipe, sha, bootstrap=block))
 
     def test_shipped_schema_meets_its_metaschema(self):
         # validate_report skips this check on every run; it is made here once

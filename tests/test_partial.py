@@ -1,15 +1,20 @@
 """Partially observed confounder sweeps and the stratified IPW oracle."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from surveysense import (
+    CalibrationProblem,
+    InfeasibleTargetsError,
     binary_grid,
     partial_ipw_error,
     partial_sweep,
     solve_raking,
     standardized_grid,
     weighted_mean,
+    weighted_se,
 )
 from surveysense.bias import pop_cov
 
@@ -82,6 +87,65 @@ class TestPartialSweep:
         assert flags[0.5] is True
         bad = [p for p in sweep.points if not p.feasible]
         assert all(np.isnan(p.estimate) for p in bad)
+
+
+def row_level_sweep(problem, v, y, grid, baseline):
+    """Each grid point re-solved on the respondent rows, the oracle for the
+    design-cell solve in ``partial_sweep``."""
+    augmented = CalibrationProblem(
+        np.column_stack([problem.matrix, v]),
+        np.append(problem.targets, 0.0),
+        column_names=problem.column_names + ("v",),
+        base_weights=problem.base_weights,
+    )
+    warm = np.append(baseline.dual, 0.0)
+    points = []
+    for t_v in grid:
+        try:
+            solved = solve_raking(
+                replace(augmented, targets=np.append(problem.targets, t_v)),
+                warm_start=warm,
+            )
+        except InfeasibleTargetsError:
+            points.append((False, False, np.nan, np.nan))
+            continue
+        points.append((
+            True, solved.diagnostics.converged,
+            weighted_mean(y, solved.values), weighted_se(y, solved.values),
+        ))
+    return points
+
+
+@pytest.mark.parametrize("base_weights", [False, True])
+def test_cell_sweep_matches_row_level_oracle(base_weights):
+    # v can be 1 only where x1 = 1, so shares above the x1 margin are
+    # jointly infeasible; x3 is continuous on a few levels
+    rng = np.random.default_rng(8)
+    n = 900
+    x1 = (rng.random(n) < 0.45).astype(float)
+    x2 = (rng.random(n) < 0.3 + 0.2 * x1).astype(float)
+    x3 = rng.choice([-1.5, 0.2, 2.0], size=n)
+    v = x1 * (rng.random(n) < 0.6)
+    y = 1.0 + x1 - x2 + 0.5 * x3 + 1.5 * v + rng.normal(size=n)
+    matrix = np.column_stack([x1, x2, x3])
+    base = np.exp(rng.normal(size=n)) if base_weights else None
+    problem = CalibrationProblem(
+        matrix, matrix.mean(axis=0) + [0.03, -0.02, 0.1],
+        column_names=("x1", "x2", "x3"), base_weights=base,
+    )
+    baseline = solve_raking(problem)
+    sweep = partial_sweep(
+        problem, v, y, label="v", grid=np.linspace(0.05, 0.75, 8), baseline=baseline
+    )
+    oracle = row_level_sweep(problem, v, y, sweep.grid, baseline)
+    flags = [(p.feasible, p.converged) for p in sweep.points]
+    assert flags == [point[:2] for point in oracle]
+    assert 0 < sum(not p.feasible for p in sweep.points) < len(sweep.points)
+    np.testing.assert_allclose(
+        [(p.estimate, p.se) for p in sweep.points],
+        [point[2:] for point in oracle],
+        rtol=0.0, atol=1e-10,
+    )
 
 
 class TestPartialIPWError:
