@@ -105,7 +105,6 @@ def loo_weights(
     covariate: str,
     *,
     baseline: WeightVector | None = None,
-    debug: bool = False,
 ) -> WeightVector:
     """Re-solve the calibration without every column sourced from ``covariate``.
 
@@ -132,7 +131,7 @@ def loo_weights(
         ),
     )
     warm = baseline.dual_for(sub.column_names) if baseline is not None and keep else None
-    return solve_raking(sub, warm_start=warm, debug=debug)
+    return solve_raking(sub, warm_start=warm)
 
 
 def benchmark(
@@ -167,7 +166,6 @@ def benchmark_subset(
     *,
     label: str | None = None,
     b_star: float | None = None,
-    debug: bool = False,
 ) -> BenchmarkRecord:
     """Benchmark a group of covariates dropped jointly.
 
@@ -195,7 +193,7 @@ def benchmark_subset(
         ),
     )
     warm = w.dual_for(sub.column_names) if keep else None
-    wv = solve_raking(sub, warm_start=warm, debug=debug)
+    wv = solve_raking(sub, warm_start=warm)
     record = benchmark(w.values, wv.values, y, label=label or "+".join(subset))
     record = replace(record, converged=wv.diagnostics.converged)
     if b_star is not None:
@@ -212,13 +210,12 @@ def benchmark_table(
     covariates: tuple[str, ...],
     *,
     b_star: float | None = None,
-    debug: bool = False,
 ) -> list[BenchmarkRecord]:
     """Benchmark each covariate in turn, in the order given."""
     mu_hat = weighted_mean(y, w.values)
     records = []
     for covariate in covariates:
-        loo = loo_weights(problem, covariate, baseline=w, debug=debug)
+        loo = loo_weights(problem, covariate, baseline=w)
         record = benchmark(w.values, loo.values, y, label=covariate)
         record = replace(record, converged=loo.diagnostics.converged)
         if b_star is not None:

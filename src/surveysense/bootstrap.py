@@ -20,6 +20,7 @@ by ``calibrate.BATCH_BYTES``.
 
 from __future__ import annotations
 
+import contextvars
 import logging
 import warnings
 from dataclasses import dataclass
@@ -45,6 +46,22 @@ __all__ = ["BootstrapResult", "bootstrap_interval"]
 
 MIN_REPORTABLE_DRAWS = 100
 MAX_DROP_FRACTION = 0.05
+
+#: set while this context solves re-estimated draws: failed draws surface
+#: through the dropped counts, and per-draw solver logs would swamp the
+#: output at B = 1000
+_IN_DRAWS = contextvars.ContextVar("surveysense_bootstrap_draws", default=False)
+
+
+class _DrawLogFilter(logging.Filter):
+    """Drops the solver's records below ERROR that are logged inside the
+    draws; other threads and contexts log as usual."""
+
+    def filter(self, record: logging.LogRecord) -> bool:
+        return record.levelno >= logging.ERROR or not _IN_DRAWS.get()
+
+
+logging.getLogger("surveysense.calibrate").addFilter(_DrawLogFilter())
 
 
 @dataclass(frozen=True)
@@ -105,17 +122,13 @@ def bootstrap_interval(
             raise SurveySenseError("baseline calibration did not converge")
 
     if reestimate:
-        # failed draws surface through the dropped counts; per-draw solver
-        # logs would swamp the output at B = 1000
-        solver_logger = logging.getLogger("surveysense.calibrate")
-        previous_level = solver_logger.level
-        solver_logger.setLevel(logging.ERROR)
+        token = _IN_DRAWS.set(True)
         try:
             kept, dropped_by_reason = _reestimated_draws(
                 problem, y, params, b, seed, baseline.dual_for(problem.column_names)
             )
         finally:
-            solver_logger.setLevel(previous_level)
+            _IN_DRAWS.reset(token)
     else:
         n = problem.n
         shift = bias(params, ObservedScale.from_sample(y, baseline.values))

@@ -221,7 +221,6 @@ def solve_raking(
     problem: CalibrationProblem,
     *,
     warm_start: np.ndarray | None = None,
-    debug: bool = False,
 ) -> WeightVector:
     """Solve the calibration problem.
 
@@ -231,8 +230,6 @@ def solve_raking(
     warm_start : array, optional
         Dual coefficients aligned with the problem's columns, e.g. from a
         previous solve of a nearby problem.
-    debug : bool
-        Assert that the dual objective never increases between iterations.
 
     Returns
     -------
@@ -369,10 +366,6 @@ def solve_raking(
                     delta *= 0.5
 
         trace.append(objective)
-        if debug:
-            assert trace[-1] <= trace[-2] + 1e-9 * (1.0 + abs(trace[-2])), (
-                "dual objective increased between iterations"
-            )
 
     # final verdict from the violation over every original column, including
     # any dropped as dependent (their targets must be consistent to pass)
@@ -432,9 +425,11 @@ def failure_reason(
 
 def batch_size(cells: int, columns: int) -> int:
     """Problems per ``solve_many`` batch over ``cells`` design cells and
-    ``columns`` constraint columns: as many as keep the batch's working set,
-    two float64 arrays of shape (B, k, p+1) in the rank guard's QR, within
-    ``BATCH_BYTES``, and at least one."""
+    ``columns`` constraint columns: as many as keep two float64 arrays of
+    shape (B, k, p+1) within ``BATCH_BYTES``, and at least one. That is the
+    most the rank guard holds for a batch: its Gram certificate holds one
+    (B, k, p) array, and only a batch with problems the certificate
+    cannot settle builds the (B, k, p+1) augmented design and its QR."""
     return max(1, BATCH_BYTES // (16 * cells * (columns + 1)))
 
 

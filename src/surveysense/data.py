@@ -458,6 +458,10 @@ def _margin_lookup(target: MarginTarget, term: FeatureTerm, column: str) -> floa
 #: R factors up to about sqrt(n) ulps apart.
 PIVOT_TIE = 8 * np.finfo(np.float64).eps
 
+#: a problem whose Gram matrix has its smallest eigenvalue above this share
+#: of its trace is full rank without a QR; see ``_gram_certifies``
+GRAM_TAU = 1e-10
+
 
 def check_rank(
     matrix: np.ndarray, row_counts: np.ndarray | None = None
@@ -469,13 +473,18 @@ def check_rank(
     (B, n) stack of counts checks B problems on the same rows at once and
     returns one tuple per problem; a row with count 0 is absent from that
     problem. Columns are scaled by their largest magnitude over the rows
-    present. The n-row QR runs in numpy, and so does the column-pivoted QR
-    of its (p+1)-row R factor, whose column inner products, hence pivots,
-    are the full matrix's. Pivoting takes the earliest of the columns whose
-    remaining norms tie to within ``PIVOT_TIE * sqrt(n)`` of their own norms,
-    so of two equal columns the later one is dropped, whatever the rounding.
-    A smallest singular value far above the rank threshold settles full
-    rank without pivoting.
+    present.
+
+    Full rank is settled first from each problem's count-weighted
+    (p+1)-square Gram matrix (``_gram_certifies``), one product over the
+    rows. Only the problems it cannot settle build the augmented design
+    and run the QR: the n-row QR runs in numpy, and so does the column-pivoted QR of its (p+1)-row R
+    factor, whose column inner products, hence pivots, are the full
+    matrix's. Pivoting takes the earliest of the columns whose remaining
+    norms tie to within ``PIVOT_TIE * sqrt(n)`` of their own norms, so of
+    two equal columns the later one is dropped, whatever the rounding. A
+    smallest singular value of R far above the rank threshold settles
+    full rank without pivoting.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     n, p = matrix.shape
@@ -489,13 +498,18 @@ def check_rank(
             np.broadcast_to(np.abs(matrix), (len(counts), n, p)),
             axis=1, where=present[:, :, None], initial=0.0,
         )
-    augmented = np.ones((len(counts), n, p + 1))
+    found = [()] * len(counts)
+    todo = np.flatnonzero(~_gram_certifies(matrix, counts, peak))
+    if todo.size == 0:
+        return found if stacked else found[0]
+    if len(peak) > 1:
+        peak = peak[todo]
+    augmented = np.ones((todo.size, n, p + 1))
     augmented[:, :, 1:] = matrix / np.maximum(peak, 1e-300)[:, None, :]
     if row_counts is not None:
-        augmented *= np.sqrt(counts)[:, :, None]
+        augmented *= np.sqrt(counts[todo])[:, :, None]
     r = np.linalg.qr(augmented, mode="r")
-    found = [()] * len(counts)
-    unclear = np.arange(len(counts))
+    unclear = np.arange(todo.size)
     if r.shape[1] == p + 1:
         # Every diagonal entry of any QR of a matrix, pivoted or not, is at
         # least its smallest singular value, and the largest column norm is
@@ -508,7 +522,7 @@ def check_rank(
         return found if stacked else found[0]
     diag, pivots = _pivoted_diagonal(r[unclear], PIVOT_TIE * np.sqrt(n))
     ranks = np.sum(diag > 1e-10 * np.maximum(diag[:, :1], 1.0), axis=1)
-    for i, rank, order in zip(unclear, ranks, pivots):
+    for i, rank, order in zip(todo[unclear], ranks, pivots):
         dependent = sorted(int(j) - 1 for j in order[rank:] if j > 0)
         if 0 in order[rank:]:
             # pivoting discarded the intercept; blame a constant design column
@@ -517,6 +531,45 @@ def check_rank(
             dependent = sorted(set(dependent) | set(constants))
         found[i] = tuple(dependent)
     return found if stacked else found[0]
+
+
+def _gram_certifies(matrix: np.ndarray, counts: np.ndarray, peak: np.ndarray) -> np.ndarray:
+    """Per problem of a (B, n) stack of ``counts``, whether the scaled,
+    augmented design A = diag(sqrt(c)) [1 | X / peak] is certainly full
+    rank, so that ``check_rank``'s QR would cut none of its columns.
+
+    G = AᵀA = D [[Σc, cᵀX], [Xᵀc, Xᵀdiag(c)X]] D with D = diag(1, 1/peak)
+    is formed by one stacked product over the rows, and problem b is
+    certified when λ_min(G_b) > τ · max(trace(G_b), 1).
+
+    Why a certified problem is one the QR keeps whole: the computed Gram
+    is within about n·eps·trace(G) of the exact one in norm, and the
+    symmetric eigensolver adds (p+1)·eps·‖G‖ (Golub & Van Loan, Matrix
+    Computations, 4th ed., §5.3 and §8.1; Higham, Accuracy and Stability
+    of Numerical Algorithms, §3.5). τ is ``GRAM_TAU``, raised to
+    10·(n+p+1)·eps once that is larger (n > 4·10⁴ or so), so the exact
+    λ_min(AᵀA) is at least 0.9·τ·max(trace, 1), and σ_min(A) at least
+    about 1e-5·max(‖A‖_F, 1). The QR path cuts nothing while σ_min(R)
+    exceeds 1e-8·max(largest column norm, 1), three orders lower, and its
+    own backward error, about n·(p+1)·eps·‖A‖_F, cannot close that gap.
+    """
+    n, p = matrix.shape
+    root = np.sqrt(counts)
+    # A's columns after the first (sqrt(c)), in one buffer: a second fresh
+    # n-row array would cost about as much as the product itself
+    scaled = np.empty((len(counts), n, p))
+    np.divide(matrix, np.maximum(peak, 1e-300)[:, None, :], out=scaled)
+    if len(peak) > 1:
+        scaled[counts == 0] = 0.0  # an absent row may not fit its problem's peak
+    scaled *= root[:, :, None]
+    gram = np.empty((len(counts), p + 1, p + 1))
+    gram[:, 0, 0] = counts.sum(axis=1)
+    gram[:, 0, 1:] = gram[:, 1:, 0] = np.matmul(root[:, None, :], scaled)[:, 0]
+    gram[:, 1:, 1:] = np.matmul(np.swapaxes(scaled, 1, 2), scaled)
+    smallest = np.linalg.eigvalsh(gram)[:, 0]
+    trace = np.einsum("bii->b", gram)
+    tau = max(GRAM_TAU, 10.0 * (n + p + 1) * np.finfo(np.float64).eps)
+    return smallest > tau * np.maximum(trace, 1.0)
 
 
 def design_cells(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

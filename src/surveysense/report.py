@@ -401,11 +401,13 @@ def _cell(value) -> str:
 
 
 def write_weights_csv(path: Path, pipe: Pipeline) -> None:
-    rows = [
-        [str(rid), _cell(float(w))]
-        for rid, w in zip(pipe.frame.row_ids, pipe.baseline.values)
+    # as in write_contour_csv, no int or float repr needs CSV quoting
+    lines = ["row_id,weight"]
+    lines += [
+        f"{rid},{w!r}"
+        for rid, w in zip(pipe.frame.row_ids.tolist(), pipe.baseline.values.tolist())
     ]
-    _write_rows(path, ["row_id", "weight"], rows)
+    path.write_text("\n".join(lines) + "\n", newline="")
 
 
 def write_balance_csv(path: Path, pipe: Pipeline) -> None:

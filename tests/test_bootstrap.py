@@ -1,13 +1,15 @@
 """Bootstrap interval behavior: determinism, shift algebra, guard rails."""
 
+import logging
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
-from surveysense import calibrate
+from surveysense import bootstrap, calibrate
 from surveysense.bias import ObservedScale, SensitivityParams, bias
 from surveysense.bootstrap import bootstrap_interval
 from surveysense.calibrate import CalibrationProblem, solve_raking
@@ -174,6 +176,31 @@ def test_continuous_design_matches_row_level_resolve(outcome):
     np.testing.assert_allclose(
         res.draws, row_level_draws(problem, y, ZERO, 100, 9), rtol=0.0, atol=1e-12
     )
+
+
+def test_draws_mute_only_their_own_solver_warnings(outcome, monkeypatch, caplog):
+    # the draws drop their solver's warnings through a filter keyed on a
+    # context variable, not by raising the shared logger's level, so a
+    # thread that logs to that logger during the draws is still heard
+    problem, y = outcome
+    solver_log = logging.getLogger("surveysense.calibrate")
+    solve_many = bootstrap.solve_many
+
+    def noisy_solve_many(*args, **kwargs):
+        solver_log.warning("a draw's own warning")
+        solver_log.error("a draw's own error")
+        other = threading.Thread(target=solver_log.warning, args=("another thread",))
+        other.start()
+        other.join()
+        return solve_many(*args, **kwargs)
+
+    monkeypatch.setattr(bootstrap, "solve_many", noisy_solve_many)
+    with caplog.at_level(logging.WARNING, logger="surveysense.calibrate"):
+        bootstrap_interval(problem, y, ZERO, b=100, seed=3)
+        solver_log.warning("after the draws")
+    heard = [r.getMessage() for r in caplog.records if r.name == "surveysense.calibrate"]
+    assert heard == ["a draw's own error", "another thread", "after the draws"]
+    assert solver_log.level == logging.NOTSET
 
 
 def test_build_and_bootstrap_leave_scipy_linalg_unimported(tmp_path):

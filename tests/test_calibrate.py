@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from surveysense import (
     weighted_mean,
     weighted_se,
 )
-from surveysense.data import check_rank
+from surveysense.data import _gram_certifies, check_rank
 
 
 def full_row_rank_guard(matrix, row_counts=None):
@@ -106,6 +107,85 @@ def test_stacked_counts_judge_each_problem_on_its_own_rows():
     for row, verdict in zip(counts, stacked):
         own = row > 0
         assert verdict == check_rank(cells[own], row[own])
+
+
+def qr_path(matrix, counts=None):
+    """``check_rank`` with the Gram certificate recorded and then overruled,
+    so that every problem takes the QR path: the QR's verdicts, and which
+    problems the certificate would have settled as full rank."""
+    said = []
+
+    def overruled(*args):
+        said.append(_gram_certifies(*args))
+        return np.zeros_like(said[-1])
+
+    with mock.patch("surveysense.data._gram_certifies", overruled):
+        verdicts = check_rank(matrix, counts)
+    return verdicts, said[0]
+
+
+@SETTINGS
+@given(problems(), st.data())
+def test_gram_certificate_never_skips_a_design_the_qr_cuts(problem, draw):
+    # the property tests' adversarial designs as rows, and under a stack of
+    # counts in which a row may be absent (count 0) from a problem
+    verdict, certified = qr_path(problem.matrix)
+    assert verdict == () or not certified[0]
+    assert check_rank(problem.matrix) == verdict
+    stack = np.asarray(draw.draw(st.lists(
+        st.lists(st.sampled_from([0.0, 1.0, 2.0, 7.0, 1e3, 1e6]),
+                 min_size=problem.n, max_size=problem.n),
+        min_size=1, max_size=4,
+    )))
+    stack[~stack.any(axis=1), 0] = 1.0  # every problem keeps a row, as in solve_many
+    verdicts, certified = qr_path(problem.matrix, stack)
+    event(f"certified {certified.sum()} of {len(stack)}")
+    for settled, cut in zip(certified, verdicts):
+        assert cut == () or not settled
+    assert check_rank(problem.matrix, stack) == verdicts
+
+
+def test_gram_certificate_refuses_the_designs_the_qr_cuts_or_nearly_cuts():
+    cells = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1e-9]])
+    counts = np.array([5000.0, 5000.0, 1.0])
+    rows = np.repeat(cells, [5000, 5000, 1], axis=0)
+    assert qr_path(cells, counts) == ((1,), [False])
+    assert qr_path(rows) == ((1,), [False])
+    rng = np.random.default_rng(14)
+    for n in (400, 5000, 30000):
+        matrix = np.column_stack([
+            rng.normal(size=n), (rng.random(n) < 0.3).astype(float), rng.normal(size=n)
+        ])
+        matrix[:, 2] = matrix[:, 0]
+        counts = rng.choice([1.0, 2.0, 7.0, 1e3, 1e6], size=n)
+        assert qr_path(matrix) == ((2,), [False])
+        assert qr_path(matrix, counts) == ((2,), [False])
+    constant = np.column_stack([rng.normal(size=50), np.full(50, 3.0)])
+    assert qr_path(constant) == ((1,), [False])
+    x = np.array([0.2, 0.5, 0.9])
+    noisy = np.column_stack([x, x + 1e-6 * np.array([1.0, -1.0, 0.5])])
+    assert not qr_path(noisy)[1].any()
+
+
+def test_a_well_conditioned_design_never_reaches_the_qr(monkeypatch):
+    # the certificate settles it, so the n-row QR, the cost the certificate
+    # exists to skip, is never called: alone, as cells with counts, and as a
+    # stack of three whose problems each leave out some rows
+    rng = np.random.default_rng(15)
+    n = 10_000
+    matrix = np.column_stack([
+        rng.normal(size=n) if j % 2 else (rng.random(n) < 0.3).astype(float)
+        for j in range(17)
+    ])
+    counts = rng.integers(0, 6, size=(3, n)).astype(float)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the rank guard ran its n-row QR")
+
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    assert check_rank(matrix) == ()
+    assert check_rank(matrix, counts[0] + 1.0) == ()
+    assert check_rank(matrix, counts) == [(), (), ()]
 
 
 def test_solve_many_failure_reasons():

@@ -1,6 +1,7 @@
 """Config parsing rules and deterministic report assembly."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from surveysense.bootstrap import bootstrap_interval
 from surveysense.config import config_from_dict, load_config
 from surveysense.errors import ConfigError, SchemaError
 from surveysense.report import (
+    _cell,
     _schema,
+    _write_rows,
     assemble_report,
     bootstrap_block,
     build_pipeline,
@@ -218,6 +221,22 @@ class TestAssembledReport:
         rid, cell = lines[1].split(",")
         assert rid == str(pipe.frame.row_ids[0])
         assert float(cell) == pipe.baseline.values[0]  # repr round-trip is exact
+
+    def test_weights_csv_matches_the_csv_writer_byte_for_byte(self, tmp_path):
+        # row ids with gaps, as listwise deletion leaves them, and floats
+        # whose reprs take an exponent or many digits
+        values = np.array([1e-300, 0.1, 1e16, 2.5, 1 / 3, 123456789.125, 5e-324])
+        pipe = SimpleNamespace(
+            frame=SimpleNamespace(row_ids=np.array([1, 2, 5, 9, 10, 400, 70001])),
+            baseline=SimpleNamespace(values=values),
+        )
+        fast, oracle = tmp_path / "fast.csv", tmp_path / "oracle.csv"
+        write_weights_csv(fast, pipe)
+        _write_rows(
+            oracle, ["row_id", "weight"],
+            [[str(rid), _cell(float(w))] for rid, w in zip(pipe.frame.row_ids, values)],
+        )
+        assert fast.read_bytes() == oracle.read_bytes()
 
     def test_balance_rows_hit_targets(self, pipeline):
         pipe, sha = pipeline
