@@ -11,6 +11,11 @@ benchmarked values
 with implied bias from the closed form (equivalently cov(eps_j, Y)). The
 minimum relative confounder strength (MRCS) is the multiple of that
 implied bias needed to reach a threshold b_star.
+
+A left-out covariate is a column mask, not a new problem: every
+leave-one-out and subset solve goes through ``calibrate.solve_many`` on the
+calibration's own rows, one stack for the whole table, warm-started from
+the baseline dual.
 """
 
 from __future__ import annotations
@@ -21,7 +26,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bias import ObservedScale, SensitivityParams, bias, error_vector, pop_cor, pop_var
-from .calibrate import CalibrationProblem, WeightVector, solve_raking, weighted_mean
+from .calibrate import CalibrationProblem, WeightVector, solve_many, weighted_mean
+from .errors import InfeasibleTargetsError
 
 __all__ = [
     "BenchmarkRecord",
@@ -100,6 +106,31 @@ def mrcs(mu_hat: float, b_star: float, est_bias: float) -> float:
     return (mu_hat - b_star) / est_bias
 
 
+def _held_out(
+    problem: CalibrationProblem,
+    groups: list[set[str]],
+    baseline: WeightVector | None,
+) -> list[WeightVector]:
+    """Re-solve the calibration once per group of covariates, without every
+    column sourced from any of them: one stack on the problem's rows, a
+    column mask per group. Raises the first group's
+    ``InfeasibleTargetsError``, in order."""
+    known = set().union(*(problem.sources_for(j) for j in range(problem.p)))
+    unknown = sorted(set().union(*groups) - known)
+    if unknown:
+        raise ValueError(f"{unknown} not among the enforced weighting variables {sorted(known)}")
+    keep = [[not (problem.sources_for(j) & group) for j in range(problem.p)] for group in groups]
+    outcomes = solve_many(
+        problem,
+        warm_start=None if baseline is None else baseline.dual_for(problem.column_names),
+        columns=np.array(keep, dtype=bool).reshape(len(groups), problem.p),
+    )
+    for outcome in outcomes:
+        if isinstance(outcome, InfeasibleTargetsError):
+            raise outcome
+    return outcomes
+
+
 def loo_weights(
     problem: CalibrationProblem,
     covariate: str,
@@ -112,26 +143,7 @@ def loo_weights(
     Dropping the only constraint returns the normalized base weights (the
     entropy optimum of the unconstrained problem).
     """
-    all_sources = set().union(*(problem.sources_for(j) for j in range(problem.p)))
-    if covariate not in all_sources:
-        raise ValueError(
-            f"{covariate!r} is not among the enforced weighting variables "
-            f"{sorted(all_sources)}"
-        )
-    keep = [j for j in range(problem.p) if covariate not in problem.sources_for(j)]
-    sub = replace(
-        problem,
-        matrix=problem.matrix[:, keep],
-        targets=problem.targets[keep],
-        column_names=tuple(problem.column_names[j] for j in keep),
-        column_sources=(
-            tuple(problem.column_sources[j] for j in keep)
-            if problem.column_sources is not None
-            else None
-        ),
-    )
-    warm = baseline.dual_for(sub.column_names) if baseline is not None and keep else None
-    return solve_raking(sub, warm_start=warm)
+    return _held_out(problem, [{covariate}], baseline)[0]
 
 
 def benchmark(
@@ -175,32 +187,8 @@ def benchmark_subset(
     """
     if not subset:
         raise ValueError("subset must name at least one covariate")
-    all_sources = set().union(*(problem.sources_for(j) for j in range(problem.p)))
-    unknown = [v for v in subset if v not in all_sources]
-    if unknown:
-        raise ValueError(f"not among the enforced weighting variables: {unknown}")
-    drop = set(subset)
-    keep = [j for j in range(problem.p) if not (problem.sources_for(j) & drop)]
-    sub = replace(
-        problem,
-        matrix=problem.matrix[:, keep],
-        targets=problem.targets[keep],
-        column_names=tuple(problem.column_names[j] for j in keep),
-        column_sources=(
-            tuple(problem.column_sources[j] for j in keep)
-            if problem.column_sources is not None
-            else None
-        ),
-    )
-    warm = w.dual_for(sub.column_names) if keep else None
-    wv = solve_raking(sub, warm_start=warm)
-    record = benchmark(w.values, wv.values, y, label=label or "+".join(subset))
-    record = replace(record, converged=wv.diagnostics.converged)
-    if b_star is not None:
-        record = replace(
-            record, mrcs=mrcs(weighted_mean(y, w.values), b_star, record.est_bias)
-        )
-    return record
+    label = label or "+".join(subset)
+    return _records(problem, w, y, [set(subset)], [label], b_star)[0]
 
 
 def benchmark_table(
@@ -212,12 +200,16 @@ def benchmark_table(
     b_star: float | None = None,
 ) -> list[BenchmarkRecord]:
     """Benchmark each covariate in turn, in the order given."""
+    return _records(problem, w, y, [{c} for c in covariates], covariates, b_star)
+
+
+def _records(problem, w, y, groups, labels, b_star):
+    """One benchmark record per group of covariates left out, in order."""
     mu_hat = weighted_mean(y, w.values)
     records = []
-    for covariate in covariates:
-        loo = loo_weights(problem, covariate, baseline=w)
-        record = benchmark(w.values, loo.values, y, label=covariate)
-        record = replace(record, converged=loo.diagnostics.converged)
+    for label, held in zip(labels, _held_out(problem, groups, w)):
+        record = benchmark(w.values, held.values, y, label=label)
+        record = replace(record, converged=held.diagnostics.converged)
         if b_star is not None:
             record = replace(record, mrcs=mrcs(mu_hat, b_star, record.est_bias))
         records.append(record)

@@ -13,9 +13,8 @@ The dual sees only that mass, so this is exact, and a draw costs the
 number of cells rather than the number of rows. A draw keeps only its
 cell sums (counts, base mass, sums of q*y and q^2) and the variance of
 its resampled outcome, never a row-length array. Draws are solved
-together by ``calibrate.solve_many``, in chunks of ``batch_size`` draws
-over the union of the cells each chunk touches, so memory stays bounded
-by ``calibrate.BATCH_BYTES``.
+together by ``calibrate.solve_many``, in chunks of ``batch_size`` draws,
+so memory stays bounded by ``calibrate.BATCH_BYTES``.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from __future__ import annotations
 import contextvars
 import logging
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -173,6 +172,7 @@ def _reestimated_draws(
     q = problem.base_weights
     cells, cell_of_row = design_cells(problem.matrix)
     n_cells = cells.shape[0]
+    design = replace(problem, matrix=cells, base_weights=None, row_counts=None)
     chunk = batch_size(n_cells, problem.p)
     kept = []
     dropped_by_reason = dict.fromkeys(FAILURE_REASONS, 0)
@@ -196,22 +196,11 @@ def _reestimated_draws(
                     stat[row] = np.bincount(at, weights=values, minlength=n_cells)
             centered = yb - yb.mean()
             var_y[row] = centered @ centered / n
-        touched = counts.any(axis=0)
-        counts = counts[:, touched]
-        mass, qy, q2 = sums[:, :, touched]
-        union = CalibrationProblem(
-            cells[touched],
-            problem.targets,
-            column_names=problem.column_names,
-            column_sources=problem.column_sources,
-            tol=problem.tol,
-            max_iter=problem.max_iter,
-        )
-        targets = np.broadcast_to(problem.targets, (len(draws), problem.p))
-        outcomes = solve_many(union, targets, mass, counts, warm_start=warm)
+        mass, qy, q2 = sums
+        outcomes = solve_many(design, base_weights=mass, row_counts=counts, warm_start=warm)
         for row, outcome in enumerate(outcomes):
             own = counts[row] > 0
-            reason = failure_reason(outcome, union.matrix[own], counts[row, own])
+            reason = failure_reason(outcome, cells[own], counts[row, own])
             if reason is not None:
                 dropped_by_reason[reason] += 1
                 continue

@@ -7,20 +7,33 @@ f_i'lam), and the dual objective
 
     F(lam) = logsumexp(log q_i + f_i' lam) - lam' T
 
-is smooth and convex with gradient equal to the constraint violation. A damped
-Newton iteration with backtracking line search drives the violation below
-``tol``; when the Hessian is ill conditioned the solver falls back to
-coordinate-wise tilting (the classic one-margin-at-a-time update, exact for
-0/1 columns). Targets outside the achievable range raise
-``InfeasibleTargetsError`` naming the violated constraint; jointly
-infeasible targets are certified by a phase-1 linear program as soon as
-Newton first gives way to coordinate sweeps, instead of after ``max_iter``.
+is smooth and convex with gradient equal to the constraint violation (the
+entropy-balancing dual of Hainmueller 2012). One loop, ``_newton_batch``,
+solves every calibration: a vectorized Newton iteration over a stack of
+problems that share one matrix of rows or design cells, each with its own
+targets, base mass and warm start. Its step is Levenberg-Marquardt damped,
+(H + mu diag(H)) d = -g, with the centred Hessian H = (f - m)' diag(p)
+(f - m), and is accepted by an Armijo test. mu is 0 until a step is
+rejected, grows tenfold per rejection and falls tenfold per accepted step,
+back to 0; past cond(H) = ``ILL_CONDITIONED`` it is at least the level where
+H stops resolving its eigenvalues. So the step is plain Newton wherever
+Newton works and a descent step on the convex dual at any conditioning
+(Marquardt 1963; Moré 1978; Nocedal & Wright 2006, ch. 4). There are no
+coordinate sweeps and no second solver.
 
-``solve_many`` solves a stack of such problems that share one matrix of
-design cells (distinct design rows carrying base mass and row counts), as
-the bootstrap draws and the sweep points do: one vectorized Newton over the
-stack, in batches bounded by ``BATCH_BYTES``, with every problem it cannot
-finish on solve_raking's own terms handed to ``solve_raking``.
+Targets outside a column's range raise ``InfeasibleTargetsError`` naming the
+first such column. Jointly infeasible targets are certified by a phase-1
+linear program, run at most once per problem, at its first rejected step or
+its first Hessian past ``ILL_CONDITIONED``. Columns the rank guard cuts, and
+columns whose range is within ``tol`` (any weights meet their targets), are
+masked in the loop (dual pinned at 0, gradient entry zeroed, Hessian row and
+column set to the identity) and still verified at the end. Each column is
+taken about its mean in the logits, which softmax ignores.
+
+``solve_raking`` solves one problem, as a stack of one on its own rows.
+``solve_many`` serves the fan-outs: the leave-one-out benchmarks (a column
+mask per problem, on rows), the bootstrap draws and the sweep points
+(counts per problem, on design cells).
 """
 
 from __future__ import annotations
@@ -36,19 +49,24 @@ from .errors import InfeasibleTargetsError
 
 logger = logging.getLogger(__name__)
 
-#: Hessian condition number beyond which Newton hands over to coordinate sweeps
+#: Hessian condition number at which Newton first gives way to the phase-1
+#: program, when no step has been rejected before
 ILL_CONDITIONED = 1e10
-
-#: ``solve_many`` hands a problem to ``solve_raking`` once trace(E[f f']) over
-#: the Hessian's smallest eigenvalue, an upper bound on its condition number,
-#: comes within this factor of ``ILL_CONDITIONED``
-_COND_MARGIN = 10.0
 
 #: minimal phase-1 slack above which targets are reported jointly infeasible
 INFEASIBLE_SLACK = 1e-7
 
 _ARMIJO = 1e-4
-_MAX_BACKTRACKS = 40
+#: damping after a problem's first rejected step, relative to each column's
+#: curvature; it grows by ``_MU_FACTOR`` per rejected step and falls by as
+#: much per accepted one
+_MU_START = 1e-3
+_MU_FACTOR = 10.0
+#: least damping of a step past ``ILL_CONDITIONED``, and the mu below which
+#: damping returns to 0: about where a Hessian summed over the cells stops
+#: resolving its smallest eigenvalues, so a direction it cannot resolve
+#: takes no wild step
+_EIGEN_FLOOR = 2e-14
 
 #: working-set budget of one ``solve_many`` batch, in bytes
 BATCH_BYTES = 4 << 20
@@ -56,6 +74,10 @@ BATCH_BYTES = 4 << 20
 
 @dataclass(frozen=True)
 class RakingDiagnostics:
+    """What one solve did. ``newton_steps`` counts accepted undamped steps and
+    ``fallback_sweeps`` the damped (mu > 0) steps, accepted or not; the name
+    is kept because the report schema carries it."""
+
     converged: bool
     iterations: int
     max_violation: float
@@ -158,25 +180,6 @@ class CalibrationProblem:
         return frozenset({self.column_names[j]})
 
 
-def _check_marginal_feasibility(problem: CalibrationProblem) -> None:
-    """Each target must lie strictly inside the column's sample range.
-
-    Boundary targets are rejected: entropy weights are strictly positive,
-    so a weighted mean can approach but never reach the extremes.
-    """
-    for j in range(problem.p):
-        col = problem.matrix[:, j]
-        lo = float(col.min())
-        hi = float(col.max())
-        t = float(problem.targets[j])
-        if hi == lo:
-            if abs(t - lo) > 1e-9 * max(1.0, abs(lo)):
-                raise InfeasibleTargetsError(problem.column_names[j], t, (lo, hi))
-            continue
-        if not (lo < t < hi):
-            raise InfeasibleTargetsError(problem.column_names[j], t, (lo, hi))
-
-
 def _classify_failure(
     problem: CalibrationProblem, threshold: float = INFEASIBLE_SLACK
 ) -> np.ndarray | None:
@@ -222,7 +225,8 @@ def solve_raking(
     *,
     warm_start: np.ndarray | None = None,
 ) -> WeightVector:
-    """Solve the calibration problem.
+    """Solve the calibration problem: ``solve_many`` over a stack of one, on
+    the problem's own rows.
 
     Parameters
     ----------
@@ -235,168 +239,15 @@ def solve_raking(
     -------
     WeightVector
         Strictly positive weights normalized to mean 1. If the iteration
-        limit is hit on a feasible problem the best iterate is returned
-        with ``diagnostics.converged`` False and a warning is logged;
-        infeasible targets raise ``InfeasibleTargetsError`` instead.
-
-    The phase-1 program runs at most once per solve: at the first
-    iteration where Newton gives way to coordinate sweeps, raising there
-    when its minimal total slack exceeds both ``INFEASIBLE_SLACK`` and
-    ``p * tol`` (no iterate can then meet ``tol``), and otherwise kept
-    for the verdict after the last iteration.
+        limit is hit on targets the phase-1 program cannot prove
+        infeasible, the least-violating iterate is returned with
+        ``diagnostics.converged`` False and a warning is logged; infeasible
+        targets raise ``InfeasibleTargetsError`` instead.
     """
-    n = problem.n
-    q = problem.base_weights if problem.base_weights is not None else np.ones(n)
-    log_q = np.log(q / q.sum())
-
-    if problem.p == 0:
-        w = q / q.mean()
-        diag = RakingDiagnostics(
-            converged=True, iterations=0, max_violation=0.0, dual_norm=0.0,
-            objective_trace=(), newton_steps=0, fallback_sweeps=0,
-            dropped_columns=(), message="no constraints; base weights returned",
-        )
-        return WeightVector(w, np.zeros(0), (), diag)
-
-    _check_marginal_feasibility(problem)
-    dropped_idx = check_rank(problem.matrix, problem.row_counts)
-    kept = np.asarray([j for j in range(problem.p) if j not in dropped_idx], dtype=int)
-    dropped_names = tuple(problem.column_names[j] for j in dropped_idx)
-    if dropped_names:
-        logger.warning("dropping dependent constraint columns: %s", ", ".join(dropped_names))
-
-    phi = np.ascontiguousarray(problem.matrix[:, kept])
-    t = problem.targets[kept]
-    names = tuple(problem.column_names[j] for j in kept)
-    p_cols = phi.shape[1]
-    binary_col = [bool(np.all(np.isin(phi[:, j], (0.0, 1.0)))) for j in range(p_cols)]
-
-    lam = np.zeros(p_cols)
-    if warm_start is not None:
-        ws = np.asarray(warm_start, dtype=np.float64)
-        if ws.shape[0] == problem.p:
-            lam = ws[kept].copy()
-        elif ws.shape[0] == p_cols:
-            lam = ws.copy()
-        else:
-            raise ValueError("warm_start length matches neither full nor kept columns")
-
-    def state(lam_vec):
-        prob = log_q + phi @ lam_vec
-        top = prob.max()
-        prob -= top
-        np.exp(prob, out=prob)
-        total = prob.sum()
-        prob /= total
-        return prob, float(top + np.log(total) - lam_vec @ t)
-
-    prob, objective = state(lam)
-    trace = [objective]
-    newton_steps = 0
-    fallback_sweeps = 0
-    iterations = 0
-    converged = False
-    phase1_run = False
-    slack = None
-
-    for iterations in range(1, problem.max_iter + 1):
-        mean = phi.T @ prob
-        grad = mean - t
-        # initial=0: every column may have been dropped as dependent
-        if float(np.max(np.abs(grad), initial=0.0)) <= problem.tol:
-            converged = True
-            iterations -= 1
-            break
-
-        used_newton = False
-        hess = phi.T @ (phi * prob[:, None]) - np.outer(mean, mean)
-        hess[np.diag_indices_from(hess)] += 1e-12 * (1.0 + np.trace(hess) / p_cols)
-        if np.linalg.cond(hess) < ILL_CONDITIONED:
-            direction = np.linalg.solve(hess, -grad)
-            slope = float(grad @ direction)
-            if -slope <= 1e-13 * (1.0 + abs(objective)):
-                # predicted decrease is below objective resolution, so the
-                # sufficient-decrease test cannot certify progress; this close
-                # to the optimum the raw step is a contraction
-                lam = lam + direction
-                prob, objective = state(lam)
-                used_newton = True
-                newton_steps += 1
-            else:
-                step = 1.0
-                for _ in range(_MAX_BACKTRACKS):
-                    cand = lam + step * direction
-                    cand_prob, cand_obj = state(cand)
-                    if cand_obj <= objective + _ARMIJO * step * slope:
-                        lam, prob, objective = cand, cand_prob, cand_obj
-                        used_newton = True
-                        newton_steps += 1
-                        break
-                    step *= 0.5
-
-        if not used_newton:
-            if not phase1_run:
-                phase1_run = True
-                slack = _classify_failure(
-                    problem, max(INFEASIBLE_SLACK, problem.p * problem.tol)
-                )
-            # coordinate-wise tilt: exact log-odds update for 0/1 columns,
-            # damped one-dimensional Newton otherwise
-            fallback_sweeps += 1
-            for j in range(p_cols):
-                share = float(prob @ phi[:, j])
-                if binary_col[j]:
-                    if not (0.0 < share < 1.0):
-                        continue
-                    delta = float(np.log(t[j] / (1 - t[j])) - np.log(share / (1 - share)))
-                else:
-                    curvature = float(prob @ phi[:, j] ** 2) - share**2
-                    if curvature <= 0:
-                        continue
-                    delta = (t[j] - share) / curvature
-                    span = max(1.0, float(np.max(np.abs(phi[:, j]))))
-                    delta = float(np.clip(delta, -4.0 / span, 4.0 / span))
-                for _ in range(_MAX_BACKTRACKS):
-                    cand = lam.copy()
-                    cand[j] += delta
-                    cand_prob, cand_obj = state(cand)
-                    if cand_obj <= objective + 1e-15 * abs(objective):
-                        lam, prob, objective = cand, cand_prob, cand_obj
-                        break
-                    delta *= 0.5
-
-        trace.append(objective)
-
-    # final verdict from the violation over every original column, including
-    # any dropped as dependent (their targets must be consistent to pass)
-    w = n * prob
-    w = w / w.mean()
-    full_violation = float(np.max(np.abs(problem.matrix.T @ (w / n) - problem.targets)))
-    converged = full_violation <= problem.tol
-
-    if not converged:
-        # raises when the targets are the problem
-        if not phase1_run:
-            _classify_failure(problem)
-        elif slack is not None and slack.sum() > INFEASIBLE_SLACK:
-            _raise_joint(problem, slack)
-        logger.warning(
-            "calibration did not converge in %d iterations (violation %.3g); "
-            "returning best iterate", problem.max_iter, full_violation,
-        )
-
-    diag = RakingDiagnostics(
-        converged=converged,
-        iterations=iterations,
-        max_violation=full_violation,
-        dual_norm=float(np.linalg.norm(lam)),
-        objective_trace=tuple(trace),
-        newton_steps=newton_steps,
-        fallback_sweeps=fallback_sweeps,
-        dropped_columns=dropped_names,
-        message="" if converged else "iteration limit reached",
-    )
-    return WeightVector(w, lam, names, diag)
+    (outcome,) = solve_many(problem, warm_start=warm_start)
+    if isinstance(outcome, InfeasibleTargetsError):
+        raise outcome
+    return outcome
 
 
 #: why a calibration gave no usable weights
@@ -435,47 +286,58 @@ def batch_size(cells: int, columns: int) -> int:
 
 def solve_many(
     problem: CalibrationProblem,
-    targets: np.ndarray,
-    base_weights: np.ndarray,
-    row_counts: np.ndarray,
+    targets: np.ndarray | None = None,
+    base_weights: np.ndarray | None = None,
+    row_counts: np.ndarray | None = None,
     *,
     warm_start: np.ndarray | None = None,
+    columns: np.ndarray | None = None,
 ) -> list[WeightVector | InfeasibleTargetsError]:
-    """Solve a stack of calibrations that share one matrix of design cells.
+    """Solve a stack of calibrations that share one matrix of rows or cells.
 
-    ``problem`` gives the cells (its ``matrix``), the column names and
-    sources, ``tol`` and ``max_iter``. Problem b has targets ``targets[b]``
-    and keeps the cells where ``row_counts[b]`` is positive, with base mass
-    ``base_weights[b]`` there; a (k,) mass or count is shared by every
-    problem. ``warm_start`` is one dual for all problems or one per problem.
+    ``problem`` gives the matrix, the column names, ``tol`` and
+    ``max_iter``. Problem b has targets ``targets[b]``, keeps the cells
+    where ``row_counts[b]`` is positive, with base mass ``base_weights[b]``
+    there, and enforces the columns where the boolean ``columns[b]`` is
+    True (every column by default); ``warm_start[b]`` is its starting dual,
+    aligned with all columns. Any of these may be given once, unstacked,
+    for every problem; targets, base weights and counts not given are the
+    problem's own (1 per row where it has none).
 
     Returns, per problem, what ``solve_raking`` gives on that problem's own
-    cells from the same warm start: a ``WeightVector`` whose values follow
-    those cells in order, or the ``InfeasibleTargetsError`` it raises. One
-    vectorized damped Newton runs over the problems, with solve_raking's
-    raw-step, Armijo and backtracking rules and a convergence mask per
-    problem, in batches of ``batch_size`` problems. A problem the batch
-    cannot finish goes to ``solve_raking`` from its warm start, so its
-    result is the serial path's: a target outside its column's range, a
-    design the rank guard would cut, an ill-conditioned Hessian, a failed
-    line search, or ``max_iter`` iterations. The batch's conditioning test
-    is stricter than solve_raking's by ``_COND_MARGIN`` and also counts the
-    digits lost to centring, so rounding, which differs between the two
-    paths, cannot make their Newton steps part ways.
+    cells and columns from the same warm start, to the bit: a
+    ``WeightVector`` whose values follow those cells in order and whose
+    dual covers the columns it enforced, or the ``InfeasibleTargetsError``
+    naming the constraint its targets break. Problems with the same cells
+    and columns are solved together on that submatrix, in batches of
+    ``batch_size`` problems, and every product in the loop is formed per
+    problem, so neither a problem's neighbours in the stack nor the cells
+    and columns it leaves out touch its rounding.
     """
     k, p = problem.matrix.shape
-    targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    b = targets.shape[0]
-    if targets.shape[1] != p:
-        raise ValueError(f"{p} design columns but {targets.shape[1]} targets per problem")
-    for name, arr in (("base_weights", base_weights), ("row_counts", row_counts)):
-        if np.shape(arr) not in ((k,), (b, k)):
-            raise ValueError(f"{name} must have shape ({k},) or ({b}, {k})")
-    base = np.broadcast_to(np.asarray(base_weights, dtype=np.float64), (b, k))
-    counts = np.broadcast_to(np.asarray(row_counts, dtype=np.float64), (b, k))
+    ones = np.ones(k)
+    if base_weights is None:
+        base_weights = ones if problem.base_weights is None else problem.base_weights
+    if row_counts is None:
+        row_counts = ones if problem.row_counts is None else problem.row_counts
+    given = [
+        ("targets", problem.targets if targets is None else targets, p, np.float64),
+        ("base_weights", base_weights, k, np.float64),
+        ("row_counts", row_counts, k, np.float64),
+        ("warm_start", np.zeros(p) if warm_start is None else warm_start, p, np.float64),
+        ("columns", np.ones(p, dtype=bool) if columns is None else columns, p, bool),
+    ]
+    given = [(name, np.asarray(a, dtype=dtype), width) for name, a, width, dtype in given]
+    b = next((a.shape[0] for _, a, _ in given if a.ndim == 2), 1)
+    for name, a, width in given:
+        if a.shape not in ((width,), (b, width)):
+            raise ValueError(f"{name} must have shape ({width},) or ({b}, {width})")
+    targets, base, counts, warm, columns = (
+        np.broadcast_to(a, (b, width)) for _, a, width in given
+    )
     present = counts > 0
-    if not (np.all(np.isfinite(base)) and np.all(np.isfinite(counts))):
-        raise ValueError("base_weights and row_counts must be finite")
+    if not all(np.all(np.isfinite(a)) for a in (targets, base, counts, warm)):
+        raise ValueError("targets, base_weights, row_counts and warm_start must be finite")
     if np.any(counts < 0) or np.any(base < 0) or np.any(base[present] == 0):
         raise ValueError(
             "base_weights and row_counts must be nonnegative, with positive "
@@ -483,159 +345,254 @@ def solve_many(
         )
     if not np.all(present.any(axis=1)):
         raise ValueError("every problem needs at least one cell")
-    warm = np.broadcast_to(
-        np.zeros(p) if warm_start is None else np.asarray(warm_start, dtype=np.float64),
-        (b, p),
-    )
 
     results: list = [None] * b
-    batched = np.zeros(b, dtype=bool)
-    if p > 0:
-        batched = _marginally_feasible(problem.matrix, present, targets)
-        if np.ndim(row_counts) == 1:
-            batched &= not check_rank(problem.matrix, counts[0])
-        elif batched.any():
-            ranked = np.flatnonzero(batched)
-            cut = check_rank(problem.matrix, counts[ranked])
-            batched[ranked] = [not dropped for dropped in cut]
-    ids = np.flatnonzero(batched)
-    size = batch_size(k, p)
-    for start in range(0, ids.size, size):
-        chunk = ids[start : start + size]
-        with np.errstate(divide="ignore"):
-            log_q = np.log(base[chunk] / base[chunk].sum(axis=1, keepdims=True))
-        prob, lam, iterations, traces = _newton_batch(
-            problem, log_q, targets[chunk], warm[chunk]
+    # problems that keep the same cells and columns are solved together, on
+    # that submatrix
+    parts: dict = {}
+    for i, key in enumerate(np.packbits(np.hstack([present, columns]), axis=1)):
+        parts.setdefault(key.tobytes(), []).append(i)
+    for members in map(np.asarray, parts.values()):
+        own, keep = np.flatnonzero(present[members[0]]), np.flatnonzero(columns[members[0]])
+        if own.size == k:
+            own = slice(None)
+        if keep.size == p:
+            keep = slice(None)
+        part = CalibrationProblem(
+            np.ascontiguousarray(problem.matrix[own][:, keep]),
+            targets[members[0], keep],
+            column_names=tuple(np.asarray(problem.column_names, dtype=object)[keep]),
+            tol=problem.tol,
+            max_iter=problem.max_iter,
         )
-        # the final verdict of solve_raking, over each problem's own cells
-        done = np.flatnonzero(iterations >= 0)
-        own = present[chunk[done]]
-        n_own = own.sum(axis=1)[:, None]
-        w = n_own * prob[done]
-        w /= w.sum(axis=1, keepdims=True) / n_own
-        gaps = np.abs(w @ problem.matrix / n_own - targets[chunk[done]]).max(axis=1)
-        for j, w_j, own_j, gap in zip(done, w, own, gaps):
-            if gap > problem.tol:
-                continue
-            diag = RakingDiagnostics(
-                converged=True,
-                iterations=int(iterations[j]),
-                max_violation=float(gap),
-                dual_norm=float(np.linalg.norm(lam[j])),
-                objective_trace=tuple(traces[j]),
-                newton_steps=int(iterations[j]),
-                fallback_sweeps=0,
-                dropped_columns=(),
+        t, mass, count, lam = (
+            a[members][:, sel]
+            for a, sel in ((targets, keep), (base, own), (counts, own), (warm, keep))
+        )
+        # a target outside its column's range is infeasible, and so is one on
+        # the boundary, since entropy weights are strictly positive; a
+        # constant column admits its own value, to 1e-9
+        cols = np.ascontiguousarray(part.matrix.T)  # column reductions run along rows
+        lo, hi = cols.min(axis=1), cols.max(axis=1)
+        constant = np.abs(t - lo) <= 1e-9 * np.maximum(1.0, np.abs(lo))
+        outside = ~np.where(hi == lo, constant, (lo < t) & (t < hi))
+        for pos in np.flatnonzero(outside.any(axis=1)):
+            j = int(np.argmax(outside[pos]))
+            results[members[pos]] = InfeasibleTargetsError(
+                part.column_names[j], float(t[pos, j]), (float(lo[j]), float(hi[j]))
             )
-            results[chunk[j]] = WeightVector(w_j[own_j], lam[j], problem.column_names, diag)
-    for i in range(b):
-        if results[i] is not None:
-            continue
-        keep = present[i]
-        try:
-            results[i] = solve_raking(
-                replace(
-                    problem,
-                    matrix=problem.matrix[keep],
-                    targets=targets[i],
-                    base_weights=base[i, keep],
-                    row_counts=counts[i, keep],
-                ),
-                warm_start=warm[i],
+        todo = np.flatnonzero(~outside.any(axis=1))
+        # any weights meet a target inside a range no wider than tol, so such
+        # a column takes no part in the rank guard or the step
+        idle = (hi > lo) & (hi - lo <= part.tol)
+        guarded = np.flatnonzero(~idle)
+        cut = np.zeros(t.shape, dtype=bool)
+        if todo.size and guarded.size:
+            design = part.matrix if guarded.size == part.p else part.matrix[:, guarded]
+            if np.all(count[todo] == count[todo[0]]):
+                verdicts = [check_rank(design, count[todo[0]])] * todo.size
+            else:
+                verdicts = check_rank(design, count[todo])
+            for pos, dropped in zip(todo, verdicts):
+                cut[pos, guarded[list(dropped)]] = True
+                if dropped:
+                    logger.warning(
+                        "dropping dependent constraint columns: %s",
+                        ", ".join(part.column_names[j] for j in guarded[list(dropped)]),
+                    )
+        size = batch_size(*part.matrix.shape)
+        for start in range(0, todo.size, size):
+            chunk = todo[start : start + size]
+            outcomes = _newton_batch(
+                part, cols, t[chunk], mass[chunk], lam[chunk], cut[chunk], idle
             )
-        except InfeasibleTargetsError as err:
-            results[i] = err
+            for pos, outcome in zip(chunk, outcomes):
+                results[members[pos]] = outcome
     return results
 
 
-def _marginally_feasible(
-    matrix: np.ndarray, present: np.ndarray, targets: np.ndarray
-) -> np.ndarray:
-    """Per problem, whether every target passes ``_check_marginal_feasibility``
-    on the cells the problem counts."""
-    if present.all():
-        lo, hi = matrix.min(axis=0), matrix.max(axis=0)
-    else:
-        stack = np.broadcast_to(matrix, present.shape + matrix.shape[1:])
-        lo = np.min(stack, axis=1, where=present[:, :, None], initial=np.inf)
-        hi = np.max(stack, axis=1, where=present[:, :, None], initial=-np.inf)
-    constant = np.abs(targets - lo) <= 1e-9 * np.maximum(1.0, np.abs(lo))
-    inside = (lo < targets) & (targets < hi)
-    return np.where(hi == lo, constant, inside).all(axis=1)
+def _states(phi_t, log_q, lam, targets):
+    """Cell probabilities softmax(log q + phi lam) and the dual objectives of
+    a stack of duals, with a max shift; ``phi_t`` is the (p, k) design."""
+    logits = log_q + (lam[:, None, :] @ phi_t)[:, 0]
+    top = logits.max(axis=1, keepdims=True)
+    logits -= top
+    np.exp(logits, out=logits)
+    total = logits.sum(axis=1, keepdims=True)
+    logits /= total
+    return logits, top[:, 0] + np.log(total[:, 0]) - np.einsum("bp,bp->b", lam, targets)
 
 
-def _newton_batch(problem, log_q, targets, lam):
-    """Damped Newton over a stack of full-rank problems on shared cells.
+def _newton_batch(part, cols, targets, base, lam, cut, idle):
+    """Damped Newton over a stack of problems on every cell and column of
+    ``part`` (``cols`` is its matrix transposed, C-contiguous), each with its
+    own targets, base mass and warm start. A column ``cut`` by the rank
+    guard, or ``idle`` because its range is within ``tol``, keeps a dual of
+    0, a zero gradient entry and an identity row and column in the Hessian,
+    and is verified with the others at the end.
 
-    Returns the cell probabilities, duals, iteration counts and objective
-    traces of every problem; the iteration count is -1 for a problem that
-    must go to ``solve_raking``.
+    Every product is formed per problem, so a problem's rounding does not
+    depend on the rest of the stack, and the Hessian is centred before its
+    product, so no digits cancel when one cell carries nearly all the mass.
+    A problem's phase-1 program runs at most once: at its first rejected
+    step or first Hessian past ``ILL_CONDITIONED``, raising when its slack
+    exceeds what ``tol`` allows, or else after the last step if the problem
+    has not converged. Returns per problem a ``WeightVector`` or the
+    ``InfeasibleTargetsError`` naming the constraint its targets break.
     """
-    phi = problem.matrix
-    squares = (phi**2).sum(axis=1)
-    p = phi.shape[1]
+    # softmax ignores a column's offset, which would only cost the logits
+    # digits, so each column is taken about its mean over the cells
+    center = cols.mean(axis=1)
+    phi_t, goal = cols - center[:, None], targets - center
+    tol, max_iter = part.tol, part.max_iter
+    (m, p), n = lam.shape, phi_t.shape[1]
+    active = ~(cut | idle)
+    free = active.sum(axis=1)
+    pairs = active[:, :, None] & active[:, None, :]
     diagonal = np.arange(p)
+    log_q = np.log(base / base.sum(axis=1, keepdims=True))
+    lam = np.where(active, lam, 0.0)
+    prob, objective = _states(phi_t, log_q, lam, goal)
+    traces = [[o] for o in objective.tolist()]
+    prob_out, lam_out = np.empty_like(prob), np.empty_like(lam)
+    least = np.full(m, np.inf)  # smallest violation of each problem's iterates
+    previous = np.full(m, np.inf)  # enforced columns' violation one step back
+    steps = np.zeros((3, m), dtype=int)  # taken, accepted undamped, damped
+    mu = np.zeros(m)
+    slack: dict = {}  # by position, for each problem whose program ran
+    results: list = [None] * m
 
-    def states(lam_stack, lq, t):
-        logits = lq + lam_stack @ phi.T
-        top = logits.max(axis=1, keepdims=True)
-        logits -= top
-        np.exp(logits, out=logits)
-        total = logits.sum(axis=1, keepdims=True)
-        logits /= total
-        return logits, top[:, 0] + np.log(total[:, 0]) - np.einsum("bp,bp->b", lam_stack, t)
+    def phase1(positions):
+        for pos in positions:
+            if pos in slack:
+                continue
+            threshold = max(INFEASIBLE_SLACK, p * tol)
+            try:
+                slack[pos] = _classify_failure(replace(part, targets=targets[pos]), threshold)
+            except InfeasibleTargetsError as err:
+                slack[pos], results[pos] = None, err
 
-    m = targets.shape[0]
-    iterations = np.full(m, -1)
-    prob_out = np.zeros_like(log_q)
-    lam_out = np.zeros((m, p))
     live = np.arange(m)  # positions of the problems still iterating
-    lam = lam.copy()
-    prob, objective = states(lam, log_q, targets)
-    traces = [[float(o)] for o in objective]
-    for iteration in range(1, problem.max_iter + 1):
-        t = targets[live]
-        mean = prob @ phi
-        grad = mean - t
-        done = np.abs(grad).max(axis=1) <= problem.tol
-        finished = live[done]
-        prob_out[finished], lam_out[finished] = prob[done], lam[done]
-        iterations[finished] = iteration - 1
-        go = ~done
-        live, prob, lam, objective, mean, grad, t = (
-            a[go] for a in (live, prob, lam, objective, mean, grad, t)
-        )
-        if live.size == 0:
+    for iteration in range(max_iter + 1):
+        mean = (phi_t @ prob[:, :, None])[:, :, 0]
+        miss = np.abs(mean - goal[live]).max(axis=1, initial=0.0)  # cut columns too
+        grad = np.where(active[live], mean - goal[live], 0.0)
+        gap = np.abs(grad).max(axis=1, initial=0.0)
+        better = miss < least[live]
+        least[live[better]] = miss[better]
+        prob_out[live[better]], lam_out[live[better]] = prob[better], lam[better]
+        # done when every column is met, or when the enforced ones are and
+        # stop improving: a cut column's target then disagrees with the
+        # columns it depends on
+        done = (miss <= tol) | ((gap <= tol) & (gap >= 0.5 * previous[live]))
+        previous[live] = gap
+        steps[0, live[done]] = iteration
+        if done.any():
+            live, prob, lam, objective, mean, grad = (
+                a[~done] for a in (live, prob, lam, objective, mean, grad)
+            )
+        if live.size == 0 or iteration == max_iter:
             break
-        hess = np.matmul(phi.T, phi * prob[:, :, None]) - mean[:, :, None] * mean[:, None, :]
-        hess[:, diagonal, diagonal] += (
-            1e-12 * (1.0 + np.trace(hess, axis1=1, axis2=2) / p)
-        )[:, None]
-        # trace(E[f f']) over the smallest eigenvalue bounds cond(hess) from
-        # above, and also grows with the digits that centring cancels
-        smallest = np.linalg.svd(hess, compute_uv=False)[:, -1]
-        go = prob @ squares < smallest * (ILL_CONDITIONED / _COND_MARGIN)
-        live, prob, lam, objective, grad, t, hess = (
-            a[go] for a in (live, prob, lam, objective, grad, t, hess)
+        centred = phi_t - mean[:, :, None]
+        centred *= np.sqrt(prob)[:, None, :]
+        hess = np.matmul(centred, centred.transpose(0, 2, 1))
+        hess *= pairs[live]
+        # cond(H) over the enforced block; past ILL_CONDITIONED the step is
+        # damped at least to the level where H stops resolving eigenvalues
+        singular = -np.sort(-np.abs(np.linalg.eigvalsh(hess)), axis=1)
+        largest = singular[:, 0]
+        ill = largest >= ILL_CONDITIONED * singular[np.arange(live.size), free[live] - 1]
+        phase1(live[ill])
+        # Marquardt's scaling: each column is damped in proportion to its own
+        # curvature, so a column's units do not decide how far it may move
+        damping = np.maximum(mu[live], np.where(ill, _EIGEN_FLOOR, 0.0))
+        curvature = np.maximum(hess[:, diagonal, diagonal], _EIGEN_FLOOR * largest[:, None])
+        hess[:, diagonal, diagonal] += np.where(
+            active[live], damping[:, None] * curvature, 1.0
         )
-        if live.size == 0:
-            break
-        direction = np.linalg.solve(hess, -grad[:, :, None])[:, :, 0]
+        direction = _solve(hess, -grad)
         slope = np.einsum("bp,bp->b", grad, direction)
         cand = lam + direction
-        cand_prob, cand_obj = states(cand, log_q[live], t)
-        # below objective resolution the raw step is taken, as in solve_raking;
-        # a step that must backtrack goes to solve_raking, since a damped path
-        # can magnify rounding that differs between the two
-        go = (-slope <= 1e-13 * (1.0 + np.abs(objective))) | (
-            cand_obj <= objective + _ARMIJO * slope
+        cand_prob, cand_obj = _states(phi_t, log_q[live], cand, goal[live])
+        # below objective resolution the sufficient-decrease test cannot
+        # certify progress; this close to the optimum the raw step is a
+        # contraction
+        accept = (slope < 0) & (
+            (-slope <= 1e-13 * (1.0 + np.abs(objective)))
+            | (cand_obj <= objective + _ARMIJO * slope)
         )
-        live, lam, prob, objective = live[go], cand[go], cand_prob[go], cand_obj[go]
-        for pos, obj in zip(live, objective):
-            traces[pos].append(float(obj))
-    # problems still live after max_iter steps are left to solve_raking,
-    # which takes its verdict from its own last iterate
-    return prob_out, lam_out, iterations, traces
+        damped = damping > 0
+        steps[1, live[accept & ~damped]] += 1
+        steps[2, live[damped]] += 1
+        mu[live] = np.where(
+            accept,
+            mu[live] / _MU_FACTOR,
+            np.where(mu[live] > 0, mu[live] * _MU_FACTOR, _MU_START),
+        )
+        mu[mu < _EIGEN_FLOOR] = 0.0
+        lam[accept], prob[accept], objective[accept] = (
+            cand[accept], cand_prob[accept], cand_obj[accept]
+        )
+        phase1(live[~accept])
+        go = np.asarray([results[pos] is None for pos in live.tolist()], dtype=bool)
+        if not go.all():
+            live, prob, lam, objective = live[go], prob[go], lam[go], objective[go]
+        for pos, obj in zip(live.tolist(), objective.tolist()):
+            traces[pos].append(obj)
+    steps[0, live] = max_iter
+
+    # the verdict over every column, cut ones included (their targets must be
+    # consistent to pass); a problem that did not converge keeps its
+    # least-violating iterate, since on infeasible targets the objective falls
+    # without bound while rounding erodes the last iterates
+    w = n * prob_out
+    w /= w.sum(axis=1, keepdims=True) / n
+    violations = np.abs((phi_t @ (w / n)[:, :, None])[:, :, 0] - goal).max(axis=1, initial=0.0)
+    names = np.asarray(part.column_names, dtype=object)
+    for pos in np.flatnonzero([r is None for r in results]):
+        converged = bool(violations[pos] <= tol)
+        if not converged:
+            # raises when the targets are the problem
+            try:
+                if pos not in slack:
+                    _classify_failure(replace(part, targets=targets[pos]))
+                elif slack[pos] is not None and slack[pos].sum() > INFEASIBLE_SLACK:
+                    _raise_joint(replace(part, targets=targets[pos]), slack[pos])
+            except InfeasibleTargetsError as err:
+                results[pos] = err
+                continue
+            logger.warning(
+                "calibration did not converge in %d iterations (violation %.3g); "
+                "returning the least-violating iterate", max_iter, violations[pos],
+            )
+        diag = RakingDiagnostics(
+            converged=converged,
+            iterations=int(steps[0, pos]),
+            max_violation=float(violations[pos]),
+            dual_norm=float(np.linalg.norm(lam_out[pos])),
+            objective_trace=tuple(traces[pos]),
+            newton_steps=int(steps[1, pos]),
+            fallback_sweeps=int(steps[2, pos]),
+            dropped_columns=tuple(names[cut[pos]]),
+            message="" if converged else "iteration limit reached",
+        )
+        results[pos] = WeightVector(w[pos], lam_out[pos, active[pos]], tuple(names[active[pos]]), diag)
+    return results
+
+
+def _solve(hess, rhs):
+    """Newton directions of a stack; an exactly singular system gets NaN,
+    which fails the step's test and so raises its damping."""
+    try:
+        return np.linalg.solve(hess, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        out = np.full_like(rhs, np.nan)
+        for i, (h, r) in enumerate(zip(hess, rhs)):
+            try:
+                out[i] = np.linalg.solve(h, r)
+            except np.linalg.LinAlgError:
+                pass
+        return out
 
 
 def weighted_mean(y: np.ndarray, w: np.ndarray) -> float:
@@ -679,17 +636,22 @@ def entropy_divergence(w: np.ndarray, base: np.ndarray | None = None) -> float:
 
 
 def balance_table(problem: CalibrationProblem, w: np.ndarray) -> list[dict]:
-    """Per-constraint margins before and after weighting."""
+    """Per-constraint margins before and after weighting by ``w``, weights
+    with mean 1 such as a ``WeightVector``'s values."""
+    w = np.asarray(w, dtype=np.float64)
+    if abs(w.mean() - 1.0) > 1e-9:
+        raise ValueError("balance_table needs weights with mean 1")
+    share = w / problem.n
     rows = []
-    for j, name in enumerate(problem.column_names):
-        col = problem.matrix[:, j]
+    for name, target, col in zip(problem.column_names, problem.targets, problem.matrix.T):
+        weighted = float(col @ share)
         rows.append(
             {
                 "constraint": name,
-                "target": float(problem.targets[j]),
+                "target": float(target),
                 "unweighted": float(col.mean()),
-                "weighted": weighted_mean(col, w),
-                "gap": weighted_mean(col, w) - float(problem.targets[j]),
+                "weighted": weighted,
+                "gap": weighted - float(target),
             }
         )
     return rows

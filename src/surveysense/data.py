@@ -472,8 +472,8 @@ def check_rank(
     ``row_counts`` weighs rows by multiplicity (sqrt(count) row scaling). A
     (B, n) stack of counts checks B problems on the same rows at once and
     returns one tuple per problem; a row with count 0 is absent from that
-    problem. Columns are scaled by their largest magnitude over the rows
-    present.
+    problem, and a problem without rows has every column dependent. Columns
+    are scaled by their largest magnitude over the rows present.
 
     Full rank is settled first from each problem's count-weighted
     (p+1)-square Gram matrix (``_gram_certifies``), one product over the
@@ -527,7 +527,9 @@ def check_rank(
         if 0 in order[rank:]:
             # pivoting discarded the intercept; blame a constant design column
             rows = present[i]
-            constants = [j for j in range(p) if np.ptp(matrix[rows, j]) == 0.0]
+            constants = [
+                j for j in range(p) if not rows.any() or np.ptp(matrix[rows, j]) == 0.0
+            ]
             dependent = sorted(set(dependent) | set(constants))
         found[i] = tuple(dependent)
     return found if stacked else found[0]

@@ -158,17 +158,14 @@ def partial_sweep(
         cells,
         np.append(problem.targets, baseline_t),
         column_names=problem.column_names + (label,),
-        column_sources=(
-            problem.column_sources + (frozenset({label}),)
-            if problem.column_sources is not None
-            else None
-        ),
+        base_weights=mass,
+        row_counts=counts,
         tol=problem.tol,
         max_iter=problem.max_iter,
     )
     targets = np.column_stack([np.tile(problem.targets, (grid.size, 1)), grid])
     warm = np.append(baseline.dual_for(problem.column_names), 0.0)
-    outcomes = solve_many(augmented, targets, mass, counts, warm_start=warm)
+    outcomes = solve_many(augmented, targets, warm_start=warm)
 
     points = []
     for t_v, outcome in zip(grid, outcomes):

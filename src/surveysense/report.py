@@ -24,6 +24,7 @@ from .bootstrap import BootstrapResult, bootstrap_interval
 from .calibrate import (
     CalibrationProblem,
     WeightVector,
+    balance_table,
     solve_raking,
     weighted_mean,
     weighted_se,
@@ -152,20 +153,15 @@ def calibration_block(pipe: Pipeline) -> dict:
 
 
 def balance_block(pipe: Pipeline) -> list[dict]:
-    w = pipe.baseline.values
-    n = pipe.problem.n
-    rows = []
-    for j, name in enumerate(pipe.design.column_names):
-        col = pipe.problem.matrix[:, j]
-        rows.append(
-            {
-                "column": name,
-                "target": float(pipe.problem.targets[j]),
-                "unweighted": float(col.mean()),
-                "weighted": float(col @ (w / n)),
-            }
-        )
-    return rows
+    return [
+        {
+            "column": row["constraint"],
+            "target": row["target"],
+            "unweighted": row["unweighted"],
+            "weighted": row["weighted"],
+        }
+        for row in balance_table(pipe.problem, pipe.baseline.values)
+    ]
 
 
 def robustness_block(pipe: Pipeline, b_star: float) -> dict:

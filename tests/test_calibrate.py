@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -186,6 +187,47 @@ def test_a_well_conditioned_design_never_reaches_the_qr(monkeypatch):
     assert check_rank(matrix) == ()
     assert check_rank(matrix, counts[0] + 1.0) == ()
     assert check_rank(matrix, counts) == [(), (), ()]
+
+
+def test_rank_guard_gives_a_problem_without_rows_every_column():
+    # a problem whose counts are all 0 has no rows, so each of its columns
+    # is constant there; alone, and in a stack beside problems with rows
+    assert check_rank(np.array([[0.0]])) == (0,)
+    assert check_rank(np.array([[0.0]]), np.array([[0.0]])) == [(0,)]
+    cells = np.array([[0.0, 1.0], [1.0, 3.0], [2.0, 0.5]])
+    counts = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+    assert check_rank(cells, counts) == [(), (0, 1), (0, 1)]
+
+
+def test_first_newton_direction_keeps_the_digits_a_heavy_cell_cancels():
+    # one cell carries nearly all the mass, so the mean sits next to its
+    # value: E[ff'] - mm' cancelled all but 1e-10 of E[ff'] and moved the
+    # first direction by 8.5e-5; the centred form must match exact
+    # arithmetic on the same probabilities
+    cells = np.array([[-0.7], [1.3]])
+    mass = np.array([2.5e-4, 9.8e6])
+    target = 0.5
+    seen = []
+    solve = calibrate._solve
+
+    def recording(hess, rhs):
+        seen.append((hess.copy(), rhs.copy()))
+        return solve(hess, rhs)
+
+    with mock.patch.object(calibrate, "_solve", recording):
+        calibrate.solve_many(
+            CalibrationProblem(cells, [target], max_iter=1), [target], mass, np.ones(2)
+        )
+    hess, rhs = seen[0]
+    first = rhs[0, 0] / hess[0, 0, 0]
+    prob, _ = calibrate._states(cells.T, np.log(mass / mass.sum())[None], np.zeros((1, 1)),
+                                np.array([[target]]))
+    p = [Fraction(float(v)) for v in prob[0]]
+    f = [Fraction(float(v)) for v in cells[:, 0]]
+    mean = sum(pi * fi for pi, fi in zip(p, f)) / sum(p)
+    curvature = sum(pi * (fi - mean) ** 2 for pi, fi in zip(p, f)) / sum(p)
+    exact = -(mean - Fraction(target)) / curvature
+    assert abs(first - float(exact)) <= 1e-12 * abs(float(exact))
 
 
 def test_solve_many_failure_reasons():
