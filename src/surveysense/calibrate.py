@@ -14,8 +14,8 @@ problems that share one matrix of rows or design cells, each with its own
 targets, base mass and warm start. Its step is Levenberg-Marquardt damped,
 (H + mu diag(H)) d = -g, with the centred Hessian H = (f - m)' diag(p)
 (f - m), and is accepted by an Armijo test. mu is 0 until a step is
-rejected, grows tenfold per rejection and falls tenfold per accepted step,
-back to 0; past cond(H) = ``ILL_CONDITIONED`` it is at least the level where
+rejected, grows tenfold per rejection, and faster while rejections keep
+coming, and falls tenfold per accepted step, back to 0; past cond(H) = ``ILL_CONDITIONED`` it is at least the level where
 H stops resolving its eigenvalues. So the step is plain Newton wherever
 Newton works and a descent step on the convex dual at any conditioning
 (Marquardt 1963; Moré 1978; Nocedal & Wright 2006, ch. 4). There are no
@@ -58,10 +58,17 @@ INFEASIBLE_SLACK = 1e-7
 
 _ARMIJO = 1e-4
 #: damping after a problem's first rejected step, relative to each column's
-#: curvature; it grows by ``_MU_FACTOR`` per rejected step and falls by as
-#: much per accepted one
+#: curvature. A rejected step multiplies it by a factor that starts at
+#: ``_MU_FACTOR`` and doubles with each rejection in a row that leaves it
+#: above ``_MU_START``, so a step too long by two hundred orders of
+#: magnitude (the Newton step on a saturated softmax) is cut to size within
+#: about forty iterations; an accepted step divides it by ``_MU_FACTOR``
+#: and resets the factor (the doubling is Nielsen's; Madsen, Nielsen &
+#: Tingleff 2004, section 3.2)
 _MU_START = 1e-3
 _MU_FACTOR = 10.0
+#: most damping, far past what any step needs
+_MU_MAX = 1e250
 #: least damping of a step past ``ILL_CONDITIONED``, and the mu below which
 #: damping returns to 0: about where a Hessian summed over the cells stops
 #: resolving its smallest eigenvalues, so a direction it cannot resolve
@@ -82,7 +89,6 @@ class RakingDiagnostics:
     iterations: int
     max_violation: float
     dual_norm: float
-    objective_trace: tuple[float, ...]
     newton_steps: int
     fallback_sweeps: int
     dropped_columns: tuple[str, ...]
@@ -453,12 +459,12 @@ def _newton_batch(part, cols, targets, base, lam, cut, idle):
     log_q = np.log(base / base.sum(axis=1, keepdims=True))
     lam = np.where(active, lam, 0.0)
     prob, objective = _states(phi_t, log_q, lam, goal)
-    traces = [[o] for o in objective.tolist()]
     prob_out, lam_out = np.empty_like(prob), np.empty_like(lam)
     least = np.full(m, np.inf)  # smallest violation of each problem's iterates
     previous = np.full(m, np.inf)  # enforced columns' violation one step back
     steps = np.zeros((3, m), dtype=int)  # taken, accepted undamped, damped
     mu = np.zeros(m)
+    growth = np.full(m, _MU_FACTOR)  # mu's factor at the next rejection
     slack: dict = {}  # by position, for each problem whose program ran
     results: list = [None] * m
 
@@ -524,10 +530,12 @@ def _newton_batch(part, cols, targets, base, lam, cut, idle):
         damped = damping > 0
         steps[1, live[accept & ~damped]] += 1
         steps[2, live[damped]] += 1
+        raised = np.minimum(mu[live], _MU_MAX / growth[live]) * growth[live]
         mu[live] = np.where(
-            accept,
-            mu[live] / _MU_FACTOR,
-            np.where(mu[live] > 0, mu[live] * _MU_FACTOR, _MU_START),
+            accept, mu[live] / _MU_FACTOR, np.where(mu[live] > 0, raised, _MU_START)
+        )
+        growth[live] = np.where(
+            accept, _MU_FACTOR, np.where(mu[live] > _MU_START, 2.0 * growth[live], growth[live])
         )
         mu[mu < _EIGEN_FLOOR] = 0.0
         lam[accept], prob[accept], objective[accept] = (
@@ -537,8 +545,6 @@ def _newton_batch(part, cols, targets, base, lam, cut, idle):
         go = np.asarray([results[pos] is None for pos in live.tolist()], dtype=bool)
         if not go.all():
             live, prob, lam, objective = live[go], prob[go], lam[go], objective[go]
-        for pos, obj in zip(live.tolist(), objective.tolist()):
-            traces[pos].append(obj)
     steps[0, live] = max_iter
 
     # the verdict over every column, cut ones included (their targets must be
@@ -570,7 +576,6 @@ def _newton_batch(part, cols, targets, base, lam, cut, idle):
             iterations=int(steps[0, pos]),
             max_violation=float(violations[pos]),
             dual_norm=float(np.linalg.norm(lam_out[pos])),
-            objective_trace=tuple(traces[pos]),
             newton_steps=int(steps[1, pos]),
             fallback_sweeps=int(steps[2, pos]),
             dropped_columns=tuple(names[cut[pos]]),
@@ -636,11 +641,12 @@ def entropy_divergence(w: np.ndarray, base: np.ndarray | None = None) -> float:
 
 
 def balance_table(problem: CalibrationProblem, w: np.ndarray) -> list[dict]:
-    """Per-constraint margins before and after weighting by ``w``, weights
-    with mean 1 such as a ``WeightVector``'s values."""
+    """Per-constraint margins before and after weighting by ``w``, weights of
+    any scale; weights with mean 1, such as a ``WeightVector``'s values, are
+    taken as given, so the margins are the report's to the bit."""
     w = np.asarray(w, dtype=np.float64)
     if abs(w.mean() - 1.0) > 1e-9:
-        raise ValueError("balance_table needs weights with mean 1")
+        w = w / w.mean()
     share = w / problem.n
     rows = []
     for name, target, col in zip(problem.column_names, problem.targets, problem.matrix.T):

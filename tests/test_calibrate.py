@@ -466,3 +466,4 @@ def test_balance_table_gaps_close_after_weighting(two_cell_problem):
     assert rows[0]["unweighted"] == pytest.approx(0.5)
     assert rows[0]["weighted"] == pytest.approx(0.75)
     assert abs(rows[0]["gap"]) < 1e-12
+    assert balance_table(problem, 3.0 * expected)[0]["weighted"] == pytest.approx(0.75)
