@@ -16,6 +16,16 @@ directions, so an edge survives when either regression keeps the other node
 (the OR rule). The penalty level comes from 10-fold cross validation with
 the one-standard-error rule unless a fixed value is supplied.
 
+Cross validation fits every node's folds at once: the (node, fold) problems
+of one kind, width, class count and row count form one stack, and a stacked
+copy of the kernel updates a coordinate of every problem with one numpy
+operation, in the scalar kernel's order and arithmetic, so the penalties it
+picks are the scalar path's to the bit. Single fits (each node's final fit,
+and every fit at a fixed penalty) keep the scalar kernel: numpy's cost per
+call makes a stack of one several times slower than a Python loop over a
+few coordinates. A fit that stops at an iteration limit instead of at the
+tolerance is flagged on the graph.
+
 Predictors are standardized (categorical nodes enter as full indicator
 blocks), so coefficient norms are comparable across nodes and the group
 norms live on one scale.
@@ -28,6 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .calibrate import BATCH_BYTES
 from .errors import DetectionError
 
 logger = logging.getLogger(__name__)
@@ -39,6 +50,8 @@ SEPARATION_BOUND = 30.0
 
 _WEIGHT_FLOOR = 1e-5
 _PROB_CLIP = 1e-9
+#: IRLS steps per penalty of a logistic or multinomial fit
+_MAX_OUTER = 60
 
 
 def _soft(z: float, g: float) -> float:
@@ -49,7 +62,7 @@ def _soft(z: float, g: float) -> float:
     return 0.0
 
 
-def _cd(gram, grad, lam, beta, tol, *, intercept, active_set, max_sweeps):
+def _cd(gram, grad, lam, beta, tol, *, intercept, active_set, max_sweeps) -> bool:
     """Cyclic coordinate descent on ½βᵀGβ − cᵀβ + lam·Σ|β_j| in Gram form.
 
     ``gram`` is G = XᵀWX/n and ``grad`` the gradient c − Gβ at ``beta``.
@@ -61,13 +74,15 @@ def _cd(gram, grad, lam, beta, tol, *, intercept, active_set, max_sweeps):
     stops at the first sweep that moves no coordinate by ``tol``; with it,
     such a sweep is followed by passes over the nonzero coordinates until
     they settle, and it stops at a settled full sweep that changed no
-    coordinate's support.
+    coordinate's support. Returns whether it stopped at ``max_sweeps``
+    instead.
     """
     rows = list(gram)
     diag = gram.diagonal().tolist()
     b = beta.tolist()
     first = 1 if intercept else 0
     active_only = False
+    stopped = True
     for _ in range(max_sweeps):
         if intercept:
             shift = grad.item(0) / diag[0]
@@ -92,16 +107,80 @@ def _cd(gram, grad, lam, beta, tol, *, intercept, active_set, max_sweeps):
                     changed_support = True
         if delta < tol:
             if not active_only and not (active_set and changed_support):
+                stopped = False
                 break
             active_only = False  # full pass to look for violations
         elif active_set:
             active_only = True
-    else:
-        logger.debug("coordinate descent hit the sweep limit")
     beta[:] = b
+    return stopped
 
 
-def _irls_step(xt, y, prob, lam, theta, tol):
+def _cd_stack(gram, grad, lam, beta, tol, *, intercept, active_set, max_sweeps,
+              active_only=None):
+    """``_cd`` on a stack of B problems at once, bit for bit.
+
+    ``gram`` is (B, p, p), ``grad`` and ``beta`` (B, p), updated in place,
+    and ``lam`` (B,). Every problem takes the scalar kernel's sweeps, in its
+    coordinate order and with its IEEE operations, and sits out a
+    coordinate wherever the scalar kernel would skip it: past its own stop,
+    outside its active set, or at a zero diagonal. Once half the problems
+    have stopped, the rest go on as a stack of their own, so a few slow
+    problems do not keep sweeping the whole stack. Returns the (B,) mask of
+    the problems that stopped at ``max_sweeps``.
+    """
+    diag = gram.diagonal(axis1=1, axis2=2)
+    live = diag != 0.0
+    sq_safe = np.where(live, diag, 1.0)
+    neg_lam = -lam
+    running = np.ones(len(beta), dtype=bool)
+    if active_only is None:
+        active_only = np.zeros(len(beta), dtype=bool)
+    for sweep in range(max_sweeps):
+        # A problem that does not move a coordinate takes a step of 0.0 there,
+        # which leaves its coefficients as they were and its gradient too, up
+        # to the sign of a zero entry, which no later update can tell apart.
+        if intercept:
+            shift = grad[:, 0] / diag[:, 0]
+            shift = np.where(running, shift, 0.0)
+            beta[:, 0] += shift
+            grad -= gram[:, 0] * shift[:, None]
+        delta = np.zeros(len(beta))
+        changed_support = np.zeros(len(beta), dtype=bool)
+        for j in range(1 if intercept else 0, beta.shape[1]):
+            bj = beta[:, j].copy()
+            visit = running & live[:, j]
+            if active_set:
+                visit &= ~(active_only & (bj == 0.0))
+            z = grad[:, j] + diag[:, j] * bj
+            new = np.where(z > lam, z - lam, np.where(z < neg_lam, z + lam, 0.0)) / sq_safe[:, j]
+            moved = visit & (new != bj)
+            if not moved.any():
+                continue
+            step = np.where(moved, bj - new, 0.0)
+            grad += gram[:, j] * step[:, None]
+            beta[:, j] = np.where(moved, new, bj)
+            delta = np.maximum(delta, np.abs(step))
+            if active_set:
+                changed_support |= (bj == 0.0) != (beta[:, j] == 0.0)
+        settled = delta < tol
+        running &= ~(settled & ~active_only & ~changed_support)
+        active_only = ~settled & active_set
+        left = np.flatnonzero(running)
+        if 2 * len(left) <= len(running) and sweep + 1 < max_sweeps:
+            if len(left):
+                rest_grad, rest_beta = grad[left], beta[left]
+                running[left] = _cd_stack(
+                    gram[left], rest_grad, lam[left], rest_beta, tol, intercept=intercept,
+                    active_set=active_set, max_sweeps=max_sweeps - sweep - 1,
+                    active_only=active_only[left],
+                )
+                grad[left], beta[left] = rest_grad, rest_beta
+            break
+    return running
+
+
+def _irls_step(xt, y, prob, lam, theta, tol) -> bool:
     """One weighted lasso for the quadratic approximation at ``prob``.
 
     ``xt`` carries a leading column of ones for the intercept. The
@@ -111,22 +190,25 @@ def _irls_step(xt, y, prob, lam, theta, tol):
     obs_w = np.maximum(prob * (1 - prob), _WEIGHT_FLOOR)
     gram = (xt.T * obs_w) @ xt / n
     grad = xt.T @ (y - prob) / n
-    _cd(gram, grad, lam, theta, tol, intercept=True, active_set=False, max_sweeps=200)
+    return _cd(gram, grad, lam, theta, tol, intercept=True, active_set=False, max_sweeps=200)
 
 
-def _fit_logistic(xt, y, lam, theta, tol, max_outer=60):
+def _fit_logistic(xt, y, lam, theta, tol, max_outer=_MAX_OUTER) -> bool:
     from scipy.special import expit
 
+    stopped = False
     for _ in range(max_outer):
         prob = np.clip(expit(xt @ theta), _PROB_CLIP, 1 - _PROB_CLIP)
         old = theta.copy()
-        _irls_step(xt, y, prob, lam, theta, tol)
+        stopped |= _irls_step(xt, y, prob, lam, theta, tol)
         if np.max(np.abs(theta - old)) < tol:
-            break
+            return stopped
+    return True
 
 
-def _fit_multinomial(xt, y_onehot, lam, theta, tol, max_outer=60):
+def _fit_multinomial(xt, y_onehot, lam, theta, tol, max_outer=_MAX_OUTER) -> bool:
     k = y_onehot.shape[1]
+    stopped = False
     for _ in range(max_outer):
         old = theta[:, 1:].copy()
         for cls in range(k):
@@ -135,10 +217,21 @@ def _fit_multinomial(xt, y_onehot, lam, theta, tol, max_outer=60):
             prob = np.exp(eta)
             prob /= prob.sum(axis=1, keepdims=True)
             pk = np.clip(prob[:, cls], _PROB_CLIP, 1 - _PROB_CLIP)
-            _irls_step(xt, y_onehot[:, cls], pk, lam, theta[cls], tol)
+            stopped |= _irls_step(xt, y_onehot[:, cls], pk, lam, theta[cls], tol)
         theta[:, 0] -= theta[:, 0].mean()  # symmetric parameterization
         if np.max(np.abs(theta[:, 1:] - old)) < tol:
-            break
+            return stopped
+    return True
+
+
+class _Path(list):
+    """Coefficient matrices along a penalty path. ``stopped`` counts the
+    penalties whose fit stopped at an iteration limit instead of at the
+    tolerance."""
+
+    def __init__(self, coefs, stopped: int):
+        super().__init__(coefs)
+        self.stopped = stopped
 
 
 def lasso_path(
@@ -151,35 +244,36 @@ def lasso_path(
 ) -> list[np.ndarray]:
     """Coefficient matrices along a descending penalty path, warm started.
 
-    Returns one (k, p) array per penalty (k = 1 for gaussian and binary).
+    Returns one (k, p) array per penalty (k = 1 for gaussian and binary),
+    in a list whose ``stopped`` attribute counts the penalties whose fit
+    stopped at an iteration limit.
     """
     n, p = x.shape
+    out = []
+    stopped = 0
     if kind == "continuous":
         gram = x.T @ x / n
         beta = np.zeros(p)
-        out = []
         for lam in lambdas:
             grad = x.T @ (response - x @ beta) / n
-            _cd(gram, grad, lam, beta, tol, intercept=False, active_set=True,
-                max_sweeps=1000)
+            stopped += _cd(gram, grad, lam, beta, tol, intercept=False, active_set=True,
+                           max_sweeps=1000)
             out.append(beta.copy()[None, :])
-        return out
+        return _Path(out, stopped)
     if kind not in ("binary", "categorical"):
         raise DetectionError(f"unknown node kind {kind!r}")
     xt = np.hstack([np.ones((n, 1)), x])
     if kind == "binary":
         theta = np.zeros(p + 1)
-        out = []
         for lam in lambdas:
-            _fit_logistic(xt, response, lam, theta, tol)
+            stopped += _fit_logistic(xt, response, lam, theta, tol)
             out.append(theta[1:].copy()[None, :])
-        return out
+        return _Path(out, stopped)
     theta = np.zeros((response.shape[1], p + 1))
-    out = []
     for lam in lambdas:
-        _fit_multinomial(xt, response, lam, theta, tol)
+        stopped += _fit_multinomial(xt, response, lam, theta, tol)
         out.append(theta[:, 1:].copy())
-    return out
+    return _Path(out, stopped)
 
 
 def _lambda_max(x: np.ndarray, response: np.ndarray, kind: str) -> float:
@@ -192,24 +286,193 @@ def _lambda_max(x: np.ndarray, response: np.ndarray, kind: str) -> float:
     return float(np.max(np.abs(x.T @ centered)) / n)
 
 
-def _holdout_loss(x, response, kind, coefs) -> float:
+# --- cross validation: every (node, fold) problem of one shape in one stack ---
+# The stacked fits repeat the scalar ones line by line on (B, ...) arrays: a
+# 3-D matmul runs the same BLAS call on each problem's slice, and every
+# transposed operand is a view laid out as in the scalar path, so each
+# problem's iterates, and its held-out losses, are the scalar path's bits.
+
+
+def _fit_logistic_stack(xt, y, lam, theta, tol, max_outer=_MAX_OUTER):
+    """``_fit_logistic`` on a stack: ``xt`` (B, n, p+1), ``theta`` (B, p+1).
+    Returns the (B,) mask of the fits that stopped at an iteration limit."""
+    from scipy.special import expit
+
+    todo = np.ones(len(theta), dtype=bool)
+    stopped = np.zeros(len(theta), dtype=bool)
+    for _ in range(max_outer):
+        idx = np.flatnonzero(todo)
+        sel = slice(None) if len(idx) == len(todo) else idx
+        xs, th = xt[sel], theta[sel]
+        prob = np.clip(expit((xs @ th[:, :, None])[:, :, 0]), _PROB_CLIP, 1 - _PROB_CLIP)
+        old = th.copy()
+        stopped[idx] |= _irls_stack(xs, y[sel], prob, lam[sel], th, tol)
+        theta[sel] = th
+        todo[idx[np.max(np.abs(th - old), axis=1) < tol]] = False
+        if not todo.any():
+            break
+    return stopped | todo
+
+
+def _fit_multinomial_stack(xt, y_onehot, lam, theta, tol, max_outer=_MAX_OUTER):
+    """``_fit_multinomial`` on a stack: ``theta`` (B, k, p+1)."""
+    todo = np.ones(len(theta), dtype=bool)
+    stopped = np.zeros(len(theta), dtype=bool)
+    for _ in range(max_outer):
+        idx = np.flatnonzero(todo)
+        sel = slice(None) if len(idx) == len(todo) else idx
+        xs, ys, th = xt[sel], y_onehot[sel], theta[sel]
+        old = th[:, :, 1:].copy()
+        for cls in range(ys.shape[2]):
+            eta = xs @ th.transpose(0, 2, 1)
+            eta -= eta.max(axis=2, keepdims=True)
+            prob = np.exp(eta)
+            prob /= prob.sum(axis=2, keepdims=True)
+            pk = np.clip(prob[:, :, cls], _PROB_CLIP, 1 - _PROB_CLIP)
+            stopped[idx] |= _irls_stack(xs, ys[:, :, cls], pk, lam[sel], th[:, cls], tol)
+        th[:, :, 0] -= th[:, :, 0].mean(axis=1, keepdims=True)
+        theta[sel] = th
+        todo[idx[np.max(np.abs(th[:, :, 1:] - old), axis=(1, 2)) < tol]] = False
+        if not todo.any():
+            break
+    return stopped | todo
+
+
+def _irls_stack(xt, y, prob, lam, theta, tol):
+    """``_irls_step`` on a stack, with (B, n, p+1) ``xt``."""
+    n = xt.shape[1]
+    xtt = xt.transpose(0, 2, 1)
+    obs_w = np.maximum(prob * (1 - prob), _WEIGHT_FLOOR)
+    gram = (xtt * obs_w[:, None, :]) @ xt / n
+    grad = (xtt @ (y - prob)[:, :, None])[:, :, 0] / n
+    return _cd_stack(gram, grad, lam, theta, tol, intercept=True, active_set=False,
+                     max_sweeps=200)
+
+
+def _holdout_losses(x, response, kind, coefs) -> np.ndarray:
+    """Deviance per problem of (B, k, p) ``coefs`` on held-out rows ``x``
+    (B, m, p), mean squared error for continuous nodes."""
     from scipy.special import expit
 
     if kind == "continuous":
-        resid = response - x @ coefs[0]
-        return float(resid @ resid / len(response))
+        resid = response - (x @ coefs[:, 0, :, None])[:, :, 0]
+        return (resid[:, None, :] @ resid[:, :, None])[:, 0, 0] / response.shape[1]
     if kind == "binary":
-        eta = x @ coefs[0]
+        eta = (x @ coefs[:, 0, :, None])[:, :, 0]
         prob = np.clip(expit(eta), _PROB_CLIP, 1 - _PROB_CLIP)
-        return float(
-            -2.0 * np.mean(response * np.log(prob) + (1 - response) * np.log1p(-prob))
+        return -2.0 * np.mean(
+            response * np.log(prob) + (1 - response) * np.log1p(-prob), axis=1
         )
-    eta = x @ coefs.T
-    eta -= eta.max(axis=1, keepdims=True)
+    eta = x @ coefs.transpose(0, 2, 1)
+    eta -= eta.max(axis=2, keepdims=True)
     prob = np.exp(eta)
-    prob /= prob.sum(axis=1, keepdims=True)
-    picked = np.clip((prob * response).sum(axis=1), _PROB_CLIP, None)
-    return float(-2.0 * np.mean(np.log(picked)))
+    prob /= prob.sum(axis=2, keepdims=True)
+    picked = np.clip((prob * response).sum(axis=2), _PROB_CLIP, None)
+    return -2.0 * np.mean(np.log(picked), axis=1)
+
+
+def _path_losses(x, response, kind, lambdas, x_held, y_held, tol=1e-7):
+    """Held-out losses along each problem's warm-started penalty path, for a
+    stack of training sets of one shape: ``x`` (B, n, p), ``lambdas``
+    (B, L) descending. Returns the (B, L) losses and the (B,) mask of the
+    problems with a fit that stopped at an iteration limit."""
+    n_probs, n, p = x.shape
+    losses = np.empty(lambdas.shape)
+    stopped = np.zeros(n_probs, dtype=bool)
+    if kind == "continuous":
+        xtt = x.transpose(0, 2, 1)
+        gram = xtt @ x / n
+        beta = np.zeros((n_probs, p))
+        for idx in range(lambdas.shape[1]):
+            resid = response - (x @ beta[:, :, None])[:, :, 0]
+            grad = (xtt @ resid[:, :, None])[:, :, 0] / n
+            stopped |= _cd_stack(gram, grad, lambdas[:, idx], beta, tol, intercept=False,
+                                 active_set=True, max_sweeps=1000)
+            losses[:, idx] = _holdout_losses(x_held, y_held, kind, beta[:, None, :])
+        return losses, stopped
+    xt = np.concatenate([np.ones((n_probs, n, 1)), x], axis=2)
+    if kind == "binary":
+        theta, fit = np.zeros((n_probs, p + 1)), _fit_logistic_stack
+    else:
+        theta, fit = np.zeros((n_probs, response.shape[2], p + 1)), _fit_multinomial_stack
+    for idx in range(lambdas.shape[1]):
+        stopped |= fit(xt, response, lambdas[:, idx], theta, tol)
+        coefs = (theta[:, None] if kind == "binary" else theta)[:, :, 1:].copy()
+        losses[:, idx] = _holdout_losses(x_held, y_held, kind, coefs)
+    return losses, stopped
+
+
+@dataclass(frozen=True)
+class _CVNode:
+    """One node's cross-validation problem: its design, response, descending
+    penalty path and the fold of each row."""
+
+    x: np.ndarray
+    response: np.ndarray
+    kind: str
+    lambdas: np.ndarray
+    fold_id: np.ndarray
+    folds: int
+
+
+def _fold_ids(n: int, folds: int, rng: np.random.Generator) -> np.ndarray:
+    if folds < 2 or folds > n:
+        raise DetectionError(f"cannot run {folds}-fold cross validation on {n} rows")
+    fold_id = np.empty(n, dtype=int)
+    fold_id[rng.permutation(n)] = np.arange(n) % folds
+    return fold_id
+
+
+def _cv_losses(nodes: list[_CVNode]) -> tuple[list[np.ndarray], list[int]]:
+    """Every node's (folds, penalties) held-out loss matrix, and how many of
+    its fold fits stopped at an iteration limit.
+
+    The (node, fold) problems are grouped by kind, predictor width, response
+    classes, row counts and path length; each group runs as stacks of at
+    most ``BATCH_BYTES`` of training design.
+    """
+    groups: dict[tuple, list[tuple[int, int]]] = {}
+    for i, node in enumerate(nodes):
+        n, p = node.x.shape
+        for fold in range(node.folds):
+            n_held = int(np.count_nonzero(node.fold_id == fold))
+            key = (node.kind, p, node.response.shape[1:], n, n_held, len(node.lambdas))
+            groups.setdefault(key, []).append((i, fold))
+    losses = [np.empty((node.folds, len(node.lambdas))) for node in nodes]
+    stopped = [0] * len(nodes)
+    for (kind, p, _, n, n_held, _), members in groups.items():
+        size = max(1, BATCH_BYTES // (8 * (n - n_held) * (p + 1)))
+        for start in range(0, len(members), size):
+            chunk = members[start:start + size]
+            held = [nodes[i].fold_id == fold for i, fold in chunk]
+            xs = [nodes[i].x for i, _ in chunk]
+            ys = [nodes[i].response for i, _ in chunk]
+            out, hit = _path_losses(
+                np.stack([x[~h] for x, h in zip(xs, held)]),
+                np.stack([y[~h] for y, h in zip(ys, held)]),
+                kind,
+                np.stack([np.asarray(nodes[i].lambdas, dtype=float) for i, _ in chunk]),
+                np.stack([x[h] for x, h in zip(xs, held)]),
+                np.stack([y[h] for y, h in zip(ys, held)]),
+            )
+            for (i, fold), row, h in zip(chunk, out, hit):
+                losses[i][fold] = row
+                stopped[i] += int(h)
+    return losses, stopped
+
+
+def _one_se(losses: np.ndarray, lambdas: np.ndarray) -> float:
+    """The sparsest penalty whose mean loss is within one standard error
+    of the smallest mean loss."""
+    folds = len(losses)
+    mean = losses.mean(axis=0)
+    se = losses.std(axis=0, ddof=1) / np.sqrt(folds)
+    best = int(np.argmin(mean))
+    threshold = mean[best] + se[best]
+    for idx in range(len(lambdas)):  # lambdas descend, so first hit is sparsest
+        if mean[idx] <= threshold:
+            return float(lambdas[idx])
+    return float(lambdas[best])
 
 
 def cv_lambda(
@@ -222,25 +485,11 @@ def cv_lambda(
     rng: np.random.Generator,
 ) -> float:
     """Penalty by k-fold cross validation with the one-standard-error rule."""
-    n = x.shape[0]
-    if folds < 2 or folds > n:
-        raise DetectionError(f"cannot run {folds}-fold cross validation on {n} rows")
-    fold_id = np.empty(n, dtype=int)
-    fold_id[rng.permutation(n)] = np.arange(n) % folds
-    losses = np.empty((folds, len(lambdas)))
-    for fold in range(folds):
-        held = fold_id == fold
-        path = lasso_path(x[~held], response[~held], kind, lambdas)
-        for idx, coefs in enumerate(path):
-            losses[fold, idx] = _holdout_loss(x[held], response[held], kind, coefs)
-    mean = losses.mean(axis=0)
-    se = losses.std(axis=0, ddof=1) / np.sqrt(folds)
-    best = int(np.argmin(mean))
-    threshold = mean[best] + se[best]
-    for idx in range(len(lambdas)):  # lambdas descend, so first hit is sparsest
-        if mean[idx] <= threshold:
-            return float(lambdas[idx])
-    return float(lambdas[best])
+    fold_id = _fold_ids(x.shape[0], folds, rng)
+    if kind not in ("continuous", "binary", "categorical"):
+        raise DetectionError(f"unknown node kind {kind!r}")
+    (losses,), _ = _cv_losses([_CVNode(x, response, kind, lambdas, fold_id, folds)])
+    return _one_se(losses, lambdas)
 
 
 @dataclass(frozen=True)
@@ -343,40 +592,56 @@ def fit_mrf(
             raise DetectionError(f"node {name!r}: unknown kind {kind!r}")
         blocks[name] = _predictor_block(np.asarray(columns[name]), kind, name)
 
+    # first pass: each node's design and response, and under cross
+    # validation its penalty path and folds
+    designs = []
+    cv: dict[int, _CVNode] = {}
+    for i, name in enumerate(names):
+        x = np.hstack([blocks[m] for m in names if m != name])
+        response = _response_for(np.asarray(columns[name]), kinds[name], name)
+        lam_max = _lambda_max(x, response, kinds[name])
+        designs.append((x, response, lam_max))
+        if lam == "cv" and lam_max != 0.0:
+            path = np.geomspace(lam_max, lam_max * lambda_min_ratio, n_lambdas)
+            fold_id = _fold_ids(n, folds, stream_for_node(seed, i))
+            cv[i] = _CVNode(x, response, kinds[name], path, fold_id, folds)
+    # then every node's folds at once
+    all_losses, all_stopped = _cv_losses(list(cv.values()))
+    cv_fits = dict(zip(cv, zip(all_losses, all_stopped)))
+
     flags: list[str] = []
     norms = np.zeros((q, q))
     node_lambdas: dict[str, float] = {}
-    for i, name in enumerate(names):
-        others = [m for m in names if m != name]
-        x = np.hstack([blocks[m] for m in others])
-        slices = {}
-        start = 0
-        for m in others:
-            width = blocks[m].shape[1]
-            slices[m] = slice(start, start + width)
-            start += width
+    for i, (name, (x, response, lam_max)) in enumerate(zip(names, designs)):
         if x.shape[1] >= n:
             flags.append(f"{name}: {x.shape[1]} parameters for {n} rows")
-        response = _response_for(np.asarray(columns[name]), kinds[name], name)
-        lam_max = _lambda_max(x, response, kinds[name])
         if lam_max == 0.0:
             node_lambdas[name] = 0.0
             continue
         if lam == "cv":
-            path = np.geomspace(lam_max, lam_max * lambda_min_ratio, n_lambdas)
-            rng = stream_for_node(seed, i)
-            lam_i = cv_lambda(x, response, kinds[name], path, folds=folds, rng=rng)
+            losses, stopped = cv_fits[i]
+            lam_i = _one_se(losses, cv[i].lambdas)
+            if stopped:
+                flags.append(
+                    f"{name}: {stopped} of {folds} CV fold fits stopped at the iteration limit"
+                )
         else:
             lam_i = float(lam)
         node_lambdas[name] = lam_i
         if lam_i >= lam_max:  # zero is exact; a fit may leave 1e-16 phantom edges
             continue
-        coefs = lasso_path(x, response, kinds[name], np.asarray([lam_i]))[0]
+        fit = lasso_path(x, response, kinds[name], np.asarray([lam_i]))
+        if fit.stopped:
+            flags.append(f"{name}: the fit stopped at the iteration limit")
+        coefs = fit[0]
         if np.max(np.abs(coefs)) > SEPARATION_BOUND:
             flags.append(f"{name}: quasi-separated fit (|coef| > {SEPARATION_BOUND:g})")
-        for m in others:
-            j = names.index(m)
-            norms[i, j] = float(np.linalg.norm(coefs[:, slices[m]]))
+        start = 0
+        for m in names:
+            if m != name:
+                width = blocks[m].shape[1]
+                norms[i, names.index(m)] = float(np.linalg.norm(coefs[:, start:start + width]))
+                start += width
 
     weights = (norms + norms.T) / 2.0
     np.fill_diagonal(weights, 0.0)

@@ -1,8 +1,13 @@
 """Nodewise lasso graph estimation over mixed variable types."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import surveysense.mrf as mrf
 from surveysense.errors import DetectionError
 from surveysense.mrf import MixedGraph, cv_lambda, fit_mrf, lasso_path
 from surveysense.simulate import gaussian_mrf_sample
@@ -316,21 +321,242 @@ def _mixed_16_node_sample(n, seed):
     return cols, kinds
 
 
+# --- per-fold cross validation, the oracle of the stacked one -----------------
+# One node and one fold at a time: the scalar path on the fold's training rows,
+# then the held-out loss of each penalty's fit. The package stacks every
+# (node, fold) problem of one shape and must give the same bits.
+
+
+def _holdout_loss(x, response, kind, coefs):
+    from scipy.special import expit
+
+    if kind == "continuous":
+        resid = response - x @ coefs[0]
+        return float(resid @ resid / len(response))
+    if kind == "binary":
+        eta = x @ coefs[0]
+        prob = np.clip(expit(eta), 1e-9, 1 - 1e-9)
+        return float(
+            -2.0 * np.mean(response * np.log(prob) + (1 - response) * np.log1p(-prob))
+        )
+    eta = x @ coefs.T
+    eta -= eta.max(axis=1, keepdims=True)
+    prob = np.exp(eta)
+    prob /= prob.sum(axis=1, keepdims=True)
+    picked = np.clip((prob * response).sum(axis=1), 1e-9, None)
+    return float(-2.0 * np.mean(np.log(picked)))
+
+
+def _oracle_cv_losses(x, response, kind, lambdas, fold_id, folds):
+    """The (folds, penalties) loss matrix and the number of fold fits that
+    stopped at an iteration limit."""
+    losses = np.empty((folds, len(lambdas)))
+    stopped = 0
+    for fold in range(folds):
+        held = fold_id == fold
+        path = mrf.lasso_path(x[~held], response[~held], kind, lambdas)
+        stopped += path.stopped > 0
+        for idx, coefs in enumerate(path):
+            losses[fold, idx] = _holdout_loss(x[held], response[held], kind, coefs)
+    return losses, stopped
+
+
+def _oracle_one_se(losses, lambdas):
+    mean = losses.mean(axis=0)
+    se = losses.std(axis=0, ddof=1) / np.sqrt(len(losses))
+    best = int(np.argmin(mean))
+    for idx in range(len(lambdas)):
+        if mean[idx] <= mean[best] + se[best]:
+            return float(lambdas[idx])
+    return float(lambdas[best])
+
+
+def _oracle_fold_ids(n, folds, rng):
+    fold_id = np.empty(n, dtype=int)
+    fold_id[rng.permutation(n)] = np.arange(n) % folds
+    return fold_id
+
+
+def _oracle_fit_mrf(columns, kinds, *, lam, seed, folds=10, n_lambdas=30, ratio=0.01):
+    """``fit_mrf`` as one loop over the nodes, each cross-validated fold by
+    fold and flagged as it is fit. Returns node penalties, weights, flags."""
+    names = tuple(columns)
+    n = len(columns[names[0]])
+    blocks = {m: mrf._predictor_block(np.asarray(columns[m]), kinds[m], m) for m in names}
+    flags, node_lambdas = [], {}
+    norms = np.zeros((len(names), len(names)))
+    for i, name in enumerate(names):
+        others = [m for m in names if m != name]
+        x = np.hstack([blocks[m] for m in others])
+        if x.shape[1] >= n:
+            flags.append(f"{name}: {x.shape[1]} parameters for {n} rows")
+        response = mrf._response_for(np.asarray(columns[name]), kinds[name], name)
+        lam_max = mrf._lambda_max(x, response, kinds[name])
+        if lam_max == 0.0:
+            node_lambdas[name] = 0.0
+            continue
+        if lam == "cv":
+            path = np.geomspace(lam_max, lam_max * ratio, n_lambdas)
+            fold_id = _oracle_fold_ids(n, folds, mrf.stream_for_node(seed, i))
+            losses, stopped = _oracle_cv_losses(x, response, kinds[name], path, fold_id, folds)
+            lam_i = _oracle_one_se(losses, path)
+            if stopped:
+                flags.append(f"{name}: {stopped} of {folds} CV fold fits stopped at the "
+                             "iteration limit")
+        else:
+            lam_i = float(lam)
+        node_lambdas[name] = lam_i
+        if lam_i >= lam_max:
+            continue
+        fit = mrf.lasso_path(x, response, kinds[name], np.asarray([lam_i]))
+        if fit.stopped:
+            flags.append(f"{name}: the fit stopped at the iteration limit")
+        if np.max(np.abs(fit[0])) > mrf.SEPARATION_BOUND:
+            flags.append(f"{name}: quasi-separated fit (|coef| > 30)")
+        start = 0
+        for m in others:
+            width = blocks[m].shape[1]
+            norms[i, names.index(m)] = float(np.linalg.norm(fit[0][:, start:start + width]))
+            start += width
+    weights = (norms + norms.T) / 2.0
+    np.fill_diagonal(weights, 0.0)
+    return node_lambdas, weights, tuple(flags)
+
+
+def _row_form_path(*args, **kwargs):
+    return mrf._Path(_oracle_path(*args, **kwargs), 0)
+
+
 @pytest.mark.parametrize("lam", [0.08, "cv"])
 def test_fit_mrf_matches_row_form_oracle(lam, monkeypatch):
-    import surveysense.mrf as mrf
-
     cols, kinds = _mixed_16_node_sample(300, seed=4)
     got = fit_mrf(cols, kinds, lam=lam, seed=1, n_lambdas=12)
-    monkeypatch.setattr(mrf, "lasso_path", _oracle_path)
-    want = fit_mrf(cols, kinds, lam=lam, seed=1, n_lambdas=12)
+    # every node's folds in one stacked pass give the per-node, per-fold bits
+    lambdas, weights, flags = _oracle_fit_mrf(cols, kinds, lam=lam, seed=1, n_lambdas=12)
+    assert got.node_lambdas == lambdas
+    np.testing.assert_array_equal(got.weights, weights)
+    assert got.flags == flags
+    # and the Gram-form kernel matches the row form, cross validation included
+    monkeypatch.setattr(mrf, "lasso_path", _row_form_path)
+    lambdas, weights, flags = _oracle_fit_mrf(cols, kinds, lam=lam, seed=1, n_lambdas=12)
     # under cross validation n14 and n15 both pick their lambda_max, which
     # fit_mrf answers with zero coefficients before either kernel runs
-    np.testing.assert_array_equal(got.adjacency(), want.adjacency())
-    np.testing.assert_allclose(got.weights, want.weights, rtol=0.0, atol=1e-8)
-    assert got.node_lambdas == want.node_lambdas
-    assert got.flags == want.flags
+    np.testing.assert_array_equal(got.adjacency(), weights > 0.0)
+    np.testing.assert_allclose(got.weights, weights, rtol=0.0, atol=1e-8)
+    assert got.node_lambdas == lambdas
+    assert got.flags == flags
     assert len(got.edges()) >= 10
+
+
+def test_flags_interleave_per_node_as_the_oracle_fits_them():
+    # 10 rows: c has 9 levels, so b, x0 and y each have 11 parameters; x0
+    # separates b, and c's multinomial fit on b, x0 and y is quasi-separated.
+    # Flags come node by node, so c's come before b's parameter count.
+    rng = np.random.default_rng(0)
+    z = rng.standard_normal(10)
+    x0 = np.sign(z) * (0.5 + np.abs(z))
+    cols = {"c": np.arange(10) % 9 * 1.0, "b": (x0 > 0.0) * 1.0, "x0": x0,
+            "y": rng.standard_normal(10)}
+    kinds = {"c": "categorical", "b": "binary", "x0": "continuous", "y": "continuous"}
+    got = fit_mrf(cols, kinds, lam=1e-3)
+    lambdas, weights, flags = _oracle_fit_mrf(cols, kinds, lam=1e-3, seed=0)
+    assert got.node_lambdas == lambdas
+    np.testing.assert_array_equal(got.weights, weights)
+    assert got.flags == flags
+    assert flags.index("c: quasi-separated fit (|coef| > 30)") < flags.index(
+        "b: 11 parameters for 10 rows"
+    )
+    assert sum("parameters for 10 rows" in f for f in flags) == 3
+
+
+def test_fits_that_stop_at_a_limit_are_flagged():
+    # x separates b perfectly, so b's logistic coefficients grow without a
+    # bound as the penalty falls, and IRLS stops at its step limit
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(200)
+    cols = {"x": x, "b": (x > 0.0) * 1.0, "y": x + rng.standard_normal(200)}
+    kinds = {"x": "continuous", "b": "binary", "y": "continuous"}
+    assert fit_mrf(cols, kinds, lam=1e-2).flags == ()
+    fixed = fit_mrf(cols, kinds, lam=1e-4)
+    assert fixed.flags[0] == "b: the fit stopped at the iteration limit"
+    cv = fit_mrf(cols, kinds, lam="cv", folds=5, n_lambdas=10, lambda_min_ratio=1e-4)
+    assert cv.flags[0] == "b: 5 of 5 CV fold fits stopped at the iteration limit"
+    assert "b: the fit stopped at the iteration limit" in cv.flags
+    assert not any(f.startswith(("x:", "y:")) for f in cv.flags)
+    design = np.column_stack([x, cols["y"]])
+    design = (design - design.mean(axis=0)) / design.std(axis=0)
+    assert lasso_path(design, cols["b"], "binary", np.array([1e-2, 1e-4])).stopped == 1
+
+
+# --- the stacked cross validation against the per-fold oracle ------------------
+
+
+@st.composite
+def cv_stacks(draw):
+    """Nodes of every kind on shared rows, cut into folds that do not divide
+    the rows (so a node's folds have two training sizes), some with a
+    zero-variance column, some with fewer rows than predictors, some with a
+    response independent of the design (which picks its own lambda_max),
+    and rows per stack chunk from one problem to the whole group."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    folds = draw(st.integers(2, 6))
+    n = folds * draw(st.integers(1, 8)) + draw(st.integers(1, folds - 1))
+    nodes = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["continuous", "binary", "categorical"]))
+        p = draw(st.sampled_from([1, 3, 6]))
+        x = rng.standard_normal((n, p))
+        if p > 1 and draw(st.booleans()):
+            x[:, 0] = 0.0  # a standardized one-level indicator: the sq == 0 skip
+        x[:, 1:] = (x[:, 1:] - x[:, 1:].mean(axis=0)) / x[:, 1:].std(axis=0)
+        signal = x @ rng.standard_normal(p) * draw(st.sampled_from([0.0, 1.0, 3.0]))
+        if kind == "continuous":
+            y = signal + rng.standard_normal(n)
+            response = (y - y.mean()) / y.std()
+        elif kind == "binary":
+            response = (rng.random(n) < 1.0 / (1.0 + np.exp(-signal))) * 1.0
+        else:
+            codes = np.searchsorted(np.quantile(signal + rng.standard_normal(n), [0.3, 0.6]),
+                                    signal + rng.standard_normal(n))
+            response = np.eye(3)[codes]
+        lam_max = mrf._lambda_max(x, response, kind)
+        if lam_max == 0.0:
+            continue
+        lambdas = np.geomspace(lam_max, lam_max * draw(st.sampled_from([0.5, 0.1, 0.02])),
+                               draw(st.integers(2, 6)))
+        fold_id = _oracle_fold_ids(n, folds, rng)
+        nodes.append(mrf._CVNode(x, response, kind, lambdas, fold_id, folds))
+    # chunk budget in bytes: one problem per chunk, a few, or the package's
+    return nodes, draw(st.sampled_from([1, 256, None]))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cv_stacks())
+def test_stacked_cv_equals_per_fold_oracle(case):
+    nodes, budget = case
+    calls = mock.Mock(wraps=mrf._path_losses)
+    with mock.patch.object(mrf, "_path_losses", calls), \
+            mock.patch.object(mrf, "BATCH_BYTES", budget or mrf.BATCH_BYTES):
+        losses, stopped = mrf._cv_losses(nodes)
+    if budget == 1:
+        assert calls.call_count == sum(node.folds for node in nodes)
+    for node, got, got_stopped in zip(nodes, losses, stopped):
+        want, want_stopped = _oracle_cv_losses(
+            node.x, node.response, node.kind, node.lambdas, node.fold_id, node.folds
+        )
+        assert np.array_equal(got, want)
+        assert got_stopped == want_stopped
+        assert mrf._one_se(got, node.lambdas) == _oracle_one_se(want, node.lambdas)
+    if nodes:
+        node = nodes[0]
+        rng = np.random.default_rng(7)
+        pick = cv_lambda(node.x, node.response, node.kind, node.lambdas, folds=node.folds,
+                         rng=rng)
+        fold_id = _oracle_fold_ids(len(node.x), node.folds, np.random.default_rng(7))
+        want, _ = _oracle_cv_losses(node.x, node.response, node.kind, node.lambdas, fold_id,
+                                    node.folds)
+        assert pick == _oracle_one_se(want, node.lambdas)
 
 
 def test_continuous_fit_at_lambda_max_is_exactly_zero():
@@ -348,8 +574,6 @@ def test_node_at_its_lambda_max_gets_no_phantom_edges(kind):
     # On independent data cross validation often picks a node's own
     # lambda_max. A logistic or multinomial fit there can keep coefficients of
     # about 1e-16 that would count as edges; zero is the exact solution.
-    import surveysense.mrf as mrf
-
     phantom = 0
     for seed in range(20):
         rng = np.random.default_rng(seed)
