@@ -5,11 +5,20 @@ kind (``categorical``, ``binary``, ``continuous``), unparseable cells raise
 ``SchemaError`` with the row number, and rows with missing values in declared
 columns are removed listwise with a logged count. Downstream code never sees
 NaN.
+
+Input files are decoded as UTF-8, with or without a byte-order mark, and read
+in csv's default dialect. ``load_table`` splits text that has no quote
+character and no carriage return on ``\\n`` and the delimiter, which gives
+``csv.reader``'s fields by construction, and hands any other text to
+``csv.reader``; both routes drop the same short rows and reject the same
+over-long fields. Numeric cells are parsed by ``float()``, one at a time.
+``build_features`` codes each categorical variable once per frame.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import operator
 from dataclasses import dataclass, replace
@@ -119,6 +128,85 @@ def frame_from_columns(
     return SurveyFrame(out, dict(kinds), np.arange(1, n + 1, dtype=np.int64))
 
 
+def _read_cells(
+    path: str, names: list[str], delimiter: str
+) -> tuple[dict[str, list[str]], np.ndarray]:
+    """Stripped cells of the named columns over the non-blank data rows of a
+    delimited file, read as ``csv.reader`` reads it, and which rows are long
+    enough to hold every named column (the others read as empty).
+
+    Text without a quote character or a carriage return holds nothing the
+    default dialect treats specially besides the delimiter and ``\\n``, so
+    splitting lines on ``\\n`` and fields on the delimiter gives csv's
+    fields; when every line has the header's field count, each column is a
+    strided slice of one flat split. Other text goes through ``csv.reader``.
+    On both routes a field longer than ``csv.field_size_limit()`` raises
+    ``SchemaError`` naming the record.
+    """
+    csv.reader((), delimiter=delimiter)  # rejects the delimiters csv rejects, on both routes
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        text = handle.read()
+    lines = None
+    if '"' in text or "\r" in text:
+        reader = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
+        header, rows = None, []
+        try:
+            header = next(reader, [])
+            for row in reader:
+                if row:
+                    rows.append(row)
+        except csv.Error as err:
+            where = "header" if header is None else f"data row {len(rows) + 1}"
+            raise SchemaError(f"{path}: {where}: {err}") from None
+    else:
+        first, *lines = text.split("\n")
+        header = first.split(delimiter) if first else []
+        lines = list(filter(None, lines))  # blank lines are skipped
+        limit = csv.field_size_limit()
+        where = _over_limit(header, lines, delimiter, limit)
+        if where:
+            raise SchemaError(f"{path}: {where}: field larger than field limit ({limit})")
+    del text
+    absent = [name for name in names if name not in header]
+    if absent:
+        raise SchemaError(f"{path}: declared columns missing from header: {absent}")
+    position = {name: j for j, name in enumerate(header)}
+    if lines is not None:
+        # a line of exactly the header's fields puts its first field, led by
+        # the joining newline, at a multiple of that count in the flat split
+        step = len(header)
+        flat = (delimiter + "\n").join(lines).split(delimiter) if lines else []
+        if flat and len(flat) == step * len(lines) and (
+            "".join(flat[step::step]).count("\n") == len(lines) - 1
+        ):
+            cells = {name: list(map(str.strip, flat[position[name]::step])) for name in names}
+            return cells, np.ones(len(lines), dtype=bool)
+        del flat
+        rows = [line.split(delimiter) for line in lines]
+    width = max((position[name] + 1 for name in names), default=0)
+    # a row shorter than that lacks a declared column, so it is dropped
+    keep = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)) >= width
+    if not keep.all():
+        rows = [row if len(row) >= width else [""] * width for row in rows]
+    cells = {
+        name: list(map(str.strip, map(operator.itemgetter(position[name]), rows)))
+        for name in names
+    }
+    return cells, keep
+
+
+def _over_limit(header: list[str], lines: list[str], delimiter: str, limit: int) -> str | None:
+    """The first record, ``header`` or ``data row N``, with a field longer
+    than ``limit`` characters, as ``csv.reader`` would raise for; else None."""
+    if max(map(len, header), default=0) > limit:
+        return "header"
+    if max(map(len, lines), default=0) > limit:
+        for row, line in enumerate(lines, start=1):
+            if max(map(len, line.split(delimiter))) > limit:
+                return f"data row {row}"
+    return None
+
+
 def load_table(
     path: str,
     schema: dict[str, str],
@@ -130,34 +218,21 @@ def load_table(
 
     Rows with a missing token in any declared column, or too short to hold
     one, are dropped and the count is logged; blank lines are skipped. Raises
-    ``SchemaError`` for undeclared kinds, absent columns, or unparseable cells
-    (the first in row order). Of duplicate header names the last wins.
+    ``SchemaError`` for undeclared kinds, absent columns, fields over csv's
+    size limit, or unparseable cells (the first in row order). Of duplicate
+    header names the last wins.
     """
     for name, kind in schema.items():
         if kind not in KINDS:
             raise SchemaError(f"column {name!r}: unknown kind {kind!r}")
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle, delimiter=delimiter)
-        header = next(reader, [])
-        absent = [name for name in schema if name not in header]
-        if absent:
-            raise SchemaError(f"{path}: declared columns missing from header: {absent}")
-        rows = [row for row in reader if row]
-    position = {name: j for j, name in enumerate(header)}
-    width = max((position[name] + 1 for name in schema), default=0)
-    # a row shorter than that lacks a declared column, so it is dropped
-    keep = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)) >= width
-    if not keep.all():
-        rows = [row if len(row) >= width else [""] * width for row in rows]
+    cells, keep = _read_cells(path, list(schema), delimiter)
     missing_set = set(missing)
-    cells = {}
-    for name in schema:
-        cells[name] = col = list(map(str.strip, map(operator.itemgetter(position[name]), rows)))
+    for col in cells.values():
         if not missing_set.isdisjoint(col):
             keep &= ~np.fromiter(map(missing_set.__contains__, col), dtype=bool, count=len(col))
-    del rows
     row_ids = np.flatnonzero(keep) + 1
-    cells = {name: list(compress(col, keep)) for name, col in cells.items()}
+    if row_ids.size < keep.size:
+        cells = {name: list(compress(col, keep)) for name, col in cells.items()}
     columns: dict | None = {}
     try:
         for name, kind in schema.items():
@@ -289,17 +364,19 @@ def load_population_target(
 def load_margins(path: str, *, delimiter: str = ",") -> MarginTarget:
     """Read a margin file with header ``variable,level,value``."""
     margins: dict[str, dict[str | None, float]] = {}
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.DictReader(handle, delimiter=delimiter)
         required = {"variable", "level", "value"}
         if not required.issubset(reader.fieldnames or []):
             raise SchemaError(f"{path}: margin file needs columns variable,level,value")
         for lineno, record in enumerate(reader, start=1):
+            if any(record[name] is None for name in required):
+                raise SchemaError(f"{path} row {lineno}: short row, needs variable,level,value")
             var = record["variable"].strip()
             level = record["level"].strip()
             try:
                 value = float(record["value"])
-            except (TypeError, ValueError):
+            except ValueError:
                 raise SchemaError(
                     f"{path} row {lineno}: value {record['value']!r} is not numeric"
                 ) from None
@@ -379,15 +456,20 @@ def _expand_variable(
     """Expanded columns of one variable, reference level dropped.
 
     The reference is the lexicographically smallest level; for binary and
-    continuous variables the column passes through under its own name.
+    continuous variables the column passes through under its own name. A
+    categorical column is coded to level indices in one pass, and each
+    indicator compares the codes.
     """
     kind = frame.kind(var)
     if kind == "categorical":
         assert levels is not None
-        values = frame.column(var)
+        index = {level: i for i, level in enumerate(levels)}
+        codes = np.fromiter(
+            map(index.__getitem__, frame.column(var).tolist()), dtype=np.intp, count=frame.n
+        )
         return [
-            (f"{var}={level}", (values == level).astype(np.float64))
-            for level in levels[1:]
+            (f"{var}={level}", (codes == i).astype(np.float64))
+            for i, level in enumerate(levels[1:], start=1)
         ]
     return [(var, frame.column(var))]
 
@@ -642,19 +724,21 @@ def build_features(
 
     pop_frame = target.frame if isinstance(target, PopulationTarget) else None
     pop_w = None
-    if isinstance(target, PopulationTarget):
+    # each variable is expanded once per frame and shared by its terms
+    order = dict.fromkeys(v for t in terms for v in t.sources)
+    expanded = {v: _expand_variable(survey, v, levels.get(v)) for v in order}
+    if pop_frame is not None:
         pop_w = target.weights / target.weights.sum()
+        pop_expanded = {v: _expand_variable(pop_frame, v, levels.get(v)) for v in order}
 
     columns: list[np.ndarray] = []
     names: list[str] = []
     sources: list[frozenset] = []
     targets: list[float] = []
     for term in terms:
-        expansions = [_expand_variable(survey, v, levels.get(v)) for v in term.sources]
+        expansions = [expanded[v] for v in term.sources]
         if pop_frame is not None:
-            pop_expansions = [
-                _expand_variable(pop_frame, v, levels.get(v)) for v in term.sources
-            ]
+            pop_expansions = [pop_expanded[v] for v in term.sources]
         for idx in product(*[range(len(e)) for e in expansions]):
             parts = [expansions[k][i] for k, i in enumerate(idx)]
             name = ":".join(p[0] for p in parts)

@@ -1,5 +1,6 @@
 """Subcommand behavior through cli.main: artifacts, stdout, exit codes."""
 
+import csv
 import json
 
 import numpy as np
@@ -245,3 +246,42 @@ def test_summary_deterministic_across_runs(capsys, demo_bundle, tmp_path):
     a, b = outs
     for name in ("report.json", "weights.csv", "contour.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def _config_with(demo_bundle, tmp_path, **paths):
+    """The bundle's config with some input files swapped, written to tmp_path."""
+    config = json.loads((demo_bundle / "config.json").read_text())
+    config["survey"] = str(demo_bundle / "survey.csv")
+    config["margins"] = str(demo_bundle / "margins.csv")
+    config.update(paths)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+def test_short_margin_row_exits_2(capsys, demo_bundle, tmp_path):
+    margins = tmp_path / "margins.csv"
+    margins.write_text("variable,level,value\nage\n")
+    config = _config_with(demo_bundle, tmp_path, margins=str(margins))
+    rc, out, err = run(capsys, ["weight", "--config", config, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    payload = json.loads(err)
+    assert payload["error"]["type"] == "SchemaError"
+    assert f"{margins} row 1: short row" in payload["error"]["message"]
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["split", "csv_reader"])
+def test_over_long_survey_field_exits_2(capsys, demo_bundle, tmp_path, quoted):
+    lines = (demo_bundle / "survey.csv").read_text().splitlines()
+    fields = lines[3].split(",")
+    fields[-1] = "9" * 200_000
+    if quoted:
+        fields[0] = f'"{fields[0]}"'
+    lines[3] = ",".join(fields)
+    survey = tmp_path / "survey.csv"
+    survey.write_text("\n".join(lines) + "\n")
+    config = _config_with(demo_bundle, tmp_path, survey=str(survey))
+    rc, out, err = run(capsys, ["weight", "--config", config, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    message = json.loads(err)["error"]["message"]
+    assert message == f"{survey}: data row 3: field larger than field limit ({csv.field_size_limit()})"

@@ -5,6 +5,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from surveysense import (
     MarginTarget,
@@ -23,7 +25,7 @@ from surveysense.data import MISSING_TOKENS, _parse_cell, check_rank
 
 def write(tmp_path, name, text):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8", newline="")
     return str(path)
 
 
@@ -64,7 +66,7 @@ def dictreader_load_table(path, schema, *, delimiter=",", missing=MISSING_TOKENS
     raw = {name: [] for name in schema}
     row_ids = []
     dropped = 0
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.DictReader(handle, delimiter=delimiter)
         header = reader.fieldnames or []
         absent = [name for name in schema if name not in header]
@@ -91,12 +93,12 @@ def dictreader_load_table(path, schema, *, delimiter=",", missing=MISSING_TOKENS
     return columns, np.asarray(row_ids, dtype=np.int64)
 
 
-def _load_outcome(loader, path, schema, caplog):
+def _load_outcome(loader, path, schema, caplog, delimiter=","):
     """Columns, row ids and log lines of a load, or its SchemaError text."""
     caplog.clear()
     with caplog.at_level(logging.INFO, logger="surveysense.data"):
         try:
-            result = loader(path, schema)
+            result = loader(path, schema, delimiter=delimiter)
         except SchemaError as err:
             return "error", str(err), caplog.messages
     if isinstance(result, tuple):
@@ -157,15 +159,41 @@ INGEST_CASES = {
     ),
     "header_only": ("a,b\n", {"a": "continuous"}),
     "empty_file": ("", {"a": "continuous"}),
+    "no_final_newline": ("a,b\n1,x\n2,y", {"a": "continuous", "b": "categorical"}),
+    "whitespace_only_line": (
+        "a,b\n1,x\n \n\t\n2,y\n",
+        {"a": "continuous", "b": "categorical"},
+    ),
+    "delimiters_only_line": (
+        "a,b,c\n1,x,0\n,,\n2,y,1\n",
+        {"a": "continuous", "b": "categorical"},
+    ),
+    "crlf_line_endings": (
+        "a,b\r\n1,x\r\n\r\n2,y\r\n",
+        {"a": "continuous", "b": "categorical"},
+    ),
+    "form_feed_and_separators_in_fields": (
+        "a,b\n1,x\x0cy\n2,p\x1cq\n3,u\u2028v\n",
+        {"a": "continuous", "b": "categorical"},
+    ),
+    "quote_inside_a_field": (
+        'a,b\n1,x"y\n2,z""\n',
+        {"a": "continuous", "b": "categorical"},
+    ),
+    "header_only_without_newline": ("a,b", {"a": "continuous"}),
+    "every_row_longer_than_header": (
+        "a,b\n1,x,7\n2,y,8,9\n",
+        {"a": "continuous", "b": "categorical"},
+    ),
+    "tab_delimiter": (
+        "a\tb\tc\n1\tx, y\t0\n2\t\t1\n3\tz\n",
+        {"a": "continuous", "b": "categorical", "c": "binary"},
+        "\t",
+    ),
 }
 
 
-@pytest.mark.parametrize("case", sorted(INGEST_CASES))
-def test_load_table_matches_dictreader_oracle(tmp_path, caplog, case):
-    text, schema = INGEST_CASES[case]
-    path = write(tmp_path, "s.csv", text)
-    got = _load_outcome(load_table, path, schema, caplog)
-    want = _load_outcome(dictreader_load_table, path, schema, caplog)
+def assert_same_outcome(got, want, schema):
     if want[0] == "error" or got[0] == "error":
         assert got == want
         return
@@ -176,6 +204,85 @@ def test_load_table_matches_dictreader_oracle(tmp_path, caplog, case):
     for name in schema:
         assert got[0][name].dtype == want[0][name].dtype
         np.testing.assert_array_equal(got[0][name], want[0][name])
+
+
+@pytest.mark.parametrize("case", sorted(INGEST_CASES))
+def test_load_table_matches_dictreader_oracle(tmp_path, caplog, case):
+    text, schema, *delimiter = INGEST_CASES[case]
+    path = write(tmp_path, "s.csv", text)
+    got = _load_outcome(load_table, path, schema, caplog, *delimiter)
+    want = _load_outcome(dictreader_load_table, path, schema, caplog, *delimiter)
+    assert_same_outcome(got, want, schema)
+
+
+#: cell texts of the property test: digits, letters that spell inf, nan and
+#: exponents, spaces, the missing token and both of csv's special characters
+CELL_PIECES = list("0123456789") + ["a", "e", "f", "i", "n", "x", " ", "NA", '"', "\r"]
+
+
+@st.composite
+def delimited_texts(draw):
+    """A schema over the columns a, b, c, e; a header naming all but e in
+    some order, perhaps with others, quoted or repeated; and rows of cells drawn
+    from the cell pieces, the delimiter and newlines, most of them as wide
+    as the header."""
+    delimiter = draw(st.sampled_from([",", "\t"]))
+    kinds = st.sampled_from(["binary", "categorical", "continuous"])
+    schema = draw(st.dictionaries(st.sampled_from(["a", "b", "c", "e"]), kinds, min_size=1))
+    extra = draw(st.lists(st.sampled_from(["a", "d", '"b"', " c", ""]), max_size=2))
+    names = draw(st.permutations([name for name in schema if name != "e"] + extra))
+    cell = st.lists(st.sampled_from(CELL_PIECES + [delimiter, "\n"]), max_size=3).map("".join)
+    width = st.one_of(st.just(len(names)), st.integers(0, len(names) + 1))
+    rows = draw(st.lists(width.flatmap(lambda k: st.lists(cell, min_size=k, max_size=k)), max_size=6))
+    ending = draw(st.sampled_from(["", "\n", "\n\n"]))
+    lines = [delimiter.join(names)] + [delimiter.join(row) for row in rows]
+    return "\n".join(lines) + ending, schema, delimiter
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(delimited_texts())
+def test_load_table_matches_oracle_on_drawn_texts(tmp_path, caplog, case):
+    text, schema, delimiter = case
+    path = write(tmp_path, "s.csv", text)
+    got = _load_outcome(load_table, path, schema, caplog, delimiter)
+    want = _load_outcome(dictreader_load_table, path, schema, caplog, delimiter)
+    assert_same_outcome(got, want, schema)
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["split", "csv_reader"])
+def test_field_size_limit_on_both_routes(tmp_path, quoted):
+    limit = csv.field_size_limit()
+    q = '"' if quoted else ""
+    schema = {"a": "continuous", "b": "categorical"}
+    at_limit = write(tmp_path, "ok.csv", f"a,b\n1,{q}x{q}\n2,{'y' * limit}\n")
+    assert load_table(at_limit, schema).column("b")[1] == "y" * limit
+    data_row = write(tmp_path, "row.csv", f"a,b\n1,{q}x{q}\n\n2,{'y' * (limit + 1)}\n3,z\n")
+    message = f"{data_row}: data row 2: field larger than field limit ({limit})"
+    with pytest.raises(SchemaError) as err:
+        load_table(data_row, schema)
+    assert str(err.value) == message
+    header = write(tmp_path, "head.csv", f"a,b,{'c' * (limit + 1)}\n1,{q}x{q},0\n")
+    with pytest.raises(SchemaError, match=r": header: field larger than field limit"):
+        load_table(header, schema)
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["split", "csv_reader"])
+@pytest.mark.parametrize("delimiter", ["", ";;"])
+def test_delimiter_must_be_one_character_on_both_routes(tmp_path, quoted, delimiter):
+    q = '"' if quoted else ""
+    path = write(tmp_path, "s.csv", f"a;;b\n1;;{q}x{q}\n")
+    with pytest.raises(TypeError, match="1-character string"):
+        load_table(path, {"a": "continuous"}, delimiter=delimiter)
+
+
+def test_loaders_skip_a_byte_order_mark(tmp_path):
+    frame = load_table(write(tmp_path, "s.csv", "\ufeff" + SURVEY), SCHEMA)
+    assert frame.column("age").tolist() == [34.0, 51.0, 44.0, 61.0, 38.0]
+    quoted = load_table(write(tmp_path, "q.csv", '\ufeffage,party\n1,"a"\n'), {"age": "continuous"})
+    assert quoted.column("age").tolist() == [1.0]
+    margins = load_margins(write(tmp_path, "m.csv", "\ufeffvariable,level,value\nage,,47.5\n"))
+    assert margins.margins == {"age": {None: 47.5}}
 
 
 def test_load_table_binary_must_be_01(tmp_path):
@@ -221,6 +328,12 @@ class TestMargins:
         text = "variable,level,value\nparty,dem,0.4\nparty,dem,0.4\n"
         with pytest.raises(SchemaError, match="duplicate"):
             load_margins(write(tmp_path, "m.csv", text))
+
+    @staticmethod
+    def test_short_row_rejected(tmp_path):
+        path = write(tmp_path, "m.csv", "variable,level,value\nage\n")
+        with pytest.raises(SchemaError, match=r"m\.csv row 1: short row"):
+            load_margins(path)
 
     @staticmethod
     def test_shares_must_sum_to_one():
