@@ -5,6 +5,11 @@ bootstrap, simulate. Exit codes: 0 success, 1 runtime or solver failure,
 2 config or schema failure; failures print a JSON error object to
 stderr. SURVEYSENSE_OUT overrides the config's output directory; the
 --out flag overrides both.
+
+Importing this module loads only the config, data and error layers. Each
+subcommand imports the layers it runs when it starts, so ``weight`` never
+loads the graph fit and ``detect`` never loads the contour, benchmark,
+sweep or bootstrap layers.
 """
 
 from __future__ import annotations
@@ -16,34 +21,7 @@ import sys
 from pathlib import Path
 
 from .config import RunConfig, load_config
-from .data import apply_filters, load_table
-from .detect import detect
 from .errors import ConfigError, SchemaError, SurveySenseError
-from .report import (
-    assemble_report,
-    balance_block,
-    benchmark_records,
-    benchmarks_block,
-    bootstrap_block,
-    build_bootstrap,
-    build_contour,
-    build_detection,
-    build_pipeline,
-    build_sweep,
-    calibration_block,
-    canonical_json,
-    contour_block,
-    robustness_block,
-    sweep_block,
-    write_balance_csv,
-    write_benchmarks_csv,
-    write_contour_csv,
-    write_detection_artifacts,
-    write_sweep_csv,
-    write_weights_csv,
-)
-from .simulate import draw_sample, generate, three_covariate_dgp
-from .svg import render_contour, render_sweep
 
 _FORMATS = {
     "weight": ("json", "csv"),
@@ -115,6 +93,11 @@ def _load(args) -> tuple[RunConfig, str, Path]:
 
 
 def cmd_weight(args) -> int:
+    from .report import (
+        balance_block, build_pipeline, calibration_block, canonical_json,
+        write_balance_csv, write_weights_csv,
+    )
+
     _check_format("weight", args.format)
     cfg, _, out = _load(args)
     pipe = build_pipeline(cfg)
@@ -135,6 +118,14 @@ def cmd_weight(args) -> int:
 
 
 def cmd_summary(args) -> int:
+    from .report import (
+        assemble_report, benchmark_records, benchmarks_block, build_contour,
+        build_detection, build_pipeline, build_sweep, canonical_json, contour_block,
+        robustness_block, sweep_block, write_balance_csv, write_benchmarks_csv,
+        write_contour_csv, write_detection_artifacts, write_sweep_csv, write_weights_csv,
+    )
+    from .svg import render_contour, render_sweep
+
     _check_format("summary", args.format)
     cfg, sha, out = _load(args)
     pipe = build_pipeline(cfg)
@@ -170,6 +161,12 @@ def cmd_summary(args) -> int:
 
 
 def cmd_contour(args) -> int:
+    from .report import (
+        benchmark_records, build_contour, build_pipeline, canonical_json, contour_block,
+        write_contour_csv,
+    )
+    from .svg import render_contour
+
     _check_format("contour", args.format)
     cfg, _, out = _load(args)
     pipe = build_pipeline(cfg)
@@ -189,6 +186,11 @@ def cmd_contour(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
+    from .report import (
+        benchmark_records, benchmarks_block, build_pipeline, canonical_json,
+        write_benchmarks_csv,
+    )
+
     _check_format("benchmark", args.format)
     cfg, _, out = _load(args)
     pipe = build_pipeline(cfg)
@@ -203,6 +205,9 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_partial(args) -> int:
+    from .report import build_pipeline, build_sweep, canonical_json, sweep_block, write_sweep_csv
+    from .svg import render_sweep
+
     _check_format("partial", args.format)
     cfg, _, out = _load(args)
     pipe = build_pipeline(cfg)
@@ -220,6 +225,10 @@ def cmd_partial(args) -> int:
 
 
 def cmd_detect(args) -> int:
+    from .data import apply_filters, load_table
+    from .detect import detect
+    from .report import write_detection_artifacts
+
     _check_format("detect", args.format)
     cfg, _, out = _load(args)
     if not cfg.detection_sampling_set:
@@ -247,6 +256,8 @@ def cmd_detect(args) -> int:
 
 
 def cmd_bootstrap(args) -> int:
+    from .report import bootstrap_block, build_bootstrap, build_pipeline, canonical_json
+
     _check_format("bootstrap", args.format)
     cfg, _, out = _load(args)
     pipe = build_pipeline(cfg)
@@ -259,6 +270,9 @@ def cmd_bootstrap(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .report import canonical_json
+    from .simulate import draw_sample, generate, three_covariate_dgp
+
     _check_format("simulate", args.format)
     out = Path(args.out or os.environ.get("SURVEYSENSE_OUT") or "surveysense-out")
     out.mkdir(parents=True, exist_ok=True)

@@ -2,9 +2,9 @@
 
 The loaders are strict on purpose: every used column must be declared with a
 kind (``categorical``, ``binary``, ``continuous``), unparseable cells raise
-``SchemaError`` with the row number, and rows with missing values in declared
-columns are removed listwise with a logged count. Downstream code never sees
-NaN.
+``SchemaError`` with the row number, and so do numeric cells that parse to
+NaN or an infinity. Rows with missing values in declared columns are removed
+listwise with a logged count. Downstream code never sees NaN.
 
 Input files are decoded as UTF-8, with or without a byte-order mark, and read
 in csv's default dialect. ``load_table`` splits text that has no quote
@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import logging
+import math
 import operator
 from dataclasses import dataclass, replace
 from itertools import compress, product
@@ -97,6 +98,8 @@ def _parse_cell(text: str, kind: str, column: str, row: int):
         raise SchemaError(
             f"row {row}, column {column!r}: binary value must be 0 or 1, got {text!r}"
         )
+    if not math.isfinite(value):
+        raise SchemaError(f"row {row}, column {column!r}: {text!r} is not finite")
     return value
 
 
@@ -219,8 +222,8 @@ def load_table(
     Rows with a missing token in any declared column, or too short to hold
     one, are dropped and the count is logged; blank lines are skipped. Raises
     ``SchemaError`` for undeclared kinds, absent columns, fields over csv's
-    size limit, or unparseable cells (the first in row order). Of duplicate
-    header names the last wins.
+    size limit, or unparseable or non-finite cells (the first in row order).
+    Of duplicate header names the last wins.
     """
     for name, kind in schema.items():
         if kind not in KINDS:
@@ -240,7 +243,9 @@ def load_table(
                 columns[name] = np.asarray(cells[name], dtype=object)
                 continue
             values = np.fromiter(map(float, cells[name]), dtype=np.float64, count=len(row_ids))
-            if kind == "binary" and not np.all(np.isin(values, (0.0, 1.0))):
+            if not np.isfinite(values).all() or (
+                kind == "binary" and not np.all(np.isin(values, (0.0, 1.0)))
+            ):
                 raise ValueError(name)
             columns[name] = values
     except ValueError:
@@ -364,27 +369,37 @@ def load_population_target(
 def load_margins(path: str, *, delimiter: str = ",") -> MarginTarget:
     """Read a margin file with header ``variable,level,value``."""
     margins: dict[str, dict[str | None, float]] = {}
+    fields, records = None, []
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.DictReader(handle, delimiter=delimiter)
-        required = {"variable", "level", "value"}
-        if not required.issubset(reader.fieldnames or []):
-            raise SchemaError(f"{path}: margin file needs columns variable,level,value")
-        for lineno, record in enumerate(reader, start=1):
-            if any(record[name] is None for name in required):
-                raise SchemaError(f"{path} row {lineno}: short row, needs variable,level,value")
-            var = record["variable"].strip()
-            level = record["level"].strip()
-            try:
-                value = float(record["value"])
-            except ValueError:
-                raise SchemaError(
-                    f"{path} row {lineno}: value {record['value']!r} is not numeric"
-                ) from None
-            entry = margins.setdefault(var, {})
-            key = level if level else None
-            if key in entry:
-                raise SchemaError(f"{path} row {lineno}: duplicate margin for {var!r}/{level!r}")
-            entry[key] = value
+        try:
+            fields = reader.fieldnames or []
+            for record in reader:
+                records.append(record)
+        except csv.Error as err:
+            where = "header" if fields is None else f"data row {len(records) + 1}"
+            raise SchemaError(f"{path}: {where}: {err}") from None
+    required = {"variable", "level", "value"}
+    if not required.issubset(fields):
+        raise SchemaError(f"{path}: margin file needs columns variable,level,value")
+    for lineno, record in enumerate(records, start=1):
+        if any(record[name] is None for name in required):
+            raise SchemaError(f"{path} row {lineno}: short row, needs variable,level,value")
+        var = record["variable"].strip()
+        level = record["level"].strip()
+        try:
+            value = float(record["value"])
+        except ValueError:
+            raise SchemaError(
+                f"{path} row {lineno}: value {record['value']!r} is not numeric"
+            ) from None
+        if not math.isfinite(value):
+            raise SchemaError(f"{path} row {lineno}: value {record['value']!r} is not finite")
+        entry = margins.setdefault(var, {})
+        key = level if level else None
+        if key in entry:
+            raise SchemaError(f"{path} row {lineno}: duplicate margin for {var!r}/{level!r}")
+        entry[key] = value
     if not margins:
         raise SchemaError(f"{path}: margin file is empty")
     return MarginTarget(margins)

@@ -4,6 +4,9 @@ One loaded pipeline backs every subcommand: survey rows, expanded
 design, solved baseline weights. Reports serialize deterministically
 (sorted keys, no timestamps, shortest-round-trip floats) and validate
 against the JSON schema shipped with the package.
+
+Building the pipeline loads only the data, calibration and bias layers;
+each builder or block below imports the layer it calls when it runs.
 """
 
 from __future__ import annotations
@@ -13,14 +16,12 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy
 
 from . import __version__
-from .benchmark import BenchmarkRecord, benchmark_table
-from .bias import ObservedScale
-from .bootstrap import BootstrapResult, bootstrap_interval
+from .bias import ObservedScale, SensitivityParams
 from .calibrate import (
     CalibrationProblem,
     WeightVector,
@@ -40,11 +41,14 @@ from .data import (
     load_table,
     terms_from_config,
 )
-from .detect import DetectionReport, detect, graph_to_dot
-from .errors import ConfigError, SurveySenseError
-from .partial import PartialSweep, binary_grid, partial_sweep, standardized_grid
-from .summary import ContourGrid, RobustnessInput, contour_grid, killer_region_area, robustness_value
-from .svg import render_contour, render_sweep
+from .errors import ConfigError, SchemaError, SurveySenseError
+
+if TYPE_CHECKING:  # the builders below import these layers when they run
+    from .benchmark import BenchmarkRecord
+    from .bootstrap import BootstrapResult
+    from .detect import DetectionReport
+    from .partial import PartialSweep
+    from .summary import ContourGrid
 
 __all__ = [
     "Pipeline",
@@ -165,6 +169,8 @@ def balance_block(pipe: Pipeline) -> list[dict]:
 
 
 def robustness_block(pipe: Pipeline, b_star: float) -> dict:
+    from .summary import RobustnessInput, robustness_value
+
     scale = pipe.scale
     gap = scale.mu_hat - b_star
     denom = scale.var_y * scale.var_w
@@ -178,6 +184,8 @@ def robustness_block(pipe: Pipeline, b_star: float) -> dict:
 
 
 def benchmark_records(pipe: Pipeline, b_star: float | None) -> list[BenchmarkRecord]:
+    from .benchmark import benchmark_table
+
     covariates = pipe.config.benchmark_covariates
     if covariates is None:
         covariates = pipe.config.weighting_variables
@@ -203,6 +211,8 @@ def benchmarks_block(records: list[BenchmarkRecord]) -> list[dict]:
 
 
 def build_contour(pipe: Pipeline, b_star: float, records: list[BenchmarkRecord]) -> ContourGrid:
+    from .summary import contour_grid
+
     cfg = pipe.config
     grid = contour_grid(
         pipe.scale,
@@ -216,6 +226,8 @@ def build_contour(pipe: Pipeline, b_star: float, records: list[BenchmarkRecord])
 
 
 def contour_block(grid: ContourGrid) -> dict:
+    from .summary import killer_region_area
+
     return {
         "rho_step": float(np.round(grid.rho_axis[1] - grid.rho_axis[0], 12)),
         "r2_step": float(np.round(grid.r2_axis[1] - grid.r2_axis[0], 12)),
@@ -229,6 +241,8 @@ def contour_block(grid: ContourGrid) -> dict:
 
 
 def build_sweep(pipe: Pipeline) -> PartialSweep:
+    from .partial import binary_grid, partial_sweep, standardized_grid
+
     cfg = pipe.config
     name = cfg.sweep_variable
     if name is None:
@@ -270,6 +284,8 @@ def sweep_block(sweep: PartialSweep) -> dict:
 
 
 def build_detection(pipe: Pipeline) -> DetectionReport:
+    from .detect import detect
+
     cfg = pipe.config
     if not cfg.detection_sampling_set:
         raise ConfigError("detection.sampling_set is not set in the config")
@@ -287,9 +303,9 @@ def build_detection(pipe: Pipeline) -> DetectionReport:
 
 
 def build_bootstrap(pipe: Pipeline) -> BootstrapResult:
-    cfg = pipe.config
-    from .bias import SensitivityParams
+    from .bootstrap import bootstrap_interval
 
+    cfg = pipe.config
     return bootstrap_interval(
         pipe.problem,
         pipe.y,
@@ -328,6 +344,8 @@ def assemble_report(
     detection: dict | None = None,
     bootstrap: dict | None = None,
 ) -> dict:
+    import scipy
+
     report = {
         "schema_version": "1",
         "provenance": {
@@ -367,8 +385,6 @@ def _schema() -> dict:
 def validate_report(report: dict) -> None:
     """Schema validation; raises ``SchemaError`` with the failing path."""
     import jsonschema
-
-    from .errors import SchemaError
 
     schema = _schema()  # checked against its metaschema by the tests, not per run
     validator = jsonschema.validators.validator_for(schema)(schema)
@@ -466,6 +482,8 @@ def write_sweep_csv(path: Path, sweep: PartialSweep) -> None:
 
 def write_detection_artifacts(out: Path, rep: DetectionReport) -> str:
     """Write detection.json and detection.dot; returns the JSON text."""
+    from .detect import graph_to_dot
+
     text = canonical_json(rep.to_dict())
     (out / "detection.json").write_text(text)
     (out / "detection.dot").write_text(graph_to_dot(rep))

@@ -1,4 +1,9 @@
-"""Shared fixtures: closed-form problems and a simulated CLI bundle."""
+"""Shared fixtures: closed-form problems, a simulated CLI bundle, and a
+fresh interpreter for tests of what a process imports."""
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -58,3 +63,19 @@ def demo_bundle(tmp_path_factory):
     rc = cli.main(["simulate", "--out", str(root)])
     assert rc == 0
     return root
+
+
+@pytest.fixture(scope="session")
+def run_fresh():
+    """Runs a Python script in a fresh interpreter on this session's import
+    path and returns its stdout; the script must exit 0."""
+
+    def run(script: str) -> str:
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    return run

@@ -1,9 +1,7 @@
 """Bootstrap interval behavior: determinism, shift algebra, guard rails."""
 
+import json
 import logging
-import os
-import subprocess
-import sys
 import threading
 
 import numpy as np
@@ -203,11 +201,8 @@ def test_draws_mute_only_their_own_solver_warnings(outcome, monkeypatch, caplog)
     assert solver_log.level == logging.NOTSET
 
 
-def test_build_and_bootstrap_leave_scipy_linalg_unimported(tmp_path):
-    # scipy's LAPACK brings its own BLAS thread pool, which contends with
-    # numpy's, and importing scipy.linalg costs set-up time; a design that
-    # converges by Newton needs neither the phase-1 program nor any scipy
-    # linear algebra, from the CLI import through a re-estimating bootstrap
+def _survey_config(tmp_path) -> dict:
+    """A config over a 2,000-row survey and a 3,000-row population file."""
     rng = np.random.default_rng(3)
 
     def write(name, n, shift):
@@ -220,13 +215,21 @@ def test_build_and_bootstrap_leave_scipy_linalg_unimported(tmp_path):
         (tmp_path / name).write_text("\n".join(lines) + "\n")
         return str(tmp_path / name)
 
-    config = {
+    return {
         "survey": write("survey.csv", 2000, 0.0),
         "population": write("population.csv", 3000, 0.1),
         "columns": {"x1": "binary", "x2": "continuous", "g": "categorical", "y": "continuous"},
         "outcome": "y",
         "weighting": {"variables": ["x1", "x2", "g"]},
     }
+
+
+def test_build_and_bootstrap_leave_scipy_linalg_unimported(tmp_path, run_fresh):
+    # scipy's LAPACK brings its own BLAS thread pool, which contends with
+    # numpy's, and importing scipy.linalg costs set-up time; a design that
+    # converges by Newton needs neither the phase-1 program nor any scipy
+    # linear algebra, from the CLI import through a re-estimating bootstrap
+    config = _survey_config(tmp_path)
     script = f"""
 import sys, warnings
 import surveysense.cli
@@ -243,9 +246,37 @@ assert pipe.baseline.diagnostics.fallback_sweeps == 0
 assert res.n_draws == 20 and res.dropped == 0
 print(sorted(m for m in sys.modules if m.startswith("scipy.linalg")))
 """
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    run = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "[]"
+    assert run_fresh(script).strip() == "[]"
+
+
+def test_set_up_loads_only_the_layers_a_subcommand_runs(tmp_path, run_fresh):
+    # every module a CLI call loads is compiled and run again in each fresh
+    # interpreter: the CLI import and a detection job's table load need the
+    # config, data and error layers, and the pipeline of the survey
+    # subcommands adds the calibration and bias layers, never scipy
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(_survey_config(tmp_path)))
+    script = f"""
+import json, sys
+
+def loaded():
+    print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("surveysense", "scipy"))))
+
+import surveysense.cli
+loaded()
+from surveysense.config import load_config
+from surveysense.data import load_table
+
+cfg, _ = load_config({str(config)!r})
+load_table(cfg.survey, cfg.schema)
+loaded()
+from surveysense.report import build_pipeline
+
+build_pipeline(cfg)
+loaded()
+"""
+    start = ["surveysense", "surveysense.cli", "surveysense.config", "surveysense.data",
+             "surveysense.errors"]
+    pipeline = sorted(start + ["surveysense.report", "surveysense.calibrate", "surveysense.bias"])
+    seen = [json.loads(line) for line in run_fresh(script).splitlines()]
+    assert seen == [start, start, pipeline]

@@ -270,6 +270,29 @@ def test_short_margin_row_exits_2(capsys, demo_bundle, tmp_path):
     assert f"{margins} row 1: short row" in payload["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "field, cell, message",
+    [
+        (2, "nan", "{path} row 2: value 'nan' is not finite"),
+        (1, "1" * 140_000, "{path}: data row 2: field larger than field limit ({limit})"),
+    ],
+    ids=["nan_value", "over_long_level"],
+)
+def test_bad_margin_row_exits_2(capsys, demo_bundle, tmp_path, field, cell, message):
+    lines = (demo_bundle / "margins.csv").read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[field] = cell
+    lines[2] = ",".join(cells)
+    margins = tmp_path / "margins.csv"
+    margins.write_text("\n".join(lines) + "\n")
+    config = _config_with(demo_bundle, tmp_path, margins=str(margins))
+    rc, out, err = run(capsys, ["weight", "--config", config, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    payload = json.loads(err)
+    assert payload["error"]["type"] == "SchemaError"
+    assert payload["error"]["message"] == message.format(path=margins, limit=csv.field_size_limit())
+
+
 @pytest.mark.parametrize("quoted", [False, True], ids=["split", "csv_reader"])
 def test_over_long_survey_field_exits_2(capsys, demo_bundle, tmp_path, quoted):
     lines = (demo_bundle / "survey.csv").read_text().splitlines()
@@ -285,3 +308,52 @@ def test_over_long_survey_field_exits_2(capsys, demo_bundle, tmp_path, quoted):
     assert rc == 2
     message = json.loads(err)["error"]["message"]
     assert message == f"{survey}: data row 3: field larger than field limit ({csv.field_size_limit()})"
+
+
+@pytest.mark.parametrize("first", ["names", "commands"])
+def test_public_names_resolve_lazily_in_either_load_order(demo_bundle, tmp_path, run_fresh, first):
+    # the package loads no layer on import; surveysense.detect, .bias and
+    # .benchmark name functions whether those submodules load through the
+    # package names or through the subcommands that run them
+    config = _config_with(demo_bundle, tmp_path)
+    script = f"""
+import contextlib, io, sys, types
+import surveysense
+from surveysense import cli
+
+def check_functions():
+    for name in ("detect", "bias", "benchmark"):
+        obj = getattr(surveysense, name)
+        assert isinstance(obj, types.FunctionType), (name, obj)
+        assert obj is getattr(sys.modules["surveysense." + name], name)
+
+assert sorted(m for m in sys.modules if m.startswith("surveysense.")) == [
+    "surveysense.cli", "surveysense.config", "surveysense.data", "surveysense.errors"]
+if {first!r} == "names":
+    check_functions()
+for command in ("detect", "benchmark", "summary"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([command, "--config", {config!r}, "--out", {str(tmp_path / "o")!r}]) == 0
+check_functions()
+for name in surveysense.__all__[1:]:
+    obj = getattr(surveysense, name)
+    assert obj.__module__.startswith("surveysense."), name
+    assert getattr(sys.modules[obj.__module__], name) is obj, name
+assert surveysense.__all__[0] == "__version__"
+assert not set(surveysense.__all__[1:]) & set(vars(surveysense))  # nothing cached
+assert set(surveysense.__all__) <= set(dir(surveysense))
+star = {{}}
+exec("from surveysense import *", star)
+assert all(star[name] is getattr(surveysense, name) for name in surveysense.__all__)
+try:
+    surveysense.no_such_name
+except AttributeError as err:
+    assert "no_such_name" in str(err)
+else:
+    raise AssertionError("an unknown name resolved")
+from surveysense import bootstrap, calibrate
+assert isinstance(bootstrap, types.ModuleType) and bootstrap.__name__ == "surveysense.bootstrap"
+assert isinstance(calibrate, types.ModuleType) and calibrate.__name__ == "surveysense.calibrate"
+print("ok")
+"""
+    assert run_fresh(script) == "ok\n"

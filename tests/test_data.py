@@ -62,7 +62,9 @@ def test_load_table_rejects_bad_cells(tmp_path):
 
 
 def dictreader_load_table(path, schema, *, delimiter=",", missing=MISSING_TOKENS):
-    """Row-by-row loader, kept as the oracle for the column-wise one."""
+    """Row-by-row loader, kept as the oracle for the column-wise one. Each
+    kept row's cells go through ``_parse_cell``, which rejects an unparseable
+    cell, a binary cell other than 0 or 1, and a NaN or infinite one."""
     raw = {name: [] for name in schema}
     row_ids = []
     dropped = 0
@@ -151,6 +153,10 @@ INGEST_CASES = {
     ),
     "bad_cell_in_a_dropped_row": (
         "a,c\nforty,NA\n2,1\n",
+        {"a": "continuous", "c": "binary"},
+    ),
+    "non_finite_cell_in_a_dropped_row": (
+        "a,c\nnan,NA\n-inf,\n2,1\n",
         {"a": "continuous", "c": "binary"},
     ),
     "every_row_dropped": (
@@ -285,6 +291,22 @@ def test_loaders_skip_a_byte_order_mark(tmp_path):
     assert margins.margins == {"age": {None: 47.5}}
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a,b\nnan,1\ninf,0\n2,1\n", "row 1, column 'a': 'nan' is not finite"),
+        (INGEST_CASES["float_accepts"][0], "row 2, column 'a': 'inf' is not finite"),
+        ("a,b\n1,0\n2,x\n1e400,1\n", "row 3, column 'a': '1e400' is not finite"),
+    ],
+)
+def test_load_table_rejects_non_finite_cells(tmp_path, text, message):
+    path = write(tmp_path, "s.csv", text)
+    for loader in (load_table, dictreader_load_table):
+        with pytest.raises(SchemaError) as err:
+            loader(path, {"a": "continuous"})
+        assert str(err.value) == message
+
+
 def test_load_table_binary_must_be_01(tmp_path):
     path = write(tmp_path, "s.csv", "v\n2\n")
     with pytest.raises(SchemaError):
@@ -334,6 +356,25 @@ class TestMargins:
         path = write(tmp_path, "m.csv", "variable,level,value\nage\n")
         with pytest.raises(SchemaError, match=r"m\.csv row 1: short row"):
             load_margins(path)
+
+    @staticmethod
+    @pytest.mark.parametrize("value", ["nan", " -inf", "1e999"])
+    def test_non_finite_value_rejected(tmp_path, value):
+        path = write(tmp_path, "m.csv", f"variable,level,value\nage,,47.5\nx,,{value}\n")
+        with pytest.raises(SchemaError) as err:
+            load_margins(path)
+        assert str(err.value) == f"{path} row 2: value {value!r} is not finite"
+
+    @staticmethod
+    def test_over_long_field_rejected(tmp_path):
+        limit = csv.field_size_limit()
+        path = write(tmp_path, "m.csv", f"variable,level,value\nage,,47.5\ng,{'x' * (limit + 1)},1\n")
+        with pytest.raises(SchemaError) as err:
+            load_margins(path)
+        assert str(err.value) == f"{path}: data row 2: field larger than field limit ({limit})"
+        header = write(tmp_path, "h.csv", f"variable,level,value,{'c' * (limit + 1)}\nage,,1,0\n")
+        with pytest.raises(SchemaError, match=r"h\.csv: header: field larger than field limit"):
+            load_margins(header)
 
     @staticmethod
     def test_shares_must_sum_to_one():
