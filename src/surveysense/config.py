@@ -103,11 +103,12 @@ class RunConfig:
             raise ConfigError("grid steps must lie in (0, 1]")
         if not 0.0 < self.r2_max < 1.0:
             raise ConfigError("r2_max must lie in (0, 1)")
-        if isinstance(self.detection_lambda, str):
-            if self.detection_lambda != "cv":
-                raise ConfigError('detection lambda must be "cv" or a positive number')
-        elif self.detection_lambda <= 0:
-            raise ConfigError('detection lambda must be "cv" or a positive number')
+        lam = self.detection_lambda
+        if lam != "cv" and not (
+            isinstance(lam, (int, float)) and not isinstance(lam, bool)
+            and math.isfinite(lam) and lam > 0
+        ):
+            raise ConfigError(f'detection.lambda must be "cv" or a positive number, not {lam!r}')
 
     def require_b_star(self) -> float:
         """Commands that interpret bias must be told the threshold."""

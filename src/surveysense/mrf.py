@@ -16,15 +16,15 @@ directions, so an edge survives when either regression keeps the other node
 (the OR rule). The penalty level comes from 10-fold cross validation with
 the one-standard-error rule unless a fixed value is supplied.
 
-Cross validation fits every node's folds at once: the (node, fold) problems
-of one kind, width, class count and row count form one stack, and a stacked
-copy of the kernel updates a coordinate of every problem with one numpy
-operation, in the scalar kernel's order and arithmetic, so the penalties it
-picks are the scalar path's to the bit. Single fits (each node's final fit,
-and every fit at a fixed penalty) keep the scalar kernel: numpy's cost per
-call makes a stack of one several times slower than a Python loop over a
-few coordinates. A fit that stops at an iteration limit instead of at the
-tolerance is flagged on the graph.
+The kernel runs a stack of problems of one shape: it updates a coordinate
+of every problem with one numpy operation, and each problem takes the
+sweeps, and the bits, it would take alone. ``lasso_path`` takes such a
+stack on a leading axis; a 2-D design is a stack of one. Cross validation
+stacks every (node, fold) problem of one kind, width, class count, row
+count and path length, and the final fits stack the nodes of one kind,
+width and class count, since numpy's cost per call makes a stack of one
+several times slower than a stack of many. A fit that stops at an
+iteration limit instead of at the tolerance is flagged on the graph.
 
 Predictors are standardized (categorical nodes enter as full indicator
 blocks), so coefficient norms are comparable across nodes and the group
@@ -54,80 +54,25 @@ _PROB_CLIP = 1e-9
 _MAX_OUTER = 60
 
 
-def _soft(z: float, g: float) -> float:
-    if z > g:
-        return z - g
-    if z < -g:
-        return z + g
-    return 0.0
-
-
-def _cd(gram, grad, lam, beta, tol, *, intercept, active_set, max_sweeps) -> bool:
-    """Cyclic coordinate descent on ½βᵀGβ − cᵀβ + lam·Σ|β_j| in Gram form.
-
-    ``gram`` is G = XᵀWX/n and ``grad`` the gradient c − Gβ at ``beta``.
-    ``beta`` and ``grad`` are updated in place, ``grad`` with one O(p) row
-    update per changed coordinate, so a sweep never touches an n-length
-    array. With
-    ``intercept`` coordinate 0 is unpenalized, moved first in every sweep
-    and left out of the stopping rule. Without ``active_set`` the descent
-    stops at the first sweep that moves no coordinate by ``tol``; with it,
-    such a sweep is followed by passes over the nonzero coordinates until
-    they settle, and it stops at a settled full sweep that changed no
-    coordinate's support. Returns whether it stopped at ``max_sweeps``
-    instead.
-    """
-    rows = list(gram)
-    diag = gram.diagonal().tolist()
-    b = beta.tolist()
-    first = 1 if intercept else 0
-    active_only = False
-    stopped = True
-    for _ in range(max_sweeps):
-        if intercept:
-            shift = grad.item(0) / diag[0]
-            if shift != 0.0:
-                b[0] += shift
-                grad -= rows[0] * shift
-        delta = 0.0
-        changed_support = False
-        for j in range(first, len(b)):
-            bj = b[j]
-            if active_only and bj == 0.0:
-                continue
-            sq = diag[j]
-            if sq == 0.0:
-                continue
-            new = _soft(grad.item(j) + sq * bj, lam) / sq
-            if new != bj:
-                grad += rows[j] * (bj - new)
-                b[j] = new
-                delta = max(delta, abs(new - bj))
-                if (bj == 0.0) != (new == 0.0):
-                    changed_support = True
-        if delta < tol:
-            if not active_only and not (active_set and changed_support):
-                stopped = False
-                break
-            active_only = False  # full pass to look for violations
-        elif active_set:
-            active_only = True
-    beta[:] = b
-    return stopped
-
-
 def _cd_stack(gram, grad, lam, beta, tol, *, intercept, active_set, max_sweeps,
               active_only=None):
-    """``_cd`` on a stack of B problems at once, bit for bit.
+    """Cyclic coordinate descent on ½βᵀGβ − cᵀβ + lam·Σ|β_j| in Gram form,
+    for a stack of B problems at once.
 
-    ``gram`` is (B, p, p), ``grad`` and ``beta`` (B, p), updated in place,
-    and ``lam`` (B,). Every problem takes the scalar kernel's sweeps, in its
-    coordinate order and with its IEEE operations, and sits out a
-    coordinate wherever the scalar kernel would skip it: past its own stop,
-    outside its active set, or at a zero diagonal. Once half the problems
-    have stopped, the rest go on as a stack of their own, so a few slow
-    problems do not keep sweeping the whole stack. Returns the (B,) mask of
-    the problems that stopped at ``max_sweeps``.
+    ``gram`` is (B, p, p) G = XᵀWX/n, and ``grad`` the (B, p) gradient
+    c − Gβ at ``beta``; both ``beta`` and ``grad`` are updated in place,
+    ``grad`` with one O(p) row update per changed coordinate. ``lam`` is
+    (B,). With ``intercept`` coordinate 0 is unpenalized, moved first in
+    every sweep and left out of the stopping rule. Without ``active_set`` a
+    problem stops at the first sweep that moves no coordinate by ``tol``;
+    with it, such a sweep is followed by passes over the nonzero coordinates
+    until they settle, and it stops at a settled full sweep that changed no
+    coordinate's support. A problem sits out a coordinate past its own stop,
+    outside its active set, or at a zero diagonal, so it takes the sweeps it
+    would take alone. Once half the problems have stopped, the rest go on as
+    a stack of their own, so a few slow problems do not keep sweeping the
+    whole stack. Returns the (B,) mask of the problems that stopped at
+    ``max_sweeps``.
     """
     diag = gram.diagonal(axis1=1, axis2=2)
     live = diag != 0.0
@@ -180,127 +125,34 @@ def _cd_stack(gram, grad, lam, beta, tol, *, intercept, active_set, max_sweeps,
     return running
 
 
-def _irls_step(xt, y, prob, lam, theta, tol) -> bool:
-    """One weighted lasso for the quadratic approximation at ``prob``.
+# The logistic and multinomial fits run on (B, ...) arrays: a 3-D matmul runs
+# the same BLAS call on each problem's slice, and every transposed operand is
+# a view, so each problem's iterates do not depend on the rest of its stack.
 
-    ``xt`` carries a leading column of ones for the intercept. The
-    gradient c − Gθ of the working problem is the score Xᵀ(y − p)/n.
-    """
-    n = xt.shape[0]
+
+def _irls_stack(xt, y, prob, lam, theta, tol):
+    """One weighted lasso per problem for the quadratic approximation at
+    ``prob``. ``xt`` (B, n, p+1) carries a leading column of ones for the
+    intercept. The gradient c − Gθ of the working problem is the score
+    Xᵀ(y − p)/n."""
+    n = xt.shape[1]
+    xtt = xt.transpose(0, 2, 1)
     obs_w = np.maximum(prob * (1 - prob), _WEIGHT_FLOOR)
-    gram = (xt.T * obs_w) @ xt / n
-    grad = xt.T @ (y - prob) / n
-    return _cd(gram, grad, lam, theta, tol, intercept=True, active_set=False, max_sweeps=200)
+    gram = (xtt * obs_w[:, None, :]) @ xt / n
+    grad = (xtt @ (y - prob)[:, :, None])[:, :, 0] / n
+    return _cd_stack(gram, grad, lam, theta, tol, intercept=True, active_set=False,
+                     max_sweeps=200)
 
 
-def _fit_logistic(xt, y, lam, theta, tol, max_outer=_MAX_OUTER) -> bool:
-    from scipy.special import expit
-
-    stopped = False
-    for _ in range(max_outer):
-        prob = np.clip(expit(xt @ theta), _PROB_CLIP, 1 - _PROB_CLIP)
-        old = theta.copy()
-        stopped |= _irls_step(xt, y, prob, lam, theta, tol)
-        if np.max(np.abs(theta - old)) < tol:
-            return stopped
-    return True
-
-
-def _fit_multinomial(xt, y_onehot, lam, theta, tol, max_outer=_MAX_OUTER) -> bool:
-    k = y_onehot.shape[1]
-    stopped = False
-    for _ in range(max_outer):
-        old = theta[:, 1:].copy()
-        for cls in range(k):
-            eta = xt @ theta.T
-            eta -= eta.max(axis=1, keepdims=True)
-            prob = np.exp(eta)
-            prob /= prob.sum(axis=1, keepdims=True)
-            pk = np.clip(prob[:, cls], _PROB_CLIP, 1 - _PROB_CLIP)
-            stopped |= _irls_step(xt, y_onehot[:, cls], pk, lam, theta[cls], tol)
-        theta[:, 0] -= theta[:, 0].mean()  # symmetric parameterization
-        if np.max(np.abs(theta[:, 1:] - old)) < tol:
-            return stopped
-    return True
-
-
-class _Path(list):
-    """Coefficient matrices along a penalty path. ``stopped`` counts the
-    penalties whose fit stopped at an iteration limit instead of at the
-    tolerance."""
-
-    def __init__(self, coefs, stopped: int):
-        super().__init__(coefs)
-        self.stopped = stopped
-
-
-def lasso_path(
-    x: np.ndarray,
-    response: np.ndarray,
-    kind: str,
-    lambdas: np.ndarray,
-    *,
-    tol: float = 1e-7,
-) -> list[np.ndarray]:
-    """Coefficient matrices along a descending penalty path, warm started.
-
-    Returns one (k, p) array per penalty (k = 1 for gaussian and binary),
-    in a list whose ``stopped`` attribute counts the penalties whose fit
-    stopped at an iteration limit.
-    """
-    n, p = x.shape
-    out = []
-    stopped = 0
-    if kind == "continuous":
-        gram = x.T @ x / n
-        beta = np.zeros(p)
-        for lam in lambdas:
-            grad = x.T @ (response - x @ beta) / n
-            stopped += _cd(gram, grad, lam, beta, tol, intercept=False, active_set=True,
-                           max_sweeps=1000)
-            out.append(beta.copy()[None, :])
-        return _Path(out, stopped)
-    if kind not in ("binary", "categorical"):
-        raise DetectionError(f"unknown node kind {kind!r}")
-    xt = np.hstack([np.ones((n, 1)), x])
-    if kind == "binary":
-        theta = np.zeros(p + 1)
-        for lam in lambdas:
-            stopped += _fit_logistic(xt, response, lam, theta, tol)
-            out.append(theta[1:].copy()[None, :])
-        return _Path(out, stopped)
-    theta = np.zeros((response.shape[1], p + 1))
-    for lam in lambdas:
-        stopped += _fit_multinomial(xt, response, lam, theta, tol)
-        out.append(theta[:, 1:].copy())
-    return _Path(out, stopped)
-
-
-def _lambda_max(x: np.ndarray, response: np.ndarray, kind: str) -> float:
-    n = x.shape[0]
-    if kind == "continuous":
-        return float(np.max(np.abs(x.T @ response)) / n)
-    if kind == "binary":
-        return float(np.max(np.abs(x.T @ (response - response.mean()))) / n)
-    centered = response - response.mean(axis=0, keepdims=True)
-    return float(np.max(np.abs(x.T @ centered)) / n)
-
-
-# --- cross validation: every (node, fold) problem of one shape in one stack ---
-# The stacked fits repeat the scalar ones line by line on (B, ...) arrays: a
-# 3-D matmul runs the same BLAS call on each problem's slice, and every
-# transposed operand is a view laid out as in the scalar path, so each
-# problem's iterates, and its held-out losses, are the scalar path's bits.
-
-
-def _fit_logistic_stack(xt, y, lam, theta, tol, max_outer=_MAX_OUTER):
-    """``_fit_logistic`` on a stack: ``xt`` (B, n, p+1), ``theta`` (B, p+1).
-    Returns the (B,) mask of the fits that stopped at an iteration limit."""
+def _fit_logistic_stack(xt, y, lam, theta, tol):
+    """Penalized logistic fits by IRLS: ``xt`` (B, n, p+1), ``theta``
+    (B, p+1), updated in place. Returns the (B,) mask of the fits that
+    stopped at an iteration limit."""
     from scipy.special import expit
 
     todo = np.ones(len(theta), dtype=bool)
     stopped = np.zeros(len(theta), dtype=bool)
-    for _ in range(max_outer):
+    for _ in range(_MAX_OUTER):
         idx = np.flatnonzero(todo)
         sel = slice(None) if len(idx) == len(todo) else idx
         xs, th = xt[sel], theta[sel]
@@ -314,11 +166,12 @@ def _fit_logistic_stack(xt, y, lam, theta, tol, max_outer=_MAX_OUTER):
     return stopped | todo
 
 
-def _fit_multinomial_stack(xt, y_onehot, lam, theta, tol, max_outer=_MAX_OUTER):
-    """``_fit_multinomial`` on a stack: ``theta`` (B, k, p+1)."""
+def _fit_multinomial_stack(xt, y_onehot, lam, theta, tol):
+    """Penalized multinomial fits, one class at a time per IRLS step, in the
+    symmetric parameterization: ``theta`` (B, k, p+1)."""
     todo = np.ones(len(theta), dtype=bool)
     stopped = np.zeros(len(theta), dtype=bool)
-    for _ in range(max_outer):
+    for _ in range(_MAX_OUTER):
         idx = np.flatnonzero(todo)
         sel = slice(None) if len(idx) == len(todo) else idx
         xs, ys, th = xt[sel], y_onehot[sel], theta[sel]
@@ -338,15 +191,77 @@ def _fit_multinomial_stack(xt, y_onehot, lam, theta, tol, max_outer=_MAX_OUTER):
     return stopped | todo
 
 
-def _irls_stack(xt, y, prob, lam, theta, tol):
-    """``_irls_step`` on a stack, with (B, n, p+1) ``xt``."""
-    n = xt.shape[1]
-    xtt = xt.transpose(0, 2, 1)
-    obs_w = np.maximum(prob * (1 - prob), _WEIGHT_FLOOR)
-    gram = (xtt * obs_w[:, None, :]) @ xt / n
-    grad = (xtt @ (y - prob)[:, :, None])[:, :, 0] / n
-    return _cd_stack(gram, grad, lam, theta, tol, intercept=True, active_set=False,
-                     max_sweeps=200)
+class _Path(list):
+    """Coefficient arrays along a penalty path. ``stopped`` counts the
+    penalties whose fit stopped at an iteration limit instead of at the
+    tolerance, per problem for a stack."""
+
+    def __init__(self, coefs, stopped):
+        super().__init__(coefs)
+        self.stopped = stopped
+
+
+def lasso_path(
+    x: np.ndarray,
+    response: np.ndarray,
+    kind: str,
+    lambdas: np.ndarray,
+    *,
+    tol: float = 1e-7,
+) -> list[np.ndarray]:
+    """Coefficient matrices along a descending penalty path, warm started.
+
+    ``x`` is an (n, p) design with ``response`` (n,) or (n, k) and
+    ``lambdas`` (L,), or a stack of such problems on a leading axis: ``x``
+    (B, n, p), ``response`` (B, n[, k]) and ``lambdas`` (B, L), one path per
+    problem. Returns one (k, p) array per penalty, or (B, k, p) for a stack
+    (k = 1 for gaussian and binary), in a list whose ``stopped`` attribute
+    counts the penalties whose fit stopped at an iteration limit: an int, or
+    a (B,) array for a stack.
+    """
+    single = x.ndim == 2
+    if single:
+        x, response = x[None], response[None]
+    lambdas = np.atleast_2d(np.asarray(lambdas, dtype=float))
+    n_probs, n, p = x.shape
+    out = []
+    stopped = np.zeros(n_probs, dtype=int)
+    if kind == "continuous":
+        xtt = x.transpose(0, 2, 1)
+        gram = xtt @ x / n
+        beta = np.zeros((n_probs, p))
+        for lam in lambdas.T:
+            resid = response - (x @ beta[:, :, None])[:, :, 0]
+            grad = (xtt @ resid[:, :, None])[:, :, 0] / n
+            stopped += _cd_stack(gram, grad, lam, beta, tol, intercept=False, active_set=True,
+                                 max_sweeps=1000)
+            out.append(beta[:, None, :].copy())
+    elif kind in ("binary", "categorical"):
+        xt = np.concatenate([np.ones((n_probs, n, 1)), x], axis=2)
+        if kind == "binary":
+            theta = np.zeros((n_probs, 1, p + 1))
+            fit, params = _fit_logistic_stack, theta[:, 0]
+        else:
+            theta = np.zeros((n_probs, response.shape[2], p + 1))
+            fit, params = _fit_multinomial_stack, theta
+        for lam in lambdas.T:
+            stopped += fit(xt, response, lam, params, tol)
+            out.append(theta[:, :, 1:].copy())
+    else:
+        raise DetectionError(f"unknown node kind {kind!r}")
+    if single:
+        return _Path([coefs[0] for coefs in out], int(stopped[0]))
+    return _Path(out, stopped)
+
+
+def _lambda_max(x: np.ndarray, response: np.ndarray, kind: str) -> float:
+    n = x.shape[0]
+    if kind == "continuous":
+        return float(np.max(np.abs(x.T @ response)) / n)
+    if kind == "binary":
+        return float(np.max(np.abs(x.T @ (response - response.mean()))) / n)
+    centered = response - response.mean(axis=0, keepdims=True)
+    return float(np.max(np.abs(x.T @ centered)) / n)
 
 
 def _holdout_losses(x, response, kind, coefs) -> np.ndarray:
@@ -371,37 +286,6 @@ def _holdout_losses(x, response, kind, coefs) -> np.ndarray:
     return -2.0 * np.mean(np.log(picked), axis=1)
 
 
-def _path_losses(x, response, kind, lambdas, x_held, y_held, tol=1e-7):
-    """Held-out losses along each problem's warm-started penalty path, for a
-    stack of training sets of one shape: ``x`` (B, n, p), ``lambdas``
-    (B, L) descending. Returns the (B, L) losses and the (B,) mask of the
-    problems with a fit that stopped at an iteration limit."""
-    n_probs, n, p = x.shape
-    losses = np.empty(lambdas.shape)
-    stopped = np.zeros(n_probs, dtype=bool)
-    if kind == "continuous":
-        xtt = x.transpose(0, 2, 1)
-        gram = xtt @ x / n
-        beta = np.zeros((n_probs, p))
-        for idx in range(lambdas.shape[1]):
-            resid = response - (x @ beta[:, :, None])[:, :, 0]
-            grad = (xtt @ resid[:, :, None])[:, :, 0] / n
-            stopped |= _cd_stack(gram, grad, lambdas[:, idx], beta, tol, intercept=False,
-                                 active_set=True, max_sweeps=1000)
-            losses[:, idx] = _holdout_losses(x_held, y_held, kind, beta[:, None, :])
-        return losses, stopped
-    xt = np.concatenate([np.ones((n_probs, n, 1)), x], axis=2)
-    if kind == "binary":
-        theta, fit = np.zeros((n_probs, p + 1)), _fit_logistic_stack
-    else:
-        theta, fit = np.zeros((n_probs, response.shape[2], p + 1)), _fit_multinomial_stack
-    for idx in range(lambdas.shape[1]):
-        stopped |= fit(xt, response, lambdas[:, idx], theta, tol)
-        coefs = (theta[:, None] if kind == "binary" else theta)[:, :, 1:].copy()
-        losses[:, idx] = _holdout_losses(x_held, y_held, kind, coefs)
-    return losses, stopped
-
-
 @dataclass(frozen=True)
 class _CVNode:
     """One node's cross-validation problem: its design, response, descending
@@ -423,41 +307,52 @@ def _fold_ids(n: int, folds: int, rng: np.random.Generator) -> np.ndarray:
     return fold_id
 
 
+def _stacks(problems):
+    """Groups ``(key, item)`` pairs by key, whose first entries are the kind,
+    predictor width, response shape and training rows that one stack must
+    share, and yields each group's kind and items in chunks of at most
+    ``BATCH_BYTES`` of training design."""
+    groups: dict[tuple, list] = {}
+    for key, item in problems:
+        groups.setdefault(key, []).append(item)
+    for (kind, p, _, n, *_), items in groups.items():
+        size = max(1, BATCH_BYTES // (8 * n * (p + 1)))
+        for start in range(0, len(items), size):
+            yield kind, items[start:start + size]
+
+
 def _cv_losses(nodes: list[_CVNode]) -> tuple[list[np.ndarray], list[int]]:
     """Every node's (folds, penalties) held-out loss matrix, and how many of
     its fold fits stopped at an iteration limit.
 
-    The (node, fold) problems are grouped by kind, predictor width, response
-    classes, row counts and path length; each group runs as stacks of at
-    most ``BATCH_BYTES`` of training design.
+    The (node, fold) problems are stacked by kind, predictor width, response
+    classes, row counts and path length.
     """
-    groups: dict[tuple, list[tuple[int, int]]] = {}
+    problems = []
     for i, node in enumerate(nodes):
         n, p = node.x.shape
         for fold in range(node.folds):
             n_held = int(np.count_nonzero(node.fold_id == fold))
-            key = (node.kind, p, node.response.shape[1:], n, n_held, len(node.lambdas))
-            groups.setdefault(key, []).append((i, fold))
+            key = (node.kind, p, node.response.shape[1:], n - n_held, n_held, len(node.lambdas))
+            problems.append((key, (i, fold)))
     losses = [np.empty((node.folds, len(node.lambdas))) for node in nodes]
     stopped = [0] * len(nodes)
-    for (kind, p, _, n, n_held, _), members in groups.items():
-        size = max(1, BATCH_BYTES // (8 * (n - n_held) * (p + 1)))
-        for start in range(0, len(members), size):
-            chunk = members[start:start + size]
-            held = [nodes[i].fold_id == fold for i, fold in chunk]
-            xs = [nodes[i].x for i, _ in chunk]
-            ys = [nodes[i].response for i, _ in chunk]
-            out, hit = _path_losses(
-                np.stack([x[~h] for x, h in zip(xs, held)]),
-                np.stack([y[~h] for y, h in zip(ys, held)]),
-                kind,
-                np.stack([np.asarray(nodes[i].lambdas, dtype=float) for i, _ in chunk]),
-                np.stack([x[h] for x, h in zip(xs, held)]),
-                np.stack([y[h] for y, h in zip(ys, held)]),
-            )
-            for (i, fold), row, h in zip(chunk, out, hit):
-                losses[i][fold] = row
-                stopped[i] += int(h)
+    for kind, chunk in _stacks(problems):
+        held = [nodes[i].fold_id == fold for i, fold in chunk]
+        xs = [nodes[i].x for i, _ in chunk]
+        ys = [nodes[i].response for i, _ in chunk]
+        path = lasso_path(
+            np.stack([x[~h] for x, h in zip(xs, held)]),
+            np.stack([y[~h] for y, h in zip(ys, held)]),
+            kind,
+            np.stack([np.asarray(nodes[i].lambdas, dtype=float) for i, _ in chunk]),
+        )
+        x_held = np.stack([x[h] for x, h in zip(xs, held)])
+        y_held = np.stack([y[h] for y, h in zip(ys, held)])
+        out = np.column_stack([_holdout_losses(x_held, y_held, kind, coefs) for coefs in path])
+        for (i, fold), row, hits in zip(chunk, out, path.stopped):
+            losses[i][fold] = row
+            stopped[i] += int(hits > 0)
     return losses, stopped
 
 
@@ -609,31 +504,44 @@ def fit_mrf(
     all_losses, all_stopped = _cv_losses(list(cv.values()))
     cv_fits = dict(zip(cv, zip(all_losses, all_stopped)))
 
-    flags: list[str] = []
-    norms = np.zeros((q, q))
+    # then each node's penalty, and its final fit below lambda_max, the
+    # nodes of one kind, width and class count in one stack
     node_lambdas: dict[str, float] = {}
+    todo = []
     for i, (name, (x, response, lam_max)) in enumerate(zip(names, designs)):
-        if x.shape[1] >= n:
-            flags.append(f"{name}: {x.shape[1]} parameters for {n} rows")
         if lam_max == 0.0:
-            node_lambdas[name] = 0.0
-            continue
-        if lam == "cv":
-            losses, stopped = cv_fits[i]
-            lam_i = _one_se(losses, cv[i].lambdas)
-            if stopped:
-                flags.append(
-                    f"{name}: {stopped} of {folds} CV fold fits stopped at the iteration limit"
-                )
+            lam_i = 0.0
+        elif lam == "cv":
+            lam_i = _one_se(cv_fits[i][0], cv[i].lambdas)
         else:
             lam_i = float(lam)
         node_lambdas[name] = lam_i
-        if lam_i >= lam_max:  # zero is exact; a fit may leave 1e-16 phantom edges
+        if lam_i < lam_max:  # zero is exact; a fit may leave 1e-16 phantom edges
+            todo.append(((kinds[name], x.shape[1], response.shape[1:], n), i))
+    fits = {}
+    for kind, chunk in _stacks(todo):
+        path = lasso_path(
+            np.stack([designs[i][0] for i in chunk]),
+            np.stack([designs[i][1] for i in chunk]),
+            kind,
+            np.array([[node_lambdas[names[i]]] for i in chunk]),
+        )
+        fits.update(zip(chunk, zip(path[0], path.stopped)))
+
+    flags: list[str] = []
+    norms = np.zeros((q, q))
+    for i, (name, (x, _, _)) in enumerate(zip(names, designs)):
+        if x.shape[1] >= n:
+            flags.append(f"{name}: {x.shape[1]} parameters for {n} rows")
+        if i in cv and cv_fits[i][1]:
+            flags.append(
+                f"{name}: {cv_fits[i][1]} of {folds} CV fold fits stopped at the iteration limit"
+            )
+        if i not in fits:
             continue
-        fit = lasso_path(x, response, kinds[name], np.asarray([lam_i]))
-        if fit.stopped:
+        coefs, stopped = fits[i]
+        if stopped:
             flags.append(f"{name}: the fit stopped at the iteration limit")
-        coefs = fit[0]
         if np.max(np.abs(coefs)) > SEPARATION_BOUND:
             flags.append(f"{name}: quasi-separated fit (|coef| > {SEPARATION_BOUND:g})")
         start = 0

@@ -10,11 +10,13 @@ and the baseline anchored.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .partial import PartialSweep
-from .summary import ContourGrid
+if TYPE_CHECKING:  # annotations only; the commands that render import these layers
+    from .partial import PartialSweep
+    from .summary import ContourGrid
 
 __all__ = ["render_contour", "render_sweep"]
 

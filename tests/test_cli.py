@@ -293,6 +293,22 @@ def test_bad_margin_row_exits_2(capsys, demo_bundle, tmp_path, field, cell, mess
     assert payload["error"]["message"] == message.format(path=margins, limit=csv.field_size_limit())
 
 
+@pytest.mark.parametrize("token", ["true", "NaN", "Infinity", "0", "-1", "[0.1]"])
+def test_bad_detection_lambda_exits_2(capsys, demo_bundle, tmp_path, token):
+    # a boolean or non-finite penalty is refused at load, not run as 1.0 or
+    # found only when the report is written
+    detection = json.loads((demo_bundle / "config.json").read_text())["detection"]
+    config = tmp_path / "config.json"
+    _config_with(demo_bundle, tmp_path, detection={**detection, "lambda": "LAMBDA"})
+    config.write_text(config.read_text().replace('"LAMBDA"', token))
+    rc, out, err = run(capsys, ["detect", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert (rc, out) == (2, "")
+    payload = json.loads(err)
+    assert payload["error"]["type"] == "ConfigError"
+    assert payload["error"]["message"].startswith("detection.lambda must be")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("quoted", [False, True], ids=["split", "csv_reader"])
 def test_over_long_survey_field_exits_2(capsys, demo_bundle, tmp_path, quoted):
     lines = (demo_bundle / "survey.csv").read_text().splitlines()
@@ -331,6 +347,9 @@ assert sorted(m for m in sys.modules if m.startswith("surveysense.")) == [
     "surveysense.cli", "surveysense.config", "surveysense.data", "surveysense.errors"]
 if {first!r} == "names":
     check_functions()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["contour", "--config", {config!r}, "--out", {str(tmp_path / "c")!r}]) == 0
+assert "surveysense.partial" not in sys.modules  # contour never sweeps
 for command in ("detect", "benchmark", "summary"):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main([command, "--config", {config!r}, "--out", {str(tmp_path / "o")!r}]) == 0

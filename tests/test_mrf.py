@@ -131,6 +131,118 @@ def _oracle_path(x, response, kind, lambdas, tol=1e-7):
     return out
 
 
+# --- scalar Gram-form oracle ---------------------------------------------------
+# The package's kernel, one problem at a time: the same sweeps, stopping rules
+# and IEEE operations on 2-D arrays and Python floats. The stacked kernel must
+# give each problem these bits, whatever it is stacked with.
+
+
+def _cd(gram, grad, lam, beta, tol, *, intercept, active_set, max_sweeps):
+    rows = list(gram)
+    diag = gram.diagonal().tolist()
+    b = beta.tolist()
+    first = 1 if intercept else 0
+    active_only = False
+    stopped = True
+    for _ in range(max_sweeps):
+        if intercept:
+            shift = grad.item(0) / diag[0]
+            if shift != 0.0:
+                b[0] += shift
+                grad -= rows[0] * shift
+        delta = 0.0
+        changed_support = False
+        for j in range(first, len(b)):
+            bj = b[j]
+            if active_only and bj == 0.0:
+                continue
+            sq = diag[j]
+            if sq == 0.0:
+                continue
+            new = _soft(grad.item(j) + sq * bj, lam) / sq
+            if new != bj:
+                grad += rows[j] * (bj - new)
+                b[j] = new
+                delta = max(delta, abs(new - bj))
+                if (bj == 0.0) != (new == 0.0):
+                    changed_support = True
+        if delta < tol:
+            if not active_only and not (active_set and changed_support):
+                stopped = False
+                break
+            active_only = False  # full pass to look for violations
+        elif active_set:
+            active_only = True
+    beta[:] = b
+    return stopped
+
+
+def _irls_step(xt, y, prob, lam, theta, tol):
+    n = xt.shape[0]
+    obs_w = np.maximum(prob * (1 - prob), 1e-5)
+    gram = (xt.T * obs_w) @ xt / n
+    grad = xt.T @ (y - prob) / n
+    return _cd(gram, grad, lam, theta, tol, intercept=True, active_set=False, max_sweeps=200)
+
+
+def _fit_logistic(xt, y, lam, theta, tol):
+    from scipy.special import expit
+
+    stopped = False
+    for _ in range(60):
+        prob = np.clip(expit(xt @ theta), 1e-9, 1 - 1e-9)
+        old = theta.copy()
+        stopped |= _irls_step(xt, y, prob, lam, theta, tol)
+        if np.max(np.abs(theta - old)) < tol:
+            return stopped
+    return True
+
+
+def _fit_multinomial(xt, y_onehot, lam, theta, tol):
+    stopped = False
+    for _ in range(60):
+        old = theta[:, 1:].copy()
+        for cls in range(y_onehot.shape[1]):
+            eta = xt @ theta.T
+            eta -= eta.max(axis=1, keepdims=True)
+            prob = np.exp(eta)
+            prob /= prob.sum(axis=1, keepdims=True)
+            pk = np.clip(prob[:, cls], 1e-9, 1 - 1e-9)
+            stopped |= _irls_step(xt, y_onehot[:, cls], pk, lam, theta[cls], tol)
+        theta[:, 0] -= theta[:, 0].mean()  # symmetric parameterization
+        if np.max(np.abs(theta[:, 1:] - old)) < tol:
+            return stopped
+    return True
+
+
+def _scalar_path(x, response, kind, lambdas, tol=1e-7):
+    """``lasso_path`` on one (n, p) problem, fit by the scalar kernel."""
+    n, p = x.shape
+    out = []
+    stopped = 0
+    if kind == "continuous":
+        gram = x.T @ x / n
+        beta = np.zeros(p)
+        for lam in lambdas:
+            grad = x.T @ (response - x @ beta) / n
+            stopped += _cd(gram, grad, lam, beta, tol, intercept=False, active_set=True,
+                           max_sweeps=1000)
+            out.append(beta.copy()[None, :])
+        return mrf._Path(out, stopped)
+    xt = np.hstack([np.ones((n, 1)), x])
+    if kind == "binary":
+        theta = np.zeros(p + 1)
+        for lam in lambdas:
+            stopped += _fit_logistic(xt, response, lam, theta, tol)
+            out.append(theta[1:].copy()[None, :])
+        return mrf._Path(out, stopped)
+    theta = np.zeros((response.shape[1], p + 1))
+    for lam in lambdas:
+        stopped += _fit_multinomial(xt, response, lam, theta, tol)
+        out.append(theta[:, 1:].copy())
+    return mrf._Path(out, stopped)
+
+
 CHAIN_PRECISION = np.array(
     [[1.0, 0.6, 0.0], [0.6, 2.0, 0.6], [0.0, 0.6, 1.0]]
 )
@@ -347,14 +459,14 @@ def _holdout_loss(x, response, kind, coefs):
     return float(-2.0 * np.mean(np.log(picked)))
 
 
-def _oracle_cv_losses(x, response, kind, lambdas, fold_id, folds):
+def _oracle_cv_losses(x, response, kind, lambdas, fold_id, folds, path_fn=_scalar_path):
     """The (folds, penalties) loss matrix and the number of fold fits that
     stopped at an iteration limit."""
     losses = np.empty((folds, len(lambdas)))
     stopped = 0
     for fold in range(folds):
         held = fold_id == fold
-        path = mrf.lasso_path(x[~held], response[~held], kind, lambdas)
+        path = path_fn(x[~held], response[~held], kind, lambdas)
         stopped += path.stopped > 0
         for idx, coefs in enumerate(path):
             losses[fold, idx] = _holdout_loss(x[held], response[held], kind, coefs)
@@ -377,9 +489,11 @@ def _oracle_fold_ids(n, folds, rng):
     return fold_id
 
 
-def _oracle_fit_mrf(columns, kinds, *, lam, seed, folds=10, n_lambdas=30, ratio=0.01):
-    """``fit_mrf`` as one loop over the nodes, each cross-validated fold by
-    fold and flagged as it is fit. Returns node penalties, weights, flags."""
+def _oracle_fit_mrf(columns, kinds, *, lam, seed, folds=10, n_lambdas=30, ratio=0.01,
+                    path_fn=_scalar_path):
+    """``fit_mrf`` as one loop over the nodes, each fit alone by ``path_fn``,
+    cross-validated fold by fold and flagged as it is fit. Returns node
+    penalties, weights, flags."""
     names = tuple(columns)
     n = len(columns[names[0]])
     blocks = {m: mrf._predictor_block(np.asarray(columns[m]), kinds[m], m) for m in names}
@@ -398,7 +512,8 @@ def _oracle_fit_mrf(columns, kinds, *, lam, seed, folds=10, n_lambdas=30, ratio=
         if lam == "cv":
             path = np.geomspace(lam_max, lam_max * ratio, n_lambdas)
             fold_id = _oracle_fold_ids(n, folds, mrf.stream_for_node(seed, i))
-            losses, stopped = _oracle_cv_losses(x, response, kinds[name], path, fold_id, folds)
+            losses, stopped = _oracle_cv_losses(x, response, kinds[name], path, fold_id, folds,
+                                                path_fn)
             lam_i = _oracle_one_se(losses, path)
             if stopped:
                 flags.append(f"{name}: {stopped} of {folds} CV fold fits stopped at the "
@@ -408,7 +523,7 @@ def _oracle_fit_mrf(columns, kinds, *, lam, seed, folds=10, n_lambdas=30, ratio=
         node_lambdas[name] = lam_i
         if lam_i >= lam_max:
             continue
-        fit = mrf.lasso_path(x, response, kinds[name], np.asarray([lam_i]))
+        fit = path_fn(x, response, kinds[name], np.asarray([lam_i]))
         if fit.stopped:
             flags.append(f"{name}: the fit stopped at the iteration limit")
         if np.max(np.abs(fit[0])) > mrf.SEPARATION_BOUND:
@@ -428,17 +543,18 @@ def _row_form_path(*args, **kwargs):
 
 
 @pytest.mark.parametrize("lam", [0.08, "cv"])
-def test_fit_mrf_matches_row_form_oracle(lam, monkeypatch):
+def test_fit_mrf_matches_row_form_oracle(lam):
     cols, kinds = _mixed_16_node_sample(300, seed=4)
     got = fit_mrf(cols, kinds, lam=lam, seed=1, n_lambdas=12)
-    # every node's folds in one stacked pass give the per-node, per-fold bits
+    # every node's folds, and then every node's final fit, in stacks give the
+    # bits of the scalar kernel run node by node and fold by fold
     lambdas, weights, flags = _oracle_fit_mrf(cols, kinds, lam=lam, seed=1, n_lambdas=12)
     assert got.node_lambdas == lambdas
     np.testing.assert_array_equal(got.weights, weights)
     assert got.flags == flags
     # and the Gram-form kernel matches the row form, cross validation included
-    monkeypatch.setattr(mrf, "lasso_path", _row_form_path)
-    lambdas, weights, flags = _oracle_fit_mrf(cols, kinds, lam=lam, seed=1, n_lambdas=12)
+    lambdas, weights, flags = _oracle_fit_mrf(cols, kinds, lam=lam, seed=1, n_lambdas=12,
+                                              path_fn=_row_form_path)
     # under cross validation n14 and n15 both pick their lambda_max, which
     # fit_mrf answers with zero coefficients before either kernel runs
     np.testing.assert_array_equal(got.adjacency(), weights > 0.0)
@@ -492,12 +608,15 @@ def test_fits_that_stop_at_a_limit_are_flagged():
 
 
 @st.composite
-def cv_stacks(draw):
+def cv_stacks(draw, limits=False):
     """Nodes of every kind on shared rows, cut into folds that do not divide
     the rows (so a node's folds have two training sizes), some with a
     zero-variance column, some with fewer rows than predictors, some with a
     response independent of the design (which picks its own lambda_max),
-    and rows per stack chunk from one problem to the whole group."""
+    and rows per stack chunk from one problem to the whole group. With
+    ``limits``, also nodes with two nearly equal columns or a response that
+    the design separates, on paths down to 1e-5 of lambda_max, so that fits
+    stop at the sweep or IRLS limit."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     folds = draw(st.integers(2, 6))
     n = folds * draw(st.integers(1, 8)) + draw(st.integers(1, folds - 1))
@@ -508,21 +627,27 @@ def cv_stacks(draw):
         x = rng.standard_normal((n, p))
         if p > 1 and draw(st.booleans()):
             x[:, 0] = 0.0  # a standardized one-level indicator: the sq == 0 skip
+        if limits and p > 2 and draw(st.booleans()):
+            x[:, 2] = x[:, 1] + 1e-3 * rng.standard_normal(n)  # a slow descent
         x[:, 1:] = (x[:, 1:] - x[:, 1:].mean(axis=0)) / x[:, 1:].std(axis=0)
         signal = x @ rng.standard_normal(p) * draw(st.sampled_from([0.0, 1.0, 3.0]))
+        separated = limits and draw(st.booleans())
         if kind == "continuous":
             y = signal + rng.standard_normal(n)
             response = (y - y.mean()) / y.std()
         elif kind == "binary":
-            response = (rng.random(n) < 1.0 / (1.0 + np.exp(-signal))) * 1.0
+            cut = 0.5 if separated else rng.random(n)
+            response = (cut < 1.0 / (1.0 + np.exp(-signal))) * 1.0
         else:
-            codes = np.searchsorted(np.quantile(signal + rng.standard_normal(n), [0.3, 0.6]),
-                                    signal + rng.standard_normal(n))
+            noisy = signal if separated else signal + rng.standard_normal(n)
+            codes = np.searchsorted(np.quantile(noisy, [0.3, 0.6]),
+                                    signal if separated else signal + rng.standard_normal(n))
             response = np.eye(3)[codes]
         lam_max = mrf._lambda_max(x, response, kind)
         if lam_max == 0.0:
             continue
-        lambdas = np.geomspace(lam_max, lam_max * draw(st.sampled_from([0.5, 0.1, 0.02])),
+        ratios = [0.5, 0.1, 0.02] + ([1e-5] if limits else [])
+        lambdas = np.geomspace(lam_max, lam_max * draw(st.sampled_from(ratios)),
                                draw(st.integers(2, 6)))
         fold_id = _oracle_fold_ids(n, folds, rng)
         nodes.append(mrf._CVNode(x, response, kind, lambdas, fold_id, folds))
@@ -535,8 +660,8 @@ def cv_stacks(draw):
 @given(cv_stacks())
 def test_stacked_cv_equals_per_fold_oracle(case):
     nodes, budget = case
-    calls = mock.Mock(wraps=mrf._path_losses)
-    with mock.patch.object(mrf, "_path_losses", calls), \
+    calls = mock.Mock(wraps=mrf.lasso_path)
+    with mock.patch.object(mrf, "lasso_path", calls), \
             mock.patch.object(mrf, "BATCH_BYTES", budget or mrf.BATCH_BYTES):
         losses, stopped = mrf._cv_losses(nodes)
     if budget == 1:
@@ -557,6 +682,31 @@ def test_stacked_cv_equals_per_fold_oracle(case):
         want, _ = _oracle_cv_losses(node.x, node.response, node.kind, node.lambdas, fold_id,
                                     node.folds)
         assert pick == _oracle_one_se(want, node.lambdas)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cv_stacks(limits=True))
+def test_stacked_lasso_path_equals_scalar_oracle(case):
+    # each node twice, the second time on shuffled rows and half its
+    # penalties, in one stack per kind and shape
+    nodes, _ = case
+    groups = {}
+    for node in nodes:
+        order = np.random.default_rng(0).permutation(len(node.x))
+        key = (node.kind, node.x.shape[1], node.response.shape[1:], len(node.lambdas))
+        groups.setdefault(key, []).extend([
+            (node.x, node.response, node.lambdas),
+            (node.x[order], node.response[order], node.lambdas / 2.0),
+        ])
+    for (kind, *_), problems in groups.items():
+        xs, ys, lambdas = (np.stack(a) for a in zip(*problems))
+        path = lasso_path(xs, ys, kind, lambdas)
+        assert len(path) == lambdas.shape[1] and path.stopped.shape == (len(problems),)
+        for b, (x, y, lams) in enumerate(problems):
+            want = _scalar_path(x, y, kind, lams)
+            assert all(np.array_equal(got[b], w) for got, w in zip(path, want))
+            assert path.stopped[b] == want.stopped
 
 
 def test_continuous_fit_at_lambda_max_is_exactly_zero():
