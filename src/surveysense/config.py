@@ -26,6 +26,14 @@ _TOP_KEYS = {
 }
 
 
+def is_penalty(lam: Any) -> bool:
+    """The rule of ``detection.lambda`` and the graph fit's ``lam``."""
+    if isinstance(lam, str):
+        return lam == "cv"
+    return (isinstance(lam, (int, float)) and not isinstance(lam, bool)
+            and math.isfinite(lam) and lam > 0)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     survey: str
@@ -104,10 +112,7 @@ class RunConfig:
         if not 0.0 < self.r2_max < 1.0:
             raise ConfigError("r2_max must lie in (0, 1)")
         lam = self.detection_lambda
-        if lam != "cv" and not (
-            isinstance(lam, (int, float)) and not isinstance(lam, bool)
-            and math.isfinite(lam) and lam > 0
-        ):
+        if not is_penalty(lam):
             raise ConfigError(f'detection.lambda must be "cv" or a positive number, not {lam!r}')
 
     def require_b_star(self) -> float:

@@ -3,15 +3,18 @@
 Finding the smallest set of fully observed nodes that touches every
 outcome-to-sampling-set path is a set-cover problem: rows are paths,
 columns are candidate nodes, and a valid weighting set must hit every row.
-Solved exactly by branch and bound with an LP-relaxation bound; a greedy
-cover seeds the incumbent. When partially observed nodes make full
-coverage impossible, a relaxed solve reports the cover using as few
-partial nodes as possible.
+Solved exactly by branch and bound from a greedy incumbent, pruned by a
+packing bound (disjoint rows each need a column of their own) and, only
+where that fails, by the LP relaxation (HiGHS), which is never weaker: the
+search finds the cover the LP bound alone finds, in no more nodes. When
+partially observed nodes make full coverage impossible, a relaxed solve
+reports the cover using as few partial nodes as possible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import ceil
 
 import numpy as np
@@ -36,15 +39,12 @@ class SeparatingSetResult:
     blocked_paths: tuple[tuple[str, ...], ...]
     relaxed_nodes: tuple[str, ...]
     relaxed_partial: tuple[str, ...]
-    lp_bound: float
     nodes_explored: int
 
 
 def _lp_bound(rows: list[frozenset[int]], costs: dict[int, float]) -> float:
     from scipy.optimize import linprog
 
-    if not rows:
-        return 0.0
     cols = sorted(set().union(*rows))
     pos = {j: k for k, j in enumerate(cols)}
     a_ub = np.zeros((len(rows), len(cols)))
@@ -62,6 +62,17 @@ def _lp_bound(rows: list[frozenset[int]], costs: dict[int, float]) -> float:
     if not res.success:  # every row has a column, so only numeric failure lands here
         return 0.0
     return float(res.fun)
+
+
+def _packing_bound(rows: list[frozenset[int]], costs: dict[int, float]) -> float:
+    """A cover pays for a distinct column of each row in a greedy set of
+    pairwise disjoint rows: at least their cheapest costs, summed."""
+    used, total = set(), 0.0
+    for row in rows:
+        if used.isdisjoint(row):
+            used |= row
+            total += min(costs[j] for j in row)
+    return total
 
 
 def _reduce_rows(rows: list[frozenset[int]]) -> list[frozenset[int]]:
@@ -90,8 +101,8 @@ def _greedy_cover(rows: list[frozenset[int]], costs: dict[int, float]) -> set[in
 
 def _min_cost_cover(
     rows: list[frozenset[int]], costs: dict[int, float]
-) -> tuple[set[int], float, int]:
-    """Exact minimum-cost cover; returns (cover, root LP bound, nodes explored).
+) -> tuple[set[int], int]:
+    """Exact minimum-cost cover; returns (cover, nodes explored).
 
     Costs are integral, so LP bounds are rounded up before pruning.
     """
@@ -106,9 +117,8 @@ def _min_cost_cover(
             [row for row in active if not row.intersection(forced)]
         )
     base_cost = sum(costs[j] for j in forced)
-    root_bound = base_cost + _lp_bound(active, costs)
     if not active:
-        return forced, root_bound, 0
+        return forced, 0
 
     incumbent = forced | _greedy_cover(active, costs)
     best_cost = sum(costs[j] for j in incumbent)
@@ -127,8 +137,8 @@ def _min_cost_cover(
                 best_cost = cost
                 incumbent = set(chosen)
             return
-        bound = cost + ceil(_lp_bound(uncovered, costs) - 1e-9)
-        if bound >= best_cost:
+        if cost + _packing_bound(uncovered, costs) >= best_cost or (
+                cost + ceil(_lp_bound(uncovered, costs) - 1e-9) >= best_cost):
             return
         branch_row = min(uncovered, key=lambda row: (len(row), sorted(row)))
         for j in sorted(branch_row, key=lambda j: (costs[j], j)):
@@ -137,7 +147,7 @@ def _min_cost_cover(
             chosen.discard(j)
 
     dfs(active, set(forced), float(base_cost))
-    return incumbent, root_bound, explored
+    return incumbent, explored
 
 
 def solve_separating_set(
@@ -160,13 +170,9 @@ def solve_separating_set(
         raise DetectionError(
             f"partial nodes not among path-matrix columns: {sorted(unknown)}"
         )
-    col_index = {name: j for j, name in enumerate(pmat.columns)}
-    partial_idx = {col_index[name] for name in partial}
+    partial_idx = {pmat.columns.index(name) for name in partial}
 
-    all_rows: list[frozenset[int]] = [
-        frozenset(np.flatnonzero(pmat.matrix[r]).tolist())
-        for r in range(pmat.n_paths)
-    ]
+    all_rows = [frozenset(compress(range(len(pmat.columns)), row)) for row in pmat.matrix.tolist()]
     allowed_rows = [row.difference(partial_idx) for row in all_rows]
     blocked = [r for r, row in enumerate(allowed_rows) if not row]
 
@@ -184,7 +190,7 @@ def solve_separating_set(
                 j: penalty if j in partial_idx else 1.0
                 for j in range(len(pmat.columns))
             }
-            cover, _, _ = _min_cost_cover(all_rows, costs)
+            cover, _ = _min_cost_cover(all_rows, costs)
             relaxed_nodes = tuple(sorted(pmat.columns[j] for j in cover))
             relaxed_partial = tuple(
                 name for name in relaxed_nodes if name in set(partial)
@@ -196,12 +202,11 @@ def solve_separating_set(
             blocked_paths=tuple(pmat.paths[r] for r in blocked),
             relaxed_nodes=relaxed_nodes,
             relaxed_partial=relaxed_partial,
-            lp_bound=0.0,
             nodes_explored=0,
         )
 
     costs = {j: 1.0 for j in range(len(pmat.columns))}
-    cover, lp_bound, explored = _min_cost_cover(allowed_rows, costs)
+    cover, explored = _min_cost_cover(allowed_rows, costs)
     names = tuple(sorted(pmat.columns[j] for j in cover))
     certificate = []
     for row in allowed_rows:
@@ -216,6 +221,5 @@ def solve_separating_set(
         blocked_paths=(),
         relaxed_nodes=(),
         relaxed_partial=(),
-        lp_bound=lp_bound,
         nodes_explored=explored,
     )

@@ -17,14 +17,15 @@ directions, so an edge survives when either regression keeps the other node
 the one-standard-error rule unless a fixed value is supplied.
 
 The kernel runs a stack of problems of one shape: it updates a coordinate
-of every problem with one numpy operation, and each problem takes the
-sweeps, and the bits, it would take alone. ``lasso_path`` takes such a
-stack on a leading axis; a 2-D design is a stack of one. Cross validation
-stacks every (node, fold) problem of one kind, width, class count, row
-count and path length, and the final fits stack the nodes of one kind,
-width and class count, since numpy's cost per call makes a stack of one
-several times slower than a stack of many. A fit that stops at an
-iteration limit instead of at the tolerance is flagged on the graph.
+of every problem with a few numpy operations on one contiguous row, and
+each problem takes the sweeps, and the bits, it would take alone.
+``lasso_path`` takes such a stack on a leading axis; a 2-D design is a
+stack of one. Cross validation stacks every (node, fold) problem of one
+kind, width, class count, row count and path length, and the final fits
+stack the nodes of one kind, width and class count, since numpy's cost
+per call makes a stack of one several times slower than a stack of
+many. A fit that stops at an iteration limit instead of at the tolerance
+is flagged on the graph.
 
 Predictors are standardized (categorical nodes enter as full indicator
 blocks), so coefficient norms are comparable across nodes and the group
@@ -39,6 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibrate import BATCH_BYTES
+from .config import is_penalty
 from .errors import DetectionError
 
 logger = logging.getLogger(__name__)
@@ -59,69 +61,77 @@ def _cd_stack(gram, grad, lam, beta, tol, *, intercept, active_set, max_sweeps,
     """Cyclic coordinate descent on ½βᵀGβ − cᵀβ + lam·Σ|β_j| in Gram form,
     for a stack of B problems at once.
 
-    ``gram`` is (B, p, p) G = XᵀWX/n, and ``grad`` the (B, p) gradient
-    c − Gβ at ``beta``; both ``beta`` and ``grad`` are updated in place,
-    ``grad`` with one O(p) row update per changed coordinate. ``lam`` is
-    (B,). With ``intercept`` coordinate 0 is unpenalized, moved first in
+    ``gram`` is (B, p, p) G = XᵀWX/n, ``grad`` the (B, p) gradient c − Gβ
+    at ``beta`` and ``lam`` (B,); ``beta`` and ``grad`` are updated in
+    place. With ``intercept`` coordinate 0 is unpenalized, moved first in
     every sweep and left out of the stopping rule. Without ``active_set`` a
     problem stops at the first sweep that moves no coordinate by ``tol``;
-    with it, such a sweep is followed by passes over the nonzero coordinates
-    until they settle, and it stops at a settled full sweep that changed no
-    coordinate's support. A problem sits out a coordinate past its own stop,
-    outside its active set, or at a zero diagonal, so it takes the sweeps it
-    would take alone. Once half the problems have stopped, the rest go on as
-    a stack of their own, so a few slow problems do not keep sweeping the
-    whole stack. Returns the (B,) mask of the problems that stopped at
-    ``max_sweeps``.
+    with it, such a sweep is followed by passes over the nonzero
+    coordinates until they settle, and it stops at a settled full sweep
+    that changed no coordinate's support. Returns the (B,) mask of the
+    problems that stopped at ``max_sweeps``.
+
+    β, the gradient, the diagonal and each Gram row are held column-major,
+    (p, B), so coordinate j of every problem is one contiguous row. Each
+    sweep masks the coordinates a problem sits out (past its own stop, at a
+    zero diagonal, or zero in an active-set pass), so it takes the sweeps it
+    would take alone, and takes δ from a (p, B) buffer of its steps. Once
+    half the problems have stopped, the rest go on as a stack of their own.
     """
-    diag = gram.diagonal(axis1=1, axis2=2)
+    n_probs, p = beta.shape
+    rows = np.ascontiguousarray(gram.transpose(1, 2, 0))
+    diag = np.ascontiguousarray(gram.diagonal(axis1=1, axis2=2).T)
     live = diag != 0.0
-    sq_safe = np.where(live, diag, 1.0)
+    sq = np.where(live, diag, 1.0)
+    g, b = np.ascontiguousarray(grad.T), np.ascontiguousarray(beta.T)
     neg_lam = -lam
-    running = np.ones(len(beta), dtype=bool)
-    if active_only is None:
-        active_only = np.zeros(len(beta), dtype=bool)
+    running = np.ones(n_probs, dtype=bool)
+    active_only = np.zeros(n_probs, dtype=bool) if active_only is None else active_only
+    visit, step = np.empty((p, n_probs), dtype=bool), np.empty((p, n_probs))
+    new, clipped, update = np.empty(n_probs), np.empty(n_probs), np.empty((p, n_probs))
     for sweep in range(max_sweeps):
         # A problem that does not move a coordinate takes a step of 0.0 there,
         # which leaves its coefficients as they were and its gradient too, up
         # to the sign of a zero entry, which no later update can tell apart.
         if intercept:
-            shift = grad[:, 0] / diag[:, 0]
-            shift = np.where(running, shift, 0.0)
-            beta[:, 0] += shift
-            grad -= gram[:, 0] * shift[:, None]
-        delta = np.zeros(len(beta))
-        changed_support = np.zeros(len(beta), dtype=bool)
-        for j in range(1 if intercept else 0, beta.shape[1]):
-            bj = beta[:, j].copy()
-            visit = running & live[:, j]
-            if active_set:
-                visit &= ~(active_only & (bj == 0.0))
-            z = grad[:, j] + diag[:, j] * bj
-            new = np.where(z > lam, z - lam, np.where(z < neg_lam, z + lam, 0.0)) / sq_safe[:, j]
-            moved = visit & (new != bj)
-            if not moved.any():
-                continue
-            step = np.where(moved, bj - new, 0.0)
-            grad += gram[:, j] * step[:, None]
-            beta[:, j] = np.where(moved, new, bj)
-            delta = np.maximum(delta, np.abs(step))
-            if active_set:
-                changed_support |= (bj == 0.0) != (beta[:, j] == 0.0)
-        settled = delta < tol
-        running &= ~(settled & ~active_only & ~changed_support)
+            shift = np.where(running, g[0] / diag[0], 0.0)
+            b[0] += shift
+            g -= rows[0] * shift
+        np.logical_and(live, running, out=visit)
+        if active_set:
+            visit &= (b != 0.0) | ~active_only
+            was_zero = b == 0.0
+        step.fill(0.0)
+        for j in range(1 if intercept else 0, p):
+            bj = b[j]
+            np.multiply(diag[j], bj, out=new)
+            new += g[j]
+            # z − clip(z, −lam, lam) is z − lam, z + lam or +0.0, never −0.0
+            np.maximum(new, neg_lam, out=clipped)
+            np.minimum(clipped, lam, out=clipped)
+            new -= clipped
+            new /= sq[j]
+            np.subtract(bj, new, out=step[j], where=visit[j])
+            if np.count_nonzero(step[j]):
+                np.copyto(bj, new, where=visit[j])
+                np.multiply(rows[j], step[j], out=update)
+                g += update
+        settled = np.abs(step).max(axis=0) < tol
+        changed_support = active_set and (was_zero != (b == 0.0)).any(axis=0)
+        running &= ~settled | active_only | changed_support
         active_only = ~settled & active_set
-        left = np.flatnonzero(running)
-        if 2 * len(left) <= len(running) and sweep + 1 < max_sweeps:
-            if len(left):
-                rest_grad, rest_beta = grad[left], beta[left]
-                running[left] = _cd_stack(
-                    gram[left], rest_grad, lam[left], rest_beta, tol, intercept=intercept,
-                    active_set=active_set, max_sweeps=max_sweeps - sweep - 1,
-                    active_only=active_only[left],
-                )
-                grad[left], beta[left] = rest_grad, rest_beta
+        if 2 * np.count_nonzero(running) <= n_probs:
             break
+    grad[:], beta[:] = g.T, b.T
+    left = np.flatnonzero(running)
+    if len(left) and sweep + 1 < max_sweeps:
+        rest_grad, rest_beta = grad[left], beta[left]
+        running[left] = _cd_stack(
+            gram[left], rest_grad, lam[left], rest_beta, tol, intercept=intercept,
+            active_set=active_set, max_sweeps=max_sweeps - sweep - 1,
+            active_only=active_only[left],
+        )
+        grad[left], beta[left] = rest_grad, rest_beta
     return running
 
 
@@ -144,51 +154,50 @@ def _irls_stack(xt, y, prob, lam, theta, tol):
                      max_sweeps=200)
 
 
-def _fit_logistic_stack(xt, y, lam, theta, tol):
-    """Penalized logistic fits by IRLS: ``xt`` (B, n, p+1), ``theta``
-    (B, p+1), updated in place. Returns the (B,) mask of the fits that
-    stopped at an iteration limit."""
+def _irls_fits(step, xt, y, lam, theta, tol):
+    """IRLS ``step``s on a stack until each problem's coefficients move by
+    less than ``tol``, compacting it only when one finishes. Updates
+    ``theta``; returns the (B,) mask of the fits stopped at a limit."""
+    stopped = np.zeros(len(theta), dtype=bool)
+    idx, xs, ys, ls, th = np.arange(len(theta)), xt, y, lam, theta
+    for _ in range(_MAX_OUTER):
+        hit, moved = step(xs, ys, ls, th, tol)
+        stopped[idx] |= hit
+        if (moved < tol).any():
+            theta[idx] = th
+            idx, xs, ys, ls, th = (a[~(moved < tol)] for a in (idx, xs, ys, ls, th))
+        if not len(idx):
+            break
+    theta[idx] = th
+    stopped[idx] = True
+    return stopped
+
+
+def _logistic_step(xt, y, lam, theta, tol):
+    """One IRLS step of penalized logistic fits, ``theta`` (B, p+1): the
+    fits that stopped at the sweep limit, and each one's largest change."""
     from scipy.special import expit
 
-    todo = np.ones(len(theta), dtype=bool)
-    stopped = np.zeros(len(theta), dtype=bool)
-    for _ in range(_MAX_OUTER):
-        idx = np.flatnonzero(todo)
-        sel = slice(None) if len(idx) == len(todo) else idx
-        xs, th = xt[sel], theta[sel]
-        prob = np.clip(expit((xs @ th[:, :, None])[:, :, 0]), _PROB_CLIP, 1 - _PROB_CLIP)
-        old = th.copy()
-        stopped[idx] |= _irls_stack(xs, y[sel], prob, lam[sel], th, tol)
-        theta[sel] = th
-        todo[idx[np.max(np.abs(th - old), axis=1) < tol]] = False
-        if not todo.any():
-            break
-    return stopped | todo
+    prob = np.clip(expit((xt @ theta[:, :, None])[:, :, 0]), _PROB_CLIP, 1 - _PROB_CLIP)
+    old = theta.copy()
+    hit = _irls_stack(xt, y, prob, lam, theta, tol)
+    return hit, np.max(np.abs(theta - old), axis=1)
 
 
-def _fit_multinomial_stack(xt, y_onehot, lam, theta, tol):
-    """Penalized multinomial fits, one class at a time per IRLS step, in the
-    symmetric parameterization: ``theta`` (B, k, p+1)."""
-    todo = np.ones(len(theta), dtype=bool)
-    stopped = np.zeros(len(theta), dtype=bool)
-    for _ in range(_MAX_OUTER):
-        idx = np.flatnonzero(todo)
-        sel = slice(None) if len(idx) == len(todo) else idx
-        xs, ys, th = xt[sel], y_onehot[sel], theta[sel]
-        old = th[:, :, 1:].copy()
-        for cls in range(ys.shape[2]):
-            eta = xs @ th.transpose(0, 2, 1)
-            eta -= eta.max(axis=2, keepdims=True)
-            prob = np.exp(eta)
-            prob /= prob.sum(axis=2, keepdims=True)
-            pk = np.clip(prob[:, :, cls], _PROB_CLIP, 1 - _PROB_CLIP)
-            stopped[idx] |= _irls_stack(xs, ys[:, :, cls], pk, lam[sel], th[:, cls], tol)
-        th[:, :, 0] -= th[:, :, 0].mean(axis=1, keepdims=True)
-        theta[sel] = th
-        todo[idx[np.max(np.abs(th[:, :, 1:] - old), axis=(1, 2)) < tol]] = False
-        if not todo.any():
-            break
-    return stopped | todo
+def _multinomial_step(xt, y_onehot, lam, theta, tol):
+    """One IRLS step of penalized multinomial fits, one class at a time, in
+    the symmetric parameterization: ``theta`` (B, k, p+1)."""
+    old = theta[:, :, 1:].copy()
+    hit = np.zeros(len(theta), dtype=bool)
+    for cls in range(y_onehot.shape[2]):
+        eta = xt @ theta.transpose(0, 2, 1)
+        eta -= eta.max(axis=2, keepdims=True)
+        prob = np.exp(eta)
+        prob /= prob.sum(axis=2, keepdims=True)
+        pk = np.clip(prob[:, :, cls], _PROB_CLIP, 1 - _PROB_CLIP)
+        hit |= _irls_stack(xt, y_onehot[:, :, cls], pk, lam, theta[:, cls], tol)
+    theta[:, :, 0] -= theta[:, :, 0].mean(axis=1, keepdims=True)
+    return hit, np.max(np.abs(theta[:, :, 1:] - old), axis=(1, 2))
 
 
 class _Path(list):
@@ -240,12 +249,12 @@ def lasso_path(
         xt = np.concatenate([np.ones((n_probs, n, 1)), x], axis=2)
         if kind == "binary":
             theta = np.zeros((n_probs, 1, p + 1))
-            fit, params = _fit_logistic_stack, theta[:, 0]
+            step, params = _logistic_step, theta[:, 0]
         else:
             theta = np.zeros((n_probs, response.shape[2], p + 1))
-            fit, params = _fit_multinomial_stack, theta
+            step, params = _multinomial_step, theta
         for lam in lambdas.T:
-            stopped += fit(xt, response, lam, params, tol)
+            stopped += _irls_fits(step, xt, response, lam, params, tol)
             out.append(theta[:, :, 1:].copy())
     else:
         raise DetectionError(f"unknown node kind {kind!r}")
@@ -468,12 +477,14 @@ def fit_mrf(
     Parameters
     ----------
     columns, kinds : node values and their kinds
-    lam : "cv" for per-node cross validation, or a fixed penalty applied
-        to every nodewise regression
+    lam : "cv" for per-node cross validation, or a finite positive penalty
+        applied to every nodewise regression (anything else raises)
     seed : drives the cross-validation folds only
 
     Deterministic given data, penalty policy, and seed.
     """
+    if not is_penalty(lam):
+        raise DetectionError(f'lam must be "cv" or a positive number, not {lam!r}')
     names = tuple(columns)
     q = len(names)
     if q < 2:

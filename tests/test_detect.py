@@ -9,6 +9,7 @@ from surveysense import detect
 from surveysense.cover import STATUS_DIRECT, STATUS_FOUND
 from surveysense.detect import graph_to_dot
 from surveysense.errors import DetectionError
+from surveysense.mrf import fit_mrf
 from surveysense.simulate import gaussian_mrf_sample
 
 
@@ -116,3 +117,53 @@ def test_detection_is_deterministic():
     a = detect(cols, kinds, "y", ("x",), seed=3)
     b = detect(cols, kinds, "y", ("x",), seed=3)
     assert a.to_dict() == b.to_dict()
+
+
+@pytest.mark.parametrize(
+    "lam", [True, False, float("nan"), float("inf"), float("-inf"), 0.0, -0.5, "CV", "", None],
+    ids=repr,
+)
+def test_bad_penalty_is_refused(lam):
+    # the config check's rule: "cv" or a finite positive number, not a bool;
+    # True would otherwise run every node at 1.0 and NaN or inf return an
+    # empty graph
+    cols, kinds = chain_data(n=200)
+    message = f'lam must be "cv" or a positive number, not {lam!r}'
+    with pytest.raises(DetectionError) as err:
+        fit_mrf(cols, kinds, lam=lam)
+    assert str(err.value) == message
+    with pytest.raises(DetectionError) as err:
+        detect(cols, kinds, "y", ("x",), lam=lam)
+    assert str(err.value) == message
+
+
+def test_detect_leaves_scipy_optimize_unimported(tmp_path, run_fresh):
+    # HiGHS runs only at a search node that the packing bound cannot prune;
+    # a chain's one path is pruned at the root, so a detect job never pays
+    # for importing scipy.optimize
+    cols, _ = chain_data(n=300)
+    rows = ["x,v,y"] + [f"{a!r},{b!r},{c!r}" for a, b, c in zip(*(cols[k].tolist() for k in "xvy"))]
+    (tmp_path / "survey.csv").write_text("\n".join(rows) + "\n")
+    (tmp_path / "margins.csv").write_text("variable,level,value\nv,,0.0\n")
+    config = {
+        "survey": str(tmp_path / "survey.csv"),
+        "margins": str(tmp_path / "margins.csv"),
+        "columns": {"x": "continuous", "v": "continuous", "y": "continuous"},
+        "outcome": "y",
+        "weighting": {"variables": ["v"]},
+        "detection": {"sampling_set": ["x"], "lambda": "cv"},
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    script = f"""
+import contextlib, io, json, sys
+import surveysense.cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = surveysense.cli.main(["detect", "--config", {str(tmp_path / "config.json")!r},
+                                 "--out", {str(tmp_path / "out")!r}])
+assert code == 0
+report = json.loads(open({str(tmp_path / "out" / "detection.json")!r}).read())
+assert len(report["separating_set"]) == 1 and len(report["certificate"]) == 1
+print(sorted(m for m in sys.modules if m.startswith("scipy.optimize")))
+"""
+    assert run_fresh(script).strip() == "[]"

@@ -407,6 +407,9 @@ def test_lasso_path_matches_row_form_oracle(kind, design):
         assert g.shape == w.shape
         np.testing.assert_allclose(g, w, rtol=0.0, atol=1e-10)
     assert np.count_nonzero(got[-1]) > 0  # the path reaches a nontrivial fit
+    # the soft-threshold gives +0.0 inside the threshold, as the oracles do,
+    # so no −0.0 reaches a weight or an artifact
+    assert not any(np.any(np.signbit(g) & (g == 0.0)) for g in got)
     if design == "constant_column":
         assert all(np.all(c[:, 2] == 0.0) for c in got)
 
@@ -651,21 +654,42 @@ def cv_stacks(draw, limits=False):
                                draw(st.integers(2, 6)))
         fold_id = _oracle_fold_ids(n, folds, rng)
         nodes.append(mrf._CVNode(x, response, kind, lambdas, fold_id, folds))
-    # chunk budget in bytes: one problem per chunk, a few, or the package's
-    return nodes, draw(st.sampled_from([1, 256, None]))
+    # chunk budget: one problem per chunk, two or three problems per chunk
+    # of the largest stack, or the package's
+    return nodes, draw(st.sampled_from([1, 2, 3, None]))
+
+
+def _largest_stack(nodes):
+    """Problems in the largest (node, fold) stack of ``_cv_losses`` and
+    the bytes of one problem's training design there."""
+    sizes = {}
+    for node in nodes:
+        n, p = node.x.shape
+        for fold in range(node.folds):
+            n_train = n - int(np.count_nonzero(node.fold_id == fold))
+            key = (node.kind, p, node.response.shape[1:], n_train, len(node.lambdas))
+            sizes[key] = sizes.get(key, 0) + 1
+    (_, p, _, n_train, _), count = max(sizes.items(), key=lambda item: item[1])
+    return count, 8 * n_train * (p + 1)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(cv_stacks())
 def test_stacked_cv_equals_per_fold_oracle(case):
-    nodes, budget = case
+    nodes, per_chunk = case
+    budget = per_chunk
+    if per_chunk in (2, 3) and nodes:
+        largest, problem_bytes = _largest_stack(nodes)
+        budget = per_chunk * problem_bytes
     calls = mock.Mock(wraps=mrf.lasso_path)
     with mock.patch.object(mrf, "lasso_path", calls), \
             mock.patch.object(mrf, "BATCH_BYTES", budget or mrf.BATCH_BYTES):
         losses, stopped = mrf._cv_losses(nodes)
     if budget == 1:
         assert calls.call_count == sum(node.folds for node in nodes)
+    elif per_chunk in (2, 3) and nodes and largest > 1:
+        assert any(2 <= len(call.args[0]) <= 3 for call in calls.call_args_list)
     for node, got, got_stopped in zip(nodes, losses, stopped):
         want, want_stopped = _oracle_cv_losses(
             node.x, node.response, node.kind, node.lambdas, node.fold_id, node.folds
@@ -764,3 +788,4 @@ def test_support_change_in_a_settled_full_sweep_continues():
     want = _oracle_path(x, y, "continuous", np.array([lam]))[0][0]
     assert 0.0 < got[0] < 1e-7
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
+
