@@ -196,21 +196,18 @@ def _reestimated_draws(
                     stat[row] = np.bincount(at, weights=values, minlength=n_cells)
             centered = yb - yb.mean()
             var_y[row] = centered @ centered / n
-        mass, qy, q2 = sums
-        outcomes = solve_many(design, base_weights=mass, row_counts=counts, warm_start=warm)
+        outcomes = solve_many(design, base_weights=sums[0], row_counts=counts, warm_start=warm)
         for row, outcome in enumerate(outcomes):
             own = counts[row] > 0
-            reason = failure_reason(outcome, cells[own], counts[row, own])
-            if reason is not None:
-                dropped_by_reason[reason] += 1
+            if not (isinstance(outcome, WeightVector) and outcome.diagnostics.converged):
+                dropped_by_reason[failure_reason(outcome, cells[own], counts[row, own])] += 1
                 continue
             # a row's weight is its cell's weight shared in proportion to
             # base mass: w_i = share[cell(i)] * q_i, summing to n
-            share = outcome.values * (n / own.sum()) / mass[row, own]
-            total = share @ mass[row, own]
-            var_w = max(share**2 @ q2[row, own] / n - (total / n) ** 2, 0.0)
-            scale = ObservedScale(
-                var_y=var_y[row], var_w=var_w, mu_hat=share @ qy[row, own] / total
-            )
+            own_mass, own_qy, own_q2 = (stat[row, own] for stat in sums)
+            share = outcome.values * (n / own_mass.size) / own_mass
+            total = share @ own_mass
+            var_w = max(share**2 @ own_q2 / n - (total / n) ** 2, 0.0)
+            scale = ObservedScale(var_y=var_y[row], var_w=var_w, mu_hat=share @ own_qy / total)
             kept.append(scale.mu_hat - bias(params, scale))
     return kept, dropped_by_reason

@@ -44,7 +44,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .data import check_rank
+from .data import _dependent_columns, check_rank
 from .errors import InfeasibleTargetsError
 
 logger = logging.getLogger(__name__)
@@ -395,10 +395,12 @@ def solve_many(
         cut = np.zeros(t.shape, dtype=bool)
         if todo.size and guarded.size:
             design = part.matrix if guarded.size == part.p else part.matrix[:, guarded]
+            # each member has every cell, so the range screen gives the peaks
+            peak = np.maximum(hi, -lo)[None, guarded]
             if np.all(count[todo] == count[todo[0]]):
-                verdicts = [check_rank(design, count[todo[0]])] * todo.size
+                verdicts = _dependent_columns(design, count[todo[:1]], peak) * todo.size
             else:
-                verdicts = check_rank(design, count[todo])
+                verdicts = _dependent_columns(design, count[todo], peak)
             for pos, dropped in zip(todo, verdicts):
                 cut[pos, guarded[list(dropped)]] = True
                 if dropped:

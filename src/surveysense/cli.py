@@ -20,7 +20,7 @@ import os
 import sys
 from pathlib import Path
 
-from .config import RunConfig, load_config
+from .config import RunConfig, check_seed, load_config
 from .errors import ConfigError, SchemaError, SurveySenseError
 
 _FORMATS = {
@@ -274,9 +274,10 @@ def cmd_simulate(args) -> int:
     from .simulate import draw_sample, generate, three_covariate_dgp
 
     _check_format("simulate", args.format)
+    seed = check_seed(args.seed) if args.seed is not None else 20260822
     out = Path(args.out or os.environ.get("SURVEYSENSE_OUT") or "surveysense-out")
     out.mkdir(parents=True, exist_ok=True)
-    dgp = three_covariate_dgp(seed=args.seed if args.seed is not None else 20260822)
+    dgp = three_covariate_dgp(seed=seed)
     pop = generate(dgp, replication=0)
     idx = draw_sample(pop, replication=0)
     feats = pop.features().astype(int)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
-from .data import KINDS
+from .data import _FILTER_OPS, KINDS
 from .errors import ConfigError
 
 __all__ = ["RunConfig", "load_config", "config_from_dict"]
@@ -32,6 +32,13 @@ def is_penalty(lam: Any) -> bool:
         return lam == "cv"
     return (isinstance(lam, (int, float)) and not isinstance(lam, bool)
             and math.isfinite(lam) and lam > 0)
+
+
+def check_seed(seed: Any) -> int:
+    """A seed every random stream takes: an int, not a bool, in uint64's range."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must be an integer in [0, 2**64), not {seed!r}")
+    return seed
 
 
 @dataclass(frozen=True)
@@ -103,6 +110,19 @@ class RunConfig:
             raise ConfigError(f"base weight column {self.base_weight!r} missing from columns")
         if self.b_star is not None and not math.isfinite(self.b_star):
             raise ConfigError("b_star must be finite")
+        for i, spec in enumerate(self.filters):  # in a tuple, a list op or column cannot raise
+            if not (isinstance(spec, dict) and set(spec) == {"column", "op", "value"}
+                    and spec["op"] in tuple(_FILTER_OPS) and spec["column"] in tuple(known)):
+                raise ConfigError(
+                    f"filters[{i}] must be an object with exactly column (a declared one), "
+                    f"op ({' '.join(_FILTER_OPS)}) and value, not {spec!r}"
+                )
+        draws, again = self.bootstrap_draws, self.bootstrap_reestimate
+        if isinstance(draws, bool) or not isinstance(draws, int):
+            raise ConfigError(f"bootstrap.draws must be an integer, not {draws!r}")
+        if not isinstance(again, bool):
+            raise ConfigError(f"bootstrap.reestimate must be true or false, not {again!r}")
+        check_seed(self.seed)
         if self.bootstrap_draws < 1:
             raise ConfigError("bootstrap draws must be at least 1")
         if not 0.0 < self.bootstrap_alpha < 1.0:
@@ -228,18 +248,18 @@ def config_from_dict(raw: dict) -> RunConfig:
             sweep_grid=sweep_grid,
             benchmark_covariates=None if covariates is None
             else _str_list(covariates, "benchmark.covariates"),
-            bootstrap_draws=int(boot.get("draws", 1000)),
+            bootstrap_draws=boot.get("draws", 1000),
             bootstrap_alpha=float(boot.get("alpha", 0.05)),
             bootstrap_rho=float(boot.get("rho", 0.0)),
             bootstrap_r2=float(boot.get("r2", 0.0)),
-            bootstrap_reestimate=bool(boot.get("reestimate", True)),
+            bootstrap_reestimate=boot.get("reestimate", True),
             detection_sampling_set=_str_list(
                 det.get("sampling_set", []), "detection.sampling_set"
             ),
             detection_partial=_str_list(det.get("partial", []), "detection.partial"),
             detection_lambda=det.get("lambda", "cv"),
             filters=tuple(filters),
-            seed=int(raw.get("seed", 0)),
+            seed=raw.get("seed", 0),
         )
     except (TypeError, ValueError) as err:
         raise ConfigError(f"invalid config value: {err}") from err

@@ -11,7 +11,9 @@ in csv's default dialect. ``load_table`` splits text that has no quote
 character and no carriage return on ``\\n`` and the delimiter, which gives
 ``csv.reader``'s fields by construction, and hands any other text to
 ``csv.reader``; both routes drop the same short rows and reject the same
-over-long fields. Numeric cells are parsed by ``float()``, one at a time.
+over-long fields; there, ASCII text without whitespace but ``\n`` skips
+``str.strip``. A binary column of only ``0`` and ``1`` cells is decoded at once;
+other numeric cells are parsed by ``float()`` one at a time.
 ``build_features`` codes each categorical variable once per frame.
 """
 
@@ -35,6 +37,9 @@ KINDS = frozenset({"categorical", "binary", "continuous"})
 
 #: cell texts treated as missing by the loaders
 MISSING_TOKENS = ("", "NA")
+
+#: the ASCII characters ``str.strip`` removes, but for ``\n``
+_ASCII_BLANKS = "".join(c for c in map(chr, range(128)) if c.isspace() and c != "\n")
 
 _FILTER_OPS = {
     "==": operator.eq,
@@ -149,7 +154,7 @@ def _read_cells(
     csv.reader((), delimiter=delimiter)  # rejects the delimiters csv rejects, on both routes
     with open(path, newline="", encoding="utf-8-sig") as handle:
         text = handle.read()
-    lines = None
+    lines, plain = None, False
     if '"' in text or "\r" in text:
         reader = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
         header, rows = None, []
@@ -162,6 +167,7 @@ def _read_cells(
             where = "header" if header is None else f"data row {len(rows) + 1}"
             raise SchemaError(f"{path}: {where}: {err}") from None
     else:
+        plain = text.isascii() and not any(map(text.__contains__, _ASCII_BLANKS))
         first, *lines = text.split("\n")
         header = first.split(delimiter) if first else []
         lines = list(filter(None, lines))  # blank lines are skipped
@@ -174,6 +180,8 @@ def _read_cells(
     if absent:
         raise SchemaError(f"{path}: declared columns missing from header: {absent}")
     position = {name: j for j, name in enumerate(header)}
+    # a cell of plain text holds no whitespace that str.strip would remove
+    clean = list if plain else lambda col: list(map(str.strip, col))
     if lines is not None:
         # a line of exactly the header's fields puts its first field, led by
         # the joining newline, at a multiple of that count in the flat split
@@ -182,7 +190,9 @@ def _read_cells(
         if flat and len(flat) == step * len(lines) and (
             "".join(flat[step::step]).count("\n") == len(lines) - 1
         ):
-            cells = {name: list(map(str.strip, flat[position[name]::step])) for name in names}
+            if plain:  # but for the joining newline that leads a line's first field
+                flat[::step] = "".join(flat[::step]).split("\n")
+            cells = {name: clean(flat[position[name]::step]) for name in names}
             return cells, np.ones(len(lines), dtype=bool)
         del flat
         rows = [line.split(delimiter) for line in lines]
@@ -191,11 +201,20 @@ def _read_cells(
     keep = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)) >= width
     if not keep.all():
         rows = [row if len(row) >= width else [""] * width for row in rows]
-    cells = {
-        name: list(map(str.strip, map(operator.itemgetter(position[name]), rows)))
-        for name in names
-    }
+    cells = {name: clean(map(operator.itemgetter(position[name]), rows)) for name in names}
     return cells, keep
+
+
+def _zero_one(cells: list[str]) -> np.ndarray | None:
+    """The cells as 0.0 and 1.0 if each is exactly ``0`` or ``1``, else None:
+    only such cells, joined on newlines, alternate digit and newline."""
+    joined = "\n".join(cells) + "\n"
+    if len(joined) != 2 * len(cells) or not joined.isascii():
+        return None
+    digit, gap = np.frombuffer(joined.encode("ascii"), dtype=np.uint8).reshape(-1, 2).T
+    if np.any(gap != ord("\n")) or np.any((digit != ord("0")) & (digit != ord("1"))):
+        return None
+    return (digit == ord("1")).astype(np.float64)
 
 
 def _over_limit(header: list[str], lines: list[str], delimiter: str, limit: int) -> str | None:
@@ -230,17 +249,24 @@ def load_table(
             raise SchemaError(f"column {name!r}: unknown kind {kind!r}")
     cells, keep = _read_cells(path, list(schema), delimiter)
     missing_set = set(missing)
-    for col in cells.values():
-        if not missing_set.isdisjoint(col):
+    # a 0/1 column holds no missing token, unless 0 or 1 is one
+    bits = {name: v for name, kind in schema.items() if kind == "binary"
+            and missing_set.isdisjoint(("0", "1")) and (v := _zero_one(cells[name])) is not None}
+    for name, col in cells.items():
+        if name not in bits and not missing_set.isdisjoint(col):
             keep &= ~np.fromiter(map(missing_set.__contains__, col), dtype=bool, count=len(col))
     row_ids = np.flatnonzero(keep) + 1
     if row_ids.size < keep.size:
         cells = {name: list(compress(col, keep)) for name, col in cells.items()}
+        bits = {name: v[keep] for name, v in bits.items()}
     columns: dict | None = {}
     try:
         for name, kind in schema.items():
             if kind == "categorical":
                 columns[name] = np.asarray(cells[name], dtype=object)
+                continue
+            if name in bits:
+                columns[name] = bits[name]
                 continue
             values = np.fromiter(map(float, cells[name]), dtype=np.float64, count=len(row_ids))
             if not np.isfinite(values).all() or (
@@ -585,7 +611,6 @@ def check_rank(
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     n, p = matrix.shape
-    stacked = row_counts is not None and np.ndim(row_counts) == 2
     counts = np.ones((1, n)) if row_counts is None else np.atleast_2d(row_counts)
     present = counts > 0
     if present.all():
@@ -595,16 +620,23 @@ def check_rank(
             np.broadcast_to(np.abs(matrix), (len(counts), n, p)),
             axis=1, where=present[:, :, None], initial=0.0,
         )
+    found = _dependent_columns(matrix, counts, peak)
+    return found if row_counts is not None and np.ndim(row_counts) == 2 else found[0]
+
+
+def _dependent_columns(matrix: np.ndarray, counts: np.ndarray, peak: np.ndarray) -> list:
+    """``check_rank`` per problem of a (B, n) stack of ``counts``, given the
+    columns' peaks over each problem's rows, (B, p), or (1, p) if shared."""
+    n, p = matrix.shape
     found = [()] * len(counts)
     todo = np.flatnonzero(~_gram_certifies(matrix, counts, peak))
     if todo.size == 0:
-        return found if stacked else found[0]
+        return found
     if len(peak) > 1:
         peak = peak[todo]
     augmented = np.ones((todo.size, n, p + 1))
     augmented[:, :, 1:] = matrix / np.maximum(peak, 1e-300)[:, None, :]
-    if row_counts is not None:
-        augmented *= np.sqrt(counts[todo])[:, :, None]
+    augmented *= np.sqrt(counts[todo])[:, :, None]
     r = np.linalg.qr(augmented, mode="r")
     unclear = np.arange(todo.size)
     if r.shape[1] == p + 1:
@@ -616,20 +648,20 @@ def check_rank(
         smallest = np.linalg.svd(r, compute_uv=False)[:, -1]
         unclear = np.flatnonzero(smallest <= 1e-8 * np.maximum(biggest, 1.0))
     if unclear.size == 0:
-        return found if stacked else found[0]
+        return found
     diag, pivots = _pivoted_diagonal(r[unclear], PIVOT_TIE * np.sqrt(n))
     ranks = np.sum(diag > 1e-10 * np.maximum(diag[:, :1], 1.0), axis=1)
     for i, rank, order in zip(todo[unclear], ranks, pivots):
         dependent = sorted(int(j) - 1 for j in order[rank:] if j > 0)
         if 0 in order[rank:]:
             # pivoting discarded the intercept; blame a constant design column
-            rows = present[i]
+            rows = counts[i] > 0
             constants = [
                 j for j in range(p) if not rows.any() or np.ptp(matrix[rows, j]) == 0.0
             ]
             dependent = sorted(set(dependent) | set(constants))
         found[i] = tuple(dependent)
-    return found if stacked else found[0]
+    return found
 
 
 def _gram_certifies(matrix: np.ndarray, counts: np.ndarray, peak: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ import csv
 import json
 from dataclasses import dataclass
 from importlib import resources
+from itertools import repeat
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -431,21 +432,17 @@ def write_balance_csv(path: Path, pipe: Pipeline) -> None:
 
 
 def write_contour_csv(path: Path, grid: ContourGrid) -> None:
-    # one line per grid point; reprs of Python floats equal _cell's, and no
-    # field ever needs CSV quoting, so this matches _write_rows byte for byte
-    r2_cells = [repr(v) for v in grid.r2_axis.tolist()]
-    lines = ["rho,r2,bias,adjusted,killer"]
-    lines += [
-        f"{rho_cell},{r2_cell},{b!r},{a!r},{1 if k else 0}"
+    # reprs of Python floats equal _cell's, and no field ever needs CSV quoting,
+    # so this matches _write_rows byte for byte; one rho row is written at once
+    r2_cells = list(map(repr, grid.r2_axis.tolist()))
+    with open(path, "w", newline="") as handle:
+        handle.write("rho,r2,bias,adjusted,killer\n")
         for rho_cell, bias_row, adj_row, kill_row in zip(
-            map(repr, grid.rho_axis.tolist()),
-            grid.bias.tolist(),
-            grid.adjusted.tolist(),
-            grid.killer_mask.tolist(),
-        )
-        for r2_cell, b, a, k in zip(r2_cells, bias_row, adj_row, kill_row)
-    ]
-    path.write_text("\n".join(lines) + "\n", newline="")
+            map(repr, grid.rho_axis.tolist()), grid.bias, grid.adjusted, grid.killer_mask
+        ):
+            fields = zip(repeat(rho_cell), r2_cells, map(repr, bias_row.tolist()),
+                         map(repr, adj_row.tolist()), map(("0", "1").__getitem__, kill_row.tolist()))
+            handle.write("\n".join(map(",".join, fields)) + "\n")
 
 
 def write_benchmarks_csv(path: Path, blocks: list[dict]) -> None:

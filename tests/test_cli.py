@@ -309,6 +309,44 @@ def test_bad_detection_lambda_exits_2(capsys, demo_bundle, tmp_path, token):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "key, token, message",
+    [
+        ("seed", "-1", "seed must be an integer in [0, 2**64), not -1"),
+        ("seed", str(2**70), f"seed must be an integer in [0, 2**64), not {2**70}"),
+        ("seed", "1.5", "seed must be an integer in [0, 2**64), not 1.5"),
+        ("filters", '["x1 == 1"]', "filters[0] must be an object with exactly column (a declared"),
+        ("bootstrap", '{"reestimate": "false"}', "bootstrap.reestimate must be true or false"),
+        ("bootstrap", '{"draws": 100.9}', "bootstrap.draws must be an integer, not 100.9"),
+        ("bootstrap", '{"draws": true}', "bootstrap.draws must be an integer, not True"),
+    ],
+)
+def test_bad_config_values_exit_2(capsys, demo_bundle, tmp_path, key, token, message):
+    # these escaped as tracebacks (exit 1) or were coerced silently
+    config = tmp_path / "config.json"
+    _config_with(demo_bundle, tmp_path, **{key: "VALUE"})
+    config.write_text(config.read_text().replace('"VALUE"', token))
+    rc, out, err = run(capsys, ["bootstrap", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert (rc, out) == (2, "")
+    payload = json.loads(err)
+    assert payload["error"]["type"] == "ConfigError"
+    assert payload["error"]["message"].startswith(message)
+
+
+@pytest.mark.parametrize("command", ["weight", "simulate"])
+@pytest.mark.parametrize("seed", ["-1", str(2**70)])
+def test_bad_seed_flag_exits_2(capsys, demo_bundle, tmp_path, command, seed):
+    argv = [command, "--seed", seed, "--out", str(tmp_path / "o")]
+    if command != "simulate":
+        argv += ["--config", str(demo_bundle / "config.json")]
+    rc, out, err = run(capsys, argv)
+    assert (rc, out) == (2, "")
+    payload = json.loads(err)
+    assert payload["error"]["type"] == "ConfigError"
+    assert payload["error"]["message"] == f"seed must be an integer in [0, 2**64), not {seed}"
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("quoted", [False, True], ids=["split", "csv_reader"])
 def test_over_long_survey_field_exits_2(capsys, demo_bundle, tmp_path, quoted):
     lines = (demo_bundle / "survey.csv").read_text().splitlines()

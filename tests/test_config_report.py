@@ -19,8 +19,10 @@ from surveysense.report import (
     build_pipeline,
     canonical_json,
     validate_report,
+    write_contour_csv,
     write_weights_csv,
 )
+from surveysense.summary import ContourGrid
 
 
 def minimal_config(**extra):
@@ -97,6 +99,56 @@ class TestConfigDict:
             config_from_dict(minimal_config(detection={"lambda": "auto"}))
         with pytest.raises(ConfigError, match='"cv" or a positive number'):
             config_from_dict(minimal_config(detection={"lambda": -0.5}))
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70, 1.5, True, "3", None])
+    def test_bad_seed(self, seed):
+        with pytest.raises(ConfigError, match=r"^seed must be an integer in \[0, 2\*\*64\)"):
+            config_from_dict(minimal_config(seed=seed))
+
+    def test_seed_range_and_override(self):
+        cfg = config_from_dict(minimal_config(seed=2**64 - 1))
+        assert cfg.seed == 2**64 - 1
+        assert cfg.with_overrides(seed=0).seed == 0
+        with pytest.raises(ConfigError, match="^seed must be"):
+            cfg.with_overrides(seed=-1)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            "x == 1",
+            {"column": "x", "op": "=="},
+            {"column": "x", "op": "==", "value": 1, "and": 2},
+            {"column": "x", "op": "=~", "value": 1},
+            {"column": "x", "op": ["=="], "value": 1},
+            {"column": "z", "op": "==", "value": 1},
+            {"column": ["x"], "op": "==", "value": 1},
+        ],
+    )
+    def test_bad_filter_entry(self, entry):
+        good = {"column": "x", "op": "==", "value": 1}
+        assert config_from_dict(minimal_config(filters=[good])).filters == (good,)
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(minimal_config(filters=[good, entry]))
+        assert str(err.value) == (
+            "filters[1] must be an object with exactly column (a declared one), "
+            f"op (== != < <= > >=) and value, not {entry!r}"
+        )
+
+    @pytest.mark.parametrize(
+        "block, message",
+        [
+            ({"reestimate": "false"}, "bootstrap.reestimate must be true or false, not 'false'"),
+            ({"reestimate": 0}, "bootstrap.reestimate must be true or false, not 0"),
+            ({"draws": 100.9}, "bootstrap.draws must be an integer, not 100.9"),
+            ({"draws": True}, "bootstrap.draws must be an integer, not True"),
+        ],
+    )
+    def test_bootstrap_values_are_not_coerced(self, block, message):
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(minimal_config(bootstrap=block))
+        assert str(err.value) == message
+        cfg = config_from_dict(minimal_config(bootstrap={"draws": 100, "reestimate": False}))
+        assert (cfg.bootstrap_draws, cfg.bootstrap_reestimate) == (100, False)
 
     def test_require_b_star(self):
         cfg = config_from_dict(minimal_config())
@@ -237,6 +289,31 @@ class TestAssembledReport:
             [[str(rid), _cell(float(w))] for rid, w in zip(pipe.frame.row_ids, values)],
         )
         assert fast.read_bytes() == oracle.read_bytes()
+
+    def test_contour_csv_matches_the_csv_writer_byte_for_byte(self, tmp_path):
+        # signed zero, floats whose reprs take an exponent, the smallest
+        # subnormal, and both killer flags
+        rho = np.array([-1.0, -0.0, 0.5])
+        r2 = np.array([0.0, 1e-05, 1e16, 5e-324])
+        bias = np.array([[-0.0, 1e-05, -1e16, 5e-324], [0.0, -0.0, 1 / 3, 2.5],
+                         [1e-300, 0.1, 1e16, -5e-324]])
+        grid = ContourGrid(
+            rho_axis=rho, r2_axis=r2, bias=bias, adjusted=1.0 - bias,
+            killer_mask=bias > 0.0, boundary=np.zeros(3),
+            scale=SimpleNamespace(), b_star=1.0,
+        )
+        fast, oracle = tmp_path / "fast.csv", tmp_path / "oracle.csv"
+        write_contour_csv(fast, grid)
+        _write_rows(
+            oracle, ["rho", "r2", "bias", "adjusted", "killer"],
+            [
+                [_cell(float(rho[i])), _cell(float(r2[j])), _cell(float(bias[i, j])),
+                 _cell(float(grid.adjusted[i, j])), "1" if grid.killer_mask[i, j] else "0"]
+                for i in range(len(rho)) for j in range(len(r2))
+            ],
+        )
+        assert fast.read_bytes() == oracle.read_bytes()
+        assert {line[-1] for line in fast.read_text().splitlines()[1:]} == {"0", "1"}
 
     def test_balance_rows_hit_targets(self, pipeline):
         pipe, sha = pipeline

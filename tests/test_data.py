@@ -20,7 +20,7 @@ from surveysense import (
     load_table,
     terms_from_config,
 )
-from surveysense.data import MISSING_TOKENS, _parse_cell, check_rank
+from surveysense.data import MISSING_TOKENS, _parse_cell, _zero_one, check_rank
 
 
 def write(tmp_path, name, text):
@@ -254,6 +254,57 @@ def test_load_table_matches_oracle_on_drawn_texts(tmp_path, caplog, case):
     got = _load_outcome(load_table, path, schema, caplog, delimiter)
     want = _load_outcome(dictreader_load_table, path, schema, caplog, delimiter)
     assert_same_outcome(got, want, schema)
+
+
+#: cells of one numeric column in the route test: 0/1 cells, which the
+#: binary decode takes; cells that only ``float()`` or stripping make 0 or 1;
+#: and the default missing tokens. The third row is dropped by column k.
+ROUTE_COLUMNS = {
+    "zero_one": ["1", "0", "0", "1", "1", "0"],
+    "padded": ["0", "1", "1.0", " 1", "\t0", "1"],
+    "gaps": ["1", "", "0", "NA", "1", "0"],
+}
+
+
+@pytest.mark.parametrize("missing", [MISSING_TOKENS, ("0", "", "NA")], ids=["default", "zero"])
+@pytest.mark.parametrize("kind", ["binary", "continuous"])
+@pytest.mark.parametrize("cells", sorted(ROUTE_COLUMNS))
+def test_load_table_routes_agree(tmp_path, caplog, cells, kind, missing):
+    """The split route, with or without whitespace to strip and with or
+    without the 0/1 decode, gives the csv.reader route's frame, which a
+    quoted header field forces, and the row-by-row oracle's."""
+    column = ROUTE_COLUMNS[cells]
+    rows = zip(["x", "y", "NA", "x", "y", "x"], column, range(7, 13))
+    body = "".join(f"{k},{v},{c}\n" for k, v, c in rows)
+    schema = {"v": kind, "c": "continuous", "k": "categorical"}
+    loads = []
+    for name, header in (("split.csv", "k,v,c"), ("quoted.csv", '"k",v,c')):
+        path = write(tmp_path, name, f"{header}\n{body}")
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="surveysense.data"):
+            frame = load_table(path, schema, missing=missing)
+        loads.append((frame, [m.removeprefix(path) for m in caplog.messages]))
+    (split, split_log), (quoted, quoted_log) = loads
+    want, want_ids = dictreader_load_table(tmp_path / "split.csv", schema, missing=missing)
+    assert split_log == quoted_log and len(split_log) == 1  # the same dropped count
+    assert split.kinds == quoted.kinds == schema
+    for frame in (split, quoted):
+        np.testing.assert_array_equal(frame.row_ids, want_ids)
+        for name in schema:
+            assert frame.columns[name].dtype == want[name].dtype
+            np.testing.assert_array_equal(frame.columns[name], want[name])
+    if missing == MISSING_TOKENS and cells != "gaps":
+        assert split.column("v").tolist() == [float(v) for v in column[:2] + column[3:]]
+
+
+@pytest.mark.parametrize(
+    "cells",
+    [[], ["2"], ["", "01"], ["0\n1", "1"], ["1", " 0"], ["\uff11"], ["0", "1", "1.0"], ["00"]],
+)
+def test_zero_one_decodes_only_single_digit_cells(cells):
+    assert _zero_one(["1", "0", "0"]).tolist() == [1.0, 0.0, 0.0]
+    assert _zero_one(["1", "0", "0"]).dtype == np.float64
+    assert _zero_one(cells) is None
 
 
 @pytest.mark.parametrize("quoted", [False, True], ids=["split", "csv_reader"])
