@@ -3,6 +3,9 @@
 Strict parsing: unknown keys are rejected so typos fail loudly instead
 of silently running defaults. The decision threshold has no default on
 purpose; commands that need it refuse to run without one.
+
+Each key is one row of ``_KEYS``: its path, its ``RunConfig`` field and the
+reader that applies its own rule; rules tying keys together are in ``__post_init__``.
 """
 
 from __future__ import annotations
@@ -19,19 +22,17 @@ from .errors import ConfigError
 
 __all__ = ["RunConfig", "load_config", "config_from_dict"]
 
-_TOP_KEYS = {
-    "survey", "columns", "outcome", "out", "margins", "population",
-    "weighting", "b_star", "grid", "sweep", "benchmark", "bootstrap",
-    "detection", "filters", "seed",
-}
+
+def _is_number(value: Any) -> bool:
+    """A JSON number: an int or a float, never a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def is_penalty(lam: Any) -> bool:
     """The rule of ``detection.lambda`` and the graph fit's ``lam``."""
     if isinstance(lam, str):
         return lam == "cv"
-    return (isinstance(lam, (int, float)) and not isinstance(lam, bool)
-            and math.isfinite(lam) and lam > 0)
+    return _is_number(lam) and math.isfinite(lam) and lam > 0
 
 
 def check_seed(seed: Any) -> int:
@@ -46,7 +47,7 @@ class RunConfig:
     survey: str
     schema: dict[str, str]
     outcome: str
-    weighting_variables: tuple[str, ...]
+    weighting_variables: tuple[str, ...] = ()
     out: str = "surveysense-out"
     margins: str | None = None
     population: str | None = None
@@ -72,44 +73,38 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.survey:
-            raise ConfigError("a survey file path is required")
         if (self.margins is None) == (self.population is None):
             raise ConfigError("exactly one of margins/population must be given")
-        for name, kind in self.schema.items():
-            if kind not in KINDS:
-                raise ConfigError(f"column {name!r} has unknown kind {kind!r}")
         if self.outcome not in self.schema:
             raise ConfigError(f"outcome {self.outcome!r} missing from columns")
-        if not self.weighting_variables:
+        if not self.weighting_variables:  # a weighting block may leave variables out
             raise ConfigError("at least one weighting variable is required")
         known = set(self.schema)
-        for group, names in (
-            ("weighting", self.weighting_variables),
-            ("benchmark", self.benchmark_covariates or ()),
-            ("detection sampling set", self.detection_sampling_set),
-        ):
-            stray = [v for v in names if v not in known]
-            if stray:
-                raise ConfigError(f"{group} variables missing from columns: {stray}")
-        for combo in self.interactions:
-            stray = [v for v in combo if v not in known]
-            if stray:
-                raise ConfigError(f"interaction variables missing from columns: {stray}")
         if self.sweep_variable is not None and self.sweep_variable not in known:
-            raise ConfigError(
-                f"sweep variable {self.sweep_variable!r} missing from columns"
-            )
-        stray = [v for v in self.detection_partial
-                 if v not in set(self.detection_sampling_set)]
-        if stray:
-            raise ConfigError(
-                f"partial variables must belong to the detection sampling set: {stray}"
-            )
+            raise ConfigError(f"sweep variable {self.sweep_variable!r} missing from columns")
         if self.base_weight is not None and self.base_weight not in known:
             raise ConfigError(f"base weight column {self.base_weight!r} missing from columns")
-        if self.b_star is not None and not math.isfinite(self.b_star):
-            raise ConfigError("b_star must be finite")
+        enforced = set(self.weighting_variables).union(*self.interactions)  # the calibrated ones
+        for names, allowed, message in (
+            (self.weighting_variables, known, "weighting variables missing from columns"),
+            (self.benchmark_covariates or (), known, "benchmark variables missing from columns"),
+            (self.detection_sampling_set, known,
+             "detection sampling set variables missing from columns"),
+            *((combo, known, "interaction variables missing from columns")
+              for combo in self.interactions),
+            (self.detection_partial, set(self.detection_sampling_set),
+             "partial variables must belong to the detection sampling set"),
+            (self.benchmark_covariates or (), enforced,
+             "benchmark.covariates must be weighting variables"),
+            (self.detection_sampling_set, known - {self.outcome},
+             "detection.sampling_set must not hold the outcome"),
+            (() if self.sweep_variable is None else (self.sweep_variable,),
+             known - enforced - {self.outcome},
+             "sweep.variable must be neither a weighting variable nor the outcome"),
+        ):
+            stray = [v for v in names if v not in allowed]
+            if stray:
+                raise ConfigError(f"{message}: {stray}")
         for i, spec in enumerate(self.filters):  # in a tuple, a list op or column cannot raise
             if not (isinstance(spec, dict) and set(spec) == {"column", "op", "value"}
                     and spec["op"] in tuple(_FILTER_OPS) and spec["column"] in tuple(known)):
@@ -117,23 +112,10 @@ class RunConfig:
                     f"filters[{i}] must be an object with exactly column (a declared one), "
                     f"op ({' '.join(_FILTER_OPS)}) and value, not {spec!r}"
                 )
-        draws, again = self.bootstrap_draws, self.bootstrap_reestimate
-        if isinstance(draws, bool) or not isinstance(draws, int):
-            raise ConfigError(f"bootstrap.draws must be an integer, not {draws!r}")
-        if not isinstance(again, bool):
-            raise ConfigError(f"bootstrap.reestimate must be true or false, not {again!r}")
+            if self.schema[spec["column"]] != "categorical" and not _is_number(spec["value"]):
+                raise ConfigError(f"filters[{i}] value must be a number for numeric column "
+                                  f"{spec['column']!r}, not {spec['value']!r}")
         check_seed(self.seed)
-        if self.bootstrap_draws < 1:
-            raise ConfigError("bootstrap draws must be at least 1")
-        if not 0.0 < self.bootstrap_alpha < 1.0:
-            raise ConfigError("bootstrap alpha must lie in (0, 1)")
-        if not (0 < self.rho_step <= 1 and 0 < self.r2_step <= 1):
-            raise ConfigError("grid steps must lie in (0, 1]")
-        if not 0.0 < self.r2_max < 1.0:
-            raise ConfigError("r2_max must lie in (0, 1)")
-        lam = self.detection_lambda
-        if not is_penalty(lam):
-            raise ConfigError(f'detection.lambda must be "cv" or a positive number, not {lam!r}')
 
     def require_b_star(self) -> float:
         """Commands that interpret bias must be told the threshold."""
@@ -158,110 +140,127 @@ class RunConfig:
         return replace(self, **changes) if changes else self
 
 
-def _expect(block: Any, keys: set[str], where: str) -> dict:
+def _rule(*checks, convert=None):
+    """A reader, (value, JSON path) -> field value: each ``(test, message)`` must hold
+    in turn, then ``convert`` applies; a message may show {path} and the value {0!r}."""
+    def read(value, path):
+        for test, message in checks:
+            if not test(value):
+                raise ConfigError(message.format(value, path=path))
+        return value if convert is None else convert(value)
+    return read
+
+
+def _number(test, message: str):
+    """A JSON number for which ``test`` holds, as a float."""
+    return _rule((_is_number, "{path} must be a number, not {0!r}"), (test, message),
+                 convert=float)
+
+
+def _or_null(read):
+    """``read``, but a JSON null reads as None, the field's unset value."""
+    return lambda value, path: None if value is None else read(value, path)
+
+
+def _columns(value: Any, path: str) -> dict[str, str]:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path} must be an object")
+    if not all(isinstance(v, str) for v in value.values()):
+        raise ConfigError(f"{path} must map names to kind strings")
+    for name, kind in value.items():
+        if kind not in KINDS:
+            raise ConfigError(f"column {name!r} has unknown kind {kind!r}")
+    return dict(value)
+
+
+_STRINGS = _rule((lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
+                  "{path} must be a list of strings"), convert=tuple)
+_STEP = _number(lambda v: 0 < v <= 1, "grid steps must lie in (0, 1]")
+
+#: one row per key: its JSON path ("block.key" inside a block), the RunConfig
+#: field it sets, and its reader (None: the value as it is)
+_KEYS = (
+    ("survey", "survey", _rule((bool, "a survey file path is required"))),
+    ("columns", "schema", _columns),
+    ("outcome", "outcome", None),
+    ("out", "out", None),
+    ("margins", "margins", None),
+    ("population.path", "population", _rule((lambda v: v is not None, "{path} is required"))),
+    ("population.weight", "population_weight", None),
+    ("weighting.variables", "weighting_variables", _STRINGS),
+    ("weighting.interactions", "interactions",
+     lambda value, path: tuple(_STRINGS(combo, f"{path} entry") for combo in value)),
+    ("weighting.base_weight", "base_weight", None),
+    ("b_star", "b_star", _or_null(_number(math.isfinite, "b_star must be finite"))),
+    ("grid.rho_step", "rho_step", _STEP),
+    ("grid.r2_step", "r2_step", _STEP),
+    ("grid.r2_max", "r2_max", _number(lambda v: 0 < v < 1, "r2_max must lie in (0, 1)")),
+    ("sweep.variable", "sweep_variable", None),
+    ("sweep.grid", "sweep_grid", _or_null(_rule(
+        (lambda v: isinstance(v, list) and all(map(_is_number, v)),
+         "{path} must be a list of numbers"), convert=lambda v: tuple(map(float, v))))),
+    ("benchmark.covariates", "benchmark_covariates", _or_null(_STRINGS)),
+    ("bootstrap.draws", "bootstrap_draws",  # an int, never a bool
+     _rule((lambda v: type(v) is int, "{path} must be an integer, not {0!r}"),
+           (lambda v: v >= 1, "bootstrap draws must be at least 1"))),
+    ("bootstrap.alpha", "bootstrap_alpha",
+     _number(lambda v: 0 < v < 1, "bootstrap alpha must lie in (0, 1)")),
+    ("bootstrap.rho", "bootstrap_rho",
+     _number(lambda v: -1 <= v <= 1, "{path} must lie in [-1, 1], not {0!r}")),
+    ("bootstrap.r2", "bootstrap_r2",
+     _number(lambda v: 0 <= v < 1, "{path} must lie in [0, 1), not {0!r}")),
+    ("bootstrap.reestimate", "bootstrap_reestimate",
+     _rule((lambda v: isinstance(v, bool), "{path} must be true or false, not {0!r}"))),
+    ("detection.sampling_set", "detection_sampling_set", _STRINGS),
+    ("detection.partial", "detection_partial", _STRINGS),
+    ("detection.lambda", "detection_lambda",
+     _rule((is_penalty, '{path} must be "cv" or a positive number, not {0!r}'))),
+    ("filters", "filters", _rule((lambda v: isinstance(v, list), "{path} must be a list"),
+                                 convert=tuple)),
+    ("seed", "seed", None),  # checked on the field: --seed sets it after parsing
+)
+
+#: the keys each level allows: "config" for the top level, then each block
+_LEVELS: dict[str, set[str]] = {}
+for _path, _, _ in _KEYS:
+    _top, _, _key = _path.rpartition(".")
+    _LEVELS.setdefault(_top or "config", set()).add(_key)
+_LEVELS["config"] |= _LEVELS.keys() - {"config"}
+
+#: keys the config must hold, then a key its block must hold when the block is given
+_REQUIRED = ("survey", "columns", "outcome", "weighting", "population.path")
+
+
+def _expect(block: Any, where: str) -> dict:
     if not isinstance(block, dict):
         raise ConfigError(f"{where} must be an object")
-    unknown = set(block).difference(keys)
+    unknown = set(block).difference(_LEVELS[where])
     if unknown:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
     return block
 
 
-def _str_list(value: Any, where: str) -> tuple[str, ...]:
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise ConfigError(f"{where} must be a list of strings")
-    return tuple(value)
-
-
 def config_from_dict(raw: dict) -> RunConfig:
-    _expect(raw, _TOP_KEYS, "config")
-    try:
-        survey = raw["survey"]
-        columns = raw["columns"]
-        outcome = raw["outcome"]
-        weighting = raw["weighting"]
-    except KeyError as err:
-        raise ConfigError(f"config is missing required key {err.args[0]!r}") from err
-    _expect(columns, set(columns), "columns")  # type check only
-    if not all(isinstance(v, str) for v in columns.values()):
-        raise ConfigError("columns must map names to kind strings")
-
-    weighting = _expect(weighting, {"variables", "interactions", "base_weight"}, "weighting")
-    variables = _str_list(weighting.get("variables", []), "weighting.variables")
-    interactions = tuple(
-        _str_list(combo, "weighting.interactions entry")
-        for combo in weighting.get("interactions", [])
-    )
-
-    population = raw.get("population")
-    pop_path = pop_weight = None
+    raw = dict(_expect(raw, "config"))
+    population = raw.pop("population", None)  # a path, or a block holding one
     if population is not None:
-        if isinstance(population, str):
-            pop_path = population
-        else:
-            block = _expect(population, {"path", "weight"}, "population")
-            pop_path = block.get("path")
-            pop_weight = block.get("weight")
-            if pop_path is None:
-                raise ConfigError("population.path is required")
-
-    grid = _expect(raw.get("grid", {}), {"rho_step", "r2_step", "r2_max"}, "grid")
-    sweep = _expect(raw.get("sweep", {}), {"variable", "grid"}, "sweep")
-    sweep_grid = sweep.get("grid")
-    if sweep_grid is not None:
-        if not isinstance(sweep_grid, list) or not all(
-            isinstance(v, (int, float)) for v in sweep_grid
-        ):
-            raise ConfigError("sweep.grid must be a list of numbers")
-        sweep_grid = tuple(float(v) for v in sweep_grid)
-    bench = _expect(raw.get("benchmark", {}), {"covariates"}, "benchmark")
-    covariates = bench.get("covariates")
-    boot = _expect(
-        raw.get("bootstrap", {}),
-        {"draws", "alpha", "rho", "r2", "reestimate"},
-        "bootstrap",
-    )
-    det = _expect(
-        raw.get("detection", {}), {"sampling_set", "partial", "lambda"}, "detection"
-    )
-    filters = raw.get("filters", [])
-    if not isinstance(filters, list):
-        raise ConfigError("filters must be a list")
-
+        raw["population"] = {"path": population} if isinstance(population, str) else population
+    levels = {"config": raw}
+    levels.update((top, _expect(raw[top], top)) for top in _LEVELS if top in raw)
+    for path in _REQUIRED:  # a block's key is required only when the block is given
+        top, _, key = path.rpartition(".")
+        if key not in levels.get(top or "config", (key,)):
+            raise ConfigError(f"{path} is required" if top
+                              else f"config is missing required key {key!r}")
+    fields = {}
     try:
-        return RunConfig(
-            survey=survey,
-            schema=dict(columns),
-            outcome=outcome,
-            out=raw.get("out", "surveysense-out"),
-            margins=raw.get("margins"),
-            population=pop_path,
-            population_weight=pop_weight,
-            weighting_variables=variables,
-            interactions=interactions,
-            base_weight=weighting.get("base_weight"),
-            b_star=None if raw.get("b_star") is None else float(raw["b_star"]),
-            rho_step=float(grid.get("rho_step", 0.01)),
-            r2_step=float(grid.get("r2_step", 0.005)),
-            r2_max=float(grid.get("r2_max", 0.95)),
-            sweep_variable=sweep.get("variable"),
-            sweep_grid=sweep_grid,
-            benchmark_covariates=None if covariates is None
-            else _str_list(covariates, "benchmark.covariates"),
-            bootstrap_draws=boot.get("draws", 1000),
-            bootstrap_alpha=float(boot.get("alpha", 0.05)),
-            bootstrap_rho=float(boot.get("rho", 0.0)),
-            bootstrap_r2=float(boot.get("r2", 0.0)),
-            bootstrap_reestimate=boot.get("reestimate", True),
-            detection_sampling_set=_str_list(
-                det.get("sampling_set", []), "detection.sampling_set"
-            ),
-            detection_partial=_str_list(det.get("partial", []), "detection.partial"),
-            detection_lambda=det.get("lambda", "cv"),
-            filters=tuple(filters),
-            seed=raw.get("seed", 0),
-        )
-    except (TypeError, ValueError) as err:
+        for path, field, read in _KEYS:
+            top, _, key = path.rpartition(".")
+            if key in levels.get(top or "config", ()):
+                value = levels[top or "config"][key]
+                fields[field] = value if read is None else read(value, path)
+        return RunConfig(**fields)
+    except (TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"invalid config value: {err}") from err
 
 

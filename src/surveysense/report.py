@@ -110,6 +110,8 @@ def build_pipeline(cfg: RunConfig) -> Pipeline:
     )
     design = build_features(frame, target, terms)
     base = frame.column(cfg.base_weight) if cfg.base_weight else None
+    if base is not None and not np.all(np.asarray(base, dtype=np.float64) > 0):
+        raise SchemaError(f"{cfg.survey}: base weight column {cfg.base_weight!r} must be positive")
     problem = design.to_problem(base)
     baseline = solve_raking(problem)
     if not baseline.diagnostics.converged:

@@ -347,6 +347,72 @@ def test_bad_seed_flag_exits_2(capsys, demo_bundle, tmp_path, command, seed):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "command, block, message",
+    [
+        # numbers are JSON numbers: never booleans, strings or null
+        ("summary", {"b_star": True}, "b_star must be a number, not True"),
+        ("summary", {"b_star": "0.1"}, "b_star must be a number, not '0.1'"),
+        ("summary", {"grid": {"rho_step": True}}, "grid.rho_step must be a number, not True"),
+        ("summary", {"grid": {"r2_max": None}}, "grid.r2_max must be a number, not None"),
+        ("partial", {"sweep": {"grid": [True]}}, "sweep.grid must be a list of numbers"),
+        ("bootstrap", {"bootstrap": {"alpha": "0.1"}}, "bootstrap.alpha must be a number, not '0.1'"),
+        ("bootstrap", {"bootstrap": {"rho": False}}, "bootstrap.rho must be a number, not False"),
+        # ranges and cross-key rules that failed late with exit 1, or ran silently
+        ("bootstrap", {"bootstrap": {"rho": 5}}, "bootstrap.rho must lie in [-1, 1], not 5"),
+        ("bootstrap", {"bootstrap": {"r2": 1.0}}, "bootstrap.r2 must lie in [0, 1), not 1.0"),
+        ("benchmark", {"benchmark": {"covariates": ["y"]}},
+         "benchmark.covariates must be weighting variables: ['y']"),
+        ("partial", {"sweep": {"variable": "x1"}},
+         "sweep.variable must be neither a weighting variable nor the outcome: ['x1']"),
+        ("partial", {"sweep": {"variable": "y"}},
+         "sweep.variable must be neither a weighting variable nor the outcome: ['y']"),
+        ("summary", {"detection": {"sampling_set": ["x1", "y"]}},
+         "detection.sampling_set must not hold the outcome: ['y']"),
+        ("detect", {"detection": {"sampling_set": ["y"]}},
+         "detection.sampling_set must not hold the outcome: ['y']"),
+        # a filter on a numeric column compares with a number
+        ("weight", {"filters": [{"column": "x1", "op": "==", "value": True}]},
+         "filters[0] value must be a number for numeric column 'x1', not True"),
+        ("weight", {"filters": [{"column": "x1", "op": "==", "value": "abc"}]},
+         "filters[0] value must be a number for numeric column 'x1', not 'abc'"),
+        ("weight", {"filters": [{"column": "x1", "op": ">=", "value": 0},
+                                {"column": "y", "op": "<", "value": [1]}]},
+         "filters[1] value must be a number for numeric column 'y', not [1]"),
+    ],
+)
+def test_config_mistakes_exit_2_at_load(capsys, demo_bundle, tmp_path, command, block, message):
+    # each of these ran silently, was coerced, or failed later with exit 1
+    config = _config_with(demo_bundle, tmp_path, **block)
+    rc, out, err = run(capsys, [command, "--config", config, "--out", str(tmp_path / "o")])
+    assert (rc, out) == (2, "")
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": {"type": "ConfigError", "message": message}}
+    assert not (tmp_path / "o").exists()
+
+
+def test_non_positive_base_weight_exits_2(capsys, demo_bundle, tmp_path):
+    lines = (demo_bundle / "survey.csv").read_text().splitlines()
+    rows = [f"{line},{0 if i == 3 else 1.5}" for i, line in enumerate(lines[1:], start=1)]
+    survey = tmp_path / "survey.csv"
+    survey.write_text("\n".join([lines[0] + ",bw", *rows]) + "\n")
+    config = json.loads((demo_bundle / "config.json").read_text())
+    config = _config_with(
+        demo_bundle, tmp_path, survey=str(survey),
+        columns={**config["columns"], "bw": "continuous"},
+        weighting={**config["weighting"], "base_weight": "bw"},
+    )
+    rc, out, err = run(capsys, ["weight", "--config", config, "--out", str(tmp_path / "o")])
+    assert (rc, out) == (2, "")
+    assert json.loads(err) == {
+        "error": {"type": "SchemaError",
+                  "message": f"{survey}: base weight column 'bw' must be positive"}
+    }
+    survey.write_text(survey.read_text().replace(",0\n", ",2\n", 1))
+    rc, _, _ = run(capsys, ["weight", "--config", config, "--out", str(tmp_path / "o")])
+    assert rc == 0
+
+
 @pytest.mark.parametrize("quoted", [False, True], ids=["split", "csv_reader"])
 def test_over_long_survey_field_exits_2(capsys, demo_bundle, tmp_path, quoted):
     lines = (demo_bundle / "survey.csv").read_text().splitlines()

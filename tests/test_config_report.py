@@ -134,6 +134,45 @@ class TestConfigDict:
             f"op (== != < <= > >=) and value, not {entry!r}"
         )
 
+    def test_every_key_reaches_its_field(self):
+        columns = {"x": "binary", "y": "continuous", "v": "binary", "w": "continuous",
+                   "g": "categorical"}
+        raw = {
+            "survey": "s.csv", "columns": columns, "outcome": "y", "out": "o",
+            "population": {"path": "p.csv", "weight": "pw"},
+            "weighting": {"variables": ["x", "g"], "interactions": [["x", "g"]],
+                          "base_weight": "w"},
+            "b_star": 1, "grid": {"rho_step": 0.02, "r2_step": 0.04, "r2_max": 0.5},
+            "sweep": {"variable": "v", "grid": [0.25, 1]}, "benchmark": {"covariates": ["g"]},
+            "bootstrap": {"draws": 50, "alpha": 0.1, "rho": -0.5, "r2": 0.25,
+                          "reestimate": False},
+            "detection": {"sampling_set": ["x", "v"], "partial": ["v"], "lambda": 0.5},
+            "filters": [{"column": "w", "op": ">", "value": 0}], "seed": 7,
+        }
+        cfg = config_from_dict(raw)
+        assert vars(cfg) == {
+            "survey": "s.csv", "schema": columns, "outcome": "y", "out": "o",
+            "margins": None, "population": "p.csv", "population_weight": "pw",
+            "weighting_variables": ("x", "g"), "interactions": (("x", "g"),),
+            "base_weight": "w", "b_star": 1.0, "rho_step": 0.02, "r2_step": 0.04,
+            "r2_max": 0.5, "sweep_variable": "v", "sweep_grid": (0.25, 1.0),
+            "benchmark_covariates": ("g",), "bootstrap_draws": 50, "bootstrap_alpha": 0.1,
+            "bootstrap_rho": -0.5, "bootstrap_r2": 0.25, "bootstrap_reestimate": False,
+            "detection_sampling_set": ("x", "v"), "detection_partial": ("v",),
+            "detection_lambda": 0.5, "filters": ({"column": "w", "op": ">", "value": 0},),
+            "seed": 7,
+        }
+        assert type(cfg.b_star) is float and type(cfg.sweep_grid[1]) is float
+
+    def test_filter_on_a_categorical_column_takes_any_value(self):
+        # a categorical filter compares str(value) with each level; only a
+        # numeric column needs a number
+        columns = {"x": "binary", "y": "continuous", "g": "categorical"}
+        for value in (1, True, "a", [1]):
+            spec = {"column": "g", "op": "==", "value": value}
+            cfg = config_from_dict(minimal_config(columns=columns, filters=[spec]))
+            assert cfg.filters == (spec,)
+
     @pytest.mark.parametrize(
         "block, message",
         [
