@@ -22,6 +22,9 @@ from .errors import ConfigError
 
 __all__ = ["RunConfig", "load_config", "config_from_dict"]
 
+#: most (rho, R2) points the contour grid may hold; the default grid has 38,391
+MAX_GRID_POINTS = 1_000_000
+
 
 def _is_number(value: Any) -> bool:
     """A JSON number: an int or a float, never a bool."""
@@ -115,6 +118,10 @@ class RunConfig:
             if self.schema[spec["column"]] != "categorical" and not _is_number(spec["value"]):
                 raise ConfigError(f"filters[{i}] value must be a number for numeric column "
                                   f"{spec['column']!r}, not {spec['value']!r}")
+        axes = (2.0 / self.rho_step, self.r2_max / self.r2_step)  # as contour_grid rounds them
+        if math.prod(round(min(n, MAX_GRID_POINTS)) + 1 for n in axes) > MAX_GRID_POINTS:
+            raise ConfigError(f"grid.rho_step {self.rho_step!r} and grid.r2_step {self.r2_step!r} "
+                              f"make a contour grid over the cap of {MAX_GRID_POINTS:,} points")
         check_seed(self.seed)
 
     def require_b_star(self) -> float:
@@ -173,6 +180,8 @@ def _columns(value: Any, path: str) -> dict[str, str]:
     return dict(value)
 
 
+_TEXT = (lambda v: isinstance(v, str), "{path} must be a string, not {0!r}")
+_NAME = _rule(_TEXT)  # a file path or a column name
 _STRINGS = _rule((lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
                   "{path} must be a list of strings"), convert=tuple)
 _STEP = _number(lambda v: 0 < v <= 1, "grid steps must lie in (0, 1]")
@@ -180,22 +189,24 @@ _STEP = _number(lambda v: 0 < v <= 1, "grid steps must lie in (0, 1]")
 #: one row per key: its JSON path ("block.key" inside a block), the RunConfig
 #: field it sets, and its reader (None: the value as it is)
 _KEYS = (
-    ("survey", "survey", _rule((bool, "a survey file path is required"))),
+    ("survey", "survey", _rule(_TEXT, (bool, "a survey file path is required"))),
     ("columns", "schema", _columns),
-    ("outcome", "outcome", None),
-    ("out", "out", None),
-    ("margins", "margins", None),
-    ("population.path", "population", _rule((lambda v: v is not None, "{path} is required"))),
-    ("population.weight", "population_weight", None),
+    ("outcome", "outcome", _NAME),
+    ("out", "out", _NAME),
+    ("margins", "margins", _or_null(_NAME)),
+    ("population.path", "population", _rule((lambda v: v is not None, "{path} is required"),
+                                            _TEXT)),
+    ("population.weight", "population_weight", _or_null(_NAME)),
     ("weighting.variables", "weighting_variables", _STRINGS),
     ("weighting.interactions", "interactions",
      lambda value, path: tuple(_STRINGS(combo, f"{path} entry") for combo in value)),
-    ("weighting.base_weight", "base_weight", None),
-    ("b_star", "b_star", _or_null(_number(math.isfinite, "b_star must be finite"))),
+    ("weighting.base_weight", "base_weight", _or_null(_NAME)),
+    ("b_star", "b_star", _or_null(_number(  # the robustness value squares a = gap²/(var_y·var_w)
+        lambda v: abs(v) <= 1e50, "b_star must be finite and within ±1e50, not {0!r}"))),
     ("grid.rho_step", "rho_step", _STEP),
     ("grid.r2_step", "r2_step", _STEP),
     ("grid.r2_max", "r2_max", _number(lambda v: 0 < v < 1, "r2_max must lie in (0, 1)")),
-    ("sweep.variable", "sweep_variable", None),
+    ("sweep.variable", "sweep_variable", _or_null(_NAME)),
     ("sweep.grid", "sweep_grid", _or_null(_rule(
         (lambda v: isinstance(v, list) and all(map(_is_number, v)),
          "{path} must be a list of numbers"), convert=lambda v: tuple(map(float, v))))),

@@ -6,15 +6,18 @@ three run one cyclic coordinate descent kernel in Gram (covariance-update)
 form (Friedman, Hastie & Tibshirani 2010, J. Stat. Softw. 33(1)): it works
 on G = XᵀWX/n and the gradient c − Gβ, which it keeps current with one
 O(p) update per changed coordinate, so a sweep never touches an n-length
-array. The linear lasso forms G once per path (W = I) and uses
-active-set passes; the logistic and multinomial fits form G once per
-iteratively reweighted least squares step, with the intercept as an
-unpenalized coordinate 0 whose Gram row is Xᵀw/n, and stop at the first
-sweep that moves no coefficient by the tolerance. The edge weight
-between two nodes averages the coefficient-group norms from the two
-directions, so an edge survives when either regression keeps the other node
-(the OR rule). The penalty level comes from 10-fold cross validation with
-the one-standard-error rule unless a fixed value is supplied.
+array. The linear lasso forms G and the score Xᵀy/n once per problem
+(W = I) and solves each penalty of its path from zero, as one more problem
+of the stack, with active-set passes. The logistic and multinomial fits
+form G once per iteratively reweighted least squares step, with the
+intercept as an unpenalized coordinate 0 whose Gram row is Xᵀw/n, stop at
+the first sweep that moves no coefficient by the tolerance, and walk their
+path warm started: from zero a penalty takes about five IRLS steps, each
+re-forming an n-row Gram, where a warm start takes three. The edge weight
+between two nodes averages the coefficient-group norms of both directions,
+so an edge survives when either regression keeps the other node (the OR
+rule). The penalty comes from 10-fold cross validation with the
+one-standard-error rule unless a fixed value is supplied.
 
 The kernel runs a stack of problems of one shape: it updates a coordinate
 of every problem with a few numpy operations on one contiguous row, and
@@ -218,7 +221,7 @@ def lasso_path(
     *,
     tol: float = 1e-7,
 ) -> list[np.ndarray]:
-    """Coefficient matrices along a descending penalty path, warm started.
+    """Coefficient matrices along a descending penalty path.
 
     ``x`` is an (n, p) design with ``response`` (n,) or (n, k) and
     ``lambdas`` (L,), or a stack of such problems on a leading axis: ``x``
@@ -226,7 +229,9 @@ def lasso_path(
     problem. Returns one (k, p) array per penalty, or (B, k, p) for a stack
     (k = 1 for gaussian and binary), in a list whose ``stopped`` attribute
     counts the penalties whose fit stopped at an iteration limit: an int, or
-    a (B,) array for a stack.
+    a (B,) array for a stack. A continuous path solves each penalty from
+    zero, all in one stack, so each fit has the bits of a one-penalty call;
+    a logistic or multinomial path is warm started from the fit before.
     """
     single = x.ndim == 2
     if single:
@@ -236,15 +241,14 @@ def lasso_path(
     out = []
     stopped = np.zeros(n_probs, dtype=int)
     if kind == "continuous":
-        xtt = x.transpose(0, 2, 1)
-        gram = xtt @ x / n
-        beta = np.zeros((n_probs, p))
-        for lam in lambdas.T:
-            resid = response - (x @ beta[:, :, None])[:, :, 0]
-            grad = (xtt @ resid[:, :, None])[:, :, 0] / n
-            stopped += _cd_stack(gram, grad, lam, beta, tol, intercept=False, active_set=True,
-                                 max_sweeps=1000)
-            out.append(beta[:, None, :].copy())
+        xtt, n_lams = x.transpose(0, 2, 1), lambdas.shape[1]
+        gram, score = xtt @ x / n, (xtt @ response[:, :, None])[:, :, 0] / n
+        beta = np.zeros((n_probs * n_lams, p))
+        hits = _cd_stack(np.repeat(gram, n_lams, axis=0), np.repeat(score, n_lams, axis=0),
+                         lambdas.ravel(), beta, tol, intercept=False, active_set=True,
+                         max_sweeps=1000)
+        stopped += hits.reshape(n_probs, n_lams).sum(axis=1)
+        out = list(beta.reshape(n_probs, n_lams, 1, p).transpose(1, 0, 2, 3).copy())
     elif kind in ("binary", "categorical"):
         xt = np.concatenate([np.ones((n_probs, n, 1)), x], axis=2)
         if kind == "binary":
@@ -318,14 +322,15 @@ def _fold_ids(n: int, folds: int, rng: np.random.Generator) -> np.ndarray:
 
 def _stacks(problems):
     """Groups ``(key, item)`` pairs by key, whose first entries are the kind,
-    predictor width, response shape and training rows that one stack must
-    share, and yields each group's kind and items in chunks of at most
-    ``BATCH_BYTES`` of training design."""
+    predictor width, response shape, training rows and path length that one
+    stack must share, and yields each group's kind and items in chunks of at
+    most ``BATCH_BYTES`` of training design plus, on a continuous path, a Gram per penalty."""
     groups: dict[tuple, list] = {}
     for key, item in problems:
         groups.setdefault(key, []).append(item)
-    for (kind, p, _, n, *_), items in groups.items():
-        size = max(1, BATCH_BYTES // (8 * n * (p + 1)))
+    for (kind, p, _, n, n_lams, *_), items in groups.items():
+        grams = n_lams * p * p if kind == "continuous" else 0
+        size = max(1, BATCH_BYTES // (8 * (n * (p + 1) + grams)))
         for start in range(0, len(items), size):
             yield kind, items[start:start + size]
 
@@ -342,7 +347,7 @@ def _cv_losses(nodes: list[_CVNode]) -> tuple[list[np.ndarray], list[int]]:
         n, p = node.x.shape
         for fold in range(node.folds):
             n_held = int(np.count_nonzero(node.fold_id == fold))
-            key = (node.kind, p, node.response.shape[1:], n - n_held, n_held, len(node.lambdas))
+            key = (node.kind, p, node.response.shape[1:], n - n_held, len(node.lambdas), n_held)
             problems.append((key, (i, fold)))
     losses = [np.empty((node.folds, len(node.lambdas))) for node in nodes]
     stopped = [0] * len(nodes)
@@ -528,7 +533,7 @@ def fit_mrf(
             lam_i = float(lam)
         node_lambdas[name] = lam_i
         if lam_i < lam_max:  # zero is exact; a fit may leave 1e-16 phantom edges
-            todo.append(((kinds[name], x.shape[1], response.shape[1:], n), i))
+            todo.append(((kinds[name], x.shape[1], response.shape[1:], n, 1), i))
     fits = {}
     for kind, chunk in _stacks(todo):
         path = lasso_path(

@@ -391,6 +391,61 @@ def test_config_mistakes_exit_2_at_load(capsys, demo_bundle, tmp_path, command, 
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "block, message",
+    [
+        ({"survey": 5}, "survey must be a string, not 5"),
+        ({"margins": ["margins.csv"]}, "margins must be a string, not ['margins.csv']"),
+        ({"population": {"path": 5}}, "population.path must be a string, not 5"),
+        ({"population": {"path": "population.csv", "weight": True}},
+         "population.weight must be a string, not True"),
+        ({"out": 5}, "out must be a string, not 5"),
+        ({"outcome": 5}, "outcome must be a string, not 5"),
+        ({"sweep": {"variable": 1.5}}, "sweep.variable must be a string, not 1.5"),
+        ({"weighting": {"variables": ["x1"], "base_weight": {"w": 1}}},
+         "weighting.base_weight must be a string, not {'w': 1}"),
+    ],
+)
+def test_path_and_name_keys_must_be_strings(capsys, demo_bundle, tmp_path, block, message):
+    # a number in a path key was a TypeError traceback out of main
+    config = _config_with(demo_bundle, tmp_path, **block)
+    rc, out, err = run(capsys, ["summary", "--config", config, "--out", str(tmp_path / "o")])
+    assert (rc, out) == (2, "")
+    assert json.loads(err) == {"error": {"type": "ConfigError", "message": message}}
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "block, message",
+    [
+        # 2,000,000,001 x 191 points: numpy was asked for 14.9 GiB
+        ({"grid": {"rho_step": 1e-9}},
+         "grid.rho_step 1e-09 and grid.r2_step 0.005 make a contour grid over the cap of "
+         "1,000,000 points"),
+        ({"grid": {"r2_step": 1e-7}},
+         "grid.rho_step 0.01 and grid.r2_step 1e-07 make a contour grid over the cap of "
+         "1,000,000 points"),
+        ({"grid": {"rho_step": 5e-324}},  # 2 / rho_step overflows to inf
+         "grid.rho_step 5e-324 and grid.r2_step 0.005 make a contour grid over the cap of "
+         "1,000,000 points"),
+        # the squared gap overflowed, and the report failed to write after all the work
+        ({"b_star": 1e308}, "b_star must be finite and within ±1e50, not 1e+308"),
+        ({"b_star": -1.0000001e50}, "b_star must be finite and within ±1e50, not -1.0000001e+50"),
+    ],
+)
+def test_grid_and_b_star_fail_at_load(capsys, demo_bundle, tmp_path, monkeypatch, block, message):
+    from surveysense import summary
+
+    def never(*args, **kwargs):
+        raise AssertionError("the contour grid was built")
+
+    monkeypatch.setattr(summary, "contour_grid", never)
+    config = _config_with(demo_bundle, tmp_path, **block)
+    rc, out, err = run(capsys, ["summary", "--config", config, "--out", str(tmp_path / "o")])
+    assert (rc, out) == (2, "")
+    assert json.loads(err) == {"error": {"type": "ConfigError", "message": message}}
+
+
 def test_non_positive_base_weight_exits_2(capsys, demo_bundle, tmp_path):
     lines = (demo_bundle / "survey.csv").read_text().splitlines()
     rows = [f"{line},{0 if i == 3 else 1.5}" for i, line in enumerate(lines[1:], start=1)]

@@ -61,6 +61,16 @@ class TestConfigDict:
         with pytest.raises(ConfigError, match="unknown bootstrap keys"):
             config_from_dict(minimal_config(bootstrap={"nsim": 10}))
 
+    def test_grid_cap_and_b_star_bound_are_inclusive(self):
+        # 1001 x 951 points lie under the cap; 1001 x 1001 lie over it
+        fine = config_from_dict(minimal_config(grid={"rho_step": 0.002, "r2_step": 0.001}))
+        assert (fine.rho_step, fine.r2_step) == (0.002, 0.001)
+        with pytest.raises(ConfigError, match="over the cap of 1,000,000 points"):
+            config_from_dict(minimal_config(grid={"rho_step": 0.002, "r2_step": 0.00095}))
+        assert config_from_dict(minimal_config(b_star=-1e50)).b_star == -1e50
+        with pytest.raises(ConfigError, match="b_star must be finite"):
+            config_from_dict(minimal_config(b_star=float("nan")))
+
     def test_margins_population_exclusive(self):
         raw = minimal_config()
         raw["population"] = "pop.csv"

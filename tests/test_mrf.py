@@ -1,5 +1,6 @@
 """Nodewise lasso graph estimation over mixed variable types."""
 
+import hashlib
 from unittest import mock
 
 import numpy as np
@@ -89,10 +90,8 @@ def _oracle_path(x, response, kind, lambdas, tol=1e-7):
     p = x.shape[1]
     out = []
     if kind == "continuous":
-        beta = np.zeros(p)
-        for lam in lambdas:
-            beta = _cd_gaussian(x, response, lam, beta, tol)
-            out.append(beta.copy()[None, :])
+        for lam in lambdas:  # every penalty from zero, as the package solves them
+            out.append(_cd_gaussian(x, response, lam, np.zeros(p), tol)[None, :])
     elif kind == "binary":
         beta, intercept = np.zeros(p), 0.0
         for lam in lambdas:
@@ -221,13 +220,12 @@ def _scalar_path(x, response, kind, lambdas, tol=1e-7):
     out = []
     stopped = 0
     if kind == "continuous":
-        gram = x.T @ x / n
-        beta = np.zeros(p)
-        for lam in lambdas:
-            grad = x.T @ (response - x @ beta) / n
-            stopped += _cd(gram, grad, lam, beta, tol, intercept=False, active_set=True,
+        gram, score = x.T @ x / n, x.T @ response / n
+        for lam in lambdas:  # every penalty from zero
+            beta = np.zeros(p)
+            stopped += _cd(gram, score.copy(), lam, beta, tol, intercept=False, active_set=True,
                            max_sweeps=1000)
-            out.append(beta.copy()[None, :])
+            out.append(beta[None, :])
         return mrf._Path(out, stopped)
     xt = np.hstack([np.ones((n, 1)), x])
     if kind == "binary":
@@ -661,7 +659,8 @@ def cv_stacks(draw, limits=False):
 
 def _largest_stack(nodes):
     """Problems in the largest (node, fold) stack of ``_cv_losses`` and
-    the bytes of one problem's training design there."""
+    the bytes ``_stacks`` counts for one problem there: its training design
+    and, on a continuous path, its Gram once per penalty."""
     sizes = {}
     for node in nodes:
         n, p = node.x.shape
@@ -669,8 +668,9 @@ def _largest_stack(nodes):
             n_train = n - int(np.count_nonzero(node.fold_id == fold))
             key = (node.kind, p, node.response.shape[1:], n_train, len(node.lambdas))
             sizes[key] = sizes.get(key, 0) + 1
-    (_, p, _, n_train, _), count = max(sizes.items(), key=lambda item: item[1])
-    return count, 8 * n_train * (p + 1)
+    (kind, p, _, n_train, n_lams), count = max(sizes.items(), key=lambda item: item[1])
+    grams = n_lams * p * p if kind == "continuous" else 0
+    return count, 8 * (n_train * (p + 1) + grams)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True,
@@ -731,6 +731,56 @@ def test_stacked_lasso_path_equals_scalar_oracle(case):
             want = _scalar_path(x, y, kind, lams)
             assert all(np.array_equal(got[b], w) for got, w in zip(path, want))
             assert path.stopped[b] == want.stopped
+
+
+@pytest.mark.parametrize("n, p", [(60, 6), (12, 15)], ids=["n_above_p", "p_at_least_n"])
+def test_continuous_path_is_each_penalty_from_zero(n, p):
+    # every penalty of a stacked continuous path is fit from zero: it has the
+    # bits of the one-penalty fit of its problem alone, and the path's stopped
+    # count is the sum of theirs
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((3, n, p))
+    x[1, :, 2] = 0.0  # the sq == 0 skip
+    x = (x - x.mean(axis=1, keepdims=True)) / np.where(x.std(axis=1) == 0.0, 1.0,
+                                                       x.std(axis=1))[:, None]
+    y = x[:, :, 0] - 0.8 * x[:, :, 1] + rng.standard_normal((3, n))
+    y = (y - y.mean(axis=1, keepdims=True)) / y.std(axis=1, keepdims=True)
+    top = np.abs(np.einsum("bnp,bn->bp", x, y)).max(axis=1) / n
+    lambdas = np.geomspace(top, top * 1e-3, 5).T
+    path = lasso_path(x, y, "continuous", lambdas)
+    stopped = np.zeros(3, dtype=int)
+    for b in range(3):
+        for lam, got in zip(lambdas[b], path):
+            alone = lasso_path(x[b], y[b], "continuous", np.array([lam]))
+            assert np.array_equal(got[b], alone[0])
+            stopped[b] += alone.stopped
+    assert np.array_equal(path.stopped, stopped)
+    assert np.all(path[-1][1][:, 2] == 0.0)
+    assert (stopped.sum() > 0) == (p >= n)  # p >= n runs to the sweep limit
+
+
+def test_logistic_and_multinomial_paths_keep_their_warm_started_bits():
+    # Only continuous paths solve each penalty from zero. These stacked
+    # logistic and multinomial paths match the warm-started scalar oracle and
+    # hash to the bits recorded before that change (numpy 2.4 with its bundled
+    # OpenBLAS on x86-64; another BLAS build may round differently).
+    rng = np.random.default_rng(41)
+    x = rng.standard_normal((3, 90, 4))
+    signal = x[:, :, 0] - 0.7 * x[:, :, 1]
+    binary = (rng.random((3, 90)) < 1.0 / (1.0 + np.exp(-signal))) * 1.0
+    codes = np.digitize(signal + rng.standard_normal((3, 90)), [-0.5, 0.5])
+    lambdas = np.geomspace([0.3, 0.25, 0.2], [0.003, 0.002, 0.001], 6).T
+    digest = hashlib.sha256()
+    for kind, response in (("binary", binary), ("categorical", np.eye(3)[codes])):
+        path = lasso_path(x, response, kind, lambdas)
+        for b in range(3):
+            want = _scalar_path(x[b], response[b], kind, lambdas[b])
+            assert all(np.array_equal(got[b], w) for got, w in zip(path, want))
+        digest.update(np.stack(path).tobytes())
+        digest.update(path.stopped.astype(np.int64).tobytes())
+    assert digest.hexdigest() == (
+        "3a9d36203dccc53070fbeb4638aee3d5e9f52d0dbd41609bf1de73395736b7d9"
+    )
 
 
 def test_continuous_fit_at_lambda_max_is_exactly_zero():
