@@ -104,6 +104,9 @@ class RunConfig:
             (() if self.sweep_variable is None else (self.sweep_variable,),
              known - enforced - {self.outcome},
              "sweep.variable must be neither a weighting variable nor the outcome"),
+            (() if self.sweep_variable is None else (self.sweep_variable,),
+             {v for v in known if self.schema[v] != "categorical"},
+             "sweep.variable must be binary or continuous"),
         ):
             stray = [v for v in names if v not in allowed]
             if stray:

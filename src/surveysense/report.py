@@ -1,12 +1,14 @@
-"""Pipeline orchestration and report assembly.
+"""The weighting pipeline, report blocks, report assembly and artifact writers.
 
-One loaded pipeline backs every subcommand: survey rows, expanded
-design, solved baseline weights. Reports serialize deterministically
+One loaded pipeline backs every survey subcommand: survey rows, expanded
+design, solved baseline weights. Each ``*_block`` turns one stage's result
+into its part of ``report.json``, and each ``write_*`` writes one artifact;
+the CLI's stages build the results. Reports serialize deterministically
 (sorted keys, no timestamps, shortest-round-trip floats) and validate
 against the JSON schema shipped with the package.
 
 Building the pipeline loads only the data, calibration and bias layers;
-each builder or block below imports the layer it calls when it runs.
+each block or writer below imports the layer it calls when it runs.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import __version__
-from .bias import ObservedScale, SensitivityParams
+from .bias import ObservedScale
 from .calibrate import (
     CalibrationProblem,
     WeightVector,
@@ -44,7 +46,7 @@ from .data import (
 )
 from .errors import ConfigError, SchemaError, SurveySenseError
 
-if TYPE_CHECKING:  # the builders below import these layers when they run
+if TYPE_CHECKING:  # the blocks below import these layers when they run
     from .benchmark import BenchmarkRecord
     from .bootstrap import BootstrapResult
     from .detect import DetectionReport
@@ -83,12 +85,14 @@ class Pipeline:
         return ObservedScale.from_sample(self.y, self.baseline.values)
 
 
-def build_pipeline(cfg: RunConfig) -> Pipeline:
+def load_survey(cfg: RunConfig) -> SurveyFrame:
+    """The survey rows the config selects: the table, then its filters."""
     frame = load_table(cfg.survey, cfg.schema)
-    if cfg.filters:
-        frame = apply_filters(frame, list(cfg.filters))
-    if frame.n == 0:
-        raise ConfigError("no survey rows left after filtering")
+    return apply_filters(frame, list(cfg.filters)) if cfg.filters else frame
+
+
+def build_pipeline(cfg: RunConfig) -> Pipeline:
+    frame = load_survey(cfg)
     if frame.kind(cfg.outcome) == "categorical":
         raise ConfigError(
             f"outcome {cfg.outcome!r} is categorical; a numeric outcome is required"
@@ -183,18 +187,10 @@ def robustness_block(pipe: Pipeline, b_star: float) -> dict:
             mu_hat=scale.mu_hat, b_star=b_star, var_y=scale.var_y, var_w=scale.var_w
         )
     )
+    if rv >= 1.0:
+        raise ConfigError(f"b_star {b_star!r} is too far from the weighted estimate "
+                          f"{scale.mu_hat!r}: the robustness value rounds to 1")
     return {"b_star": float(b_star), "gap": float(gap), "a": float(a), "rv": float(rv)}
-
-
-def benchmark_records(pipe: Pipeline, b_star: float | None) -> list[BenchmarkRecord]:
-    from .benchmark import benchmark_table
-
-    covariates = pipe.config.benchmark_covariates
-    if covariates is None:
-        covariates = pipe.config.weighting_variables
-    return benchmark_table(
-        pipe.problem, pipe.baseline, pipe.y, tuple(covariates), b_star=b_star
-    )
 
 
 def benchmarks_block(records: list[BenchmarkRecord]) -> list[dict]:
@@ -213,21 +209,6 @@ def benchmarks_block(records: list[BenchmarkRecord]) -> list[dict]:
     ]
 
 
-def build_contour(pipe: Pipeline, b_star: float, records: list[BenchmarkRecord]) -> ContourGrid:
-    from .summary import contour_grid
-
-    cfg = pipe.config
-    grid = contour_grid(
-        pipe.scale,
-        b_star,
-        rho_step=cfg.rho_step,
-        r2_step=cfg.r2_step,
-        r2_max=cfg.r2_max,
-    )
-    points = [(r.label, r.rho, r.r2) for r in records if r.converged]
-    return grid.with_benchmarks(points)
-
-
 def contour_block(grid: ContourGrid) -> dict:
     from .summary import killer_region_area
 
@@ -241,28 +222,6 @@ def contour_block(grid: ContourGrid) -> dict:
         "csv": "contour.csv",
         "svg": "contour.svg",
     }
-
-
-def build_sweep(pipe: Pipeline) -> PartialSweep:
-    from .partial import binary_grid, partial_sweep, standardized_grid
-
-    cfg = pipe.config
-    name = cfg.sweep_variable
-    if name is None:
-        raise ConfigError("sweep.variable is not set in the config")
-    kind = pipe.frame.kind(name)
-    if kind == "categorical":
-        raise ConfigError("sweep variable must be binary or continuous")
-    v = np.asarray(pipe.frame.column(name), dtype=np.float64)
-    if cfg.sweep_grid is not None:
-        grid = np.asarray(cfg.sweep_grid, dtype=np.float64)
-    elif kind == "binary":
-        grid = binary_grid()
-    else:
-        grid = standardized_grid(v)
-    return partial_sweep(
-        pipe.problem, v, pipe.y, label=name, grid=grid, baseline=pipe.baseline
-    )
 
 
 def sweep_block(sweep: PartialSweep) -> dict:
@@ -284,41 +243,6 @@ def sweep_block(sweep: PartialSweep) -> dict:
         "csv": "sweep.csv",
         "svg": "sweep.svg",
     }
-
-
-def build_detection(pipe: Pipeline) -> DetectionReport:
-    from .detect import detect
-
-    cfg = pipe.config
-    if not cfg.detection_sampling_set:
-        raise ConfigError("detection.sampling_set is not set in the config")
-    columns = {name: pipe.frame.column(name) for name in pipe.frame.columns}
-    kinds = {name: pipe.frame.kind(name) for name in pipe.frame.columns}
-    return detect(
-        columns,
-        kinds,
-        cfg.outcome,
-        cfg.detection_sampling_set,
-        cfg.detection_partial,
-        lam=cfg.detection_lambda,
-        seed=cfg.seed,
-    )
-
-
-def build_bootstrap(pipe: Pipeline) -> BootstrapResult:
-    from .bootstrap import bootstrap_interval
-
-    cfg = pipe.config
-    return bootstrap_interval(
-        pipe.problem,
-        pipe.y,
-        SensitivityParams(cfg.bootstrap_rho, cfg.bootstrap_r2),
-        b=cfg.bootstrap_draws,
-        alpha=cfg.bootstrap_alpha,
-        seed=cfg.seed,
-        reestimate=cfg.bootstrap_reestimate,
-        baseline=pipe.baseline,
-    )
 
 
 def bootstrap_block(result: BootstrapResult) -> dict:

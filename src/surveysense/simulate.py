@@ -21,8 +21,10 @@ replication of any stage can be regenerated in isolation.
 
 from __future__ import annotations
 
+import json
 import logging
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -350,6 +352,51 @@ def three_covariate_dgp(
         noise_sd=1.0,
         seed=seed,
     )
+
+
+def write_bundle(out: Path, seed: int) -> dict:
+    """Write a survey bundle drawn from ``three_covariate_dgp(seed)``: the
+    population's features, the selected sample with its outcome, the
+    population margins, a ready config and the truth. Returns the file paths
+    and the truth."""
+    from .report import canonical_json
+
+    dgp = three_covariate_dgp(seed=seed)
+    pop = generate(dgp, replication=0)
+    idx = draw_sample(pop, replication=0)
+    feats = pop.features().astype(int)
+    names = dgp.feature_names
+    paths = {name: out / f"{name}.csv" for name in ("survey", "population", "margins")}
+    paths.update(config=out / "config.json", truth=out / "truth.json")
+
+    def write_csv(name: str, header: str, rows) -> None:
+        paths[name].write_text("\n".join([header, *rows]) + "\n")
+
+    write_csv("population", ",".join(names), (",".join(map(str, row)) for row in feats))
+    write_csv("survey", ",".join(names) + ",y", (
+        ",".join(map(str, row)) + f",{float(y)!r}" for row, y in zip(feats[idx], pop.y[idx])))
+    write_csv("margins", "variable,level,value", (
+        f"{name},1,{float(mean)!r}" for name, mean in zip(names, feats.mean(axis=0))))
+    config = {
+        "survey": "survey.csv",
+        "margins": "margins.csv",
+        "columns": {**{n: "binary" for n in names}, "y": "continuous"},
+        "outcome": "y",
+        "weighting": {"variables": list(names)},
+        "b_star": 0.0,
+        "detection": {"sampling_set": list(names)},
+        "seed": 0,
+        "out": str(out / "run"),
+    }
+    paths["config"].write_text(json.dumps(config, sort_keys=True, indent=2) + "\n")
+    truth = {
+        "mu_true": float(pop.mu_true),
+        "n_population": int(pop.n),
+        "n_sample": int(len(idx)),
+        "dgp_seed": int(dgp.seed),
+    }
+    paths["truth"].write_text(canonical_json(truth))
+    return {**{name: str(path) for name, path in paths.items()}, **truth}
 
 
 def gaussian_mrf_sample(

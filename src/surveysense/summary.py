@@ -54,9 +54,11 @@ class RobustnessInput:
 def robustness_value(inp: RobustnessInput) -> float:
     """Common strength rho^2 = R2 at which the bias reaches mu_hat - b_star.
 
-    Returns a value in [0, 1); 0 when the estimate already sits on the
-    threshold. A zero variance product with a nonzero gap is an error
-    (no finite strength can bridge the gap).
+    Returns a value in [0, 1]: 0 when the estimate already sits on the
+    threshold, and exactly 1.0 only once a passes about 1e16, where the value
+    rounds up (``report.robustness_block`` refuses that). A zero variance
+    product with a nonzero gap is an error (no finite strength can bridge
+    the gap).
     """
     gap = inp.mu_hat - inp.b_star
     if gap == 0.0:

@@ -379,6 +379,11 @@ def test_bad_seed_flag_exits_2(capsys, demo_bundle, tmp_path, command, seed):
         ("weight", {"filters": [{"column": "x1", "op": ">=", "value": 0},
                                 {"column": "y", "op": "<", "value": [1]}]},
          "filters[1] value must be a number for numeric column 'y', not [1]"),
+        # a categorical sweep variable fails at load for every subcommand
+        ("detect", {"columns": {"x1": "binary", "x2": "binary", "x3": "categorical",
+                                "y": "continuous"},
+                    "weighting": {"variables": ["x1", "x2"]}, "sweep": {"variable": "x3"}},
+         "sweep.variable must be binary or continuous: ['x3']"),
     ],
 )
 def test_config_mistakes_exit_2_at_load(capsys, demo_bundle, tmp_path, command, block, message):
@@ -535,3 +540,150 @@ assert isinstance(calibrate, types.ModuleType) and calibrate.__name__ == "survey
 print("ok")
 """
     assert run_fresh(script) == "ok\n"
+
+
+def test_far_b_star_exits_2_naming_it_before_the_fan_outs(capsys, demo_bundle, tmp_path, monkeypatch):
+    # the robustness value rounds to 1.0 here; the report used to fail its schema
+    # check at robustness/rv only after the benchmarks, contour and detection ran
+    import importlib
+
+    def never(*args, **kwargs):
+        raise AssertionError("a fan-out ran")
+
+    monkeypatch.setattr(importlib.import_module("surveysense.benchmark"), "benchmark_table", never)
+    monkeypatch.setattr(importlib.import_module("surveysense.summary"), "contour_grid", never)
+    config = _config_with(demo_bundle, tmp_path, b_star=1e9)
+    rc, out, err = run(capsys, ["summary", "--config", config, "--out", str(tmp_path / "o")])
+    assert (rc, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert error["type"] == "ConfigError"
+    assert error["message"].startswith("b_star 1000000000.0 is too far from the weighted estimate ")
+    assert error["message"].endswith(": the robustness value rounds to 1")
+    assert list((tmp_path / "o").iterdir()) == []
+
+
+@pytest.mark.parametrize("config", ["/nonexistent.json", "BUNDLE"])
+def test_simulate_refuses_config(capsys, demo_bundle, tmp_path, config):
+    # --config was accepted and ignored, so a missing file exited 0
+    config = str(demo_bundle / "config.json") if config == "BUNDLE" else config
+    rc, out, err = run(capsys, ["simulate", "--config", config, "--out", str(tmp_path / "o")])
+    assert (rc, out) == (2, "")
+    assert json.loads(err) == {
+        "error": {"type": "ConfigError", "message": "--config is not available for simulate"}
+    }
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["weight", "detect"])
+def test_header_only_survey_exits_2_naming_the_file(capsys, demo_bundle, tmp_path, command):
+    survey = tmp_path / "survey.csv"
+    survey.write_text((demo_bundle / "survey.csv").read_text().splitlines()[0] + "\n")
+    config = _config_with(demo_bundle, tmp_path, survey=str(survey))
+    rc, out, err = run(capsys, [command, "--config", config, "--out", str(tmp_path / "o")])
+    assert (rc, out) == (2, "")
+    assert json.loads(err) == {
+        "error": {"type": "SchemaError",
+                  "message": f"{survey}: no complete rows after listwise deletion"}
+    }
+
+
+@pytest.fixture(scope="module")
+def sweep_bundle_config(demo_bundle, tmp_path_factory):
+    """The bundle weighted on x1 and x2, with x3 swept and a fixed graph penalty."""
+    config = json.loads((demo_bundle / "config.json").read_text())
+    config.update(
+        survey=str(demo_bundle / "survey.csv"), margins=str(demo_bundle / "margins.csv"),
+        weighting={"variables": ["x1", "x2"]}, sweep={"variable": "x3"},
+        detection={**config["detection"], "lambda": 0.1}, bootstrap={"draws": 100},
+    )
+    path = tmp_path_factory.mktemp("sweep-bundle") / "config.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+#: the package modules each subcommand loads, besides cli, config, data and errors, at
+#: a fixed graph penalty (cross validation also loads simulate for its fold streams)
+_LOADS = {
+    "weight": "bias calibrate report",
+    "summary": "benchmark bias calibrate cover detect mrf partial paths report summary svg",
+    "contour": "benchmark bias calibrate report summary svg",
+    "benchmark": "benchmark bias calibrate report",
+    "partial": "bias calibrate partial report svg",
+    "detect": "bias calibrate cover detect mrf paths report",
+    "bootstrap": "bias bootstrap calibrate report simulate",
+    "simulate": "bias calibrate report simulate",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_LOADS))
+def test_each_subcommand_loads_only_its_layers(sweep_bundle_config, tmp_path, run_fresh, command):
+    argv = [command, "--out", str(tmp_path / "o")]
+    if command != "simulate":
+        argv += ["--config", sweep_bundle_config]
+    script = f"""
+import contextlib, io, sys
+from surveysense import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main({argv!r}) == 0
+print(" ".join(sorted(m[12:] for m in sys.modules if m.startswith("surveysense."))))
+"""
+    expected = sorted(["cli", "config", "data", "errors", *_LOADS[command].split()])
+    assert run_fresh(script).split() == expected
+
+
+def test_shared_artifacts_agree_and_stdout_echoes_them(capsys, sweep_bundle_config, tmp_path):
+    # an artifact two subcommands write has the same bytes, and every csv or svg
+    # stdout (and summary's and detect's json) is the artifact it renders
+    renders = {("weight", "csv"): "balance.csv", ("contour", "csv"): "contour.csv",
+               ("contour", "svg"): "contour.svg", ("benchmark", "csv"): "benchmarks.csv",
+               ("partial", "csv"): "sweep.csv", ("partial", "svg"): "sweep.svg",
+               ("summary", "json"): "report.json", ("detect", "json"): "detection.json"}
+    runs = [*renders, ("weight", "json"), ("contour", "json"), ("benchmark", "json"),
+            ("partial", "json"), ("detect", "csv")]
+    written: dict[str, dict[str, bytes]] = {}
+    for command, fmt in runs:
+        out_dir = tmp_path / f"{command}-{fmt}"
+        argv = [command, "--config", sweep_bundle_config, "--out", str(out_dir), "--format", fmt]
+        rc, out, err = run(capsys, argv)
+        assert rc == 0, err
+        for path in out_dir.iterdir():
+            written.setdefault(path.name, {})[f"{command}-{fmt}"] = path.read_bytes()
+        if (command, fmt) in renders:
+            assert out == (out_dir / renders[command, fmt]).read_text(), (command, fmt)
+    assert set(written) == {"report.json", "weights.csv", "balance.csv", "contour.csv",
+                            "contour.svg", "benchmarks.csv", "sweep.csv", "sweep.svg",
+                            "detection.json", "detection.dot"}
+    for name, versions in written.items():
+        assert len(set(versions.values())) == 1, (name, sorted(versions))
+        writers = {run.split("-")[0] for run in versions}
+        assert len(writers) >= 2 or name == "report.json", (name, writers)
+
+
+def test_summary_builds_each_stage_once(capsys, sweep_bundle_config, tmp_path, monkeypatch):
+    # one pipeline, one survey read (detection reuses the pipeline's rows) and
+    # one call into each fan-out, though several artifacts and blocks share them
+    import importlib
+
+    calls = {}
+
+    def counted(module, name):
+        module = importlib.import_module(f"surveysense.{module}")
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in [("report", "build_pipeline"), ("report", "load_survey"),
+                         ("benchmark", "benchmark_table"), ("summary", "contour_grid"),
+                         ("partial", "partial_sweep"), ("detect", "detect"),
+                         ("report", "assemble_report")]:
+        counted(module, name)
+    rc, _, err = run(capsys, ["summary", "--config", sweep_bundle_config,
+                              "--out", str(tmp_path / "o")])
+    assert rc == 0, err
+    assert calls == {name: 1 for name in ("build_pipeline", "load_survey", "benchmark_table",
+                                          "contour_grid", "partial_sweep", "detect",
+                                          "assemble_report")}
