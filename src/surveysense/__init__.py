@@ -28,9 +28,8 @@ _EXPORTS = {
     "entropy_divergence oracle_ipw solve_many solve_raking weighted_mean weighted_se",
     "config": "RunConfig load_config",
     "cover": "SeparatingSetResult solve_separating_set",
-    "data": "Design FeatureTerm MarginTarget PopulationTarget SurveyFrame apply_filters "
-    "build_features frame_from_columns load_margins load_population_target load_table "
-    "terms_from_config",
+    "data": "MarginTarget PopulationTarget SurveyFrame apply_filters build_features "
+    "frame_from_columns load_margins load_population_target load_table terms_from_config",
     "detect": "DetectionReport detect",
     "errors": "ConfigError DetectionError InfeasibleTargetsError RankDeficiencyError "
     "SchemaError SurveySenseError",

@@ -14,7 +14,11 @@ character and no carriage return on ``\\n`` and the delimiter, which gives
 over-long fields; there, ASCII text without whitespace but ``\n`` skips
 ``str.strip``. A binary column of only ``0`` and ``1`` cells is decoded at once;
 other numeric cells are parsed by ``float()`` one at a time.
-``build_features`` codes each categorical variable once per frame.
+
+``build_features`` turns weighting terms (tuples of variable names) into the
+``CalibrationProblem`` itself. One expansion serves the survey and the
+population frame, coding each categorical variable once per frame; each
+column carries its parts' levels, and margin rows are found by those levels.
 """
 
 from __future__ import annotations
@@ -26,10 +30,14 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from itertools import compress, product
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import RankDeficiencyError, SchemaError
+
+if TYPE_CHECKING:  # calibrate imports this module, so build_features imports it when it runs
+    from .calibrate import CalibrationProblem
 
 logger = logging.getLogger(__name__)
 
@@ -342,29 +350,35 @@ class PopulationTarget:
 class MarginTarget:
     """Target moments given directly as margins.
 
-    ``margins`` maps variable name to either {level: share} for categorical,
-    binary (levels "0"/"1"), and interaction variables ("a:b" with joint
-    levels "x:y"), or {None: mean} for continuous variables. Shares lie in
-    [0, 1]; with two or more levels listed they must sum to 1 within 1e-9
-    (a lone level's complement is implied).
+    ``margins`` maps a variable to {None: mean} for a continuous variable,
+    or to {level: share}: one per categorical level, level "1" for a
+    binary. An interaction "a:b" maps its parts' levels joined by ":" (a
+    binary or continuous part stands in by its name) to the mean of the
+    product of their columns. Shares lie in [0, 1]; two or more listed sum
+    to 1 within 1e-9 (a lone level's complement is implied). This checks
+    names without ":"; ``build_features`` holds each single variable and
+    each all-categorical interaction, a joint distribution, to the rule.
     """
 
     margins: dict[str, dict[str | None, float]]
 
     def __post_init__(self):
         for var, entry in self.margins.items():
-            keys = set(entry)
-            if keys == {None}:
-                continue
-            if None in keys:
+            if None in entry and len(entry) > 1:
                 raise SchemaError(f"margin variable {var!r} mixes mean and level rows")
-            shares = np.asarray(list(entry.values()), dtype=np.float64)
-            if np.any(shares < 0) or np.any(shares > 1):
-                raise SchemaError(f"margin shares for {var!r} must lie in [0, 1]")
-            if len(shares) > 1 and abs(shares.sum() - 1.0) > 1e-9:
-                raise SchemaError(
-                    f"margin shares for {var!r} sum to {shares.sum():.12g}, expected 1"
-                )
+            if ":" not in var:
+                _check_shares(var, entry)
+
+
+def _check_shares(var: str, entry: dict[str | None, float]) -> None:
+    """Shares of a partition lie in [0, 1] and, two or more listed, sum to 1."""
+    if None in entry:
+        return
+    shares = np.asarray(list(entry.values()), dtype=np.float64)
+    if np.any(shares < 0) or np.any(shares > 1):
+        raise SchemaError(f"margin shares for {var!r} must lie in [0, 1]")
+    if len(shares) > 1 and abs(shares.sum() - 1.0) > 1e-9:
+        raise SchemaError(f"margin shares for {var!r} sum to {shares.sum():.12g}, expected 1")
 
 
 TargetSpec = PopulationTarget | MarginTarget
@@ -434,72 +448,32 @@ def load_margins(path: str, *, delimiter: str = ",") -> MarginTarget:
 # --- feature expansion -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FeatureTerm:
-    """One weighting term: a single variable or a product interaction."""
-
-    sources: tuple[str, ...]
-
-    @property
-    def name(self) -> str:
-        return ":".join(self.sources)
-
-    @property
-    def is_interaction(self) -> bool:
-        return len(self.sources) > 1
-
-
 def terms_from_config(
     variables: list[str], interactions: list[list[str]] | None = None
-) -> tuple[FeatureTerm, ...]:
-    terms = [FeatureTerm((v,)) for v in variables]
+) -> tuple[tuple[str, ...], ...]:
+    """Weighting terms as tuples of source variables: each variable alone,
+    then each interaction, whose columns are products."""
+    terms = [(v,) for v in variables]
     for combo in interactions or []:
         if len(combo) < 2:
             raise SchemaError(f"interaction needs at least two variables, got {combo}")
-        terms.append(FeatureTerm(tuple(combo)))
-    names = [t.name for t in terms]
+        terms.append(tuple(combo))
+    names = [":".join(t) for t in terms]
     if len(set(names)) != len(names):
         raise SchemaError("duplicate weighting terms")
     return tuple(terms)
 
 
-@dataclass(frozen=True)
-class Design:
-    """Constraint design: columns of f(X) with their population targets."""
-
-    matrix: np.ndarray  # (n, p) float64
-    column_names: tuple[str, ...]
-    column_sources: tuple[frozenset, ...]
-    targets: np.ndarray  # (p,)
-    term_names: tuple[str, ...]
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-    def to_problem(self, base_weights=None, *, tol: float = 1e-8, max_iter: int = 200):
-        from .calibrate import CalibrationProblem
-
-        return CalibrationProblem(
-            self.matrix,
-            self.targets,
-            column_names=self.column_names,
-            column_sources=self.column_sources,
-            base_weights=base_weights,
-            tol=tol,
-            max_iter=max_iter,
-        )
-
-
 def _expand_variable(
     frame: SurveyFrame, var: str, levels: tuple[str, ...] | None
-) -> list[tuple[str, np.ndarray]]:
-    """Expanded columns of one variable, reference level dropped.
+) -> list[tuple[str, str | None, np.ndarray]]:
+    """Expanded columns of one variable as (name, level, column), reference
+    level dropped.
 
-    The reference is the lexicographically smallest level; for binary and
-    continuous variables the column passes through under its own name. A
-    categorical column is coded to level indices in one pass, and each
-    indicator compares the codes.
+    The reference is the lexicographically smallest level; binary and
+    continuous variables pass through under their own name, with level
+    None. A categorical column is coded to level indices in one pass, and
+    each indicator compares the codes.
     """
     kind = frame.kind(var)
     if kind == "categorical":
@@ -509,10 +483,24 @@ def _expand_variable(
             map(index.__getitem__, frame.column(var).tolist()), dtype=np.intp, count=frame.n
         )
         return [
-            (f"{var}={level}", (codes == i).astype(np.float64))
+            (f"{var}={level}", level, (codes == i).astype(np.float64))
             for i, level in enumerate(levels[1:], start=1)
         ]
-    return [(var, frame.column(var))]
+    return [(var, None, frame.column(var))]
+
+
+def _expand_terms(frame: SurveyFrame, terms: tuple[tuple[str, ...], ...], levels: dict):
+    """Each term's columns on ``frame``, in design order: the term, the
+    (name, level, column) parts a column multiplies, and the product. Each
+    variable is expanded once and shared by its terms."""
+    order = dict.fromkeys(v for term in terms for v in term)
+    expanded = {v: _expand_variable(frame, v, levels.get(v)) for v in order}
+    for term in terms:
+        for parts in product(*(expanded[v] for v in term)):
+            column = parts[0][2].copy()
+            for part in parts[1:]:
+                column = column * part[2]
+            yield term, parts, column
 
 
 def _level_sets(
@@ -544,35 +532,24 @@ def _level_sets(
     return levels
 
 
-def _margin_lookup(target: MarginTarget, term: FeatureTerm, column: str) -> float:
-    """Margin value for one expanded column name."""
-    if term.is_interaction:
-        entry = target.margins.get(term.name)
-        if entry is None:
-            raise SchemaError(
-                f"interaction {term.name!r} needs margin rows or a population frame"
-            )
-        # column is like "a=x:b=y"; the margin level key is "x:y"
-        level = ":".join(part.split("=", 1)[1] if "=" in part else part
-                         for part in column.split(":"))
-        if level not in entry:
-            raise SchemaError(f"margin for {term.name!r} lacks level {level!r}")
-        return float(entry[level])
-    var = term.sources[0]
-    entry = target.margins.get(var)
+def _margin_lookup(target: MarginTarget, term: tuple[str, ...], parts: tuple) -> float:
+    """Margin value of the column that multiplies ``parts``, found by the
+    levels they carry."""
+    name = ":".join(term)
+    entry = target.margins.get(name)
     if entry is None:
-        raise SchemaError(f"no margin rows for variable {var!r}")
-    if "=" in column:
-        level = column.split("=", 1)[1]
-        if level not in entry:
-            raise SchemaError(f"margin for {var!r} lacks level {level!r}")
-        return float(entry[level])
-    if None in entry:
-        return float(entry[None])
-    # binary variable given as level shares
-    if "1" not in entry:
-        raise SchemaError(f"margin for binary variable {var!r} needs a level-1 row")
-    return float(entry["1"])
+        raise SchemaError(f"interaction {name!r} needs margin rows or a population frame"
+                          if len(term) > 1 else f"no margin rows for variable {name!r}")
+    if len(term) == 1 and parts[0][1] is None:
+        key = None if None in entry else "1"  # a mean, or a binary variable's level-1 share
+        if key not in entry:
+            raise SchemaError(f"margin for binary variable {name!r} needs a level-1 row")
+        return float(entry[key])
+    # a binary or continuous part of an interaction stands in by its name
+    level = ":".join(part if level is None else level for part, level, _ in parts)
+    if level not in entry:
+        raise SchemaError(f"margin for {name!r} lacks level {level!r}")
+    return float(entry[level])
 
 
 #: remaining column norms this close to the largest, relative to the
@@ -601,13 +578,14 @@ def check_rank(
     Full rank is settled first from each problem's count-weighted
     (p+1)-square Gram matrix (``_gram_certifies``), one product over the
     rows. Only the problems it cannot settle build the augmented design
-    and run the QR: the n-row QR runs in numpy, and so does the column-pivoted QR of its (p+1)-row R
-    factor, whose column inner products, hence pivots, are the full
-    matrix's. Pivoting takes the earliest of the columns whose remaining
-    norms tie to within ``PIVOT_TIE * sqrt(n)`` of their own norms, so of
-    two equal columns the later one is dropped, whatever the rounding. A
-    smallest singular value of R far above the rank threshold settles
-    full rank without pivoting.
+    and run the QR: the n-row QR runs in numpy, and so does the
+    column-pivoted QR of its (p+1)-row R factor, whose column inner
+    products, hence pivots, are the full matrix's. Pivoting takes the
+    earliest of the columns whose remaining norms tie to within
+    ``PIVOT_TIE * sqrt(n)`` of their own norms, so of two equal columns the
+    later one is dropped, whatever the rounding. The rank is the number of
+    pivoted |r_kk| above 1e-10 * max(|r_11|, 1); the columns pivoted past
+    it are dependent.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     n, p = matrix.shape
@@ -638,20 +616,9 @@ def _dependent_columns(matrix: np.ndarray, counts: np.ndarray, peak: np.ndarray)
     augmented[:, :, 1:] = matrix / np.maximum(peak, 1e-300)[:, None, :]
     augmented *= np.sqrt(counts[todo])[:, :, None]
     r = np.linalg.qr(augmented, mode="r")
-    unclear = np.arange(todo.size)
-    if r.shape[1] == p + 1:
-        # Every diagonal entry of any QR of a matrix, pivoted or not, is at
-        # least its smallest singular value, and the largest column norm is
-        # pivoting's first entry; far above the rank threshold, pivoting
-        # could not find a dependent column.
-        biggest = np.sqrt(np.einsum("bij,bij->bj", r, r).max(axis=1))
-        smallest = np.linalg.svd(r, compute_uv=False)[:, -1]
-        unclear = np.flatnonzero(smallest <= 1e-8 * np.maximum(biggest, 1.0))
-    if unclear.size == 0:
-        return found
-    diag, pivots = _pivoted_diagonal(r[unclear], PIVOT_TIE * np.sqrt(n))
+    diag, pivots = _pivoted_diagonal(r, PIVOT_TIE * np.sqrt(n))
     ranks = np.sum(diag > 1e-10 * np.maximum(diag[:, :1], 1.0), axis=1)
-    for i, rank, order in zip(todo[unclear], ranks, pivots):
+    for i, rank, order in zip(todo, ranks, pivots):
         dependent = sorted(int(j) - 1 for j in order[rank:] if j > 0)
         if 0 in order[rank:]:
             # pivoting discarded the intercept; blame a constant design column
@@ -681,8 +648,10 @@ def _gram_certifies(matrix: np.ndarray, counts: np.ndarray, peak: np.ndarray) ->
     10·(n+p+1)·eps once that is larger (n > 4·10⁴ or so), so the exact
     λ_min(AᵀA) is at least 0.9·τ·max(trace, 1), and σ_min(A) at least
     about 1e-5·max(‖A‖_F, 1). The QR path cuts nothing while σ_min(R)
-    exceeds 1e-8·max(largest column norm, 1), three orders lower, and its
-    own backward error, about n·(p+1)·eps·‖A‖_F, cannot close that gap.
+    exceeds 1e-10·max(largest column norm, 1), five orders lower, since
+    every pivoted |r_kk| is at least σ_min(R) and |r_11| is the largest
+    column norm; its own backward error, about n·(p+1)·eps·‖A‖_F, cannot
+    close that gap.
     """
     n, p = matrix.shape
     root = np.sqrt(counts)
@@ -752,66 +721,49 @@ def _pivoted_diagonal(r: np.ndarray, tie: float) -> tuple[np.ndarray, np.ndarray
 
 
 def build_features(
-    survey: SurveyFrame, target: TargetSpec, terms: tuple[FeatureTerm, ...]
-) -> Design:
-    """Expand weighting terms into a full-rank design with targets.
+    survey: SurveyFrame,
+    target: TargetSpec,
+    terms: tuple[tuple[str, ...], ...],
+    base_weights: np.ndarray | None = None,
+) -> CalibrationProblem:
+    """Expand weighting terms into a full-rank ``CalibrationProblem``.
 
     Categorical variables expand to level indicators with the reference
     (lexicographically smallest) level dropped; interactions are products
-    of the expanded columns. Targets are weighted means on the population
-    frame or direct margin values. Rank deficiency raises with the
-    dependent column names.
+    of the expanded columns. Targets are the same columns' weighted means
+    on the population frame, or the margin values their levels name (see
+    ``MarginTarget``). Rank deficiency raises with the dependent column
+    names. ``base_weights`` pass through to the problem.
     """
+    from .calibrate import CalibrationProblem
+
     if not terms:
         raise SchemaError("at least one weighting term is required")
-    variables = {v for t in terms for v in t.sources}
+    variables = {v for term in terms for v in term}
     for var in sorted(variables):
         survey.kind(var)  # raises if undeclared
     levels = _level_sets(survey, target, variables)
 
-    pop_frame = target.frame if isinstance(target, PopulationTarget) else None
-    pop_w = None
-    # each variable is expanded once per frame and shared by its terms
-    order = dict.fromkeys(v for t in terms for v in t.sources)
-    expanded = {v: _expand_variable(survey, v, levels.get(v)) for v in order}
-    if pop_frame is not None:
+    expanded = list(_expand_terms(survey, terms, levels))
+    if isinstance(target, PopulationTarget):
         pop_w = target.weights / target.weights.sum()
-        pop_expanded = {v: _expand_variable(pop_frame, v, levels.get(v)) for v in order}
+        targets = [float(pop_w @ col) for *_, col in _expand_terms(target.frame, terms, levels)]
+    else:
+        for term in terms:
+            if len(term) == 1 or all(v in levels for v in term):
+                name = ":".join(term)
+                _check_shares(name, target.margins.get(name, {}))
+        targets = [_margin_lookup(target, term, parts) for term, parts, _ in expanded]
 
-    columns: list[np.ndarray] = []
-    names: list[str] = []
-    sources: list[frozenset] = []
-    targets: list[float] = []
-    for term in terms:
-        expansions = [expanded[v] for v in term.sources]
-        if pop_frame is not None:
-            pop_expansions = [pop_expanded[v] for v in term.sources]
-        for idx in product(*[range(len(e)) for e in expansions]):
-            parts = [expansions[k][i] for k, i in enumerate(idx)]
-            name = ":".join(p[0] for p in parts)
-            col = parts[0][1].copy()
-            for _, extra in parts[1:]:
-                col = col * extra
-            if pop_frame is not None:
-                pop_col = pop_expansions[0][idx[0]][1].copy()
-                for k, i in enumerate(idx[1:], start=1):
-                    pop_col = pop_col * pop_expansions[k][i][1]
-                tgt = float(pop_w @ pop_col)
-            else:
-                tgt = _margin_lookup(target, term, name)
-            columns.append(col)
-            names.append(name)
-            sources.append(frozenset(term.sources))
-            targets.append(tgt)
-
-    matrix = np.column_stack(columns).astype(np.float64)
+    names = tuple(":".join(part[0] for part in parts) for _, parts, _ in expanded)
+    matrix = np.column_stack([col for *_, col in expanded]).astype(np.float64)
     dependent = check_rank(matrix)
     if dependent:
         raise RankDeficiencyError(tuple(names[j] for j in dependent))
-    return Design(
-        matrix=matrix,
-        column_names=tuple(names),
-        column_sources=tuple(sources),
-        targets=np.asarray(targets, dtype=np.float64),
-        term_names=tuple(t.name for t in terms),
+    return CalibrationProblem(
+        matrix,
+        targets,
+        column_names=names,
+        column_sources=tuple(frozenset(term) for term, _, _ in expanded),
+        base_weights=base_weights,
     )

@@ -22,7 +22,7 @@ from .cover import (
 )
 from .errors import DetectionError
 from .mrf import MixedGraph, fit_mrf
-from .paths import MAX_PATH_EDGES, PATH_CAP, PathMatrix, enumerate_paths
+from .paths import PathMatrix, enumerate_paths
 
 __all__ = ["DetectionReport", "detect", "graph_to_dot"]
 
@@ -115,12 +115,6 @@ def detect(
     *,
     lam: float | str = "cv",
     seed: int = 0,
-    folds: int = 10,
-    n_lambdas: int = 30,
-    lambda_min_ratio: float = 0.01,
-    max_len: int = MAX_PATH_EDGES,
-    cap: int = PATH_CAP,
-    allow_partial_fallback: bool = True,
 ) -> DetectionReport:
     """Fit the graph over ``columns`` and screen weighting variables.
 
@@ -141,21 +135,9 @@ def detect(
             f"partial variables must belong to the sampling set; got {stray}"
         )
 
-    graph = fit_mrf(
-        columns,
-        kinds,
-        lam=lam,
-        seed=seed,
-        folds=folds,
-        n_lambdas=n_lambdas,
-        lambda_min_ratio=lambda_min_ratio,
-    )
-    pmat = enumerate_paths(
-        graph, outcome, tuple(sampling_set), max_len=max_len, cap=cap
-    )
-    result = solve_separating_set(
-        pmat, tuple(partial), allow_partial_fallback=allow_partial_fallback
-    )
+    graph = fit_mrf(columns, kinds, lam=lam, seed=seed)
+    pmat = enumerate_paths(graph, outcome, tuple(sampling_set))
+    result = solve_separating_set(pmat, tuple(partial))
     return DetectionReport(
         graph=graph,
         path_matrix=pmat,

@@ -35,7 +35,6 @@ from .calibrate import (
 )
 from .config import RunConfig
 from .data import (
-    Design,
     SurveyFrame,
     apply_filters,
     build_features,
@@ -75,7 +74,6 @@ class Pipeline:
 
     config: RunConfig
     frame: SurveyFrame
-    design: Design
     problem: CalibrationProblem
     y: np.ndarray
     baseline: WeightVector
@@ -112,11 +110,10 @@ def build_pipeline(cfg: RunConfig) -> Pipeline:
     terms = terms_from_config(
         list(cfg.weighting_variables), [list(c) for c in cfg.interactions]
     )
-    design = build_features(frame, target, terms)
     base = frame.column(cfg.base_weight) if cfg.base_weight else None
     if base is not None and not np.all(np.asarray(base, dtype=np.float64) > 0):
         raise SchemaError(f"{cfg.survey}: base weight column {cfg.base_weight!r} must be positive")
-    problem = design.to_problem(base)
+    problem = build_features(frame, target, terms, base)
     baseline = solve_raking(problem)
     if not baseline.diagnostics.converged:
         raise SurveySenseError(
@@ -124,9 +121,7 @@ def build_pipeline(cfg: RunConfig) -> Pipeline:
             f"violation {baseline.diagnostics.max_violation:.3g}"
         )
     y = np.asarray(frame.column(cfg.outcome), dtype=np.float64)
-    return Pipeline(
-        config=cfg, frame=frame, design=design, problem=problem, y=y, baseline=baseline
-    )
+    return Pipeline(config=cfg, frame=frame, problem=problem, y=y, baseline=baseline)
 
 
 def _num(value: float) -> float | None:
@@ -158,7 +153,7 @@ def calibration_block(pipe: Pipeline) -> dict:
         "dual_norm": float(d.dual_norm),
         "newton_steps": int(d.newton_steps),
         "fallback_sweeps": int(d.fallback_sweeps),
-        "columns": list(pipe.design.column_names),
+        "columns": list(pipe.problem.column_names),
         "dropped_columns": list(d.dropped_columns),
     }
 

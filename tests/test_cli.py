@@ -293,6 +293,71 @@ def test_bad_margin_row_exits_2(capsys, demo_bundle, tmp_path, field, cell, mess
     assert payload["error"]["message"] == message.format(path=margins, limit=csv.field_size_limit())
 
 
+def _recoded_bundle(demo_bundle, tmp_path, header, recode):
+    """The bundle's survey and population with x2 and x3 recoded per row by
+    ``recode(x2, x3)`` into the columns ``header`` names after x1."""
+    for name in ("survey.csv", "population.csv"):
+        lines = (demo_bundle / name).read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        (tmp_path / name).write_text("\n".join(
+            [",".join(["x1", *header, *lines[0].split(",")[3:]])]
+            + [",".join([r[0], *recode(r[1], r[2]), *r[3:]]) for r in rows]
+        ) + "\n")
+
+
+def test_continuous_variable_named_with_equals_takes_its_mean_row(capsys, demo_bundle, tmp_path):
+    # a generated column name once was split on "=", so the mean row of
+    # "age=yrs" was looked up as its level "yrs"
+    _recoded_bundle(demo_bundle, tmp_path, ["x2", "age=yrs"],
+                    lambda x2, x3: [x2, str(30 + 10 * int(x3))])
+    margins = tmp_path / "margins.csv"
+    margins.write_text("variable,level,value\nx1,1,0.48\nx2,1,0.48\nage=yrs,,34.5\n")
+    config = json.loads((demo_bundle / "config.json").read_text())
+    del config["detection"]
+    config.update(survey=str(tmp_path / "survey.csv"), margins=str(margins),
+                  columns={"x1": "binary", "x2": "binary", "age=yrs": "continuous",
+                           "y": "continuous"},
+                  weighting={"variables": ["x1", "x2", "age=yrs"]})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    rc, out, err = run(capsys, ["weight", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 0, err
+    balance = {row["column"]: row for row in json.loads(out)["balance"]}
+    assert balance["age=yrs"]["target"] == 34.5
+    assert abs(balance["age=yrs"]["weighted"] - 34.5) < 1e-8
+
+
+def test_interaction_margins_with_a_binary_part_match_the_population(capsys, demo_bundle, tmp_path):
+    # shares of a categorical x binary interaction are joint means, not a
+    # partition: their margin rows once failed a sum-to-1 check at load
+    _recoded_bundle(demo_bundle, tmp_path, ["region"], lambda x2, x3: [f"r{x2}{x3}"])
+    pop = [line.split(",") for line in (tmp_path / "population.csv").read_text().split()[1:]]
+    x1 = np.array([float(r[0]) for r in pop])
+    region = np.array([r[1] for r in pop])
+    rows = [f"x1,1,{float(x1.mean())!r}"]
+    for level in sorted(set(region)):
+        rows.append(f"region,{level},{float(np.mean(region == level))!r}")
+        rows.append(f"region:x1,{level}:x1,{float(np.mean((region == level) * x1))!r}")
+    margins = tmp_path / "margins.csv"
+    margins.write_text("\n".join(["variable,level,value", *rows]) + "\n")
+    config = json.loads((demo_bundle / "config.json").read_text())
+    del config["detection"], config["margins"]
+    config.update(survey=str(tmp_path / "survey.csv"),
+                  columns={"x1": "binary", "region": "categorical", "y": "continuous"},
+                  weighting={"variables": ["region", "x1"], "interactions": [["region", "x1"]]})
+    balances = {}
+    for route, value in (("margins", str(margins)), ("population", str(tmp_path / "population.csv"))):
+        path = tmp_path / f"{route}.json"
+        path.write_text(json.dumps({**config, route: value}))
+        rc, out, err = run(capsys, ["weight", "--config", str(path), "--out", str(tmp_path / route)])
+        assert rc == 0, err
+        balances[route] = json.loads(out)["balance"]
+    assert [r["column"] for r in balances["margins"]] == [r["column"] for r in balances["population"]]
+    assert "region=r11:x1" in [r["column"] for r in balances["margins"]]
+    np.testing.assert_allclose([r["target"] for r in balances["margins"]],
+                               [r["target"] for r in balances["population"]], rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("token", ["true", "NaN", "Infinity", "0", "-1", "[0.1]"])
 def test_bad_detection_lambda_exits_2(capsys, demo_bundle, tmp_path, token):
     # a boolean or non-finite penalty is refused at load, not run as 1.0 or

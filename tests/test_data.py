@@ -1,6 +1,7 @@
 """Loading, filtering, and feature expansion."""
 
 import csv
+import itertools
 import logging
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from surveysense import (
     MarginTarget,
+    PopulationTarget,
     RankDeficiencyError,
     SchemaError,
     apply_filters,
@@ -473,11 +475,10 @@ def test_build_features_margin_targets(tmp_path):
             "voted": {"1": 0.62},
         }
     )
-    design = build_features(frame, target, terms_from_config(["party", "voted"]))
+    problem = build_features(frame, target, terms_from_config(["party", "voted"]))
     # reference level (lexicographically first) dropped: dem stays implicit
-    assert design.column_names == ("party=ind", "party=rep", "voted")
-    assert design.targets.tolist() == [0.25, 0.35, 0.62]
-    problem = design.to_problem()
+    assert problem.column_names == ("party=ind", "party=rep", "voted")
+    assert problem.targets.tolist() == [0.25, 0.35, 0.62]
     assert problem.n == 5 and problem.p == 3
 
 
@@ -508,3 +509,117 @@ def test_build_features_interaction_from_population(tmp_path):
     dup = terms_from_config(["voted"], [["voted", "voted"]])
     with pytest.raises(RankDeficiencyError):
         build_features(frame, pop, dup)
+
+
+
+def test_interaction_margins_are_joint_means_unless_all_categorical(tmp_path):
+    frame = load_table(write(tmp_path, "s.csv", SURVEY), SCHEMA)
+    # a continuous x binary row is E[age * voted], not a share
+    target = MarginTarget({"voted": {"1": 0.5}, "age": {None: 47.5},
+                           "age:voted": {"age:voted": 25.0}})
+    problem = build_features(frame, target, terms_from_config(["voted", "age"], [["age", "voted"]]))
+    assert problem.targets.tolist() == [0.5, 47.5, 25.0]
+    # an all-categorical interaction is a joint distribution
+    pair = frame_from_columns({"a": ["u", "w", "u", "w", "w"], "b": ["s", "s", "t", "t", "s"]},
+                              {"a": "categorical", "b": "categorical"})
+    joint = {"u:s": 0.25, "u:t": 0.25, "w:s": 0.25, "w:t": 0.2}
+    shares = {"a": {"u": 0.5, "w": 0.5}, "b": {"s": 0.5, "t": 0.5}}
+    terms = terms_from_config(["a", "b"], [["a", "b"]])
+    with pytest.raises(SchemaError, match="margin shares for 'a:b' sum to 0.95, expected 1"):
+        build_features(pair, MarginTarget({**shares, "a:b": joint}), terms)
+    problem = build_features(pair, MarginTarget({**shares, "a:b": {**joint, "w:t": 0.25}}), terms)
+    assert problem.column_names == ("a=w", "b=t", "a=w:b=t")
+    assert problem.targets.tolist() == [0.5, 0.5, 0.25]
+
+#: variable names of the two-route property; some hold "=", as generated
+#: column names do
+ROUTE_NAMES = {"categorical": ("c", "c=k"), "binary": ("b", "b=1"), "continuous": ("x", "x=yrs")}
+
+
+@st.composite
+def two_route_cases(draw):
+    """A survey and a weighted population over one variable of each kind
+    and a second of a drawn kind, with every pair of them interacted.
+
+    Each categorical level and both binary values appear in both frames, so
+    the level sets agree and no binary share rounds to 0 or 1.
+    """
+    extra = draw(st.sampled_from(sorted(ROUTE_NAMES)))
+    kinds = {names[0]: kind for kind, names in ROUTE_NAMES.items()}
+    kinds[ROUTE_NAMES[extra][1]] = extra
+    levels = {v: ("u", "w", "z")[: draw(st.integers(2, 3))] for v, k in kinds.items()
+              if k == "categorical"}
+
+    def frame(n):
+        columns = {}
+        for var, kind in kinds.items():
+            if kind == "categorical":
+                head = [*levels[var], "u"][:3]
+                tail = draw(st.lists(st.sampled_from(levels[var]), min_size=n, max_size=n))
+            elif kind == "binary":
+                head = ["0", "1", "1"]
+                tail = draw(st.lists(st.sampled_from("01"), min_size=n, max_size=n))
+            else:
+                head = []
+                tail = draw(st.lists(st.integers(-4, 9), min_size=n + 3, max_size=n + 3))
+            columns[var] = head + tail
+        return frame_from_columns(columns, kinds)
+
+    survey = frame(draw(st.integers(20, 60)))
+    population = frame(draw(st.integers(3, 40)))
+    weights = draw(st.lists(st.floats(0.1, 5.0), min_size=population.n,
+                            max_size=population.n))
+    names = list(kinds)
+    pairs = [[a, b] for i, a in enumerate(names) for b in names[i + 1:]]
+    return survey, population, np.asarray(weights), levels, terms_from_config(names, pairs)
+
+
+def margin_rows(population, weights, levels, terms):
+    """The population's weighted means in the margin file's key convention:
+    a categorical part iterates its levels, a binary or continuous part
+    stands in by its name, and a lone binary or continuous variable takes
+    level 1 or an empty level."""
+    w = weights / weights.sum()
+    rows = []
+    for term in terms:
+        choices = [levels.get(v, [None]) for v in term]
+        for picks in itertools.product(*choices):
+            column = np.ones(population.n)
+            for var, level in zip(term, picks):
+                values = population.column(var)
+                column = column * (values == level if level is not None else values)
+            if len(term) == 1 and picks[0] is None:
+                key = "1" if population.kind(term[0]) == "binary" else ""
+            else:
+                key = ":".join(v if level is None else level for v, level in zip(term, picks))
+            rows.append([":".join(term), key, repr(float(w @ column))])
+    return rows
+
+
+def _route_outcome(survey, target, terms):
+    try:
+        return build_features(survey, target, terms)
+    except RankDeficiencyError as err:
+        return err.columns
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(two_route_cases())
+def test_margin_file_route_matches_population_route(tmp_path, case):
+    survey, population, weights, levels, terms = case
+    pop = PopulationTarget(population, weights)
+    path = tmp_path / "margins.csv"
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle).writerows(
+            [["variable", "level", "value"], *margin_rows(population, weights, levels, terms)]
+        )
+    from_pop = _route_outcome(survey, pop, terms)
+    from_margins = _route_outcome(survey, load_margins(str(path)), terms)
+    if isinstance(from_pop, tuple):
+        assert from_margins == from_pop
+        return
+    assert from_margins.column_names == from_pop.column_names
+    assert from_margins.column_sources == from_pop.column_sources
+    np.testing.assert_array_equal(from_margins.matrix, from_pop.matrix)
+    np.testing.assert_allclose(from_margins.targets, from_pop.targets, rtol=0, atol=1e-12)
