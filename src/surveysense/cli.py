@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import io
 import json
 import os
 import sys
@@ -204,8 +205,9 @@ def _weight_json(run: _Run) -> dict:
 
 
 def _edges_csv(run: _Run) -> str:
-    lines = ["a,b,weight", *(f"{a},{b},{w!r}" for a, b, w in run.detection.graph.edges())]
-    return "\n".join(lines) + "\n"
+    text = io.StringIO()
+    _layer("report")._write_rows(text, ["a", "b", "weight"], run.detection.graph.edges())
+    return text.getvalue()
 
 
 @dataclass(frozen=True)

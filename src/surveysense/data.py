@@ -6,14 +6,13 @@ kind (``categorical``, ``binary``, ``continuous``), unparseable cells raise
 NaN or an infinity. Rows with missing values in declared columns are removed
 listwise with a logged count. Downstream code never sees NaN.
 
-Input files are decoded as UTF-8, with or without a byte-order mark, and read
-in csv's default dialect. ``load_table`` splits text that has no quote
-character and no carriage return on ``\\n`` and the delimiter, which gives
-``csv.reader``'s fields by construction, and hands any other text to
-``csv.reader``; both routes drop the same short rows and reject the same
-over-long fields; there, ASCII text without whitespace but ``\n`` skips
-``str.strip``. A binary column of only ``0`` and ``1`` cells is decoded at once;
-other numeric cells are parsed by ``float()`` one at a time.
+Input files, surveys, populations and margins alike, are decoded as UTF-8,
+with or without a byte-order mark, and read in csv's default dialect by one
+reader, ``_read_cells``: rectangular text without a quote character or a
+carriage return is split on ``\n`` and the delimiter, which gives
+``csv.reader``'s fields by construction, and any other text goes to
+``csv.reader``. A binary column of only ``0`` and ``1`` cells is decoded at
+once; other numeric cells are parsed by ``float()`` one at a time.
 
 ``build_features`` turns weighting terms (tuples of variable names) into the
 ``CalibrationProblem`` itself. One expansion serves the survey and the
@@ -146,25 +145,47 @@ def frame_from_columns(
 
 def _read_cells(
     path: str, names: list[str], delimiter: str
-) -> tuple[dict[str, list[str]], np.ndarray]:
-    """Stripped cells of the named columns over the non-blank data rows of a
-    delimited file, read as ``csv.reader`` reads it, and which rows are long
-    enough to hold every named column (the others read as empty).
+) -> tuple[dict[str, list[str]], np.ndarray, bool]:
+    """Raw fields of the named columns over the non-blank data rows of a
+    delimited file, read as ``csv.reader`` reads it; which rows are long
+    enough to hold every named column (the others read as empty); and
+    whether the text is plain, ASCII without whitespace but ``\\n``, so that
+    no field needs ``str.strip``.
 
     Text without a quote character or a carriage return holds nothing the
-    default dialect treats specially besides the delimiter and ``\\n``, so
-    splitting lines on ``\\n`` and fields on the delimiter gives csv's
-    fields; when every line has the header's field count, each column is a
-    strided slice of one flat split. Other text goes through ``csv.reader``.
-    On both routes a field longer than ``csv.field_size_limit()`` raises
-    ``SchemaError`` naming the record.
+    default dialect treats specially besides the delimiter and ``\\n``. If
+    each line there also has the header's field count and none is longer
+    than ``csv.field_size_limit()`` (so no field is), each column is a
+    strided slice of one flat split of the lines. Any other text, ragged or
+    over-long lines included, goes through ``csv.reader``; a field over the
+    limit raises ``SchemaError`` naming the record.
     """
     csv.reader((), delimiter=delimiter)  # rejects the delimiters csv rejects, on both routes
     with open(path, newline="", encoding="utf-8-sig") as handle:
         text = handle.read()
-    lines, plain = None, False
-    if '"' in text or "\r" in text:
-        reader = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
+    split = '"' not in text and "\r" not in text
+    plain = split and text.isascii() and not any(map(text.__contains__, _ASCII_BLANKS))
+    if split:
+        first, *lines = text.split("\n")
+        lines = [first, *filter(None, lines)]  # blank lines are skipped
+    else:
+        lines = io.StringIO(text, newline="")
+    del text
+    flat = None
+    if split and len(lines) > 1 and max(map(len, lines)) <= csv.field_size_limit():
+        # a line of exactly the header's fields puts its first field, led by
+        # the joining newline, at a multiple of that count in the flat split
+        header = lines[0].split(delimiter) if lines[0] else []
+        step, count = len(header), len(lines) - 1
+        flat = (delimiter + "\n").join(lines[1:]).split(delimiter)
+        if len(flat) == step * count and (
+            "".join(flat[step::step]).count("\n") == count - 1
+        ):
+            flat[::step] = "".join(flat[::step]).split("\n")
+        else:
+            flat = None
+    if flat is None:
+        reader = csv.reader(lines, delimiter=delimiter)
         header, rows = None, []
         try:
             header = next(reader, [])
@@ -174,43 +195,19 @@ def _read_cells(
         except csv.Error as err:
             where = "header" if header is None else f"data row {len(rows) + 1}"
             raise SchemaError(f"{path}: {where}: {err}") from None
-    else:
-        plain = text.isascii() and not any(map(text.__contains__, _ASCII_BLANKS))
-        first, *lines = text.split("\n")
-        header = first.split(delimiter) if first else []
-        lines = list(filter(None, lines))  # blank lines are skipped
-        limit = csv.field_size_limit()
-        where = _over_limit(header, lines, delimiter, limit)
-        if where:
-            raise SchemaError(f"{path}: {where}: field larger than field limit ({limit})")
-    del text
     absent = [name for name in names if name not in header]
     if absent:
         raise SchemaError(f"{path}: declared columns missing from header: {absent}")
     position = {name: j for j, name in enumerate(header)}
-    # a cell of plain text holds no whitespace that str.strip would remove
-    clean = list if plain else lambda col: list(map(str.strip, col))
-    if lines is not None:
-        # a line of exactly the header's fields puts its first field, led by
-        # the joining newline, at a multiple of that count in the flat split
-        step = len(header)
-        flat = (delimiter + "\n").join(lines).split(delimiter) if lines else []
-        if flat and len(flat) == step * len(lines) and (
-            "".join(flat[step::step]).count("\n") == len(lines) - 1
-        ):
-            if plain:  # but for the joining newline that leads a line's first field
-                flat[::step] = "".join(flat[::step]).split("\n")
-            cells = {name: clean(flat[position[name]::step]) for name in names}
-            return cells, np.ones(len(lines), dtype=bool)
-        del flat
-        rows = [line.split(delimiter) for line in lines]
+    if flat is not None:
+        return {name: flat[position[name]::step] for name in names}, np.ones(count, bool), plain
     width = max((position[name] + 1 for name in names), default=0)
     # a row shorter than that lacks a declared column, so it is dropped
     keep = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)) >= width
     if not keep.all():
         rows = [row if len(row) >= width else [""] * width for row in rows]
-    cells = {name: clean(map(operator.itemgetter(position[name]), rows)) for name in names}
-    return cells, keep
+    cells = {name: list(map(operator.itemgetter(position[name]), rows)) for name in names}
+    return cells, keep, plain
 
 
 def _zero_one(cells: list[str]) -> np.ndarray | None:
@@ -223,18 +220,6 @@ def _zero_one(cells: list[str]) -> np.ndarray | None:
     if np.any(gap != ord("\n")) or np.any((digit != ord("0")) & (digit != ord("1"))):
         return None
     return (digit == ord("1")).astype(np.float64)
-
-
-def _over_limit(header: list[str], lines: list[str], delimiter: str, limit: int) -> str | None:
-    """The first record, ``header`` or ``data row N``, with a field longer
-    than ``limit`` characters, as ``csv.reader`` would raise for; else None."""
-    if max(map(len, header), default=0) > limit:
-        return "header"
-    if max(map(len, lines), default=0) > limit:
-        for row, line in enumerate(lines, start=1):
-            if max(map(len, line.split(delimiter))) > limit:
-                return f"data row {row}"
-    return None
 
 
 def load_table(
@@ -255,7 +240,9 @@ def load_table(
     for name, kind in schema.items():
         if kind not in KINDS:
             raise SchemaError(f"column {name!r}: unknown kind {kind!r}")
-    cells, keep = _read_cells(path, list(schema), delimiter)
+    cells, keep, plain = _read_cells(path, list(schema), delimiter)
+    if not plain:
+        cells = {name: list(map(str.strip, col)) for name, col in cells.items()}
     missing_set = set(missing)
     # a 0/1 column holds no missing token, unless 0 or 1 is one
     bits = {name: v for name, kind in schema.items() if kind == "binary"
@@ -357,7 +344,8 @@ class MarginTarget:
     product of their columns. Shares lie in [0, 1]; two or more listed sum
     to 1 within 1e-9 (a lone level's complement is implied). This checks
     names without ":"; ``build_features`` holds each single variable and
-    each all-categorical interaction, a joint distribution, to the rule.
+    each all-categorical interaction, a joint distribution, to the rule,
+    and an interaction with a binary part but none continuous to [0, 1].
     """
 
     margins: dict[str, dict[str | None, float]]
@@ -370,14 +358,14 @@ class MarginTarget:
                 _check_shares(var, entry)
 
 
-def _check_shares(var: str, entry: dict[str | None, float]) -> None:
-    """Shares of a partition lie in [0, 1] and, two or more listed, sum to 1."""
+def _check_shares(var: str, entry: dict[str | None, float], partition: bool = True) -> None:
+    """Shares lie in [0, 1]; a partition's, two or more listed, sum to 1."""
     if None in entry:
         return
     shares = np.asarray(list(entry.values()), dtype=np.float64)
     if np.any(shares < 0) or np.any(shares > 1):
         raise SchemaError(f"margin shares for {var!r} must lie in [0, 1]")
-    if len(shares) > 1 and abs(shares.sum() - 1.0) > 1e-9:
+    if partition and len(shares) > 1 and abs(shares.sum() - 1.0) > 1e-9:
         raise SchemaError(f"margin shares for {var!r} sum to {shares.sum():.12g}, expected 1")
 
 
@@ -407,34 +395,21 @@ def load_population_target(
 
 
 def load_margins(path: str, *, delimiter: str = ",") -> MarginTarget:
-    """Read a margin file with header ``variable,level,value``."""
+    """Read a margin file with columns ``variable``, ``level`` and ``value``,
+    through the same reader as survey files; a level left empty gives a mean."""
     margins: dict[str, dict[str | None, float]] = {}
-    fields, records = None, []
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.DictReader(handle, delimiter=delimiter)
-        try:
-            fields = reader.fieldnames or []
-            for record in reader:
-                records.append(record)
-        except csv.Error as err:
-            where = "header" if fields is None else f"data row {len(records) + 1}"
-            raise SchemaError(f"{path}: {where}: {err}") from None
-    required = {"variable", "level", "value"}
-    if not required.issubset(fields):
-        raise SchemaError(f"{path}: margin file needs columns variable,level,value")
-    for lineno, record in enumerate(records, start=1):
-        if any(record[name] is None for name in required):
+    cells, keep, _ = _read_cells(path, ["variable", "level", "value"], delimiter)
+    rows = zip(keep.tolist(), *cells.values())
+    for lineno, (whole, var, level, text) in enumerate(rows, start=1):
+        if not whole:
             raise SchemaError(f"{path} row {lineno}: short row, needs variable,level,value")
-        var = record["variable"].strip()
-        level = record["level"].strip()
         try:
-            value = float(record["value"])
+            value = float(text)
         except ValueError:
-            raise SchemaError(
-                f"{path} row {lineno}: value {record['value']!r} is not numeric"
-            ) from None
+            raise SchemaError(f"{path} row {lineno}: value {text!r} is not numeric") from None
         if not math.isfinite(value):
-            raise SchemaError(f"{path} row {lineno}: value {record['value']!r} is not finite")
+            raise SchemaError(f"{path} row {lineno}: value {text!r} is not finite")
+        var, level = var.strip(), level.strip()
         entry = margins.setdefault(var, {})
         key = level if level else None
         if key in entry:
@@ -750,9 +725,12 @@ def build_features(
         targets = [float(pop_w @ col) for *_, col in _expand_terms(target.frame, terms, levels)]
     else:
         for term in terms:
-            if len(term) == 1 or all(v in levels for v in term):
+            kinds = {survey.kind(v) for v in term}
+            if len(term) == 1 or "continuous" not in kinds:
                 name = ":".join(term)
-                _check_shares(name, target.margins.get(name, {}))
+                # an interaction with a binary part gives shares of joint events
+                _check_shares(name, target.margins.get(name, {}),
+                              len(term) == 1 or kinds == {"categorical"})
         targets = [_margin_lookup(target, term, parts) for term, parts, _ in expanded]
 
     names = tuple(":".join(part[0] for part in parts) for _, parts, _ in expanded)

@@ -170,8 +170,14 @@ def graph_to_dot(report: DetectionReport) -> str:
         elif name in selected:
             attrs.append('style=filled fillcolor="#cfe3f5"')
         suffix = f" [{' '.join(attrs)}]" if attrs else ""
-        lines.append(f'  "{name}"{suffix};')
+        lines.append(f"  {_dot_id(name)}{suffix};")
     for a, b, w in report.graph.edges():
-        lines.append(f'  "{a}" -- "{b}" [label="{w:.3f}"];')
+        lines.append(f'  {_dot_id(a)} -- {_dot_id(b)} [label="{w:.3f}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _dot_id(name: str) -> str:
+    """A node name as a DOT quoted id: its quotes escaped as ``\\"``, the
+    one escape DOT reads inside quotes."""
+    return '"' + name.replace('"', '\\"') + '"'

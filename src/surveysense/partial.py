@@ -82,15 +82,13 @@ def binary_grid(step: float = 0.01) -> np.ndarray:
     return np.round(np.arange(1, n) * step, 12)
 
 
-def standardized_grid(
-    v: np.ndarray, *, offsets: tuple[float, ...] = SD_OFFSETS
-) -> np.ndarray:
+def standardized_grid(v: np.ndarray) -> np.ndarray:
     """Sample mean plus and minus multiples of the sample sd, trimmed to the
     open achievable interval. Logs how many offsets fell outside."""
     v = np.asarray(v, dtype=np.float64)
     center = float(v.mean())
     sd = float(v.std())
-    raw = sorted({center + s * m for m in offsets for s in (-1.0, 1.0)})
+    raw = sorted({center + s * m for m in SD_OFFSETS for s in (-1.0, 1.0)})
     lo, hi = float(v.min()), float(v.max())
     grid = [g for g in raw if lo < g < hi]
     if len(grid) < len(raw):

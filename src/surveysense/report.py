@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from importlib import resources
 from itertools import repeat
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, TextIO
 
 import numpy as np
 
@@ -321,14 +321,25 @@ def canonical_json(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _write_rows(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+def _write_rows(out: Path | TextIO, header: list[str], rows: Iterable[Iterable]) -> None:
+    """The one CSV writer for tables that hold names, into a file at ``out``
+    or an open text stream: each field goes through ``_cell``, and
+    ``csv.writer`` quotes a name holding the delimiter, a quote or ``\\n``,
+    so that ``csv.reader`` gives the name back."""
+    if isinstance(out, Path):
+        with open(out, "w", newline="") as handle:
+            return _write_rows(handle, header, rows)
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(map(_cell, row) for row in rows)
 
 
 def _cell(value) -> str:
+    """A CSV field: None empty, a bool 1 or 0, a float its shortest repr."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "1" if value else "0"
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -345,11 +356,9 @@ def write_weights_csv(path: Path, pipe: Pipeline) -> None:
 
 
 def write_balance_csv(path: Path, pipe: Pipeline) -> None:
-    rows = [
-        [b["column"], _cell(b["target"]), _cell(b["unweighted"]), _cell(b["weighted"])]
-        for b in balance_block(pipe)
-    ]
-    _write_rows(path, ["column", "target", "unweighted", "weighted"], rows)
+    _write_rows(path, ["column", "target", "unweighted", "weighted"],
+                ([b["column"], b["target"], b["unweighted"], b["weighted"]]
+                 for b in balance_block(pipe)))
 
 
 def write_contour_csv(path: Path, grid: ContourGrid) -> None:
@@ -367,34 +376,15 @@ def write_contour_csv(path: Path, grid: ContourGrid) -> None:
 
 
 def write_benchmarks_csv(path: Path, blocks: list[dict]) -> None:
-    rows = [
-        [
-            b["label"],
-            _cell(b["r2_raw"]),
-            _cell(b["r2"]),
-            _cell(b["rho"]),
-            _cell(b["est_bias"]),
-            "" if b["mrcs"] is None else _cell(b["mrcs"]),
-        ]
-        for b in blocks
-    ]
-    _write_rows(path, ["variable", "r2_raw", "r2", "rho", "est_bias", "mrcs"], rows)
+    header = ["variable", "r2_raw", "r2", "rho", "est_bias", "mrcs"]
+    keys = ["label", *header[1:]]
+    _write_rows(path, header, ([b[key] for key in keys] for b in blocks))
 
 
 def write_sweep_csv(path: Path, sweep: PartialSweep) -> None:
-    rows = [
-        [
-            _cell(float(p.t_v)),
-            _cell(float(p.estimate)),
-            _cell(float(p.se)),
-            "1" if p.feasible else "0",
-            "1" if p.converged else "0",
-            "1" if p.is_baseline else "0",
-        ]
-        for p in sweep.points
-    ]
     _write_rows(
-        path, ["t_v", "estimate", "se", "feasible", "converged", "is_baseline"], rows
+        path, ["t_v", "estimate", "se", "feasible", "converged", "is_baseline"],
+        ([p.t_v, p.estimate, p.se, p.feasible, p.converged, p.is_baseline] for p in sweep.points),
     )
 
 

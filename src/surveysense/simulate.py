@@ -21,7 +21,6 @@ replication of any stage can be regenerated in isolation.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -182,18 +181,17 @@ def generate(dgp: SyntheticDGP, replication: int = 0) -> Population:
     )
 
 
-def draw_sample(
-    population: Population, replication: int = 0, *, max_retries: int = 5
-) -> np.ndarray:
-    """Indices of selected units; redraws (with a warning) if none select."""
+def draw_sample(population: Population, replication: int = 0) -> np.ndarray:
+    """Indices of selected units; redraws (with a warning) up to five times
+    if none select."""
     rng = stream(population.dgp.seed, replication, STAGE_SELECTION)
-    for attempt in range(max_retries):
+    for attempt in range(5):
         selected = np.flatnonzero(rng.random(population.n) < population.p_select)
         if selected.size > 0:
             if attempt:
                 logger.warning("empty sample; succeeded on retry %d", attempt)
             return selected
-    raise RuntimeError(f"no units selected after {max_retries} draws")
+    raise RuntimeError("no units selected after 5 draws")
 
 
 @dataclass(frozen=True)
@@ -214,21 +212,14 @@ class OracleDecomposition:
     mu_true: float
 
 
-def oracle_decomposition(
-    population: Population,
-    sample: np.ndarray,
-    *,
-    strata: np.ndarray | None = None,
-) -> OracleDecomposition:
+def oracle_decomposition(population: Population, sample: np.ndarray) -> OracleDecomposition:
     """Exact decomposition on one drawn sample.
 
-    ``w`` is the empirical projection of the ideal weights onto the strata
-    (covariate cells by default), which makes mean(eps) = 0, cov(w, eps) = 0,
-    and var(w_ideal) = var(w) + var(eps) identities of the sample. Continuous
-    feature sets should pass pre-binned ``strata`` labels.
+    ``w`` is the empirical projection of the ideal weights onto the
+    covariate cells, which makes mean(eps) = 0, cov(w, eps) = 0, and
+    var(w_ideal) = var(w) + var(eps) identities of the sample.
     """
-    if strata is None:
-        strata = population.cell[sample]
+    strata = population.cell[sample]
     w_ideal = oracle_ipw(population.p_select[sample])
     w = np.empty_like(w_ideal)
     for value in np.unique(strata):
@@ -359,7 +350,7 @@ def write_bundle(out: Path, seed: int) -> dict:
     population's features, the selected sample with its outcome, the
     population margins, a ready config and the truth. Returns the file paths
     and the truth."""
-    from .report import canonical_json
+    from .report import _write_rows, canonical_json
 
     dgp = three_covariate_dgp(seed=seed)
     pop = generate(dgp, replication=0)
@@ -369,14 +360,11 @@ def write_bundle(out: Path, seed: int) -> dict:
     paths = {name: out / f"{name}.csv" for name in ("survey", "population", "margins")}
     paths.update(config=out / "config.json", truth=out / "truth.json")
 
-    def write_csv(name: str, header: str, rows) -> None:
-        paths[name].write_text("\n".join([header, *rows]) + "\n")
-
-    write_csv("population", ",".join(names), (",".join(map(str, row)) for row in feats))
-    write_csv("survey", ",".join(names) + ",y", (
-        ",".join(map(str, row)) + f",{float(y)!r}" for row, y in zip(feats[idx], pop.y[idx])))
-    write_csv("margins", "variable,level,value", (
-        f"{name},1,{float(mean)!r}" for name, mean in zip(names, feats.mean(axis=0))))
+    _write_rows(paths["population"], names, feats.tolist())
+    _write_rows(paths["survey"], [*names, "y"],
+                ([*row, y] for row, y in zip(feats[idx].tolist(), pop.y[idx].tolist())))
+    _write_rows(paths["margins"], ["variable", "level", "value"],
+                ([name, 1, mean] for name, mean in zip(names, feats.mean(axis=0).tolist())))
     config = {
         "survey": "survey.csv",
         "margins": "margins.csv",
@@ -388,7 +376,7 @@ def write_bundle(out: Path, seed: int) -> dict:
         "seed": 0,
         "out": str(out / "run"),
     }
-    paths["config"].write_text(json.dumps(config, sort_keys=True, indent=2) + "\n")
+    paths["config"].write_text(canonical_json(config))
     truth = {
         "mu_true": float(pop.mu_true),
         "n_population": int(pop.n),

@@ -1,10 +1,12 @@
 """Native SVG rendering for the sensitivity contour and margin sweeps.
 
-Hand-built paths and text, no plotting runtime. Contour level curves are
-drawn from their closed form (each bias level traces R2 = d / (1 + d)
-with d proportional to 1 / rho^2), so lines are exact rather than traced
-from the grid; the sweep plot is a polyline with its standard-error band
-and the baseline anchored.
+Hand-built paths and text, no plotting runtime. Every ``<text>`` element
+goes through ``_text``, which escapes what it writes, names in axis and
+benchmark labels included, so the file stays well-formed XML. Contour
+level curves are drawn from their closed form (each bias level traces
+R2 = d / (1 + d) with d proportional to 1 / rho^2), so lines are exact
+rather than traced from the grid; the sweep plot is a polyline with its
+standard-error band and the baseline anchored.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ if TYPE_CHECKING:  # annotations only; the commands that render import these lay
     from .summary import ContourGrid
 
 __all__ = ["render_contour", "render_sweep"]
-
-_FONT = "font-family=\"Helvetica, Arial, sans-serif\""
 
 
 class _Frame:
@@ -83,35 +83,31 @@ def _axes(frame: _Frame, x_label: str, y_label: str, title: str) -> list[str]:
             f'<line x1="{px:.1f}" y1="{y_px0:.1f}" x2="{px:.1f}" '
             f'y2="{y_px0 + 4:.1f}" stroke="#444"/>'
         )
-        parts.append(
-            f'<text x="{px:.1f}" y="{y_px0 + 17:.1f}" {_FONT} font-size="11" '
-            f'text-anchor="middle">{_fmt(v)}</text>'
-        )
+        parts.append(_text(f'x="{px:.1f}" y="{y_px0 + 17:.1f}"',
+                           'font-size="11" text-anchor="middle"', _fmt(v)))
     for v in _ticks(frame.y0, frame.y1):
         py = frame.y(v)
         parts.append(
             f'<line x1="{x_px0 - 4:.1f}" y1="{py:.1f}" x2="{x_px0:.1f}" '
             f'y2="{py:.1f}" stroke="#444"/>'
         )
-        parts.append(
-            f'<text x="{x_px0 - 7:.1f}" y="{py + 4:.1f}" {_FONT} font-size="11" '
-            f'text-anchor="end">{_fmt(v)}</text>'
-        )
+        parts.append(_text(f'x="{x_px0 - 7:.1f}" y="{py + 4:.1f}"',
+                           'font-size="11" text-anchor="end"', _fmt(v)))
     mid_x = (x_px0 + x_px1) / 2
-    parts.append(
-        f'<text x="{mid_x:.1f}" y="{frame.height - 12:.1f}" {_FONT} '
-        f'font-size="13" text-anchor="middle">{x_label}</text>'
-    )
+    parts.append(_text(f'x="{mid_x:.1f}" y="{frame.height - 12:.1f}"',
+                       'font-size="13" text-anchor="middle"', x_label))
     mid_y = (y_px0 + y_px1) / 2
-    parts.append(
-        f'<text x="16" y="{mid_y:.1f}" {_FONT} font-size="13" text-anchor="middle" '
-        f'transform="rotate(-90 16 {mid_y:.1f})">{y_label}</text>'
-    )
-    parts.append(
-        f'<text x="{mid_x:.1f}" y="24" {_FONT} font-size="15" '
-        f'text-anchor="middle">{title}</text>'
-    )
+    parts.append(_text(f'x="16" y="{mid_y:.1f}"', 'font-size="13" text-anchor="middle" '
+                       f'transform="rotate(-90 16 {mid_y:.1f})"', y_label))
+    parts.append(_text(f'x="{mid_x:.1f}" y="24"', 'font-size="15" text-anchor="middle"', title))
     return parts
+
+
+def _text(at: str, style: str, text: str) -> str:
+    """A ``<text>`` element at ``at``, its x and y attributes, styled by
+    ``style`` after the font, with ``&``, ``<`` and ``>`` in its text escaped."""
+    text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return f'<text {at} font-family="Helvetica, Arial, sans-serif" {style}>{text}</text>'
 
 
 def _polyline(points: list[tuple[float, float]], style: str) -> str:
@@ -156,14 +152,15 @@ def _level_curve(level: float, scale_product: float, grid: ContourGrid):
     return points
 
 
-def render_contour(grid: ContourGrid, *, title: str = "Bias sensitivity") -> str:
+def render_contour(grid: ContourGrid) -> str:
     """Contour plot of bias over (rho, R2) with the tipping region shaded.
 
     The shaded band is where the adjusted estimate crosses the decision
     threshold; benchmark points from the grid are drawn with labels.
     """
     frame = _Frame((-1.0, 1.0), (0.0, float(grid.r2_axis[-1])))
-    parts = _axes(frame, "error correlation with outcome", "error share of weight variance", title)
+    parts = _axes(frame, "error correlation with outcome", "error share of weight variance",
+                  "Bias sensitivity")
 
     gap = grid.scale.mu_hat - grid.b_star
     if gap != 0.0:
@@ -197,10 +194,8 @@ def render_contour(grid: ContourGrid, *, title: str = "Bias sensitivity") -> str
                 _polyline(px, 'stroke="#6a7f93" stroke-width="1" stroke-dasharray="4,3"')
             )
             lx, ly = px[len(px) // 3]
-            parts.append(
-                f'<text x="{lx:.1f}" y="{ly - 3:.1f}" {_FONT} font-size="10" '
-                f'fill="#44566b" text-anchor="middle">{_fmt(level)}</text>'
-            )
+            parts.append(_text(f'x="{lx:.1f}" y="{ly - 3:.1f}"',
+                               'font-size="10" fill="#44566b" text-anchor="middle"', _fmt(level)))
 
     parts.append(_polyline(
         [(frame.x(0.0), frame.y(frame.y0)), (frame.x(0.0), frame.y(frame.y1))],
@@ -215,15 +210,13 @@ def render_contour(grid: ContourGrid, *, title: str = "Bias sensitivity") -> str
             f'<circle cx="{px:.1f}" cy="{py:.1f}" r="3.5" fill="#1d5fa8" '
             'stroke="white" stroke-width="1"/>'
         )
-        parts.append(
-            f'<text x="{px + 6:.1f}" y="{py - 5:.1f}" {_FONT} font-size="10" '
-            f'fill="#173f6e">{label}</text>'
-        )
+        parts.append(_text(f'x="{px + 6:.1f}" y="{py - 5:.1f}"',
+                           'font-size="10" fill="#173f6e"', label))
 
     return _svg(frame.width, frame.height, parts)
 
 
-def render_sweep(sweep: PartialSweep, *, title: str | None = None) -> str:
+def render_sweep(sweep: PartialSweep) -> str:
     """Estimate against the posited margin, SE band shaded, baseline marked.
 
     Infeasible grid points break the line rather than being bridged.
@@ -239,8 +232,8 @@ def render_sweep(sweep: PartialSweep, *, title: str | None = None) -> str:
     hi = max(p.estimate + 1.1 * p.se for p in finite)
     pad = 0.05 * (hi - lo) if hi > lo else 1.0
     frame = _Frame((t_lo, t_hi), (lo - pad, hi + pad))
-    heading = title if title is not None else f"Estimate under posited margins of {sweep.label}"
-    parts = _axes(frame, f"posited margin of {sweep.label}", "adjusted estimate", heading)
+    parts = _axes(frame, f"posited margin of {sweep.label}", "adjusted estimate",
+                  f"Estimate under posited margins of {sweep.label}")
 
     runs = [[]]
     for p in sweep.points:
@@ -274,8 +267,6 @@ def render_sweep(sweep: PartialSweep, *, title: str | None = None) -> str:
         f'<circle cx="{bx:.1f}" cy="{by:.1f}" r="4.5" fill="#e8534a" '
         'stroke="white" stroke-width="1.2"/>'
     )
-    parts.append(
-        f'<text x="{bx + 7:.1f}" y="{by - 7:.1f}" {_FONT} font-size="10" '
-        'fill="#7c2320">baseline</text>'
-    )
+    parts.append(_text(f'x="{bx + 7:.1f}" y="{by - 7:.1f}"', 'font-size="10" fill="#7c2320"',
+                       "baseline"))
     return _svg(frame.width, frame.height, parts)

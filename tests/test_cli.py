@@ -358,6 +358,82 @@ def test_interaction_margins_with_a_binary_part_match_the_population(capsys, dem
                                [r["target"] for r in balances["population"]], rtol=0, atol=1e-12)
 
 
+def test_interaction_share_out_of_range_exits_2(capsys, demo_bundle, tmp_path):
+    # a share of a joint event with a binary part lies in [0, 1]; 1.5 once
+    # reached the solver and exited 1 as an infeasible target
+    _recoded_bundle(demo_bundle, tmp_path, ["region"], lambda x2, x3: [f"r{x2}{x3}"])
+    margins = tmp_path / "margins.csv"
+    margins.write_text("variable,level,value\nx1,1,0.5\nregion,r00,0.25\nregion,r01,0.25\n"
+                       "region,r10,0.25\nregion,r11,0.25\nregion:x1,r01:x1,1.5\n"
+                       "region:x1,r10:x1,0.1\nregion:x1,r11:x1,0.1\n")
+    config = json.loads((demo_bundle / "config.json").read_text())
+    del config["detection"]
+    config.update(survey=str(tmp_path / "survey.csv"), margins=str(margins),
+                  columns={"x1": "binary", "region": "categorical", "y": "continuous"},
+                  weighting={"variables": ["region", "x1"], "interactions": [["region", "x1"]]})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    rc, out, err = run(capsys, ["weight", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert (rc, out) == (2, "")
+    payload = json.loads(err)["error"]
+    assert payload == {"type": "SchemaError",
+                       "message": "margin shares for 'region:x1' must lie in [0, 1]"}
+
+
+#: the bundle's columns x1, x2 and x3 renamed to names that need escaping in
+#: XML (&, <), in DOT ids (") and in CSV fields (", and the delimiter)
+_AWKWARD = {"x1": "R&D<1>", "x2": 'q"x', "x3": "s&p, <500>"}
+
+
+def test_names_are_escaped_in_svg_dot_and_csv(capsys, demo_bundle, tmp_path):
+    import re
+    import xml.etree.ElementTree as ET
+
+    for name in ("survey.csv", "population.csv"):
+        rows = list(csv.reader((demo_bundle / name).read_text().splitlines()))
+        with open(tmp_path / name, "w", newline="") as handle:
+            csv.writer(handle).writerows([[_AWKWARD.get(c, c) for c in rows[0]], *rows[1:]])
+    rows = list(csv.reader((demo_bundle / "margins.csv").read_text().splitlines()))
+    with open(tmp_path / "margins.csv", "w", newline="") as handle:
+        csv.writer(handle).writerows([rows[0], *([_AWKWARD[v], *rest] for v, *rest in rows[1:])])
+    a, b, c = _AWKWARD.values()
+    config = json.loads((demo_bundle / "config.json").read_text())
+    config.update(survey=str(tmp_path / "survey.csv"), margins=str(tmp_path / "margins.csv"),
+                  columns={a: "binary", b: "binary", c: "binary", "y": "continuous"},
+                  weighting={"variables": [a, b]}, sweep={"variable": c},
+                  detection={"sampling_set": [a, b, c], "lambda": 0.1})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    for command in ("summary", "partial"):
+        rc, _, err = run(capsys, [command, "--config", str(path), "--out", str(out)])
+        assert rc == 0, err
+    svg = "{http://www.w3.org/2000/svg}text"
+    labels = {t.text for t in ET.parse(out / "contour.svg").getroot().iter(svg)}
+    assert {a, b} <= labels
+    sweep_labels = {t.text for t in ET.parse(out / "sweep.svg").getroot().iter(svg)}
+    assert f"Estimate under posited margins of {c}" in sweep_labels
+    with open(out / "benchmarks.csv", newline="") as handle:
+        assert [row[0] for row in csv.reader(handle)] == ["variable", a, b]
+
+    rc, text, err = run(capsys, ["detect", "--config", str(path), "--out", str(out),
+                                 "--format", "csv"])
+    assert rc == 0, err
+    header, *rows = csv.reader(text.splitlines())
+    assert header == ["a", "b", "weight"] and rows
+    assert all(len(row) == 3 for row in rows)
+    nodes = {a, b, c, "y"}
+    assert {name for row in rows for name in row[:2]} <= nodes
+
+    quoted = r'"((?:[^"\\]|\\.)*)"'
+    dot = (out / "detection.dot").read_text().splitlines()
+    node_ids = [re.match(rf"  {quoted}[ ;]", line) for line in dot[3:-1] if " -- " not in line]
+    edge_ids = [re.match(rf"  {quoted} -- {quoted} ", line) for line in dot if " -- " in line]
+    unescape = lambda name: name.replace('\\"', '"')  # noqa: E731
+    assert {unescape(m[1]) for m in node_ids} == nodes
+    assert [(unescape(m[1]), unescape(m[2])) for m in edge_ids] == [tuple(r[:2]) for r in rows]
+
+
 @pytest.mark.parametrize("token", ["true", "NaN", "Infinity", "0", "-1", "[0.1]"])
 def test_bad_detection_lambda_exits_2(capsys, demo_bundle, tmp_path, token):
     # a boolean or non-finite penalty is refused at load, not run as 1.0 or

@@ -1,8 +1,10 @@
 """Loading, filtering, and feature expansion."""
 
 import csv
+import io
 import itertools
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -258,6 +260,109 @@ def test_load_table_matches_oracle_on_drawn_texts(tmp_path, caplog, case):
     assert_same_outcome(got, want, schema)
 
 
+def dictreader_load_margins(path, *, delimiter=","):
+    """The margin loader as it read files through ``csv.DictReader``, kept as
+    the oracle for ``load_margins``, which reads them as survey files."""
+    margins = {}
+    fields, records = None, []
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.DictReader(handle, delimiter=delimiter)
+        try:
+            fields = reader.fieldnames or []
+            for record in reader:
+                records.append(record)
+        except csv.Error as err:
+            where = "header" if fields is None else f"data row {len(records) + 1}"
+            raise SchemaError(f"{path}: {where}: {err}") from None
+    required = {"variable", "level", "value"}
+    if not required.issubset(fields):
+        raise SchemaError(f"{path}: margin file needs columns variable,level,value")
+    for lineno, record in enumerate(records, start=1):
+        if any(record[name] is None for name in required):
+            raise SchemaError(f"{path} row {lineno}: short row, needs variable,level,value")
+        var = record["variable"].strip()
+        level = record["level"].strip()
+        try:
+            value = float(record["value"])
+        except ValueError:
+            raise SchemaError(
+                f"{path} row {lineno}: value {record['value']!r} is not numeric"
+            ) from None
+        if not math.isfinite(value):
+            raise SchemaError(f"{path} row {lineno}: value {record['value']!r} is not finite")
+        entry = margins.setdefault(var, {})
+        key = level if level else None
+        if key in entry:
+            raise SchemaError(f"{path} row {lineno}: duplicate margin for {var!r}/{level!r}")
+        entry[key] = value
+    if not margins:
+        raise SchemaError(f"{path}: margin file is empty")
+    return MarginTarget(margins)
+
+
+#: field texts of the drawn margin files: names and levels, finite and
+#: non-finite values, and padding; and csv's special characters
+MARGIN_PIECES = ["a", "b", "1", "0.5", "0.25", "-", "e", "inf", "nan", " ", ":", ","]
+CSV_SPECIALS = ['"', "\r", "\n"]
+
+
+@st.composite
+def margin_texts(draw):
+    """A header naming variable, level and value in some order, perhaps
+    with others, repeated or quoted, or lacking one; rows of fields, most as
+    wide as the header and most values numeric, and blank lines; one line
+    ending; and a field size limit that some fields pass. About half the
+    texts hold no quote and no carriage return, which the table reader
+    splits itself."""
+    names = ["variable", "level", "value"]
+    if draw(st.integers(0, 3)) == 3:
+        del names[draw(st.integers(0, 2))]
+    extra = draw(st.lists(st.sampled_from(["value", "x", " variable", ""]), max_size=2))
+    header = draw(st.permutations(names + extra))
+    pieces = MARGIN_PIECES + (CSV_SPECIALS if draw(st.booleans()) else [])
+    field = st.one_of(st.sampled_from(["a", "b", "", "1", "x"]),
+                      st.lists(st.sampled_from(pieces), max_size=4).map("".join))
+    if '"' in pieces:
+        field = st.one_of(field, field.map(lambda f: '"' + f.replace('"', '""') + '"'))
+        header = [draw(st.sampled_from([name, f'"{name}"'])) for name in header]
+    numeric = st.sampled_from(["0.5", " 0.25", "1", "0", "2"])
+    value = st.one_of(numeric, numeric, field)
+    width = st.one_of(st.just(len(header)), st.integers(0, len(header) + 1))
+    rows = draw(st.lists(width.flatmap(lambda k: st.tuples(*(
+        value if j < len(header) and header[j].strip('"') == "value" else field for j in range(k)
+    ))), max_size=5))
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"] if '"' in pieces else ["\n"]))
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    limit = draw(st.sampled_from([None, None, 8, 12]))
+    return ending.join(lines) + draw(st.sampled_from(["", ending])), limit
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(margin_texts())
+def test_load_margins_matches_dictreader_oracle_on_drawn_texts(tmp_path, case):
+    text, limit = case
+    path = write(tmp_path, "m.csv", text)
+    outcomes = []
+    default = csv.field_size_limit()
+    try:
+        csv.field_size_limit(limit or default)
+        for loader in (load_margins, dictreader_load_margins):
+            try:
+                outcomes.append(loader(path).margins)
+            except SchemaError as err:
+                outcomes.append(str(err))
+    finally:
+        csv.field_size_limit(default)
+    got, want = outcomes
+    if want == f"{path}: margin file needs columns variable,level,value":
+        # the one message that changed: the table reader names what is absent
+        header = next(csv.reader(io.StringIO(text, newline="")), [])
+        absent = [name for name in ("variable", "level", "value") if name not in header]
+        want = f"{path}: declared columns missing from header: {absent}"
+    assert got == want
+
+
 #: cells of one numeric column in the route test: 0/1 cells, which the
 #: binary decode takes; cells that only ``float()`` or stripping make 0 or 1;
 #: and the default missing tokens. The third row is dropped by column k.
@@ -417,6 +522,15 @@ class TestMargins:
         with pytest.raises(SchemaError) as err:
             load_margins(path)
         assert str(err.value) == f"{path} row 2: value {value!r} is not finite"
+
+    @staticmethod
+    def test_columns_in_any_order(tmp_path):
+        path = write(tmp_path, "m.csv", "value,variable,level\n0.4,party,dem\nx,party,rep\n")
+        with pytest.raises(SchemaError) as err:
+            load_margins(path)
+        assert str(err.value) == f"{path} row 2: value 'x' is not numeric"
+        path = write(tmp_path, "m.csv", "level,value,variable\ndem,0.4,party\nrep,0.6,party\n")
+        assert load_margins(path).margins == {"party": {"dem": 0.4, "rep": 0.6}}
 
     @staticmethod
     def test_over_long_field_rejected(tmp_path):
