@@ -20,6 +20,7 @@ the baseline dual.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, replace
 
@@ -28,6 +29,8 @@ import numpy as np
 from .bias import ObservedScale, SensitivityParams, bias, error_vector, pop_cor, pop_var
 from .calibrate import CalibrationProblem, WeightVector, solve_many, weighted_mean
 from .errors import InfeasibleTargetsError
+
+logger = logging.getLogger(__name__)
 
 __all__ = [
     "BenchmarkRecord",
@@ -200,7 +203,10 @@ def benchmark_table(
     b_star: float | None = None,
 ) -> list[BenchmarkRecord]:
     """Benchmark each covariate in turn, in the order given."""
-    return _records(problem, w, y, [{c} for c in covariates], covariates, b_star)
+    records = _records(problem, w, y, [{c} for c in covariates], covariates, b_star)
+    if stuck := [r.label for r in records if not r.converged]:
+        logger.warning("leave-outs that did not converge: %s", ", ".join(stuck))
+    return records
 
 
 def _records(problem, w, y, groups, labels, b_star):

@@ -7,20 +7,18 @@ parameters before taking empirical quantiles. A fixed-weight variant
 skips the re-solve and keeps the baseline scale, making the adjustment
 an exact additive shift of the unadjusted interval.
 
-Each re-solve runs on the distinct design rows (cells) its resample
-touches, with the resampled base mass of each cell as its base weight.
-The dual sees only that mass, so this is exact, and a draw costs the
-number of cells rather than the number of rows. A draw keeps only its
-cell sums (counts, base mass, sums of q*y and q^2) and the variance of
-its resampled outcome, never a row-length array. Draws are solved
-together by ``calibrate.solve_many``, in chunks of ``batch_size`` draws,
-so memory stays bounded by ``calibrate.BATCH_BYTES``.
+Each re-solve runs on the distinct design rows (cells) its resample touches,
+with the resampled base mass of each cell as its base weight. The dual sees
+only that mass, so this is exact, and a draw costs the number of cells rather
+than the number of rows. A draw keeps only its cell sums (counts, base mass,
+sums of q*y and q^2) and the variance of its resampled outcome, never a
+row-length array. Draws are solved together by ``calibrate.solve_many``, in
+chunks of ``batch_size`` draws, so memory stays bounded by
+``calibrate.BATCH_BYTES``; failed draws are counted by reason, not logged.
 """
 
 from __future__ import annotations
 
-import contextvars
-import logging
 import warnings
 from dataclasses import dataclass, replace
 
@@ -45,22 +43,6 @@ __all__ = ["BootstrapResult", "bootstrap_interval"]
 
 MIN_REPORTABLE_DRAWS = 100
 MAX_DROP_FRACTION = 0.05
-
-#: set while this context solves re-estimated draws: failed draws surface
-#: through the dropped counts, and per-draw solver logs would swamp the
-#: output at B = 1000
-_IN_DRAWS = contextvars.ContextVar("surveysense_bootstrap_draws", default=False)
-
-
-class _DrawLogFilter(logging.Filter):
-    """Drops the solver's records below ERROR that are logged inside the
-    draws; other threads and contexts log as usual."""
-
-    def filter(self, record: logging.LogRecord) -> bool:
-        return record.levelno >= logging.ERROR or not _IN_DRAWS.get()
-
-
-logging.getLogger("surveysense.calibrate").addFilter(_DrawLogFilter())
 
 
 @dataclass(frozen=True)
@@ -121,13 +103,9 @@ def bootstrap_interval(
             raise SurveySenseError("baseline calibration did not converge")
 
     if reestimate:
-        token = _IN_DRAWS.set(True)
-        try:
-            kept, dropped_by_reason = _reestimated_draws(
-                problem, y, params, b, seed, baseline.dual_for(problem.column_names)
-            )
-        finally:
-            _IN_DRAWS.reset(token)
+        kept, dropped_by_reason = _reestimated_draws(
+            problem, y, params, b, seed, baseline.dual_for(problem.column_names)
+        )
     else:
         n = problem.n
         shift = bias(params, ObservedScale.from_sample(y, baseline.values))
@@ -198,10 +176,10 @@ def _reestimated_draws(
             var_y[row] = centered @ centered / n
         outcomes = solve_many(design, base_weights=sums[0], row_counts=counts, warm_start=warm)
         for row, outcome in enumerate(outcomes):
-            own = counts[row] > 0
             if not (isinstance(outcome, WeightVector) and outcome.diagnostics.converged):
-                dropped_by_reason[failure_reason(outcome, cells[own], counts[row, own])] += 1
+                dropped_by_reason[failure_reason(outcome)] += 1
                 continue
+            own = counts[row] > 0
             # a row's weight is its cell's weight shared in proportion to
             # base mass: w_i = share[cell(i)] * q_i, summing to n
             own_mass, own_qy, own_q2 = (stat[row, own] for stat in sums)

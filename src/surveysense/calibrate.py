@@ -30,10 +30,11 @@ masked in the loop (dual pinned at 0, gradient entry zeroed, Hessian row and
 column set to the identity) and still verified at the end. Each column is
 taken about its mean in the logits, which softmax ignores.
 
-``solve_raking`` solves one problem, as a stack of one on its own rows.
-``solve_many`` serves the fan-outs: the leave-one-out benchmarks (a column
-mask per problem, on rows), the bootstrap draws and the sweep points
-(counts per problem, on design cells).
+``solve_raking`` solves one problem, as a stack of one on its own rows, and
+logs its cut columns and non-convergence. ``solve_many`` serves the
+fan-outs (leave-one-out column masks on rows; bootstrap draws and sweep
+points as counts on design cells) and logs nothing: each problem's outcome,
+weights or the error, names the columns the rank guard cut.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .data import _dependent_columns, check_rank
+from .data import _dependent_columns
 from .errors import InfeasibleTargetsError
 
 logger = logging.getLogger(__name__)
@@ -92,7 +93,6 @@ class RakingDiagnostics:
     newton_steps: int
     fallback_sweeps: int
     dropped_columns: tuple[str, ...]
-    message: str = ""
 
 
 @dataclass(frozen=True)
@@ -114,6 +114,10 @@ class WeightVector:
         not enforce: a warm start for a problem on other columns."""
         lookup = dict(zip(self.constraint_ids, self.dual))
         return np.asarray([lookup.get(name, 0.0) for name in names])
+
+    @property
+    def dropped_columns(self) -> tuple[str, ...]:
+        return self.diagnostics.dropped_columns
 
 
 @dataclass(frozen=True)
@@ -251,8 +255,15 @@ def solve_raking(
         targets raise ``InfeasibleTargetsError`` instead.
     """
     (outcome,) = solve_many(problem, warm_start=warm_start)
+    if dropped := ", ".join(outcome.dropped_columns):
+        logger.warning("dropping dependent constraint columns: %s", dropped)
     if isinstance(outcome, InfeasibleTargetsError):
         raise outcome
+    if not (diag := outcome.diagnostics).converged:
+        logger.warning(
+            "calibration did not converge in %d iterations (violation %.3g); "
+            "returning the least-violating iterate", diag.iterations, diag.max_violation,
+        )
     return outcome
 
 
@@ -260,23 +271,16 @@ def solve_raking(
 FAILURE_REASONS = ("infeasible", "rank_deficient", "not_converged")
 
 
-def failure_reason(
-    outcome: WeightVector | InfeasibleTargetsError,
-    matrix: np.ndarray,
-    row_counts: np.ndarray | None = None,
-) -> str | None:
-    """The ``FAILURE_REASONS`` key of a solve's outcome on ``matrix`` (with
-    ``row_counts``), or None for converged weights.
+def failure_reason(outcome: WeightVector | InfeasibleTargetsError) -> str | None:
+    """The ``FAILURE_REASONS`` key of an outcome, None for converged weights.
 
-    Jointly infeasible targets on a design the rank guard cuts are
+    Jointly infeasible targets on a problem the rank guard cut are
     ``rank_deficient``: the dropped columns' targets disagree with the
     columns they depend on. Other infeasible targets are ``infeasible``,
     and a returned unconverged iterate is ``not_converged``.
     """
     if isinstance(outcome, InfeasibleTargetsError):
-        if outcome.joint and check_rank(matrix, row_counts):
-            return "rank_deficient"
-        return "infeasible"
+        return "rank_deficient" if outcome.joint and outcome.dropped_columns else "infeasible"
     return None if outcome.diagnostics.converged else "not_converged"
 
 
@@ -403,11 +407,6 @@ def solve_many(
                 verdicts = _dependent_columns(design, count[todo], peak)
             for pos, dropped in zip(todo, verdicts):
                 cut[pos, guarded[list(dropped)]] = True
-                if dropped:
-                    logger.warning(
-                        "dropping dependent constraint columns: %s",
-                        ", ".join(part.column_names[j] for j in guarded[list(dropped)]),
-                    )
         size = batch_size(*part.matrix.shape)
         for start in range(0, todo.size, size):
             chunk = todo[start : start + size]
@@ -446,7 +445,7 @@ def _newton_batch(part, cols, targets, base, lam, cut, idle):
     step or first Hessian past ``ILL_CONDITIONED``, raising when its slack
     exceeds what ``tol`` allows, or else after the last step if the problem
     has not converged. Returns per problem a ``WeightVector`` or the
-    ``InfeasibleTargetsError`` naming the constraint its targets break.
+    ``InfeasibleTargetsError`` naming its broken constraint and cut columns.
     """
     # softmax ignores a column's offset, which would only cost the logits
     # digits, so each column is taken about its mean over the cells
@@ -469,6 +468,7 @@ def _newton_batch(part, cols, targets, base, lam, cut, idle):
     growth = np.full(m, _MU_FACTOR)  # mu's factor at the next rejection
     slack: dict = {}  # by position, for each problem whose program ran
     results: list = [None] * m
+    names = np.asarray(part.column_names, dtype=object)
 
     def phase1(positions):
         for pos in positions:
@@ -478,6 +478,7 @@ def _newton_batch(part, cols, targets, base, lam, cut, idle):
             try:
                 slack[pos] = _classify_failure(replace(part, targets=targets[pos]), threshold)
             except InfeasibleTargetsError as err:
+                err.dropped_columns = tuple(names[cut[pos]])
                 slack[pos], results[pos] = None, err
 
     live = np.arange(m)  # positions of the problems still iterating
@@ -556,7 +557,6 @@ def _newton_batch(part, cols, targets, base, lam, cut, idle):
     w = n * prob_out
     w /= w.sum(axis=1, keepdims=True) / n
     violations = np.abs((phi_t @ (w / n)[:, :, None])[:, :, 0] - goal).max(axis=1, initial=0.0)
-    names = np.asarray(part.column_names, dtype=object)
     for pos in np.flatnonzero([r is None for r in results]):
         converged = bool(violations[pos] <= tol)
         if not converged:
@@ -567,12 +567,9 @@ def _newton_batch(part, cols, targets, base, lam, cut, idle):
                 elif slack[pos] is not None and slack[pos].sum() > INFEASIBLE_SLACK:
                     _raise_joint(replace(part, targets=targets[pos]), slack[pos])
             except InfeasibleTargetsError as err:
+                err.dropped_columns = tuple(names[cut[pos]])
                 results[pos] = err
                 continue
-            logger.warning(
-                "calibration did not converge in %d iterations (violation %.3g); "
-                "returning the least-violating iterate", max_iter, violations[pos],
-            )
         diag = RakingDiagnostics(
             converged=converged,
             iterations=int(steps[0, pos]),
@@ -581,7 +578,6 @@ def _newton_batch(part, cols, targets, base, lam, cut, idle):
             newton_steps=int(steps[1, pos]),
             fallback_sweeps=int(steps[2, pos]),
             dropped_columns=tuple(names[cut[pos]]),
-            message="" if converged else "iteration limit reached",
         )
         results[pos] = WeightVector(w[pos], lam_out[pos, active[pos]], tuple(names[active[pos]]), diag)
     return results

@@ -55,6 +55,7 @@ class InfeasibleTargetsError(SurveySenseError):
         self.target = target
         self.achievable = achievable
         self.joint = joint
+        self.dropped_columns: tuple[str, ...] = ()  # set by the solver's rank guard
         if joint:
             message = (
                 f"target {target:g} for constraint {constraint!r} cannot be met "

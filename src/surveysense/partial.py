@@ -164,6 +164,9 @@ def partial_sweep(
     targets = np.column_stack([np.tile(problem.targets, (grid.size, 1)), grid])
     warm = np.append(baseline.dual_for(problem.column_names), 0.0)
     outcomes = solve_many(augmented, targets, warm_start=warm)
+    if cut := {name for outcome in outcomes for name in outcome.dropped_columns}:
+        logger.warning("sweep of %r: dropping dependent constraint columns: %s",
+                       label, ", ".join(sorted(cut, key=augmented.column_names.index)))
 
     points = []
     for t_v, outcome in zip(grid, outcomes):

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from importlib import resources
 from itertools import repeat
 from pathlib import Path
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Iterable, TextIO
 
 import numpy as np
@@ -324,12 +325,14 @@ def canonical_json(obj: dict) -> str:
 def _write_rows(out: Path | TextIO, header: list[str], rows: Iterable[Iterable]) -> None:
     """The one CSV writer for tables that hold names, into a file at ``out``
     or an open text stream: each field goes through ``_cell``, and
-    ``csv.writer`` quotes a name holding the delimiter, a quote or ``\\n``,
-    so that ``csv.reader`` gives the name back."""
+    ``csv.writer`` quotes a name holding the delimiter, a quote or a line
+    break, so that ``csv.reader`` gives the name back (it quotes ``\\r`` only
+    for a ``\\r\\n`` terminator, so rows are formed with one, written as ``\\n``)."""
     if isinstance(out, Path):
         with open(out, "w", newline="") as handle:
             return _write_rows(handle, header, rows)
-    writer = csv.writer(out, lineterminator="\n")
+    lines = SimpleNamespace(write=lambda line: out.write(line[:-2] + "\n"))
+    writer = csv.writer(lines, lineterminator="\r\n")
     writer.writerow(header)
     writer.writerows(map(_cell, row) for row in rows)
 

@@ -75,7 +75,7 @@ class SyntheticDGP:
     Selection follows logit P(S=1 | cell, U) = sel_intercept +
     features(cell) . sel_coef + sel_u_coef * U; the outcome is linear with
     Gaussian noise. ``u_kind`` "binary" draws U ~ Bernoulli(u_param[cell]),
-    "normal" draws U ~ N(u_param[cell], u_scale).
+    "normal" draws U ~ N(u_param[cell], 1).
     """
 
     n_population: int
@@ -91,8 +91,6 @@ class SyntheticDGP:
     noise_sd: float
     seed: int
     u_kind: str = "binary"
-    u_scale: float = 1.0
-    feature_names: tuple[str, ...] = ()
 
     def __post_init__(self):
         probs = np.asarray(self.cell_probs, dtype=np.float64)
@@ -108,11 +106,10 @@ class SyntheticDGP:
             raise ValueError("binary confounder prevalences must lie in (0, 1)")
         if self.noise_sd < 0:
             raise ValueError("noise_sd must be nonnegative")
-        if not self.feature_names:
-            width = len(self.cell_features[0])
-            object.__setattr__(
-                self, "feature_names", tuple(f"x{i + 1}" for i in range(width))
-            )
+
+    @property
+    def feature_names(self) -> tuple[str, ...]:
+        return tuple(f"x{i + 1}" for i in range(len(self.cell_features[0])))
 
     @property
     def n_cells(self) -> int:
@@ -168,7 +165,7 @@ def generate(dgp: SyntheticDGP, replication: int = 0) -> Population:
     if dgp.u_kind == "binary":
         u = (rng_u.random(n) < params).astype(np.float64)
     else:
-        u = params + dgp.u_scale * rng_u.standard_normal(n)
+        u = params + rng_u.standard_normal(n)
     rng_y = stream(dgp.seed, replication, STAGE_OUTCOME)
     y = dgp.outcome_mean(cell, u) + dgp.noise_sd * rng_y.standard_normal(n)
     return Population(

@@ -1,6 +1,8 @@
 """Leave-one-covariate-out benchmarking and the strength transforms."""
 
+import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -153,3 +155,16 @@ def test_benchmark_table_order_and_mrcs(solved):
     mu_hat = weighted_mean(y, full.values)
     for record in records:
         assert record.mrcs == pytest.approx((mu_hat - 0.0) / record.est_bias)
+
+
+def test_benchmark_table_names_the_leave_outs_that_did_not_converge(solved, caplog):
+    # one Newton step from the baseline dual leaves each leave-out short of
+    # tol; benchmarks.csv has no converged column, so one warning names them
+    problem, y, full = solved
+    with caplog.at_level(logging.WARNING):
+        records = benchmark_table(replace(problem, max_iter=1), full, y, ("x1", "x2", "x3"))
+    stuck = [r.label for r in records if not r.converged]
+    assert stuck
+    assert [r.getMessage() for r in caplog.records] == [
+        "leave-outs that did not converge: " + ", ".join(stuck)
+    ]

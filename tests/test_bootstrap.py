@@ -2,12 +2,11 @@
 
 import json
 import logging
-import threading
 
 import numpy as np
 import pytest
 
-from surveysense import bootstrap, calibrate
+from surveysense import calibrate
 from surveysense.bias import ObservedScale, SensitivityParams, bias
 from surveysense.bootstrap import bootstrap_interval
 from surveysense.calibrate import CalibrationProblem, solve_raking
@@ -176,29 +175,29 @@ def test_continuous_design_matches_row_level_resolve(outcome):
     )
 
 
-def test_draws_mute_only_their_own_solver_warnings(outcome, monkeypatch, caplog):
-    # the draws drop their solver's warnings through a filter keyed on a
-    # context variable, not by raising the shared logger's level, so a
-    # thread that logs to that logger during the draws is still heard
-    problem, y = outcome
-    solver_log = logging.getLogger("surveysense.calibrate")
-    solve_many = bootstrap.solve_many
+def test_only_solve_raking_logs_a_problem_of_its_own(caplog):
+    # failed draws are counted by reason in the result, and the solver logs
+    # nothing per draw; solve_raking, the one-problem API, logs its problem's
+    # cut columns, while solve_many on the same problem logs nothing
+    problem, y = categorical_problem(60, 4, base_weights=True)
+    with caplog.at_level(logging.DEBUG, logger="surveysense.calibrate"):
+        res = bootstrap_interval(problem, y, ZERO, b=200, seed=6)
+    assert res.dropped > 0
+    assert [r for r in caplog.records if r.name == "surveysense.calibrate"] == []
 
-    def noisy_solve_many(*args, **kwargs):
-        solver_log.warning("a draw's own warning")
-        solver_log.error("a draw's own error")
-        other = threading.Thread(target=solver_log.warning, args=("another thread",))
-        other.start()
-        other.join()
-        return solve_many(*args, **kwargs)
-
-    monkeypatch.setattr(bootstrap, "solve_many", noisy_solve_many)
+    matrix = problem.matrix.copy()
+    matrix[:, 2] = matrix[:, 0]
+    targets = problem.targets.copy()
+    targets[2] = targets[0]
+    cut = CalibrationProblem(matrix, targets, column_names=problem.column_names)
+    (outcome,) = calibrate.solve_many(cut)
+    assert outcome.dropped_columns == ("x3",) and outcome.diagnostics.converged
+    assert caplog.records == []
     with caplog.at_level(logging.WARNING, logger="surveysense.calibrate"):
-        bootstrap_interval(problem, y, ZERO, b=100, seed=3)
-        solver_log.warning("after the draws")
-    heard = [r.getMessage() for r in caplog.records if r.name == "surveysense.calibrate"]
-    assert heard == ["a draw's own error", "another thread", "after the draws"]
-    assert solver_log.level == logging.NOTSET
+        solve_raking(cut)
+    assert [(r.name, r.getMessage()) for r in caplog.records] == [
+        ("surveysense.calibrate", "dropping dependent constraint columns: x3")
+    ]
 
 
 def _survey_config(tmp_path) -> dict:

@@ -252,13 +252,85 @@ def test_solve_many_failure_reasons():
     warm[0] = solved.dual
     warm[3] = [9.0, -9.0, 9.0]
     results = calibrate.solve_many(template, targets, counts, counts, warm_start=warm)
-    reasons = [
-        calibrate.failure_reason(r, cells[row > 0], row[row > 0])
-        for r, row in zip(results, counts)
-    ]
+    reasons = [calibrate.failure_reason(r) for r in results]
     assert reasons == [None, "infeasible", "rank_deficient", "not_converged"]
     np.testing.assert_allclose(results[0].values, solved.values, rtol=0.0, atol=1e-12)
     assert results[2].joint and results[1].constraint == "x1"
+    assert results[2].dropped_columns == ("x3",) and results[1].dropped_columns == ()
+
+
+def rank_guard_failure_reason(outcome, matrix, row_counts=None):
+    """The two-argument ``failure_reason`` that ran the rank guard again on
+    a failed problem's cells and counts, kept as the oracle of the
+    one-argument form, which reads the columns the solver's guard cut."""
+    if isinstance(outcome, InfeasibleTargetsError):
+        if outcome.joint and check_rank(matrix, row_counts):
+            return "rank_deficient"
+        return "infeasible"
+    return None if outcome.diagnostics.converged else "not_converged"
+
+
+@st.composite
+def resampled_cell_stacks(draw):
+    """A design of 2 to 8 cells and a stack of bootstrap-like resamples of
+    it: multinomial counts that may leave cells out, each with its own base
+    mass. Columns are binary or continuous, nearly equal to an earlier
+    column, or an exact combination of earlier ones but on the rarest cell,
+    so a resample that misses that cell makes the design rank deficient.
+    Targets are realized by positive weights on every cell, drawn per
+    column (often jointly infeasible), or put outside one column's range;
+    a resample may also make a realized target unattainable."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(2, 8))
+    share = rng.dirichlet(np.full(k, draw(st.sampled_from([0.3, 1.0, 5.0]))))
+    cols = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["binary", "continuous", "near", "combination"]))
+        if kind == "near" and cols:
+            scale = draw(st.sampled_from([1e-12, 1e-9, 1e-6]))
+            cols.append(cols[int(rng.integers(len(cols)))] + scale * rng.normal(size=k))
+        elif kind == "combination" and cols:
+            col = rng.choice([1.0, -2.0]) * cols[int(rng.integers(len(cols)))]
+            col += cols[int(rng.integers(len(cols)))] if rng.random() < 0.5 else 0.0
+            col[int(np.argmin(share))] += 1.0
+            cols.append(col)
+        elif kind == "binary":
+            cols.append((rng.random(k) < 0.5).astype(float))
+        else:
+            cols.append(rng.normal(size=k))
+    cells = np.column_stack(cols)
+    p = cells.shape[1]
+    rows = draw(st.sampled_from([5, 12, 40, 200]))
+    counts = rng.multinomial(rows, share, size=draw(st.integers(1, 6))).astype(float)
+    mass = counts * 10.0 ** rng.uniform(-3.0, 3.0, size=k)
+    mode = draw(st.sampled_from(["realized", "independent", "outside"]))
+    if mode == "independent":
+        lo, hi = cells.min(axis=0), cells.max(axis=0)
+        targets = lo + rng.uniform(0.05, 0.95, size=p) * (hi - lo)
+    else:
+        w = np.exp(rng.normal(size=k))
+        targets = cells.T @ w / w.sum()
+        if mode == "outside":
+            targets[int(rng.integers(p))] = cells.max() + 0.1
+    problem = CalibrationProblem(
+        cells, targets, column_names=tuple(f"c{j}" for j in range(p)),
+        max_iter=draw(st.sampled_from([5, 200])),
+    )
+    return problem, mass, counts
+
+
+@SETTINGS
+@given(resampled_cell_stacks())
+def test_failure_reason_matches_the_rank_guard_oracle(drawn):
+    # the reason the solver records equals the one found by running the
+    # rank guard again on each failed problem's own cells and counts
+    problem, mass, counts = drawn
+    outcomes = calibrate.solve_many(problem, base_weights=mass, row_counts=counts)
+    for outcome, row in zip(outcomes, counts):
+        own = row > 0
+        reason = calibrate.failure_reason(outcome)
+        event(f"reason {reason}")
+        assert reason == rank_guard_failure_reason(outcome, problem.matrix[own], row[own])
 
 
 def random_problem(seed, n=2000, max_p=30):

@@ -168,7 +168,7 @@ def test_solve_converges_or_names_a_constraint(drawn):
         # targets infeasible by less than the phase-1 program certifies, or
         # realized targets on a design whose weakest Hessian direction at the
         # returned weights is rounding, which no double-precision step resolves
-        assert diag.message == "iteration limit reached"
+        assert not diag.converged
         assert diag.fallback_sweeps > 0  # it took at least one damped step
         assert phase1_names(problem) is None
         if realized:

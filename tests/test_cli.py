@@ -327,6 +327,37 @@ def test_continuous_variable_named_with_equals_takes_its_mean_row(capsys, demo_b
     assert abs(balance["age=yrs"]["weighted"] - 34.5) < 1e-8
 
 
+def test_a_level_holding_a_carriage_return_reads_back_from_balance_csv(
+    capsys, demo_bundle, tmp_path
+):
+    # csv.writer quotes "\r" only when its row terminator holds one, so a
+    # level "r\r2" once split its row of balance.csv in two on read-back
+    levels = {("0", "0"): "a1", ("0", "1"): "r\r2"}  # "a1" is the reference level
+    shares = {}
+    for name in ("survey.csv", "population.csv"):
+        header, *rows = csv.reader((demo_bundle / name).read_text().splitlines())
+        rows = [[r[0], levels.get((r[1], r[2]), "r3"), *r[3:]] for r in rows]
+        with open(tmp_path / name, "w", newline="") as handle:
+            csv.writer(handle).writerows([["x1", "g", *header[3:]], *rows])
+        for row in rows:
+            shares[row[1]] = shares.get(row[1], 0) + (name == "population.csv") / len(rows)
+    with open(tmp_path / "margins.csv", "w", newline="") as handle:
+        csv.writer(handle).writerows([["variable", "level", "value"], ["x1", "1", "0.48"],
+                                      *(["g", level, repr(v)] for level, v in shares.items())])
+    config = json.loads((demo_bundle / "config.json").read_text())
+    del config["detection"]
+    config.update(survey=str(tmp_path / "survey.csv"), margins=str(tmp_path / "margins.csv"),
+                  columns={"x1": "binary", "g": "categorical", "y": "continuous"},
+                  weighting={"variables": ["x1", "g"]})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    rc, _, err = run(capsys, ["weight", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 0, err
+    with open(tmp_path / "o" / "balance.csv", newline="") as handle:
+        names = [row[0] for row in csv.reader(handle)]
+    assert names == ["column", "x1", "g=r\r2", "g=r3"]
+
+
 def test_interaction_margins_with_a_binary_part_match_the_population(capsys, demo_bundle, tmp_path):
     # shares of a categorical x binary interaction are joint means, not a
     # partition: their margin rows once failed a sum-to-1 check at load

@@ -1,5 +1,6 @@
 """Partially observed confounder sweeps and the stratified IPW oracle."""
 
+import logging
 from dataclasses import replace
 
 import numpy as np
@@ -50,6 +51,18 @@ class TestPartialSweep:
             x[:, None], np.array([x.mean() + 0.05]), column_names=("x",)
         )
         return problem, v, y
+
+    def test_a_swept_column_the_design_spans_warns_once(self, caplog):
+        # v equals x, so the rank guard cuts it at every grid point: one
+        # warning names it, not one per point
+        problem, _, y = self.build()
+        v = problem.matrix[:, 0].copy()
+        with caplog.at_level(logging.WARNING):
+            sweep = partial_sweep(problem, v, y, label="v", grid=np.array([0.3, 0.5, 0.7]))
+        assert [r.getMessage() for r in caplog.records] == [
+            "sweep of 'v': dropping dependent constraint columns: v"
+        ]
+        assert [p.feasible for p in sweep.points] == [p.is_baseline for p in sweep.points]
 
     def test_curve_passes_through_baseline(self):
         problem, v, y = self.build()
