@@ -37,7 +37,7 @@ print("worst margin violation:", solved.diagnostics.max_violation)
 print("\nbalance before/after:")
 for row in balance_table(problem, solved.values):
     print(
-        f"  {row['constraint']:>6}: unweighted {row['unweighted']:.3f}"
+        f"  {row['column']:>6}: unweighted {row['unweighted']:.3f}"
         f" -> weighted {row['weighted']:.3f} (target {row['target']:.3f})"
     )
 

@@ -30,12 +30,12 @@ from .calibrate import (
     CalibrationProblem,
     WeightVector,
     batch_size,
+    design_cells,
     failure_reason,
     solve_many,
     solve_raking,
     weighted_mean,
 )
-from .data import design_cells
 from .errors import SurveySenseError
 from .simulate import STAGE_BOOTSTRAP, stream
 

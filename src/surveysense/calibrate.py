@@ -33,8 +33,11 @@ taken about its mean in the logits, which softmax ignores.
 ``solve_raking`` solves one problem, as a stack of one on its own rows, and
 logs its cut columns and non-convergence. ``solve_many`` serves the
 fan-outs (leave-one-out column masks on rows; bootstrap draws and sweep
-points as counts on design cells) and logs nothing: each problem's outcome,
-weights or the error, names the columns the rank guard cut.
+points as counts on ``design_cells``) and logs nothing: each problem's
+outcome, weights or the error, names the columns the rank guard cut. The
+guard, ``_dependent_columns``, takes a stack of positive counts and one peak
+magnitude per column; ``check_rank`` runs it on one matrix's rows as they
+are, for ``data.build_features`` at load.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ from typing import NoReturn
 
 import numpy as np
 
-from .data import _dependent_columns
 from .errors import InfeasibleTargetsError
 
 logger = logging.getLogger(__name__)
@@ -78,6 +80,16 @@ _EIGEN_FLOOR = 2e-14
 
 #: working-set budget of one ``solve_many`` batch, in bytes
 BATCH_BYTES = 4 << 20
+
+#: remaining column norms this close to the largest, relative to the
+#: columns' own norms and per square root of the rows, count as tied in
+#: pivoting; the earliest is taken. The n-row QR leaves equal columns'
+#: R factors up to about sqrt(n) ulps apart.
+PIVOT_TIE = 8 * np.finfo(np.float64).eps
+
+#: a problem whose Gram matrix has its smallest eigenvalue above this share
+#: of its trace is full rank without a QR; see ``_gram_certifies``
+GRAM_TAU = 1e-10
 
 
 @dataclass(frozen=True)
@@ -294,6 +306,141 @@ def batch_size(cells: int, columns: int) -> int:
     return max(1, BATCH_BYTES // (16 * cells * (columns + 1)))
 
 
+def check_rank(matrix: np.ndarray) -> tuple[int, ...]:
+    """Indices of the columns of ``matrix`` that the rank guard cuts on its
+    rows as they are, each column scaled by its largest magnitude: the
+    linearly dependent ones, judged with the implicit normalization
+    constraint included (a constant column is dependent)."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    peak = np.abs(matrix).max(axis=0, initial=0.0)
+    return _dependent_columns(matrix, np.ones((1, len(matrix))), peak)[0]
+
+
+def _dependent_columns(matrix: np.ndarray, counts: np.ndarray, peak: np.ndarray) -> list:
+    """The rank guard: per problem of a (B, n) stack of positive ``counts``
+    on the rows of ``matrix`` (sqrt(count) row scaling), the sorted indices
+    of its dependent columns, each column scaled by its ``peak`` magnitude.
+
+    Full rank is settled first from each problem's count-weighted
+    (p+1)-square Gram matrix (``_gram_certifies``), one product over the
+    rows. Only the problems it cannot settle build the augmented design
+    and run the QR: the n-row QR runs in numpy, and so does the
+    column-pivoted QR of its (p+1)-row R factor, whose column inner
+    products, hence pivots, are the full matrix's. Pivoting takes the
+    earliest of the columns whose remaining norms tie to within
+    ``PIVOT_TIE * sqrt(n)`` of their own norms, so of two equal columns the
+    later one is dropped, whatever the rounding. The rank is the number of
+    pivoted |r_kk| above 1e-10 * max(|r_11|, 1); the columns pivoted past
+    it are dependent.
+    """
+    n, p = matrix.shape
+    found = [()] * len(counts)
+    todo = np.flatnonzero(~_gram_certifies(matrix, counts, peak))
+    if todo.size == 0:
+        return found
+    augmented = np.ones((todo.size, n, p + 1))
+    augmented[:, :, 1:] = matrix / np.maximum(peak, 1e-300)
+    augmented *= np.sqrt(counts[todo])[:, :, None]
+    r = np.linalg.qr(augmented, mode="r")
+    diag, pivots = _pivoted_diagonal(r, PIVOT_TIE * np.sqrt(n))
+    ranks = np.sum(diag > 1e-10 * np.maximum(diag[:, :1], 1.0), axis=1)
+    constant = np.flatnonzero(np.ptp(matrix, axis=0) == 0.0).tolist()
+    for i, rank, order in zip(todo, ranks, pivots):
+        dependent = {int(j) - 1 for j in order[rank:] if j > 0}
+        if 0 in order[rank:]:
+            # pivoting discarded the intercept; blame a constant design column
+            dependent.update(constant)
+        found[i] = tuple(sorted(dependent))
+    return found
+
+
+def _gram_certifies(matrix: np.ndarray, counts: np.ndarray, peak: np.ndarray) -> np.ndarray:
+    """Per problem of a (B, n) stack of ``counts``, whether the scaled,
+    augmented design A = diag(sqrt(c)) [1 | X / peak] is certainly full
+    rank, so that the rank guard's QR would cut none of its columns.
+
+    G = AᵀA = D [[Σc, cᵀX], [Xᵀc, Xᵀdiag(c)X]] D with D = diag(1, 1/peak)
+    is formed by one stacked product over the rows, and problem b is
+    certified when λ_min(G_b) > τ · max(trace(G_b), 1).
+
+    Why a certified problem is one the QR keeps whole: the computed Gram
+    is within about n·eps·trace(G) of the exact one in norm, and the
+    symmetric eigensolver adds (p+1)·eps·‖G‖ (Golub & Van Loan, Matrix
+    Computations, 4th ed., §5.3 and §8.1; Higham, Accuracy and Stability
+    of Numerical Algorithms, §3.5). τ is ``GRAM_TAU``, raised to
+    10·(n+p+1)·eps once that is larger (n > 4·10⁴ or so), so the exact
+    λ_min(AᵀA) is at least 0.9·τ·max(trace, 1), and σ_min(A) at least
+    about 1e-5·max(‖A‖_F, 1). The QR path cuts nothing while σ_min(R)
+    exceeds 1e-10·max(largest column norm, 1), five orders lower, since
+    every pivoted |r_kk| is at least σ_min(R) and |r_11| is the largest
+    column norm; its own backward error, about n·(p+1)·eps·‖A‖_F, cannot
+    close that gap.
+    """
+    n, p = matrix.shape
+    root = np.sqrt(counts)
+    # A's columns after the first (sqrt(c)), in one buffer: a second fresh
+    # n-row array would cost about as much as the product itself
+    scaled = np.empty((len(counts), n, p))
+    np.divide(matrix, np.maximum(peak, 1e-300), out=scaled)
+    scaled *= root[:, :, None]
+    gram = np.empty((len(counts), p + 1, p + 1))
+    gram[:, 0, 0] = counts.sum(axis=1)
+    gram[:, 0, 1:] = gram[:, 1:, 0] = np.matmul(root[:, None, :], scaled)[:, 0]
+    gram[:, 1:, 1:] = np.matmul(np.swapaxes(scaled, 1, 2), scaled)
+    smallest = np.linalg.eigvalsh(gram)[:, 0]
+    trace = np.einsum("bii->b", gram)
+    tau = max(GRAM_TAU, 10.0 * (n + p + 1) * np.finfo(np.float64).eps)
+    return smallest > tau * np.maximum(trace, 1.0)
+
+
+def _pivoted_diagonal(r: np.ndarray, tie: float) -> tuple[np.ndarray, np.ndarray]:
+    """|diag R| and the column order of a column-pivoted Householder QR of
+    each matrix in a (B, m, c) stack, taking the earliest of the columns
+    whose remaining norms are within ``tie`` times their own norms of the
+    largest."""
+    r = r.copy()
+    batch, m, c = r.shape
+    order = np.tile(np.arange(c), (batch, 1))
+    diag = np.zeros((batch, min(m, c)))
+    every = np.arange(batch)
+    slack = tie * np.sqrt(np.einsum("bij,bij->bj", r, r))
+    for k in range(min(m, c)):
+        tail = r[:, k:, k:]
+        norms = np.sqrt(np.einsum("bij,bij->bj", tail, tail))
+        top = np.argmax(norms, axis=1)
+        bar = norms[every, top][:, None] - np.maximum(slack[:, k:], slack[every, k + top][:, None])
+        # swaps reorder the columns, so earliest means the smallest index
+        pick = np.argmin(np.where(norms >= bar, order[:, k:], c), axis=1)
+        alpha = norms[every, pick]
+        swap = k + pick
+        for arr in (r, order, slack):
+            arr[every, ..., k], arr[every, ..., swap] = arr[every, ..., swap], arr[every, ..., k].copy()
+        diag[:, k] = alpha
+        # reflect column k onto the axis: v = x + sign(x0)|x| e0
+        v = r[:, k:, k].copy()
+        v[:, 0] += np.copysign(alpha, v[:, 0])
+        scale = np.einsum("bi,bi->b", v, v)
+        v /= np.sqrt(np.where(scale > 0.0, scale, 1.0))[:, None]
+        tail -= 2.0 * v[:, :, None] * np.einsum("bi,bij->bj", v, tail)[:, None, :]
+    return diag, order
+
+
+def design_cells(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``matrix`` in lexicographic order, and the index
+    of each row's cell: ``np.unique(matrix, axis=0, return_inverse=True)``
+    by one lexsort, which is several times faster."""
+    n, p = matrix.shape
+    if p == 0:
+        return matrix[:1], np.zeros(n, dtype=np.intp)
+    order = np.lexsort(matrix.T[::-1])
+    ordered = matrix[order]
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    cell_of_row = np.empty(n, dtype=np.intp)
+    cell_of_row[order] = np.cumsum(starts) - 1
+    return ordered[starts], cell_of_row
+
+
 def solve_many(
     problem: CalibrationProblem,
     targets: np.ndarray | None = None,
@@ -400,7 +547,7 @@ def solve_many(
         if todo.size and guarded.size:
             design = part.matrix if guarded.size == part.p else part.matrix[:, guarded]
             # each member has every cell, so the range screen gives the peaks
-            peak = np.maximum(hi, -lo)[None, guarded]
+            peak = np.maximum(hi, -lo)[guarded]
             if np.all(count[todo] == count[todo[0]]):
                 verdicts = _dependent_columns(design, count[todo[:1]], peak) * todo.size
             else:
@@ -522,11 +669,13 @@ def _newton_batch(part, cols, targets, base, lam, cut, idle):
         direction = _solve(hess, -grad)
         slope = np.einsum("bp,bp->b", grad, direction)
         cand = lam + direction
+        finite = np.isfinite(cand).all(axis=1)
+        cand[~finite] = lam[~finite]  # a step that overflowed is rejected unevaluated
         cand_prob, cand_obj = _states(phi_t, log_q[live], cand, goal[live])
         # below objective resolution the sufficient-decrease test cannot
         # certify progress; this close to the optimum the raw step is a
         # contraction
-        accept = (slope < 0) & (
+        accept = finite & (slope < 0) & (
             (-slope <= 1e-13 * (1.0 + np.abs(objective)))
             | (cand_obj <= objective + _ARMIJO * slope)
         )
@@ -574,7 +723,7 @@ def _newton_batch(part, cols, targets, base, lam, cut, idle):
             converged=converged,
             iterations=int(steps[0, pos]),
             max_violation=float(violations[pos]),
-            dual_norm=float(np.linalg.norm(lam_out[pos])),
+            dual_norm=_norm(lam_out[pos]),
             newton_steps=int(steps[1, pos]),
             fallback_sweeps=int(steps[2, pos]),
             dropped_columns=tuple(names[cut[pos]]),
@@ -596,6 +745,17 @@ def _solve(hess, rhs):
             except np.linalg.LinAlgError:
                 pass
         return out
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm, scaled by the largest entry only when the squares
+    overflow, so a norm that fits keeps ``np.linalg.norm``'s bits."""
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(v)
+        if np.isinf(norm):
+            peak = np.abs(v).max()
+            norm = peak * np.linalg.norm(v / peak)
+    return float(norm)
 
 
 def weighted_mean(y: np.ndarray, w: np.ndarray) -> float:
@@ -639,23 +799,15 @@ def entropy_divergence(w: np.ndarray, base: np.ndarray | None = None) -> float:
 
 
 def balance_table(problem: CalibrationProblem, w: np.ndarray) -> list[dict]:
-    """Per-constraint margins before and after weighting by ``w``, weights of
-    any scale; weights with mean 1, such as a ``WeightVector``'s values, are
-    taken as given, so the margins are the report's to the bit."""
+    """The balance table: each constraint column's target and its margins
+    before and after weighting by ``w``, weights of any scale; weights with
+    mean 1, such as a ``WeightVector``'s values, are taken as given."""
     w = np.asarray(w, dtype=np.float64)
     if abs(w.mean() - 1.0) > 1e-9:
         w = w / w.mean()
     share = w / problem.n
-    rows = []
-    for name, target, col in zip(problem.column_names, problem.targets, problem.matrix.T):
-        weighted = float(col @ share)
-        rows.append(
-            {
-                "constraint": name,
-                "target": float(target),
-                "unweighted": float(col.mean()),
-                "weighted": weighted,
-                "gap": weighted - float(target),
-            }
-        )
-    return rows
+    return [
+        {"column": name, "target": float(target), "unweighted": float(col.mean()),
+         "weighted": float(col @ share)}
+        for name, target, col in zip(problem.column_names, problem.targets, problem.matrix.T)
+    ]

@@ -200,7 +200,7 @@ def _weight_json(run: _Run) -> dict:
         "balance_csv": str(out / "balance.csv"),
         "rows": int(pipe.frame.n),
         "calibration": report.calibration_block(pipe),
-        "balance": report.balance_block(pipe),
+        "balance": _layer("calibrate").balance_table(pipe.problem, pipe.baseline.values),
     }
 
 

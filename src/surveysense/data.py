@@ -18,6 +18,8 @@ once; other numeric cells are parsed by ``float()`` one at a time.
 ``CalibrationProblem`` itself. One expansion serves the survey and the
 population frame, coding each categorical variable once per frame; each
 column carries its parts' levels, and margin rows are found by those levels.
+This module only reads and expands: the rank check of the expanded design is
+the solver's own guard, ``calibrate.check_rank``.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 
 from .errors import RankDeficiencyError, SchemaError
 
-if TYPE_CHECKING:  # calibrate imports this module, so build_features imports it when it runs
+if TYPE_CHECKING:  # build_features imports the solver layer when it runs
     from .calibrate import CalibrationProblem
 
 logger = logging.getLogger(__name__)
@@ -527,174 +529,6 @@ def _margin_lookup(target: MarginTarget, term: tuple[str, ...], parts: tuple) ->
     return float(entry[level])
 
 
-#: remaining column norms this close to the largest, relative to the
-#: columns' own norms and per square root of the rows, count as tied in
-#: pivoting; the earliest is taken. The n-row QR leaves equal columns'
-#: R factors up to about sqrt(n) ulps apart.
-PIVOT_TIE = 8 * np.finfo(np.float64).eps
-
-#: a problem whose Gram matrix has its smallest eigenvalue above this share
-#: of its trace is full rank without a QR; see ``_gram_certifies``
-GRAM_TAU = 1e-10
-
-
-def check_rank(
-    matrix: np.ndarray, row_counts: np.ndarray | None = None
-) -> tuple[int, ...] | list[tuple[int, ...]]:
-    """Indices of linearly dependent columns, judged with the implicit
-    normalization constraint included (a constant column is dependent).
-
-    ``row_counts`` weighs rows by multiplicity (sqrt(count) row scaling). A
-    (B, n) stack of counts checks B problems on the same rows at once and
-    returns one tuple per problem; a row with count 0 is absent from that
-    problem, and a problem without rows has every column dependent. Columns
-    are scaled by their largest magnitude over the rows present.
-
-    Full rank is settled first from each problem's count-weighted
-    (p+1)-square Gram matrix (``_gram_certifies``), one product over the
-    rows. Only the problems it cannot settle build the augmented design
-    and run the QR: the n-row QR runs in numpy, and so does the
-    column-pivoted QR of its (p+1)-row R factor, whose column inner
-    products, hence pivots, are the full matrix's. Pivoting takes the
-    earliest of the columns whose remaining norms tie to within
-    ``PIVOT_TIE * sqrt(n)`` of their own norms, so of two equal columns the
-    later one is dropped, whatever the rounding. The rank is the number of
-    pivoted |r_kk| above 1e-10 * max(|r_11|, 1); the columns pivoted past
-    it are dependent.
-    """
-    matrix = np.asarray(matrix, dtype=np.float64)
-    n, p = matrix.shape
-    counts = np.ones((1, n)) if row_counts is None else np.atleast_2d(row_counts)
-    present = counts > 0
-    if present.all():
-        peak = np.abs(matrix).max(axis=0, initial=0.0)[None]
-    else:
-        peak = np.max(
-            np.broadcast_to(np.abs(matrix), (len(counts), n, p)),
-            axis=1, where=present[:, :, None], initial=0.0,
-        )
-    found = _dependent_columns(matrix, counts, peak)
-    return found if row_counts is not None and np.ndim(row_counts) == 2 else found[0]
-
-
-def _dependent_columns(matrix: np.ndarray, counts: np.ndarray, peak: np.ndarray) -> list:
-    """``check_rank`` per problem of a (B, n) stack of ``counts``, given the
-    columns' peaks over each problem's rows, (B, p), or (1, p) if shared."""
-    n, p = matrix.shape
-    found = [()] * len(counts)
-    todo = np.flatnonzero(~_gram_certifies(matrix, counts, peak))
-    if todo.size == 0:
-        return found
-    if len(peak) > 1:
-        peak = peak[todo]
-    augmented = np.ones((todo.size, n, p + 1))
-    augmented[:, :, 1:] = matrix / np.maximum(peak, 1e-300)[:, None, :]
-    augmented *= np.sqrt(counts[todo])[:, :, None]
-    r = np.linalg.qr(augmented, mode="r")
-    diag, pivots = _pivoted_diagonal(r, PIVOT_TIE * np.sqrt(n))
-    ranks = np.sum(diag > 1e-10 * np.maximum(diag[:, :1], 1.0), axis=1)
-    for i, rank, order in zip(todo, ranks, pivots):
-        dependent = sorted(int(j) - 1 for j in order[rank:] if j > 0)
-        if 0 in order[rank:]:
-            # pivoting discarded the intercept; blame a constant design column
-            rows = counts[i] > 0
-            constants = [
-                j for j in range(p) if not rows.any() or np.ptp(matrix[rows, j]) == 0.0
-            ]
-            dependent = sorted(set(dependent) | set(constants))
-        found[i] = tuple(dependent)
-    return found
-
-
-def _gram_certifies(matrix: np.ndarray, counts: np.ndarray, peak: np.ndarray) -> np.ndarray:
-    """Per problem of a (B, n) stack of ``counts``, whether the scaled,
-    augmented design A = diag(sqrt(c)) [1 | X / peak] is certainly full
-    rank, so that ``check_rank``'s QR would cut none of its columns.
-
-    G = AᵀA = D [[Σc, cᵀX], [Xᵀc, Xᵀdiag(c)X]] D with D = diag(1, 1/peak)
-    is formed by one stacked product over the rows, and problem b is
-    certified when λ_min(G_b) > τ · max(trace(G_b), 1).
-
-    Why a certified problem is one the QR keeps whole: the computed Gram
-    is within about n·eps·trace(G) of the exact one in norm, and the
-    symmetric eigensolver adds (p+1)·eps·‖G‖ (Golub & Van Loan, Matrix
-    Computations, 4th ed., §5.3 and §8.1; Higham, Accuracy and Stability
-    of Numerical Algorithms, §3.5). τ is ``GRAM_TAU``, raised to
-    10·(n+p+1)·eps once that is larger (n > 4·10⁴ or so), so the exact
-    λ_min(AᵀA) is at least 0.9·τ·max(trace, 1), and σ_min(A) at least
-    about 1e-5·max(‖A‖_F, 1). The QR path cuts nothing while σ_min(R)
-    exceeds 1e-10·max(largest column norm, 1), five orders lower, since
-    every pivoted |r_kk| is at least σ_min(R) and |r_11| is the largest
-    column norm; its own backward error, about n·(p+1)·eps·‖A‖_F, cannot
-    close that gap.
-    """
-    n, p = matrix.shape
-    root = np.sqrt(counts)
-    # A's columns after the first (sqrt(c)), in one buffer: a second fresh
-    # n-row array would cost about as much as the product itself
-    scaled = np.empty((len(counts), n, p))
-    np.divide(matrix, np.maximum(peak, 1e-300)[:, None, :], out=scaled)
-    if len(peak) > 1:
-        scaled[counts == 0] = 0.0  # an absent row may not fit its problem's peak
-    scaled *= root[:, :, None]
-    gram = np.empty((len(counts), p + 1, p + 1))
-    gram[:, 0, 0] = counts.sum(axis=1)
-    gram[:, 0, 1:] = gram[:, 1:, 0] = np.matmul(root[:, None, :], scaled)[:, 0]
-    gram[:, 1:, 1:] = np.matmul(np.swapaxes(scaled, 1, 2), scaled)
-    smallest = np.linalg.eigvalsh(gram)[:, 0]
-    trace = np.einsum("bii->b", gram)
-    tau = max(GRAM_TAU, 10.0 * (n + p + 1) * np.finfo(np.float64).eps)
-    return smallest > tau * np.maximum(trace, 1.0)
-
-
-def design_cells(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of ``matrix`` in lexicographic order, and the index
-    of each row's cell: ``np.unique(matrix, axis=0, return_inverse=True)``
-    by one lexsort, which is several times faster."""
-    n, p = matrix.shape
-    if p == 0:
-        return matrix[:1], np.zeros(n, dtype=np.intp)
-    order = np.lexsort(matrix.T[::-1])
-    ordered = matrix[order]
-    starts = np.ones(n, dtype=bool)
-    starts[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
-    cell_of_row = np.empty(n, dtype=np.intp)
-    cell_of_row[order] = np.cumsum(starts) - 1
-    return ordered[starts], cell_of_row
-
-
-def _pivoted_diagonal(r: np.ndarray, tie: float) -> tuple[np.ndarray, np.ndarray]:
-    """|diag R| and the column order of a column-pivoted Householder QR of
-    each matrix in a (B, m, c) stack, taking the earliest of the columns
-    whose remaining norms are within ``tie`` times their own norms of the
-    largest."""
-    r = r.copy()
-    batch, m, c = r.shape
-    order = np.tile(np.arange(c), (batch, 1))
-    diag = np.zeros((batch, min(m, c)))
-    every = np.arange(batch)
-    slack = tie * np.sqrt(np.einsum("bij,bij->bj", r, r))
-    for k in range(min(m, c)):
-        tail = r[:, k:, k:]
-        norms = np.sqrt(np.einsum("bij,bij->bj", tail, tail))
-        top = np.argmax(norms, axis=1)
-        bar = norms[every, top][:, None] - np.maximum(slack[:, k:], slack[every, k + top][:, None])
-        # swaps reorder the columns, so earliest means the smallest index
-        pick = np.argmin(np.where(norms >= bar, order[:, k:], c), axis=1)
-        alpha = norms[every, pick]
-        swap = k + pick
-        for arr in (r, order, slack):
-            arr[every, ..., k], arr[every, ..., swap] = arr[every, ..., swap], arr[every, ..., k].copy()
-        diag[:, k] = alpha
-        # reflect column k onto the axis: v = x + sign(x0)|x| e0
-        v = r[:, k:, k].copy()
-        v[:, 0] += np.copysign(alpha, v[:, 0])
-        scale = np.einsum("bi,bi->b", v, v)
-        v /= np.sqrt(np.where(scale > 0.0, scale, 1.0))[:, None]
-        tail -= 2.0 * v[:, :, None] * np.einsum("bi,bij->bj", v, tail)[:, None, :]
-    return diag, order
-
-
 def build_features(
     survey: SurveyFrame,
     target: TargetSpec,
@@ -707,10 +541,11 @@ def build_features(
     (lexicographically smallest) level dropped; interactions are products
     of the expanded columns. Targets are the same columns' weighted means
     on the population frame, or the margin values their levels name (see
-    ``MarginTarget``). Rank deficiency raises with the dependent column
+    ``MarginTarget``). A design that ``calibrate.check_rank`` finds rank
+    deficient raises ``RankDeficiencyError`` with the dependent column
     names. ``base_weights`` pass through to the problem.
     """
-    from .calibrate import CalibrationProblem
+    from .calibrate import CalibrationProblem, check_rank
 
     if not terms:
         raise SchemaError("at least one weighting term is required")

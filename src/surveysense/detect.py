@@ -178,6 +178,6 @@ def graph_to_dot(report: DetectionReport) -> str:
 
 
 def _dot_id(name: str) -> str:
-    """A node name as a DOT quoted id: its quotes escaped as ``\\"``, the
-    one escape DOT reads inside quotes."""
-    return '"' + name.replace('"', '\\"') + '"'
+    """A node name as a DOT quoted id: each backslash written ``\\\\`` and
+    then each quote ``\\"``, the two pairs DOT's quoted-string scanner reads."""
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'

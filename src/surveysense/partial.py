@@ -26,12 +26,12 @@ from .bias import ipw_error
 from .calibrate import (
     CalibrationProblem,
     WeightVector,
+    design_cells,
     solve_many,
     solve_raking,
     weighted_mean,
     weighted_se,
 )
-from .data import design_cells
 from .errors import InfeasibleTargetsError
 
 logger = logging.getLogger(__name__)

@@ -159,18 +159,6 @@ def calibration_block(pipe: Pipeline) -> dict:
     }
 
 
-def balance_block(pipe: Pipeline) -> list[dict]:
-    return [
-        {
-            "column": row["constraint"],
-            "target": row["target"],
-            "unweighted": row["unweighted"],
-            "weighted": row["weighted"],
-        }
-        for row in balance_table(pipe.problem, pipe.baseline.values)
-    ]
-
-
 def robustness_block(pipe: Pipeline, b_star: float) -> dict:
     from .summary import RobustnessInput, robustness_value
 
@@ -281,7 +269,7 @@ def assemble_report(
         "n_rows": int(pipe.frame.n),
         "estimates": estimates_block(pipe),
         "calibration": calibration_block(pipe),
-        "balance": balance_block(pipe),
+        "balance": balance_table(pipe.problem, pipe.baseline.values),
         "scale": {
             "var_y": float(pipe.scale.var_y),
             "var_w": float(pipe.scale.var_w),
@@ -361,7 +349,7 @@ def write_weights_csv(path: Path, pipe: Pipeline) -> None:
 def write_balance_csv(path: Path, pipe: Pipeline) -> None:
     _write_rows(path, ["column", "target", "unweighted", "weighted"],
                 ([b["column"], b["target"], b["unweighted"], b["weighted"]]
-                 for b in balance_block(pipe)))
+                 for b in balance_table(pipe.problem, pipe.baseline.values)))
 
 
 def write_contour_csv(path: Path, grid: ContourGrid) -> None:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import event, given
 from hypothesis import strategies as st
-from test_calibrate_properties import SETTINGS, problems
+from test_calibrate_properties import SETTINGS, problems, rank_guard
 
 from surveysense import (
     CalibrationProblem,
@@ -22,12 +22,12 @@ from surveysense import (
     weighted_mean,
     weighted_se,
 )
-from surveysense.data import _gram_certifies, check_rank
+from surveysense.calibrate import _gram_certifies, check_rank
 
 
 def full_row_rank_guard(matrix, row_counts=None):
     """The rank guard with scipy's pivoted QR over all n rows, kept as the
-    oracle for ``check_rank``, which pivots only the (p+1)-row R factor."""
+    oracle for the solver's guard, which pivots only the (p+1)-row R factor."""
     import scipy.linalg
 
     scale = np.maximum(np.abs(matrix).max(axis=0), 1e-300)
@@ -45,7 +45,8 @@ def full_row_rank_guard(matrix, row_counts=None):
 
 
 def assert_rank_guard_matches_oracle(matrix, counts=None):
-    got, want = check_rank(matrix, counts), full_row_rank_guard(matrix, counts)
+    got = check_rank(matrix) if counts is None else rank_guard(matrix, counts)[0]
+    want = full_row_rank_guard(matrix, counts)
     if got != want:
         # An exact tie in pivoting (a duplicated column, or equal norms left
         # once the intercept is taken) is broken by rounding, differently in
@@ -77,7 +78,7 @@ def test_rank_guard_drops_the_later_of_tied_columns():
     # scipy dropped the first of the pair
     found = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
     assert check_rank(found) == (1,)
-    assert check_rank(found, np.array([1e6, 1e6, 1.0])) == (1,)
+    assert rank_guard(found, np.array([1e6, 1e6, 1.0])) == [(1,)]
     rng = np.random.default_rng(11)
     for n in (400, 5000, 30000):
         for _ in range(8):
@@ -90,12 +91,12 @@ def test_rank_guard_drops_the_later_of_tied_columns():
             first, second = sorted(rng.choice(p, size=2, replace=False))
             matrix[:, second] = matrix[:, first]
             counts = rng.choice([1.0, 2.0, 7.0, 1e3, 1e6], size=n)
-            assert check_rank(matrix) == check_rank(matrix, counts) == (second,)
+            assert [check_rank(matrix)] == rank_guard(matrix, counts) == [(second,)]
 
 
 def test_stacked_counts_judge_each_problem_on_its_own_rows():
-    # a (B, n) stack of counts gives each problem the verdict of its own
-    # rows, rows with count 0 left out
+    # in a solve_many stack of counts, each problem's rank guard judges its
+    # own cells: the columns it cuts are the guard's on the cells it counts
     rng = np.random.default_rng(12)
     cells = np.column_stack([
         (rng.random(20) < 0.5).astype(float), rng.normal(size=20), np.zeros(20)
@@ -103,55 +104,63 @@ def test_stacked_counts_judge_each_problem_on_its_own_rows():
     cells[:3, 2] = 1.0  # a column that only three cells set
     counts = rng.choice([0.0, 1.0, 5.0], size=(40, 20))
     counts[:, 3] = 1.0
-    stacked = check_rank(cells, counts)
-    assert any(stacked) and not all(stacked)
-    for row, verdict in zip(counts, stacked):
+    # targets realized by positive weights on each problem's own cells
+    mass = counts * rng.uniform(0.5, 2.0, size=counts.shape)
+    targets = mass @ cells / mass.sum(axis=1, keepdims=True)
+    names = ("a", "b", "c")
+    problem = CalibrationProblem(cells, targets[0], column_names=names)
+    outcomes = calibrate.solve_many(problem, targets, mass, counts)
+    assert any(o.dropped_columns for o in outcomes)
+    assert not all(o.dropped_columns for o in outcomes)
+    for outcome, row in zip(outcomes, counts):
         own = row > 0
-        assert verdict == check_rank(cells[own], row[own])
+        assert isinstance(outcome, calibrate.WeightVector)
+        (verdict,) = rank_guard(cells[own], row[own])
+        assert outcome.dropped_columns == tuple(names[j] for j in verdict)
 
 
 def qr_path(matrix, counts=None):
-    """``check_rank`` with the Gram certificate recorded and then overruled,
-    so that every problem takes the QR path: the QR's verdicts, and which
-    problems the certificate would have settled as full rank."""
+    """The rank guard on a (B, n) stack of counts (one row of 1s by
+    default) with the Gram certificate recorded and then overruled, so that
+    every problem takes the QR path: the QR's verdicts, and which problems
+    the certificate would have settled as full rank."""
     said = []
 
     def overruled(*args):
         said.append(_gram_certifies(*args))
         return np.zeros_like(said[-1])
 
-    with mock.patch("surveysense.data._gram_certifies", overruled):
-        verdicts = check_rank(matrix, counts)
-    return verdicts, said[0]
+    with mock.patch("surveysense.calibrate._gram_certifies", overruled):
+        verdicts = rank_guard(matrix, np.ones(len(matrix)) if counts is None else counts)
+    return verdicts, said[0].tolist()
 
 
 @SETTINGS
 @given(problems(), st.data())
 def test_gram_certificate_never_skips_a_design_the_qr_cuts(problem, draw):
     # the property tests' adversarial designs as rows, and under a stack of
-    # counts in which a row may be absent (count 0) from a problem
-    verdict, certified = qr_path(problem.matrix)
-    assert verdict == () or not certified[0]
+    # positive counts
+    (verdict,), (certified,) = qr_path(problem.matrix)
+    assert verdict == () or not certified
     assert check_rank(problem.matrix) == verdict
     stack = np.asarray(draw.draw(st.lists(
-        st.lists(st.sampled_from([0.0, 1.0, 2.0, 7.0, 1e3, 1e6]),
+        st.lists(st.sampled_from([1.0, 2.0, 7.0, 1e3, 1e6]),
                  min_size=problem.n, max_size=problem.n),
         min_size=1, max_size=4,
     )))
-    stack[~stack.any(axis=1), 0] = 1.0  # every problem keeps a row, as in solve_many
     verdicts, certified = qr_path(problem.matrix, stack)
-    event(f"certified {certified.sum()} of {len(stack)}")
+    event(f"certified {sum(certified)} of {len(stack)}")
     for settled, cut in zip(certified, verdicts):
         assert cut == () or not settled
-    assert check_rank(problem.matrix, stack) == verdicts
+    assert rank_guard(problem.matrix, stack) == verdicts
 
 
 def test_gram_certificate_refuses_the_designs_the_qr_cuts_or_nearly_cuts():
     cells = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1e-9]])
     counts = np.array([5000.0, 5000.0, 1.0])
     rows = np.repeat(cells, [5000, 5000, 1], axis=0)
-    assert qr_path(cells, counts) == ((1,), [False])
-    assert qr_path(rows) == ((1,), [False])
+    assert qr_path(cells, counts) == ([(1,)], [False])
+    assert qr_path(rows) == ([(1,)], [False])
     rng = np.random.default_rng(14)
     for n in (400, 5000, 30000):
         matrix = np.column_stack([
@@ -159,44 +168,34 @@ def test_gram_certificate_refuses_the_designs_the_qr_cuts_or_nearly_cuts():
         ])
         matrix[:, 2] = matrix[:, 0]
         counts = rng.choice([1.0, 2.0, 7.0, 1e3, 1e6], size=n)
-        assert qr_path(matrix) == ((2,), [False])
-        assert qr_path(matrix, counts) == ((2,), [False])
+        assert qr_path(matrix) == ([(2,)], [False])
+        assert qr_path(matrix, counts) == ([(2,)], [False])
     constant = np.column_stack([rng.normal(size=50), np.full(50, 3.0)])
-    assert qr_path(constant) == ((1,), [False])
+    assert qr_path(constant) == ([(1,)], [False])
     x = np.array([0.2, 0.5, 0.9])
     noisy = np.column_stack([x, x + 1e-6 * np.array([1.0, -1.0, 0.5])])
-    assert not qr_path(noisy)[1].any()
+    assert qr_path(noisy)[1] == [False]
 
 
 def test_a_well_conditioned_design_never_reaches_the_qr(monkeypatch):
     # the certificate settles it, so the n-row QR, the cost the certificate
     # exists to skip, is never called: alone, as cells with counts, and as a
-    # stack of three whose problems each leave out some rows
+    # stack of three problems with their own counts
     rng = np.random.default_rng(15)
     n = 10_000
     matrix = np.column_stack([
         rng.normal(size=n) if j % 2 else (rng.random(n) < 0.3).astype(float)
         for j in range(17)
     ])
-    counts = rng.integers(0, 6, size=(3, n)).astype(float)
+    counts = rng.integers(0, 6, size=(3, n)).astype(float) + 1.0
 
     def refuse(*args, **kwargs):
         raise AssertionError("the rank guard ran its n-row QR")
 
     monkeypatch.setattr(np.linalg, "qr", refuse)
     assert check_rank(matrix) == ()
-    assert check_rank(matrix, counts[0] + 1.0) == ()
-    assert check_rank(matrix, counts) == [(), (), ()]
-
-
-def test_rank_guard_gives_a_problem_without_rows_every_column():
-    # a problem whose counts are all 0 has no rows, so each of its columns
-    # is constant there; alone, and in a stack beside problems with rows
-    assert check_rank(np.array([[0.0]])) == (0,)
-    assert check_rank(np.array([[0.0]]), np.array([[0.0]])) == [(0,)]
-    cells = np.array([[0.0, 1.0], [1.0, 3.0], [2.0, 0.5]])
-    counts = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
-    assert check_rank(cells, counts) == [(), (0, 1), (0, 1)]
+    assert rank_guard(matrix, counts[0]) == [()]
+    assert rank_guard(matrix, counts) == [(), (), ()]
 
 
 def test_first_newton_direction_keeps_the_digits_a_heavy_cell_cancels():
@@ -259,12 +258,39 @@ def test_solve_many_failure_reasons():
     assert results[2].dropped_columns == ("x3",) and results[1].dropped_columns == ()
 
 
-def rank_guard_failure_reason(outcome, matrix, row_counts=None):
+@pytest.mark.parametrize("seed, reasons", [
+    (19, ["not_converged"] * 4 + ["infeasible", "not_converged"]),
+    (7, ["not_converged"] * 5 + ["infeasible"]),
+])
+def test_an_overflowing_stack_solves_without_runtime_warnings(seed, reasons):
+    # columns 1-3 are each under 1e-7 wide, so five iterations drive the
+    # duals past 1e154: at seed 7 a candidate step overflowed to inf, and at
+    # seed 19 the norm of a finite dual overflowed in its squares. The
+    # reasons (each outcome's type and converged flag) are those the solver
+    # gave with every floating-point warning ignored.
+    rng = np.random.default_rng(seed)
+    cols = [rng.normal(size=7)]
+    for _ in range(3):
+        cols.append(rng.uniform(-1, 1) + rng.uniform(1e-9, 9e-8) * rng.random(7))
+    cells = np.column_stack(cols)
+    counts = rng.integers(0, 4, (6, 7)).astype(float)
+    counts[:, 0] += 1.0
+    lo, hi = cells.min(axis=0), cells.max(axis=0)
+    targets = lo + (hi - lo) * rng.uniform(0.05, 0.95, (6, 4))
+    problem = CalibrationProblem(cells, targets[0], max_iter=5)
+    outcomes = calibrate.solve_many(problem, targets, counts + (counts == 0), counts)
+    assert [calibrate.failure_reason(o) for o in outcomes] == reasons
+    for outcome in outcomes:
+        if isinstance(outcome, calibrate.WeightVector):
+            assert np.isfinite(outcome.diagnostics.dual_norm)
+
+
+def rank_guard_failure_reason(outcome, matrix, row_counts):
     """The two-argument ``failure_reason`` that ran the rank guard again on
     a failed problem's cells and counts, kept as the oracle of the
     one-argument form, which reads the columns the solver's guard cut."""
     if isinstance(outcome, InfeasibleTargetsError):
-        if outcome.joint and check_rank(matrix, row_counts):
+        if outcome.joint and rank_guard(matrix, row_counts)[0]:
             return "rank_deficient"
         return "infeasible"
     return None if outcome.diagnostics.converged else "not_converged"
@@ -477,7 +503,7 @@ class TestSolveRaking:
         cells = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1e-9]])
         counts = np.array([5000.0, 5000.0, 1.0])
         rows = np.repeat(cells, [5000, 5000, 1], axis=0)
-        assert check_rank(cells, counts) == full_row_rank_guard(cells, counts) == (1,)
+        assert rank_guard(cells, counts) == [full_row_rank_guard(cells, counts)] == [(1,)]
         assert check_rank(rows) == full_row_rank_guard(rows) == (1,)
         assert check_rank(cells) == full_row_rank_guard(cells) == ()
 
@@ -534,8 +560,8 @@ def test_entropy_divergence_zero_at_base():
 def test_balance_table_gaps_close_after_weighting(two_cell_problem):
     problem, expected = two_cell_problem
     rows = balance_table(problem, expected)
-    assert rows[0]["constraint"] == "x"
+    assert rows[0]["column"] == "x"
     assert rows[0]["unweighted"] == pytest.approx(0.5)
     assert rows[0]["weighted"] == pytest.approx(0.75)
-    assert abs(rows[0]["gap"]) < 1e-12
+    assert abs(rows[0]["weighted"] - rows[0]["target"]) < 1e-12
     assert balance_table(problem, 3.0 * expected)[0]["weighted"] == pytest.approx(0.75)

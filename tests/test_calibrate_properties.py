@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 
 from surveysense import calibrate
 from surveysense.calibrate import CalibrationProblem, solve_many, solve_raking
-from surveysense.data import check_rank
 from surveysense.errors import InfeasibleTargetsError
 
 PHASE1 = calibrate._classify_failure
@@ -34,6 +33,14 @@ SETTINGS = settings(
     derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
+
+
+def rank_guard(matrix, counts):
+    """The solver's rank guard on a matrix's rows carrying positive counts,
+    a (B, n) stack or one (n,) row of them, each column scaled by its
+    largest magnitude: one tuple of cut columns per problem."""
+    peak = np.abs(matrix).max(axis=0, initial=0.0)
+    return calibrate._dependent_columns(matrix, np.atleast_2d(counts), peak)
 
 
 @st.composite
@@ -269,7 +276,8 @@ def row_level_solve(problem, warm_start=None):
             continue
         if not (lo < t < hi):
             raise InfeasibleTargetsError(problem.column_names[j], t, (lo, hi))
-    dropped_idx = check_rank(problem.matrix, problem.row_counts)
+    counts = np.ones(n) if problem.row_counts is None else problem.row_counts
+    (dropped_idx,) = rank_guard(problem.matrix, counts)
     plain = not dropped_idx
     kept = np.asarray([j for j in range(problem.p) if j not in dropped_idx], dtype=int)
     raw, raw_t = problem.matrix[:, kept], problem.targets[kept]

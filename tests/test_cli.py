@@ -389,6 +389,23 @@ def test_interaction_margins_with_a_binary_part_match_the_population(capsys, dem
                                [r["target"] for r in balances["population"]], rtol=0, atol=1e-12)
 
 
+def test_an_interaction_of_a_binary_with_itself_exits_1_naming_it(capsys, demo_bundle, tmp_path):
+    # x1:x1 equals x1, so the load-time rank check refuses the design
+    config = json.loads((demo_bundle / "config.json").read_text())
+    del config["detection"], config["margins"]
+    config.update(survey=str(demo_bundle / "survey.csv"),
+                  population=str(demo_bundle / "population.csv"),
+                  weighting={"variables": ["x1", "x2"], "interactions": [["x1", "x1"]]})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    rc, out, err = run(capsys, ["weight", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert (rc, out) == (1, "")
+    assert json.loads(err)["error"] == {
+        "type": "RankDeficiencyError",
+        "message": "rank-deficient constraint design; dependent columns: x1:x1",
+    }
+
+
 def test_interaction_share_out_of_range_exits_2(capsys, demo_bundle, tmp_path):
     # a share of a joint event with a binary part lies in [0, 1]; 1.5 once
     # reached the solver and exited 1 as an infeasible target

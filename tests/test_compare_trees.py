@@ -1,0 +1,40 @@
+"""The tree comparison tool at perfbench's smoke sizes: a tree run twice
+agrees with itself, and a change to the report shows in the runs that
+write it."""
+
+import shutil
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "tools"))
+
+import compare_trees  # noqa: E402
+
+from surveysense import cli  # noqa: E402
+
+#: perfbench's smoke sizes of cells-5k (``perfbench/tests/test_perfbench.py``)
+SMOKE = {"cells-5k": {"population": 10_000, "draws": 20}}
+
+
+def test_a_tree_agrees_with_itself_and_a_report_change_shows(tmp_path):
+    configs = compare_trees.generate_inputs(tmp_path / "in", [3], ("cells-5k",), SMOKE)
+    out = tmp_path / "run" / "out"
+    runs = compare_trees.run_tree(ROOT, configs, out, bundle=False)
+    pairs = sum(len(command.stdout) for name, command in cli._COMMANDS.items()
+                if name != "simulate")
+    assert len(runs) == pairs * len(configs)
+    assert compare_trees.differences(runs, compare_trees.run_tree(ROOT, configs, out, False)) == []
+
+    copy = tmp_path / "copy"
+    shutil.copytree(ROOT / "src", copy / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    report = copy / "src" / "surveysense" / "report.py"
+    text = report.read_text()
+    assert text.count('SE_KIND = "approximate design-based"') == 1
+    report.write_text(text.replace('SE_KIND = "approximate design-based"', 'SE_KIND = "other"'))
+    changed = compare_trees.differences(runs, compare_trees.run_tree(copy, configs, out, False))
+    summaries = {label for label, run in runs.items()
+                 if " summary " in label and run["exit"] == 0}
+    assert len(summaries) == len(configs)
+    # the report schema pins se_kind, so each summary run now fails validation
+    assert [line.split(":")[0] for line in changed] == sorted(summaries)

@@ -24,7 +24,8 @@ from surveysense import (
     load_table,
     terms_from_config,
 )
-from surveysense.data import MISSING_TOKENS, _parse_cell, _zero_one, check_rank
+from surveysense.calibrate import check_rank
+from surveysense.data import MISSING_TOKENS, _parse_cell, _zero_one
 
 
 def write(tmp_path, name, text):
@@ -579,6 +580,9 @@ def test_check_rank_flags_constant_and_dependent_columns():
     assert check_rank(np.column_stack([a, b])) == ()
     assert check_rank(np.column_stack([a, b, a + b])) != ()
     assert 1 in check_rank(np.column_stack([a, np.ones(40)]))
+    # one row whose only entry is zero: the column's peak is 0, so its
+    # scale falls to the floor and the column is cut
+    assert check_rank(np.array([[0.0]])) == (0,)
 
 
 def test_build_features_margin_targets(tmp_path):

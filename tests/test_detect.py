@@ -112,6 +112,38 @@ def test_dot_output_styles_roles():
     assert "--" in dot and dot.rstrip().endswith("}")
 
 
+def dot_quoted_string(text, start):
+    """The quoted string opening at ``text[start]`` with each pair ``\\"``
+    and ``\\\\`` read as its second character, as a node's default label
+    shows it (the id itself keeps ``\\\\`` as two characters), and the
+    index past its closing quote; None when no quote closes it on the
+    line."""
+    chars, i = [], start + 1
+    while i < len(text) and text[i] != "\n":
+        if text[i] == '"':
+            return "".join(chars), i + 1
+        if text[i] == "\\" and text[i + 1 : i + 2] in ('"', "\\"):
+            i += 1
+        chars.append(text[i])
+        i += 1
+    return None
+
+
+def test_dot_ids_read_back_names_holding_a_backslash():
+    cols, kinds = chain_data()
+    rename = {"x": "a\\", "v": 'x\\"y'}
+    cols = {rename.get(k, k): v for k, v in cols.items()}
+    kinds = {rename.get(k, k): v for k, v in kinds.items()}
+    report = detect(cols, kinds, "y", ("a\\",))
+    lines = graph_to_dot(report).splitlines()[3 : 3 + len(report.graph.names)]
+    for name, line in zip(report.graph.names, lines):
+        start = line.index('"')
+        read = dot_quoted_string(line, start)
+        assert read is not None, line
+        assert read[0] == name
+        assert line[read[1]:] == ";" or line[read[1]:].startswith(" [")
+
+
 def test_detection_is_deterministic():
     cols, kinds = chain_data(n=800, seed=6)
     a = detect(cols, kinds, "y", ("x",), seed=3)
