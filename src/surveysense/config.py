@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
@@ -31,11 +32,16 @@ def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_finite(number: int | float) -> bool:
+    """Not ``NaN`` or ``Infinity``, which ``json`` reads, nor an int past float's range."""
+    return abs(number) <= sys.float_info.max
+
+
 def is_penalty(lam: Any) -> bool:
     """The rule of ``detection.lambda`` and the graph fit's ``lam``."""
     if isinstance(lam, str):
         return lam == "cv"
-    return _is_number(lam) and math.isfinite(lam) and lam > 0
+    return _is_number(lam) and _is_finite(lam) and lam > 0
 
 
 def check_seed(seed: Any) -> int:
@@ -118,9 +124,12 @@ class RunConfig:
                     f"filters[{i}] must be an object with exactly column (a declared one), "
                     f"op ({' '.join(_FILTER_OPS)}) and value, not {spec!r}"
                 )
-            if self.schema[spec["column"]] != "categorical" and not _is_number(spec["value"]):
+            numeric = self.schema[spec["column"]] != "categorical"
+            if numeric and not _is_number(spec["value"]):
                 raise ConfigError(f"filters[{i}] value must be a number for numeric column "
                                   f"{spec['column']!r}, not {spec['value']!r}")
+            if numeric and not _is_finite(spec["value"]):
+                raise ConfigError(f"filters[{i}] value must be finite, not {spec['value']!r}")
         axes = (2.0 / self.rho_step, self.r2_max / self.r2_step)  # as contour_grid rounds them
         if math.prod(round(min(n, MAX_GRID_POINTS)) + 1 for n in axes) > MAX_GRID_POINTS:
             raise ConfigError(f"grid.rho_step {self.rho_step!r} and grid.r2_step {self.r2_step!r} "
@@ -212,7 +221,9 @@ _KEYS = (
     ("sweep.variable", "sweep_variable", _or_null(_NAME)),
     ("sweep.grid", "sweep_grid", _or_null(_rule(
         (lambda v: isinstance(v, list) and all(map(_is_number, v)),
-         "{path} must be a list of numbers"), convert=lambda v: tuple(map(float, v))))),
+         "{path} must be a list of numbers"),
+        (lambda v: all(map(_is_finite, v)), "{path} entries must be finite, not {0!r}"),
+        convert=lambda v: tuple(map(float, v))))),
     ("benchmark.covariates", "benchmark_covariates", _or_null(_STRINGS)),
     ("bootstrap.draws", "bootstrap_draws",  # an int, never a bool
      _rule((lambda v: type(v) is int, "{path} must be an integer, not {0!r}"),

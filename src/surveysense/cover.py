@@ -150,20 +150,14 @@ def _min_cost_cover(
     return incumbent, explored
 
 
-def solve_separating_set(
-    pmat: PathMatrix,
-    partial: tuple[str, ...] = (),
-    *,
-    allow_partial_fallback: bool = True,
-) -> SeparatingSetResult:
+def solve_separating_set(pmat: PathMatrix, partial: tuple[str, ...] = ()) -> SeparatingSetResult:
     """Smallest fully observed node set covering every path.
 
     Partial nodes cannot serve as blockers. A path whose nodes are all
     partial makes exact blocking impossible: a two-node path (a direct
     edge into a partial node) yields ``direct-edge-blocker``, anything
     longer ``none-exists``. Both failure statuses carry a relaxed cover
-    minimising first the number of partial nodes used, then total size,
-    unless ``allow_partial_fallback`` is off.
+    minimising first the number of partial nodes used, then total size.
     """
     unknown = set(partial).difference(pmat.columns)
     if unknown:
@@ -182,19 +176,11 @@ def solve_separating_set(
             if any(pmat.is_direct[r] for r in blocked)
             else STATUS_NONE
         )
-        relaxed_nodes: tuple[str, ...] = ()
-        relaxed_partial: tuple[str, ...] = ()
-        if allow_partial_fallback:
-            penalty = float(len(pmat.columns) + 1)
-            costs = {
-                j: penalty if j in partial_idx else 1.0
-                for j in range(len(pmat.columns))
-            }
-            cover, _ = _min_cost_cover(all_rows, costs)
-            relaxed_nodes = tuple(sorted(pmat.columns[j] for j in cover))
-            relaxed_partial = tuple(
-                name for name in relaxed_nodes if name in set(partial)
-            )
+        penalty = float(len(pmat.columns) + 1)
+        costs = {j: penalty if j in partial_idx else 1.0 for j in range(len(pmat.columns))}
+        cover, _ = _min_cost_cover(all_rows, costs)
+        relaxed_nodes = tuple(sorted(pmat.columns[j] for j in cover))
+        relaxed_partial = tuple(name for name in relaxed_nodes if name in set(partial))
         return SeparatingSetResult(
             status=status,
             nodes=(),

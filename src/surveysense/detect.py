@@ -2,8 +2,9 @@
 
 Fits the conditional-dependence graph from raw columns, enumerates every
 dependence path between the outcome and the sampling set, and solves for
-a smallest fully observed blocking set. The report says what to weight
-on, or why no defensible set exists and what to do instead.
+a smallest fully observed blocking set, which a walk over the graph then
+confirms. The report says what to weight on, or why no defensible set
+exists and what to do instead.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .cover import (
 )
 from .errors import DetectionError
 from .mrf import MixedGraph, fit_mrf
-from .paths import PathMatrix, enumerate_paths
+from .paths import MAX_PATH_EDGES, PathMatrix, enumerate_paths
 
 __all__ = ["DetectionReport", "detect", "graph_to_dot"]
 
@@ -138,6 +139,8 @@ def detect(
     graph = fit_mrf(columns, kinds, lam=lam, seed=seed)
     pmat = enumerate_paths(graph, outcome, tuple(sampling_set))
     result = solve_separating_set(pmat, tuple(partial))
+    blockers = result.nodes if result.status == STATUS_FOUND else result.relaxed_nodes
+    _check_separated(graph, outcome, tuple(sampling_set), blockers)
     return DetectionReport(
         graph=graph,
         path_matrix=pmat,
@@ -147,6 +150,31 @@ def detect(
         partial=tuple(partial),
         recommendation=_recommendation(result, tuple(partial)),
     )
+
+
+def _check_separated(
+    graph: MixedGraph, outcome: str, sampling_set: tuple[str, ...], blockers: tuple[str, ...]
+) -> None:
+    """Raise ``DetectionError`` naming each sampling node that a walk over
+    ``graph`` from the outcome still reaches with ``blockers`` removed: one
+    joined to it only by paths longer than ``MAX_PATH_EDGES`` edges, which
+    path enumeration does not record, so no blocker was chosen for them."""
+    adjacency = graph.adjacency()
+    index = {name: i for i, name in enumerate(graph.names)}
+    cut = {index[name] for name in blockers}
+    seen, frontier = {index[outcome]}, [index[outcome]]
+    while frontier:
+        for j in np.flatnonzero(adjacency[frontier.pop()]).tolist():
+            if j not in seen and j not in cut:
+                seen.add(j)
+                frontier.append(j)
+    leaks = [name for name in sampling_set if index[name] in seen]
+    if leaks:
+        raise DetectionError(
+            f"sampling-set node(s) {leaks} stay connected to {outcome!r} past the blocking set "
+            f"{list(blockers)}, by paths longer than the {MAX_PATH_EDGES} edges "
+            "(MAX_PATH_EDGES) that path enumeration covers"
+        )
 
 
 def graph_to_dot(report: DetectionReport) -> str:

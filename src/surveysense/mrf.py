@@ -22,13 +22,13 @@ one-standard-error rule unless a fixed value is supplied.
 The kernel runs a stack of problems of one shape: it updates a coordinate
 of every problem with a few numpy operations on one contiguous row, and
 each problem takes the sweeps, and the bits, it would take alone.
-``lasso_path`` takes such a stack on a leading axis; a 2-D design is a
-stack of one. Cross validation stacks every (node, fold) problem of one
-kind, width, class count, row count and path length, and the final fits
-stack the nodes of one kind, width and class count, since numpy's cost
-per call makes a stack of one several times slower than a stack of
-many. A fit that stops at an iteration limit instead of at the tolerance
-is flagged on the graph.
+``lasso_path`` takes only such stacks, on a leading axis. Cross
+validation stacks every (node, fold) problem of one kind, width, class
+count, row count and path length, and the final fits stack the nodes of
+one kind, width and class count, since numpy's cost per call makes a
+stack of one several times slower than a stack of many. A fit that
+stops at an iteration limit instead of at the tolerance is flagged on
+the graph.
 
 Predictors are standardized (categorical nodes enter as full indicator
 blocks), so coefficient norms are comparable across nodes and the group
@@ -48,7 +48,7 @@ from .errors import DetectionError
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["MixedGraph", "fit_mrf", "lasso_path", "cv_lambda"]
+__all__ = ["MixedGraph", "fit_mrf", "lasso_path"]
 
 #: |coefficient| on the standardized scale treated as quasi-separation
 SEPARATION_BOUND = 30.0
@@ -57,10 +57,11 @@ _WEIGHT_FLOOR = 1e-5
 _PROB_CLIP = 1e-9
 #: IRLS steps per penalty of a logistic or multinomial fit
 _MAX_OUTER = 60
+#: largest coefficient change of a sweep or an IRLS step that counts as settled
+_TOL = 1e-7
 
 
-def _cd_stack(gram, grad, lam, beta, tol, *, intercept, active_set, max_sweeps,
-              active_only=None):
+def _cd_stack(gram, grad, lam, beta, *, intercept, active_set, max_sweeps, active_only=None):
     """Cyclic coordinate descent on ½βᵀGβ − cᵀβ + lam·Σ|β_j| in Gram form,
     for a stack of B problems at once.
 
@@ -68,7 +69,7 @@ def _cd_stack(gram, grad, lam, beta, tol, *, intercept, active_set, max_sweeps,
     at ``beta`` and ``lam`` (B,); ``beta`` and ``grad`` are updated in
     place. With ``intercept`` coordinate 0 is unpenalized, moved first in
     every sweep and left out of the stopping rule. Without ``active_set`` a
-    problem stops at the first sweep that moves no coordinate by ``tol``;
+    problem stops at the first sweep that moves no coordinate by ``_TOL``;
     with it, such a sweep is followed by passes over the nonzero
     coordinates until they settle, and it stops at a settled full sweep
     that changed no coordinate's support. Returns the (B,) mask of the
@@ -119,7 +120,7 @@ def _cd_stack(gram, grad, lam, beta, tol, *, intercept, active_set, max_sweeps,
                 np.copyto(bj, new, where=visit[j])
                 np.multiply(rows[j], step[j], out=update)
                 g += update
-        settled = np.abs(step).max(axis=0) < tol
+        settled = np.abs(step).max(axis=0) < _TOL
         changed_support = active_set and (was_zero != (b == 0.0)).any(axis=0)
         running &= ~settled | active_only | changed_support
         active_only = ~settled & active_set
@@ -130,7 +131,7 @@ def _cd_stack(gram, grad, lam, beta, tol, *, intercept, active_set, max_sweeps,
     if len(left) and sweep + 1 < max_sweeps:
         rest_grad, rest_beta = grad[left], beta[left]
         running[left] = _cd_stack(
-            gram[left], rest_grad, lam[left], rest_beta, tol, intercept=intercept,
+            gram[left], rest_grad, lam[left], rest_beta, intercept=intercept,
             active_set=active_set, max_sweeps=max_sweeps - sweep - 1,
             active_only=active_only[left],
         )
@@ -143,7 +144,7 @@ def _cd_stack(gram, grad, lam, beta, tol, *, intercept, active_set, max_sweeps,
 # a view, so each problem's iterates do not depend on the rest of its stack.
 
 
-def _irls_stack(xt, y, prob, lam, theta, tol):
+def _irls_stack(xt, y, prob, lam, theta):
     """One weighted lasso per problem for the quadratic approximation at
     ``prob``. ``xt`` (B, n, p+1) carries a leading column of ones for the
     intercept. The gradient c − Gθ of the working problem is the score
@@ -153,22 +154,21 @@ def _irls_stack(xt, y, prob, lam, theta, tol):
     obs_w = np.maximum(prob * (1 - prob), _WEIGHT_FLOOR)
     gram = (xtt * obs_w[:, None, :]) @ xt / n
     grad = (xtt @ (y - prob)[:, :, None])[:, :, 0] / n
-    return _cd_stack(gram, grad, lam, theta, tol, intercept=True, active_set=False,
-                     max_sweeps=200)
+    return _cd_stack(gram, grad, lam, theta, intercept=True, active_set=False, max_sweeps=200)
 
 
-def _irls_fits(step, xt, y, lam, theta, tol):
+def _irls_fits(step, xt, y, lam, theta):
     """IRLS ``step``s on a stack until each problem's coefficients move by
-    less than ``tol``, compacting it only when one finishes. Updates
+    less than ``_TOL``, compacting it only when one finishes. Updates
     ``theta``; returns the (B,) mask of the fits stopped at a limit."""
     stopped = np.zeros(len(theta), dtype=bool)
     idx, xs, ys, ls, th = np.arange(len(theta)), xt, y, lam, theta
     for _ in range(_MAX_OUTER):
-        hit, moved = step(xs, ys, ls, th, tol)
+        hit, moved = step(xs, ys, ls, th)
         stopped[idx] |= hit
-        if (moved < tol).any():
+        if (moved < _TOL).any():
             theta[idx] = th
-            idx, xs, ys, ls, th = (a[~(moved < tol)] for a in (idx, xs, ys, ls, th))
+            idx, xs, ys, ls, th = (a[~(moved < _TOL)] for a in (idx, xs, ys, ls, th))
         if not len(idx):
             break
     theta[idx] = th
@@ -176,18 +176,18 @@ def _irls_fits(step, xt, y, lam, theta, tol):
     return stopped
 
 
-def _logistic_step(xt, y, lam, theta, tol):
+def _logistic_step(xt, y, lam, theta):
     """One IRLS step of penalized logistic fits, ``theta`` (B, p+1): the
     fits that stopped at the sweep limit, and each one's largest change."""
     from scipy.special import expit
 
     prob = np.clip(expit((xt @ theta[:, :, None])[:, :, 0]), _PROB_CLIP, 1 - _PROB_CLIP)
     old = theta.copy()
-    hit = _irls_stack(xt, y, prob, lam, theta, tol)
+    hit = _irls_stack(xt, y, prob, lam, theta)
     return hit, np.max(np.abs(theta - old), axis=1)
 
 
-def _multinomial_step(xt, y_onehot, lam, theta, tol):
+def _multinomial_step(xt, y_onehot, lam, theta):
     """One IRLS step of penalized multinomial fits, one class at a time, in
     the symmetric parameterization: ``theta`` (B, k, p+1)."""
     old = theta[:, :, 1:].copy()
@@ -198,57 +198,34 @@ def _multinomial_step(xt, y_onehot, lam, theta, tol):
         prob = np.exp(eta)
         prob /= prob.sum(axis=2, keepdims=True)
         pk = np.clip(prob[:, :, cls], _PROB_CLIP, 1 - _PROB_CLIP)
-        hit |= _irls_stack(xt, y_onehot[:, :, cls], pk, lam, theta[:, cls], tol)
+        hit |= _irls_stack(xt, y_onehot[:, :, cls], pk, lam, theta[:, cls])
     theta[:, :, 0] -= theta[:, :, 0].mean(axis=1, keepdims=True)
     return hit, np.max(np.abs(theta[:, :, 1:] - old), axis=(1, 2))
 
 
-class _Path(list):
-    """Coefficient arrays along a penalty path. ``stopped`` counts the
-    penalties whose fit stopped at an iteration limit instead of at the
-    tolerance, per problem for a stack."""
-
-    def __init__(self, coefs, stopped):
-        super().__init__(coefs)
-        self.stopped = stopped
-
-
 def lasso_path(
-    x: np.ndarray,
-    response: np.ndarray,
-    kind: str,
-    lambdas: np.ndarray,
-    *,
-    tol: float = 1e-7,
-) -> list[np.ndarray]:
-    """Coefficient matrices along a descending penalty path.
+    x: np.ndarray, response: np.ndarray, kind: str, lambdas: np.ndarray
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Coefficient arrays along descending penalty paths, one per problem of
+    a stack: ``x`` (B, n, p), ``response`` (B, n[, k]) and ``lambdas`` (B, L).
 
-    ``x`` is an (n, p) design with ``response`` (n,) or (n, k) and
-    ``lambdas`` (L,), or a stack of such problems on a leading axis: ``x``
-    (B, n, p), ``response`` (B, n[, k]) and ``lambdas`` (B, L), one path per
-    problem. Returns one (k, p) array per penalty, or (B, k, p) for a stack
-    (k = 1 for gaussian and binary), in a list whose ``stopped`` attribute
-    counts the penalties whose fit stopped at an iteration limit: an int, or
-    a (B,) array for a stack. A continuous path solves each penalty from
-    zero, all in one stack, so each fit has the bits of a one-penalty call;
-    a logistic or multinomial path is warm started from the fit before.
+    Returns the (B, k, p) coefficients of each penalty (k = 1 for gaussian
+    and binary) and the (B,) counts of the penalties whose fit stopped at an
+    iteration limit. A continuous path solves each penalty from zero, all in
+    one stack, so each fit has the bits of a one-penalty call; a logistic or
+    multinomial path is warm started from the fit before.
     """
-    single = x.ndim == 2
-    if single:
-        x, response = x[None], response[None]
-    lambdas = np.atleast_2d(np.asarray(lambdas, dtype=float))
     n_probs, n, p = x.shape
-    out = []
     stopped = np.zeros(n_probs, dtype=int)
     if kind == "continuous":
         xtt, n_lams = x.transpose(0, 2, 1), lambdas.shape[1]
         gram, score = xtt @ x / n, (xtt @ response[:, :, None])[:, :, 0] / n
         beta = np.zeros((n_probs * n_lams, p))
         hits = _cd_stack(np.repeat(gram, n_lams, axis=0), np.repeat(score, n_lams, axis=0),
-                         lambdas.ravel(), beta, tol, intercept=False, active_set=True,
+                         lambdas.ravel(), beta, intercept=False, active_set=True,
                          max_sweeps=1000)
         stopped += hits.reshape(n_probs, n_lams).sum(axis=1)
-        out = list(beta.reshape(n_probs, n_lams, 1, p).transpose(1, 0, 2, 3).copy())
+        coefs = list(beta.reshape(n_probs, n_lams, 1, p).transpose(1, 0, 2, 3).copy())
     elif kind in ("binary", "categorical"):
         xt = np.concatenate([np.ones((n_probs, n, 1)), x], axis=2)
         if kind == "binary":
@@ -257,14 +234,13 @@ def lasso_path(
         else:
             theta = np.zeros((n_probs, response.shape[2], p + 1))
             step, params = _multinomial_step, theta
+        coefs = []
         for lam in lambdas.T:
-            stopped += _irls_fits(step, xt, response, lam, params, tol)
-            out.append(theta[:, :, 1:].copy())
+            stopped += _irls_fits(step, xt, response, lam, params)
+            coefs.append(theta[:, :, 1:].copy())
     else:
         raise DetectionError(f"unknown node kind {kind!r}")
-    if single:
-        return _Path([coefs[0] for coefs in out], int(stopped[0]))
-    return _Path(out, stopped)
+    return coefs, stopped
 
 
 def _lambda_max(x: np.ndarray, response: np.ndarray, kind: str) -> float:
@@ -355,16 +331,16 @@ def _cv_losses(nodes: list[_CVNode]) -> tuple[list[np.ndarray], list[int]]:
         held = [nodes[i].fold_id == fold for i, fold in chunk]
         xs = [nodes[i].x for i, _ in chunk]
         ys = [nodes[i].response for i, _ in chunk]
-        path = lasso_path(
+        path, path_stopped = lasso_path(
             np.stack([x[~h] for x, h in zip(xs, held)]),
             np.stack([y[~h] for y, h in zip(ys, held)]),
             kind,
-            np.stack([np.asarray(nodes[i].lambdas, dtype=float) for i, _ in chunk]),
+            np.stack([nodes[i].lambdas for i, _ in chunk]),
         )
         x_held = np.stack([x[h] for x, h in zip(xs, held)])
         y_held = np.stack([y[h] for y, h in zip(ys, held)])
         out = np.column_stack([_holdout_losses(x_held, y_held, kind, coefs) for coefs in path])
-        for (i, fold), row, hits in zip(chunk, out, path.stopped):
+        for (i, fold), row, hits in zip(chunk, out, path_stopped):
             losses[i][fold] = row
             stopped[i] += int(hits > 0)
     return losses, stopped
@@ -384,23 +360,6 @@ def _one_se(losses: np.ndarray, lambdas: np.ndarray) -> float:
     return float(lambdas[best])
 
 
-def cv_lambda(
-    x: np.ndarray,
-    response: np.ndarray,
-    kind: str,
-    lambdas: np.ndarray,
-    *,
-    folds: int = 10,
-    rng: np.random.Generator,
-) -> float:
-    """Penalty by k-fold cross validation with the one-standard-error rule."""
-    fold_id = _fold_ids(x.shape[0], folds, rng)
-    if kind not in ("continuous", "binary", "categorical"):
-        raise DetectionError(f"unknown node kind {kind!r}")
-    (losses,), _ = _cv_losses([_CVNode(x, response, kind, lambdas, fold_id, folds)])
-    return _one_se(losses, lambdas)
-
-
 @dataclass(frozen=True)
 class MixedGraph:
     """Undirected weighted graph over typed nodes."""
@@ -410,12 +369,6 @@ class MixedGraph:
     weights: np.ndarray  # symmetric, zero diagonal
     node_lambdas: dict[str, float]
     flags: tuple[str, ...] = field(default=())
-
-    def index(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise DetectionError(f"node {name!r} is not in the graph") from None
 
     def adjacency(self) -> np.ndarray:
         return self.weights > 0.0
@@ -427,12 +380,6 @@ class MixedGraph:
                 if self.weights[i, j] > 0.0:
                     out.append((self.names[i], self.names[j], float(self.weights[i, j])))
         return out
-
-    def neighbors(self, name: str) -> tuple[str, ...]:
-        i = self.index(name)
-        return tuple(
-            self.names[j] for j in np.flatnonzero(self.weights[i] > 0.0)
-        )
 
 
 def _predictor_block(values: np.ndarray, kind: str, name: str) -> np.ndarray:
@@ -536,13 +483,13 @@ def fit_mrf(
             todo.append(((kinds[name], x.shape[1], response.shape[1:], n, 1), i))
     fits = {}
     for kind, chunk in _stacks(todo):
-        path = lasso_path(
+        (coefs,), stopped = lasso_path(
             np.stack([designs[i][0] for i in chunk]),
             np.stack([designs[i][1] for i in chunk]),
             kind,
             np.array([[node_lambdas[names[i]]] for i in chunk]),
         )
-        fits.update(zip(chunk, zip(path[0], path.stopped)))
+        fits.update(zip(chunk, zip(coefs, stopped)))
 
     flags: list[str] = []
     norms = np.zeros((q, q))

@@ -44,20 +44,13 @@ class PathMatrix:
         return len(self.paths)
 
 
-def enumerate_paths(
-    graph: MixedGraph,
-    outcome: str,
-    sampling_set: tuple[str, ...],
-    *,
-    max_len: int = MAX_PATH_EDGES,
-    cap: int = PATH_CAP,
-) -> PathMatrix:
-    """All simple paths (up to ``max_len`` edges) from the outcome into the
-    sampling set.
+def enumerate_paths(graph: MixedGraph, outcome: str, sampling_set: tuple[str, ...]) -> PathMatrix:
+    """All simple paths of up to ``MAX_PATH_EDGES`` edges from the outcome
+    into the sampling set.
 
     A path is recorded at every sampling-set node it reaches, including
-    nodes passed through on the way to another; exceeding ``cap`` recorded
-    paths raises ``DetectionError``.
+    nodes passed through on the way to another; recording more than
+    ``PATH_CAP`` paths raises ``DetectionError``.
     """
     if outcome not in graph.names:
         raise DetectionError(f"outcome {outcome!r} is not a graph node")
@@ -67,8 +60,6 @@ def enumerate_paths(
     missing = targets.difference(graph.names)
     if missing:
         raise DetectionError(f"sampling-set nodes not in the graph: {sorted(missing)}")
-    if max_len < 1:
-        raise DetectionError("max_len must be at least 1")
 
     adjacency = graph.adjacency()
     index = {name: i for i, name in enumerate(graph.names)}
@@ -89,12 +80,11 @@ def enumerate_paths(
             on_path.add(neighbor)
             if neighbor in targets:
                 found.append(tuple(path))
-                if len(found) > cap:
+                if len(found) > PATH_CAP:
                     raise DetectionError(
-                        f"more than {cap} paths between {outcome!r} and the "
-                        "sampling set; raise the cap or shorten max_len"
+                        f"more than {PATH_CAP} paths between {outcome!r} and the sampling set"
                     )
-            if len(path) - 1 < max_len:
+            if len(path) - 1 < MAX_PATH_EDGES:
                 walk(neighbor)
             on_path.discard(neighbor)
             path.pop()

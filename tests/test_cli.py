@@ -508,6 +508,15 @@ def test_bad_detection_lambda_exits_2(capsys, demo_bundle, tmp_path, token):
         ("bootstrap", '{"reestimate": "false"}', "bootstrap.reestimate must be true or false"),
         ("bootstrap", '{"draws": 100.9}', "bootstrap.draws must be an integer, not 100.9"),
         ("bootstrap", '{"draws": true}', "bootstrap.draws must be an integer, not True"),
+        # json reads the NaN and Infinity literals: a sweep point or a filter value
+        ("sweep", '{"grid": [NaN, 0.5]}', "sweep.grid entries must be finite, not [nan, 0.5]"),
+        ("sweep", '{"grid": [Infinity, 0.5]}', "sweep.grid entries must be finite, not [inf, 0.5]"),
+        ("filters", '[{"column": "y", "op": "<", "value": Infinity}]',
+         "filters[0] value must be finite, not inf"),
+        ("filters", '[{"column": "y", "op": "<", "value": NaN}]',
+         "filters[0] value must be finite, not nan"),
+        ("filters", '[{"column": "y", "op": "<", "value": 1%s}]' % ("0" * 400),
+         "filters[0] value must be finite, not 1000"),  # past float's range
     ],
 )
 def test_bad_config_values_exit_2(capsys, demo_bundle, tmp_path, key, token, message):

@@ -1,6 +1,6 @@
 """The tree comparison tool at perfbench's smoke sizes: a tree run twice
-agrees with itself, and a change to the report shows in the runs that
-write it."""
+agrees with itself, the graph layer's detect runs included, and a change
+to the report shows in the runs that write it."""
 
 import shutil
 import sys
@@ -13,18 +13,25 @@ import compare_trees  # noqa: E402
 
 from surveysense import cli  # noqa: E402
 
-#: perfbench's smoke sizes of cells-5k (``perfbench/tests/test_perfbench.py``)
-SMOKE = {"cells-5k": {"population": 10_000, "draws": 20}}
+#: perfbench's smoke sizes (``perfbench/tests/test_perfbench.py``)
+SMOKE = {"cells-5k": {"population": 10_000, "draws": 20}, "graph-16": {"rows": 400}}
 
 
 def test_a_tree_agrees_with_itself_and_a_report_change_shows(tmp_path):
-    configs = compare_trees.generate_inputs(tmp_path / "in", [3], ("cells-5k",), SMOKE)
+    configs = compare_trees.generate_inputs(tmp_path / "in", [3], ("cells-5k", "graph-16"), SMOKE)
     out = tmp_path / "run" / "out"
     runs = compare_trees.run_tree(ROOT, configs, out, bundle=False)
     pairs = sum(len(command.stdout) for name, command in cli._COMMANDS.items()
                 if name != "simulate")
     assert len(runs) == pairs * len(configs)
     assert compare_trees.differences(runs, compare_trees.run_tree(ROOT, configs, out, False)) == []
+    # the graph jobs' detect runs, at every format, fit, screen and write
+    detects = [f"graph-16-s3-{job} detect --format {fmt}"
+               for job in ("detect", "detect_cv") for fmt in cli._COMMANDS["detect"].stdout]
+    assert all(runs[label]["exit"] == 0 and runs[label]["files"] for label in detects)
+
+    configs = {label: path for label, path in configs.items() if label.startswith("cells-5k")}
+    runs = {label: run for label, run in runs.items() if label.startswith("cells-5k")}
 
     copy = tmp_path / "copy"
     shutil.copytree(ROOT / "src", copy / "src", ignore=shutil.ignore_patterns("__pycache__"))

@@ -1,15 +1,18 @@
 """Detection pipeline: graph fit, path screen, recommendation text."""
 
+import importlib
 import json
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from surveysense import detect
+from surveysense import detect, enumerate_paths, solve_separating_set
 from surveysense.cover import STATUS_DIRECT, STATUS_FOUND
 from surveysense.detect import graph_to_dot
 from surveysense.errors import DetectionError
-from surveysense.mrf import fit_mrf
+from surveysense.mrf import MixedGraph, fit_mrf
 from surveysense.simulate import gaussian_mrf_sample
 
 
@@ -72,6 +75,40 @@ def test_direct_dependence_on_partial_node():
     assert report.status == STATUS_DIRECT
     assert report.result.relaxed_partial == ("v",)
     assert "sweep the posited margins" in report.recommendation
+
+
+def test_paths_past_the_edge_limit_fail_detection():
+    # On an 11-node chain the outcome reaches c10 only along 10 edges, past
+    # MAX_PATH_EDGES = 8: no path is enumerated and the empty set is found,
+    # so the walk over the graph must refuse it rather than recommend
+    # unweighted estimation. With a partial node p on a direct edge, the
+    # relaxed set {p} is the one walked.
+    detect_module = importlib.import_module("surveysense.detect")
+    names = tuple(f"c{i:02d}" for i in range(11)) + ("p",)
+    weights = np.zeros((12, 12))
+    for i, j in [(i, i + 1) for i in range(10)] + [(0, 11)]:
+        weights[i, j] = weights[j, i] = 1.0
+    kinds = dict.fromkeys(names, "continuous")
+    graph = MixedGraph(names, kinds, weights, dict.fromkeys(names, 0.0))
+    result = solve_separating_set(enumerate_paths(graph, "c00", ("c10",)))
+    assert (result.status, result.nodes, result.certificate) == (STATUS_FOUND, (), ())
+
+    def leak(blockers):
+        return re.escape(
+            "sampling-set node(s) ['c10'] stay connected to 'c00' past the blocking set "
+            f"{blockers}, by paths longer than the 8 edges (MAX_PATH_EDGES) that path "
+            "enumeration covers"
+        )
+
+    with pytest.raises(DetectionError, match=leak([])):
+        detect_module._check_separated(graph, "c00", ("c10",), result.nodes)
+    detect_module._check_separated(graph, "c00", ("c10",), ("c05",))
+    columns = {name: np.zeros(3) for name in names}
+    with mock.patch.object(detect_module, "fit_mrf", lambda *args, **kwargs: graph):
+        with pytest.raises(DetectionError, match=leak([])):
+            detect(columns, kinds, "c00", ("c10",))
+        with pytest.raises(DetectionError, match=leak(["p"])):
+            detect(columns, kinds, "c00", ("p", "c10"), partial=("p",))
 
 
 def test_input_validation():

@@ -8,6 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import surveysense.paths as paths
 from surveysense import cover, enumerate_paths, solve_separating_set
 from surveysense.cover import STATUS_DIRECT, STATUS_FOUND, STATUS_NONE
 from surveysense.errors import DetectionError
@@ -58,17 +59,17 @@ class TestEnumeratePaths:
 
     @staticmethod
     def test_max_len_cuts_long_paths():
-        names = ("y", "m1", "m2", "m3", "x")
-        long_chain = graph_from_edges(
-            names, list(zip(names[:-1], names[1:]))
-        )
-        assert enumerate_paths(long_chain, "y", ("x",), max_len=3).n_paths == 0
-        assert enumerate_paths(long_chain, "y", ("x",), max_len=4).n_paths == 1
+        # paths.MAX_PATH_EDGES is 8: a chain of 8 edges is one path, of 9 none
+        for edges, n_paths in ((paths.MAX_PATH_EDGES, 1), (paths.MAX_PATH_EDGES + 1, 0)):
+            names = ("y",) + tuple(f"m{i}" for i in range(1, edges)) + ("x",)
+            chain = graph_from_edges(names, list(zip(names[:-1], names[1:])))
+            assert enumerate_paths(chain, "y", ("x",)).n_paths == n_paths
 
     @staticmethod
     def test_cap_is_enforced():
-        with pytest.raises(DetectionError, match="cap"):
-            enumerate_paths(CYCLE, "y", ("v",), cap=1)
+        with mock.patch.object(paths, "PATH_CAP", 1), \
+                pytest.raises(DetectionError, match="more than 1 paths"):
+            enumerate_paths(CYCLE, "y", ("v",))
 
     @staticmethod
     def test_node_validation():
@@ -118,16 +119,6 @@ class TestSolveSeparatingSet:
         result = solve_separating_set(pmat, partial=("v", "x"))
         assert result.status == STATUS_NONE
         assert result.relaxed_partial  # fallback had to spend a partial node
-
-    @staticmethod
-    def test_fallback_can_be_disabled():
-        direct = graph_from_edges(("y", "v"), [("y", "v")])
-        result = solve_separating_set(
-            enumerate_paths(direct, "y", ("v",)),
-            partial=("v",),
-            allow_partial_fallback=False,
-        )
-        assert result.relaxed_nodes == ()
 
     @staticmethod
     def test_unknown_partial_rejected():
