@@ -20,16 +20,16 @@ __version__ = "0.1.0"
 
 #: the public names, by the module that defines them
 _EXPORTS = {
-    "bias": "ObservedScale SensitivityParams adjusted_estimate bias decompose error_vector",
-    "benchmark": "BenchmarkRecord benchmark benchmark_subset benchmark_table loo_weights "
-    "min_k mrcs scaled_params",
+    "bias": "ObservedScale SensitivityParams adjusted_estimate bias error_vector",
+    "benchmark": "BenchmarkRecord benchmark benchmark_table loo_weights min_k mrcs "
+    "scaled_params",
     "bootstrap": "BootstrapResult bootstrap_interval",
-    "calibrate": "CalibrationProblem RakingDiagnostics WeightVector balance_table "
-    "entropy_divergence oracle_ipw solve_many solve_raking weighted_mean weighted_se",
+    "calibrate": "CalibrationProblem RakingDiagnostics WeightVector balance_table oracle_ipw "
+    "solve_many solve_raking weighted_mean weighted_se",
     "config": "RunConfig load_config",
     "cover": "SeparatingSetResult solve_separating_set",
     "data": "MarginTarget PopulationTarget SurveyFrame apply_filters build_features "
-    "frame_from_columns load_margins load_population_target load_table terms_from_config",
+    "load_margins load_population_target load_table terms_from_config",
     "detect": "DetectionReport detect",
     "errors": "ConfigError DetectionError InfeasibleTargetsError RankDeficiencyError "
     "SchemaError SurveySenseError",

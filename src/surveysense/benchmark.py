@@ -13,7 +13,7 @@ minimum relative confounder strength (MRCS) is the multiple of that
 implied bias needed to reach a threshold b_star.
 
 A left-out covariate is a column mask, not a new problem: every
-leave-one-out and subset solve goes through ``calibrate.solve_many`` on the
+leave-one-out solve goes through ``calibrate.solve_many`` on the
 calibration's own rows, one stack for the whole table, warm-started from
 the baseline dual.
 """
@@ -36,7 +36,6 @@ __all__ = [
     "BenchmarkRecord",
     "loo_weights",
     "benchmark",
-    "benchmark_subset",
     "benchmark_table",
     "mrcs",
     "scaled_params",
@@ -111,22 +110,22 @@ def mrcs(mu_hat: float, b_star: float, est_bias: float) -> float:
 
 def _held_out(
     problem: CalibrationProblem,
-    groups: list[set[str]],
+    covariates: tuple[str, ...],
     baseline: WeightVector | None,
 ) -> list[WeightVector]:
-    """Re-solve the calibration once per group of covariates, without every
-    column sourced from any of them: one stack on the problem's rows, a
-    column mask per group. Raises the first group's
-    ``InfeasibleTargetsError``, in order."""
+    """Re-solve the calibration once per covariate, without every column
+    sourced from it: one stack on the problem's rows, a column mask per
+    covariate. Raises the first covariate's ``InfeasibleTargetsError``, in
+    order."""
     known = set().union(*(problem.sources_for(j) for j in range(problem.p)))
-    unknown = sorted(set().union(*groups) - known)
+    unknown = sorted(set(covariates) - known)
     if unknown:
         raise ValueError(f"{unknown} not among the enforced weighting variables {sorted(known)}")
-    keep = [[not (problem.sources_for(j) & group) for j in range(problem.p)] for group in groups]
+    keep = [[c not in problem.sources_for(j) for j in range(problem.p)] for c in covariates]
     outcomes = solve_many(
         problem,
         warm_start=None if baseline is None else baseline.dual_for(problem.column_names),
-        columns=np.array(keep, dtype=bool).reshape(len(groups), problem.p),
+        columns=np.array(keep, dtype=bool).reshape(len(covariates), problem.p),
     )
     for outcome in outcomes:
         if isinstance(outcome, InfeasibleTargetsError):
@@ -146,7 +145,7 @@ def loo_weights(
     Dropping the only constraint returns the normalized base weights (the
     entropy optimum of the unconstrained problem).
     """
-    return _held_out(problem, [{covariate}], baseline)[0]
+    return _held_out(problem, (covariate,), baseline)[0]
 
 
 def benchmark(
@@ -173,27 +172,6 @@ def benchmark(
     )
 
 
-def benchmark_subset(
-    problem: CalibrationProblem,
-    w: WeightVector,
-    y: np.ndarray,
-    subset: tuple[str, ...],
-    *,
-    label: str | None = None,
-    b_star: float | None = None,
-) -> BenchmarkRecord:
-    """Benchmark a group of covariates dropped jointly.
-
-    Joint strength is not the sum of the members' individual strengths;
-    dropping all covariates benchmarks the full distance to the base
-    weights.
-    """
-    if not subset:
-        raise ValueError("subset must name at least one covariate")
-    label = label or "+".join(subset)
-    return _records(problem, w, y, [set(subset)], [label], b_star)[0]
-
-
 def benchmark_table(
     problem: CalibrationProblem,
     w: WeightVector,
@@ -203,20 +181,14 @@ def benchmark_table(
     b_star: float | None = None,
 ) -> list[BenchmarkRecord]:
     """Benchmark each covariate in turn, in the order given."""
-    records = _records(problem, w, y, [{c} for c in covariates], covariates, b_star)
-    if stuck := [r.label for r in records if not r.converged]:
-        logger.warning("leave-outs that did not converge: %s", ", ".join(stuck))
-    return records
-
-
-def _records(problem, w, y, groups, labels, b_star):
-    """One benchmark record per group of covariates left out, in order."""
     mu_hat = weighted_mean(y, w.values)
     records = []
-    for label, held in zip(labels, _held_out(problem, groups, w)):
+    for label, held in zip(covariates, _held_out(problem, covariates, w)):
         record = benchmark(w.values, held.values, y, label=label)
         record = replace(record, converged=held.diagnostics.converged)
         if b_star is not None:
             record = replace(record, mrcs=mrcs(mu_hat, b_star, record.est_bias))
         records.append(record)
+    if stuck := [r.label for r in records if not r.converged]:
+        logger.warning("leave-outs that did not converge: %s", ", ".join(stuck))
     return records

@@ -9,9 +9,9 @@ determine the bias of the weighted estimator exactly:
     bias = rho * sqrt(var(Y) * var(w_ideal))                  at R2 = 1
 
 where every variance is over the observed sample with the population
-(denominator n) convention. The covariance form cov(eps, Y) is returned
-alongside and equals the formula whenever w is the projection of w_ideal
-onto the weighting features.
+(denominator n) convention. The covariance form cov(eps, Y) equals the
+formula whenever w is the projection of w_ideal onto the weighting
+features.
 """
 
 from __future__ import annotations
@@ -24,12 +24,10 @@ import numpy as np
 __all__ = [
     "SensitivityParams",
     "ObservedScale",
-    "Decomposition",
     "pop_var",
     "pop_cov",
     "pop_cor",
     "error_vector",
-    "decompose",
     "bias",
     "adjusted_estimate",
     "ipw_error",
@@ -104,42 +102,6 @@ def error_vector(w: np.ndarray, w_ideal: np.ndarray) -> np.ndarray:
     eps = w - w_ideal
     assert abs(eps.mean()) < 1e-10
     return eps
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    """Sensitivity parameters realized by an explicit (w, w_ideal, y) triple."""
-
-    params: SensitivityParams
-    cov_bias: float  # cov(eps, Y), the exact bias of mu_hat_w vs mu_hat_ideal
-    var_w: float
-    var_eps: float
-    var_w_ideal: float
-    rho_defined: bool  # False when eps or Y is degenerate (rho reported as 0)
-
-
-def decompose(w: np.ndarray, w_ideal: np.ndarray, y: np.ndarray) -> Decomposition:
-    """Measure (rho, R2) and the covariance-form bias of w against w_ideal."""
-    eps = error_vector(w, w_ideal)
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != eps.shape:
-        raise ValueError("outcome length differs from weights")
-    var_ideal = pop_var(w_ideal)
-    if var_ideal == 0.0:
-        raise ValueError("ideal weights are constant; R2 is undefined")
-    var_eps = pop_var(eps)
-    # projection pairs satisfy var_eps <= var_ideal; the cap absorbs rounding
-    r2 = min(var_eps / var_ideal, 1.0)
-    rho_defined = var_eps > 0.0 and pop_var(y) > 0.0
-    rho = pop_cor(eps, y) if rho_defined else 0.0
-    return Decomposition(
-        params=SensitivityParams(rho=rho, r2=r2),
-        cov_bias=pop_cov(eps, y),
-        var_w=pop_var(w),
-        var_eps=var_eps,
-        var_w_ideal=var_ideal,
-        rho_defined=rho_defined,
-    )
 
 
 def bias(

@@ -242,20 +242,13 @@ def _raise_joint(problem: CalibrationProblem, slack: np.ndarray) -> NoReturn:
     )
 
 
-def solve_raking(
-    problem: CalibrationProblem,
-    *,
-    warm_start: np.ndarray | None = None,
-) -> WeightVector:
+def solve_raking(problem: CalibrationProblem) -> WeightVector:
     """Solve the calibration problem: ``solve_many`` over a stack of one, on
-    the problem's own rows.
+    the problem's own rows, from a zero dual.
 
     Parameters
     ----------
     problem : CalibrationProblem
-    warm_start : array, optional
-        Dual coefficients aligned with the problem's columns, e.g. from a
-        previous solve of a nearby problem.
 
     Returns
     -------
@@ -266,7 +259,7 @@ def solve_raking(
         ``diagnostics.converged`` False and a warning is logged; infeasible
         targets raise ``InfeasibleTargetsError`` instead.
     """
-    (outcome,) = solve_many(problem, warm_start=warm_start)
+    (outcome,) = solve_many(problem)
     if dropped := ", ".join(outcome.dropped_columns):
         logger.warning("dropping dependent constraint columns: %s", dropped)
     if isinstance(outcome, InfeasibleTargetsError):
@@ -461,8 +454,8 @@ def solve_many(
     for every problem; targets, base weights and counts not given are the
     problem's own (1 per row where it has none).
 
-    Returns, per problem, what ``solve_raking`` gives on that problem's own
-    cells and columns from the same warm start, to the bit: a
+    Returns, per problem, what a stack of that problem alone gives on its
+    own cells and columns from the same warm start, to the bit: a
     ``WeightVector`` whose values follow those cells in order and whose
     dual covers the columns it enforced, or the ``InfeasibleTargetsError``
     naming the constraint its targets break. Problems with the same cells
@@ -788,14 +781,6 @@ def oracle_ipw(selection_probs: np.ndarray) -> np.ndarray:
         raise ValueError("selection probabilities must lie in (0, 1]")
     w = 1.0 / p
     return w / w.mean()
-
-
-def entropy_divergence(w: np.ndarray, base: np.ndarray | None = None) -> float:
-    """KL divergence of the weight measure from the base measure."""
-    w = np.asarray(w, dtype=np.float64)
-    p = w / w.sum()
-    q = np.ones_like(p) / len(p) if base is None else np.asarray(base, float) / np.sum(base)
-    return float(np.sum(p * np.log(p / q)))
 
 
 def balance_table(problem: CalibrationProblem, w: np.ndarray) -> list[dict]:

@@ -196,6 +196,7 @@ _TEXT = (lambda v: isinstance(v, str), "{path} must be a string, not {0!r}")
 _NAME = _rule(_TEXT)  # a file path or a column name
 _STRINGS = _rule((lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
                   "{path} must be a list of strings"), convert=tuple)
+_LIST = _rule((lambda v: isinstance(v, list), "{path} must be a list, not {0!r}"))
 _STEP = _number(lambda v: 0 < v <= 1, "grid steps must lie in (0, 1]")
 
 #: one row per key: its JSON path ("block.key" inside a block), the RunConfig
@@ -210,8 +211,8 @@ _KEYS = (
                                             _TEXT)),
     ("population.weight", "population_weight", _or_null(_NAME)),
     ("weighting.variables", "weighting_variables", _STRINGS),
-    ("weighting.interactions", "interactions",
-     lambda value, path: tuple(_STRINGS(combo, f"{path} entry") for combo in value)),
+    ("weighting.interactions", "interactions", lambda value, path: tuple(
+        _STRINGS(combo, f"{path} entry") for combo in _LIST(value, path))),
     ("weighting.base_weight", "base_weight", _or_null(_NAME)),
     ("b_star", "b_star", _or_null(_number(  # the robustness value squares a = gap²/(var_y·var_w)
         lambda v: abs(v) <= 1e50, "b_star must be finite and within ±1e50, not {0!r}"))),

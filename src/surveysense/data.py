@@ -9,7 +9,7 @@ listwise with a logged count. Downstream code never sees NaN.
 Input files, surveys, populations and margins alike, are decoded as UTF-8,
 with or without a byte-order mark, and read in csv's default dialect by one
 reader, ``_read_cells``: rectangular text without a quote character or a
-carriage return is split on ``\n`` and the delimiter, which gives
+carriage return is split on ``\n`` and the comma, which gives
 ``csv.reader``'s fields by construction, and any other text goes to
 ``csv.reader``. A binary column of only ``0`` and ``1`` cells is decoded at
 once; other numeric cells are parsed by ``float()`` one at a time.
@@ -117,52 +117,23 @@ def _parse_cell(text: str, kind: str, column: str, row: int):
     return value
 
 
-def frame_from_columns(
-    columns: dict[str, np.ndarray], kinds: dict[str, str]
-) -> SurveyFrame:
-    """Build a frame from in-memory arrays, validating kinds and lengths."""
-    if not columns:
-        raise SchemaError("frame needs at least one column")
-    lengths = {len(v) for v in columns.values()}
-    if len(lengths) != 1:
-        raise SchemaError(f"column lengths differ: {sorted(lengths)}")
-    out: dict[str, np.ndarray] = {}
-    for name, values in columns.items():
-        kind = kinds.get(name)
-        if kind not in KINDS:
-            raise SchemaError(f"column {name!r}: unknown kind {kind!r}")
-        arr = np.asarray(values)
-        if kind == "categorical":
-            out[name] = np.asarray([str(v) for v in arr.tolist()], dtype=object)
-        else:
-            arr = arr.astype(np.float64)
-            if not np.all(np.isfinite(arr)):
-                raise SchemaError(f"column {name!r} contains non-finite values")
-            if kind == "binary" and not np.all(np.isin(arr, (0.0, 1.0))):
-                raise SchemaError(f"column {name!r}: binary values must be 0 or 1")
-            out[name] = arr
-    n = lengths.pop()
-    return SurveyFrame(out, dict(kinds), np.arange(1, n + 1, dtype=np.int64))
-
-
 def _read_cells(
-    path: str, names: list[str], delimiter: str
+    path: str, names: list[str]
 ) -> tuple[dict[str, list[str]], np.ndarray, bool]:
     """Raw fields of the named columns over the non-blank data rows of a
-    delimited file, read as ``csv.reader`` reads it; which rows are long
+    comma-separated file, read as ``csv.reader`` reads it; which rows are long
     enough to hold every named column (the others read as empty); and
     whether the text is plain, ASCII without whitespace but ``\\n``, so that
     no field needs ``str.strip``.
 
     Text without a quote character or a carriage return holds nothing the
-    default dialect treats specially besides the delimiter and ``\\n``. If
+    default dialect treats specially besides the comma and ``\\n``. If
     each line there also has the header's field count and none is longer
     than ``csv.field_size_limit()`` (so no field is), each column is a
     strided slice of one flat split of the lines. Any other text, ragged or
     over-long lines included, goes through ``csv.reader``; a field over the
     limit raises ``SchemaError`` naming the record.
     """
-    csv.reader((), delimiter=delimiter)  # rejects the delimiters csv rejects, on both routes
     with open(path, newline="", encoding="utf-8-sig") as handle:
         text = handle.read()
     split = '"' not in text and "\r" not in text
@@ -177,9 +148,9 @@ def _read_cells(
     if split and len(lines) > 1 and max(map(len, lines)) <= csv.field_size_limit():
         # a line of exactly the header's fields puts its first field, led by
         # the joining newline, at a multiple of that count in the flat split
-        header = lines[0].split(delimiter) if lines[0] else []
+        header = lines[0].split(",") if lines[0] else []
         step, count = len(header), len(lines) - 1
-        flat = (delimiter + "\n").join(lines[1:]).split(delimiter)
+        flat = ",\n".join(lines[1:]).split(",")
         if len(flat) == step * count and (
             "".join(flat[step::step]).count("\n") == count - 1
         ):
@@ -187,7 +158,7 @@ def _read_cells(
         else:
             flat = None
     if flat is None:
-        reader = csv.reader(lines, delimiter=delimiter)
+        reader = csv.reader(lines)
         header, rows = None, []
         try:
             header = next(reader, [])
@@ -224,14 +195,8 @@ def _zero_one(cells: list[str]) -> np.ndarray | None:
     return (digit == ord("1")).astype(np.float64)
 
 
-def load_table(
-    path: str,
-    schema: dict[str, str],
-    *,
-    delimiter: str = ",",
-    missing: tuple[str, ...] = MISSING_TOKENS,
-) -> SurveyFrame:
-    """Read a delimited file, keeping only the declared columns.
+def load_table(path: str, schema: dict[str, str]) -> SurveyFrame:
+    """Read a comma-separated file, keeping only the declared columns.
 
     Rows with a missing token in any declared column, or too short to hold
     one, are dropped and the count is logged; blank lines are skipped. Raises
@@ -242,16 +207,16 @@ def load_table(
     for name, kind in schema.items():
         if kind not in KINDS:
             raise SchemaError(f"column {name!r}: unknown kind {kind!r}")
-    cells, keep, plain = _read_cells(path, list(schema), delimiter)
+    cells, keep, plain = _read_cells(path, list(schema))
     if not plain:
         cells = {name: list(map(str.strip, col)) for name, col in cells.items()}
-    missing_set = set(missing)
-    # a 0/1 column holds no missing token, unless 0 or 1 is one
-    bits = {name: v for name, kind in schema.items() if kind == "binary"
-            and missing_set.isdisjoint(("0", "1")) and (v := _zero_one(cells[name])) is not None}
+    missing = set(MISSING_TOKENS)
+    # a 0/1 column holds no missing token
+    bits = {name: v for name, kind in schema.items()
+            if kind == "binary" and (v := _zero_one(cells[name])) is not None}
     for name, col in cells.items():
-        if name not in bits and not missing_set.isdisjoint(col):
-            keep &= ~np.fromiter(map(missing_set.__contains__, col), dtype=bool, count=len(col))
+        if name not in bits and not missing.isdisjoint(col):
+            keep &= ~np.fromiter(map(missing.__contains__, col), dtype=bool, count=len(col))
     row_ids = np.flatnonzero(keep) + 1
     if row_ids.size < keep.size:
         cells = {name: list(compress(col, keep)) for name, col in cells.items()}
@@ -379,13 +344,12 @@ def load_population_target(
     schema: dict[str, str],
     *,
     weight_column: str | None = None,
-    delimiter: str = ",",
 ) -> PopulationTarget:
     """Load a population frame; ``weight_column`` defaults to uniform."""
     full_schema = dict(schema)
     if weight_column is not None:
         full_schema[weight_column] = "continuous"
-    frame = load_table(path, full_schema, delimiter=delimiter)
+    frame = load_table(path, full_schema)
     if weight_column is None:
         weights = np.ones(frame.n)
     else:
@@ -396,11 +360,11 @@ def load_population_target(
     return PopulationTarget(frame, weights)
 
 
-def load_margins(path: str, *, delimiter: str = ",") -> MarginTarget:
+def load_margins(path: str) -> MarginTarget:
     """Read a margin file with columns ``variable``, ``level`` and ``value``,
     through the same reader as survey files; a level left empty gives a mean."""
     margins: dict[str, dict[str | None, float]] = {}
-    cells, keep, _ = _read_cells(path, ["variable", "level", "value"], delimiter)
+    cells, keep, _ = _read_cells(path, ["variable", "level", "value"])
     rows = zip(keep.tolist(), *cells.values())
     for lineno, (whole, var, level, text) in enumerate(rows, start=1):
         if not whole:

@@ -253,7 +253,6 @@ def assemble_report(
     contour: dict | None = None,
     sweep: dict | None = None,
     detection: dict | None = None,
-    bootstrap: dict | None = None,
 ) -> dict:
     import scipy
 
@@ -280,7 +279,7 @@ def assemble_report(
         "contour": contour,
         "sweep": sweep,
         "detection": detection,
-        "bootstrap": bootstrap,
+        "bootstrap": None,  # the bootstrap subcommand writes its own bootstrap.json
     }
     validate_report(report)
     return report

@@ -1,6 +1,6 @@
 """Synthetic populations with known selection and confounding.
 
-Ground truth comes in three layers:
+Ground truth comes in two layers:
 
 * ``generate`` draws a finite population from a discrete-cell covariate law
   with a cell-dependent binary (or normal) confounder, a logistic selection
@@ -10,9 +10,6 @@ Ground truth comes in three layers:
   (the within-stratum sample average, which makes the variance and bias
   decompositions exact identities), and the realized sensitivity
   parameters.
-* ``expected_decomposition`` enumerates cell-by-confounder atoms and
-  returns the same quantities in the large-sample limit, with no
-  simulation error.
 
 Randomness uses the counter-based Philox generator. Streams are keyed as
 (seed, replication * 16 + stage) with the stage constants below, so any
@@ -36,12 +33,10 @@ __all__ = [
     "SyntheticDGP",
     "Population",
     "OracleDecomposition",
-    "ExpectedDecomposition",
     "stream",
     "generate",
     "draw_sample",
     "oracle_decomposition",
-    "expected_decomposition",
     "three_covariate_dgp",
     "gaussian_mrf_sample",
 ]
@@ -244,78 +239,6 @@ def oracle_decomposition(population: Population, sample: np.ndarray) -> OracleDe
     )
 
 
-@dataclass(frozen=True)
-class ExpectedDecomposition:
-    """Large-sample limits from exact atom enumeration (binary U only)."""
-
-    sample_fraction: float
-    mu_true: float
-    mu_hat_limit: float
-    bias: float
-    r2: float
-    rho: float
-    var_w: float
-    var_eps: float
-    var_w_ideal: float
-
-
-def expected_decomposition(dgp: SyntheticDGP) -> ExpectedDecomposition:
-    """Enumerate (cell, U) atoms under the sampled-unit distribution.
-
-    Exact: no Monte Carlo anywhere. The outcome enters through its atom
-    conditional mean and variance (noise_sd), which is all the covariance
-    and variance terms need.
-    """
-    if dgp.u_kind != "binary":
-        raise NotImplementedError("atom enumeration needs a binary confounder")
-    cells = np.arange(dgp.n_cells)
-    cell_idx = np.repeat(cells, 2)
-    u_val = np.tile([0.0, 1.0], dgp.n_cells)
-    prev = np.asarray(dgp.u_param)[cell_idx]
-    mass_pop = np.asarray(dgp.cell_probs)[cell_idx] * np.where(
-        u_val == 1.0, prev, 1.0 - prev
-    )
-    p_sel = dgp.selection_prob(cell_idx, u_val)
-    sample_fraction = float(mass_pop @ p_sel)
-    mass_s = mass_pop * p_sel / sample_fraction  # P(atom | sampled)
-
-    w_ideal = 1.0 / p_sel
-    w_ideal = w_ideal / (mass_s @ w_ideal)
-    w = np.empty_like(w_ideal)
-    for c in cells:
-        inside = cell_idx == c
-        w[inside] = (mass_s[inside] @ w_ideal[inside]) / mass_s[inside].sum()
-    eps = w - w_ideal
-
-    y_mean = dgp.outcome_mean(cell_idx, u_val)
-    mu_true = float(mass_pop @ y_mean)
-    mu_hat_limit = float(mass_s @ (w * y_mean))
-
-    def a_var(x):
-        m = mass_s @ x
-        return float(mass_s @ (x - m) ** 2)
-
-    def a_cov(x, z):
-        return float(mass_s @ ((x - mass_s @ x) * (z - mass_s @ z)))
-
-    var_eps = a_var(eps)
-    var_ideal = a_var(w_ideal)
-    # outcome noise adds dgp.noise_sd^2 to var(Y) but nothing to cov(eps, Y)
-    var_y = a_var(y_mean) + dgp.noise_sd**2
-    rho = a_cov(eps, y_mean) / np.sqrt(var_eps * var_y) if var_eps > 0 else 0.0
-    return ExpectedDecomposition(
-        sample_fraction=sample_fraction,
-        mu_true=mu_true,
-        mu_hat_limit=mu_hat_limit,
-        bias=a_cov(eps, y_mean),
-        r2=var_eps / var_ideal if var_ideal > 0 else 0.0,
-        rho=float(rho),
-        var_w=a_var(w),
-        var_eps=var_eps,
-        var_w_ideal=var_ideal,
-    )
-
-
 def three_covariate_dgp(
     seed: int = 20260822, n_population: int = 100_000
 ) -> SyntheticDGP:
@@ -390,7 +313,6 @@ def gaussian_mrf_sample(
     n: int,
     *,
     seed: int,
-    replication: int = 0,
 ) -> dict[str, np.ndarray]:
     """Sample a zero-mean Gaussian Markov field with the given precision.
 
@@ -404,6 +326,6 @@ def gaussian_mrf_sample(
         raise ValueError("precision must be symmetric")
     cov = np.linalg.inv(precision)
     chol = np.linalg.cholesky(cov)
-    rng = stream(seed, replication, STAGE_GRAPH)
+    rng = stream(seed, 0, STAGE_GRAPH)
     draws = rng.standard_normal((n, len(names))) @ chol.T
     return {name: draws[:, j] for j, name in enumerate(names)}

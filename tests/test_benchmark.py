@@ -9,7 +9,6 @@ import pytest
 
 from surveysense import (
     benchmark,
-    benchmark_subset,
     benchmark_table,
     loo_weights,
     min_k,
@@ -132,20 +131,6 @@ class TestBenchmark:
         assert record.rho == 0.0
         assert not record.rho_defined
         assert record.est_bias == 0.0
-
-
-def test_benchmark_subset_joint_drop(solved):
-    problem, y, full = solved
-    record = benchmark_subset(problem, full, y, ("x1", "x2"), b_star=0.0)
-    assert record.label == "x1+x2"
-    assert record.converged
-    assert record.mrcs is not None
-    single = benchmark_subset(problem, full, y, ("x1",))
-    # single-variable subset agrees with the per-covariate path
-    table = benchmark_table(problem, full, y, ("x1",))
-    assert single.est_bias == pytest.approx(table[0].est_bias, rel=1e-12)
-    with pytest.raises(ValueError):
-        benchmark_subset(problem, full, y, ())
 
 
 def test_benchmark_table_order_and_mrcs(solved):

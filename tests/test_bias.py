@@ -1,5 +1,7 @@
 """Bias formula, decompositions, and the exact IPW error construction."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,10 @@ from surveysense import (
     SensitivityParams,
     adjusted_estimate,
     bias,
-    decompose,
     error_vector,
 )
 from surveysense.bias import ipw_error, pop_cor, pop_cov, pop_var
+from surveysense.simulate import draw_sample, generate, oracle_decomposition, three_covariate_dgp
 
 
 def test_bias_hand_value():
@@ -56,6 +58,43 @@ def test_error_vector_requires_mean_one():
         error_vector(np.array([2.0, 2.0]), np.array([1.0, 1.0]))
     eps = error_vector(np.array([1.5, 0.5]), np.array([0.5, 1.5]))
     np.testing.assert_allclose(eps, [1.0, -1.0])
+
+
+@dataclass(frozen=True)
+class Decomposition:
+    """Sensitivity parameters realized by an explicit (w, w_ideal, y) triple."""
+
+    params: SensitivityParams
+    cov_bias: float  # cov(eps, Y), the exact bias of mu_hat_w vs mu_hat_ideal
+    var_w: float
+    var_eps: float
+    var_w_ideal: float
+    rho_defined: bool  # False when eps or Y is degenerate (rho reported as 0)
+
+
+def decompose(w: np.ndarray, w_ideal: np.ndarray, y: np.ndarray) -> Decomposition:
+    """Measure (rho, R2) and the covariance-form bias of w against w_ideal,
+    kept as the identity oracle for the bias formula."""
+    eps = error_vector(w, w_ideal)
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != eps.shape:
+        raise ValueError("outcome length differs from weights")
+    var_ideal = pop_var(w_ideal)
+    if var_ideal == 0.0:
+        raise ValueError("ideal weights are constant; R2 is undefined")
+    var_eps = pop_var(eps)
+    # projection pairs satisfy var_eps <= var_ideal; the cap absorbs rounding
+    r2 = min(var_eps / var_ideal, 1.0)
+    rho_defined = var_eps > 0.0 and pop_var(y) > 0.0
+    rho = pop_cor(eps, y) if rho_defined else 0.0
+    return Decomposition(
+        params=SensitivityParams(rho=rho, r2=r2),
+        cov_bias=pop_cov(eps, y),
+        var_w=pop_var(w),
+        var_eps=var_eps,
+        var_w_ideal=var_ideal,
+        rho_defined=rho_defined,
+    )
 
 
 class TestDecompose:
@@ -105,6 +144,19 @@ class TestDecompose:
     def test_constant_ideal_weights_rejected():
         with pytest.raises(ValueError, match="constant"):
             decompose(np.ones(4), np.ones(4), np.arange(4.0))
+
+    @staticmethod
+    def test_simulation_oracle_matches_decompose():
+        # oracle_decomposition recomputes decompose's arithmetic inline
+        pop = generate(three_covariate_dgp(seed=5, n_population=30_000))
+        sample = draw_sample(pop)
+        dec = oracle_decomposition(pop, sample)
+        want = decompose(dec.w, dec.w_ideal, pop.y[sample])
+        assert want.rho_defined
+        got = (dec.r2, dec.rho, dec.cov_bias, dec.var_w, dec.var_eps, dec.var_w_ideal)
+        expected = (want.params.r2, want.params.rho, want.cov_bias, want.var_w,
+                    want.var_eps, want.var_w_ideal)
+        np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
 
 
 def test_population_moment_helpers():

@@ -9,8 +9,8 @@ import pytest
 from surveysense import calibrate
 from surveysense.bias import ObservedScale, SensitivityParams, bias
 from surveysense.bootstrap import bootstrap_interval
-from surveysense.calibrate import CalibrationProblem, solve_raking
-from surveysense.errors import InfeasibleTargetsError, RankDeficiencyError
+from surveysense.calibrate import CalibrationProblem, solve_many, solve_raking
+from surveysense.errors import InfeasibleTargetsError
 from surveysense.simulate import STAGE_BOOTSTRAP, stream
 
 ZERO = SensitivityParams(rho=0.0, r2=0.0)
@@ -102,11 +102,8 @@ def row_level_draws(problem, y, params, b, seed):
             column_names=problem.column_names,
             base_weights=base[rows],
         )
-        try:
-            wv = solve_raking(sub, warm_start=warm)
-        except (InfeasibleTargetsError, RankDeficiencyError):
-            continue
-        if wv.diagnostics.converged:
+        (wv,) = solve_many(sub, warm_start=warm)
+        if not isinstance(wv, InfeasibleTargetsError) and wv.diagnostics.converged:
             scale = ObservedScale.from_sample(y[rows], wv.values)
             kept.append(scale.mu_hat - bias(params, scale))
     return np.asarray(kept)

@@ -1,13 +1,19 @@
 """Subcommand behavior through cli.main: artifacts, stdout, exit codes."""
 
+import ast
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import surveysense
 from surveysense import cli
 from surveysense.simulate import draw_sample, generate, three_covariate_dgp
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, argv):
@@ -434,7 +440,6 @@ _AWKWARD = {"x1": "R&D<1>", "x2": 'q"x', "x3": "s&p, <500>"}
 
 
 def test_names_are_escaped_in_svg_dot_and_csv(capsys, demo_bundle, tmp_path):
-    import re
     import xml.etree.ElementTree as ET
 
     for name in ("survey.csv", "population.csv"):
@@ -517,6 +522,13 @@ def test_bad_detection_lambda_exits_2(capsys, demo_bundle, tmp_path, token):
          "filters[0] value must be finite, not nan"),
         ("filters", '[{"column": "y", "op": "<", "value": 1%s}]' % ("0" * 400),
          "filters[0] value must be finite, not 1000"),  # past float's range
+        # interactions are a list of lists: not a number, null or one name's letters
+        ("weighting", '{"variables": ["x1", "x2", "x3"], "interactions": 5}',
+         "weighting.interactions must be a list, not 5"),
+        ("weighting", '{"variables": ["x1", "x2", "x3"], "interactions": null}',
+         "weighting.interactions must be a list, not None"),
+        ("weighting", '{"variables": ["x1", "x2", "x3"], "interactions": "x1"}',
+         "weighting.interactions must be a list, not 'x1'"),
     ],
 )
 def test_bad_config_values_exit_2(capsys, demo_bundle, tmp_path, key, token, message):
@@ -738,6 +750,31 @@ assert isinstance(calibrate, types.ModuleType) and calibrate.__name__ == "survey
 print("ok")
 """
     assert run_fresh(script) == "ok\n"
+
+
+def test_public_names_are_reached_outside_the_tests():
+    # a public name, the package's or a module's, is referenced by the package
+    # itself (a name, attribute or from-import in a module other than
+    # __init__, its own included) or appears in the demos, the README or the
+    # acceptance contract; one only unit tests reach does not belong in src/
+    package = Path(surveysense.__file__).parent
+    public, used = set(surveysense.__all__[1:]), set()
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["__all__"]:
+                public.update(ast.literal_eval(node.value))
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    for path in [*sorted((ROOT / "demos").glob("*.py")), ROOT / "README.md",
+                 ROOT / "tests" / "test_acceptance.py"]:
+        used.update(re.findall(r"\w+", path.read_text()))
+    assert sorted(public - used) == []
 
 
 def test_far_b_star_exits_2_naming_it_before_the_fan_outs(capsys, demo_bundle, tmp_path, monkeypatch):

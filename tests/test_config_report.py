@@ -297,13 +297,16 @@ class TestAssembledReport:
         assert block["dropped_by_reason"] == {
             "infeasible": 0, "rank_deficient": 0, "not_converged": 0
         }
-        validate_report(assemble_report(pipe, sha, bootstrap=block))
+        report = assemble_report(pipe, sha)
+        assert report["bootstrap"] is None
+        report["bootstrap"] = block
+        validate_report(report)
         # the key is an addition: a block written without it still validates
         del block["dropped_by_reason"]
-        validate_report(assemble_report(pipe, sha, bootstrap=block))
+        validate_report(report)
         block["dropped_by_reason"] = {"infeasible": 1}
         with pytest.raises(SchemaError, match="schema validation"):
-            validate_report(assemble_report(pipe, sha, bootstrap=block))
+            validate_report(report)
 
     def test_shipped_schema_meets_its_metaschema(self):
         # validate_report skips this check on every run; it is made here once

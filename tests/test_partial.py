@@ -1,7 +1,6 @@
 """Partially observed confounder sweeps and the stratified IPW oracle."""
 
 import logging
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +11,7 @@ from surveysense import (
     binary_grid,
     partial_ipw_error,
     partial_sweep,
+    solve_many,
     solve_raking,
     standardized_grid,
     weighted_mean,
@@ -114,12 +114,8 @@ def row_level_sweep(problem, v, y, grid, baseline):
     warm = np.append(baseline.dual, 0.0)
     points = []
     for t_v in grid:
-        try:
-            solved = solve_raking(
-                replace(augmented, targets=np.append(problem.targets, t_v)),
-                warm_start=warm,
-            )
-        except InfeasibleTargetsError:
+        (solved,) = solve_many(augmented, np.append(problem.targets, t_v), warm_start=warm)
+        if isinstance(solved, InfeasibleTargetsError):
             points.append((False, False, np.nan, np.nan))
             continue
         points.append((

@@ -9,8 +9,8 @@ from surveysense.bias import pop_cov
 from surveysense.simulate import (
     STAGE_CONFOUNDER,
     STAGE_COVARIATES,
+    SyntheticDGP,
     draw_sample,
-    expected_decomposition,
     gaussian_mrf_sample,
     generate,
     oracle_decomposition,
@@ -107,6 +107,79 @@ class TestOracleDecomposition:
         _, dec = self.decomposition(seed=4)
         assert 0.0 < dec.r2 < 1.0
         assert -1.0 < dec.rho < 1.0
+
+
+@dataclasses.dataclass(frozen=True)
+class ExpectedDecomposition:
+    """Large-sample limits from exact atom enumeration (binary U only)."""
+
+    sample_fraction: float
+    mu_true: float
+    mu_hat_limit: float
+    bias: float
+    r2: float
+    rho: float
+    var_w: float
+    var_eps: float
+    var_w_ideal: float
+
+
+def expected_decomposition(dgp: SyntheticDGP) -> ExpectedDecomposition:
+    """Enumerate (cell, U) atoms under the sampled-unit distribution, kept
+    as the large-sample oracle for ``oracle_decomposition``.
+
+    Exact: no Monte Carlo anywhere. The outcome enters through its atom
+    conditional mean and variance (noise_sd), which is all the covariance
+    and variance terms need.
+    """
+    if dgp.u_kind != "binary":
+        raise NotImplementedError("atom enumeration needs a binary confounder")
+    cells = np.arange(dgp.n_cells)
+    cell_idx = np.repeat(cells, 2)
+    u_val = np.tile([0.0, 1.0], dgp.n_cells)
+    prev = np.asarray(dgp.u_param)[cell_idx]
+    mass_pop = np.asarray(dgp.cell_probs)[cell_idx] * np.where(
+        u_val == 1.0, prev, 1.0 - prev
+    )
+    p_sel = dgp.selection_prob(cell_idx, u_val)
+    sample_fraction = float(mass_pop @ p_sel)
+    mass_s = mass_pop * p_sel / sample_fraction  # P(atom | sampled)
+
+    w_ideal = 1.0 / p_sel
+    w_ideal = w_ideal / (mass_s @ w_ideal)
+    w = np.empty_like(w_ideal)
+    for c in cells:
+        inside = cell_idx == c
+        w[inside] = (mass_s[inside] @ w_ideal[inside]) / mass_s[inside].sum()
+    eps = w - w_ideal
+
+    y_mean = dgp.outcome_mean(cell_idx, u_val)
+    mu_true = float(mass_pop @ y_mean)
+    mu_hat_limit = float(mass_s @ (w * y_mean))
+
+    def a_var(x):
+        m = mass_s @ x
+        return float(mass_s @ (x - m) ** 2)
+
+    def a_cov(x, z):
+        return float(mass_s @ ((x - mass_s @ x) * (z - mass_s @ z)))
+
+    var_eps = a_var(eps)
+    var_ideal = a_var(w_ideal)
+    # outcome noise adds dgp.noise_sd^2 to var(Y) but nothing to cov(eps, Y)
+    var_y = a_var(y_mean) + dgp.noise_sd**2
+    rho = a_cov(eps, y_mean) / np.sqrt(var_eps * var_y) if var_eps > 0 else 0.0
+    return ExpectedDecomposition(
+        sample_fraction=sample_fraction,
+        mu_true=mu_true,
+        mu_hat_limit=mu_hat_limit,
+        bias=a_cov(eps, y_mean),
+        r2=var_eps / var_ideal if var_ideal > 0 else 0.0,
+        rho=float(rho),
+        var_w=a_var(w),
+        var_eps=var_eps,
+        var_w_ideal=var_ideal,
+    )
 
 
 class TestExpectedDecomposition:
