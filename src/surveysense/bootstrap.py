@@ -19,7 +19,7 @@ chunks of ``batch_size`` draws, so memory stays bounded by
 
 from __future__ import annotations
 
-import warnings
+import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -38,6 +38,8 @@ from .calibrate import (
 )
 from .errors import SurveySenseError
 from .simulate import STAGE_BOOTSTRAP, stream
+
+logger = logging.getLogger(__name__)
 
 __all__ = ["BootstrapResult", "bootstrap_interval"]
 
@@ -91,11 +93,8 @@ def bootstrap_interval(
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     if b < MIN_REPORTABLE_DRAWS:
-        warnings.warn(
-            f"{b} draws is below the {MIN_REPORTABLE_DRAWS} needed for a "
-            "reportable interval",
-            stacklevel=2,
-        )
+        logger.warning("%d draws is below the %d needed for a reportable interval",
+                       b, MIN_REPORTABLE_DRAWS)
 
     if baseline is None:
         baseline = solve_raking(problem)

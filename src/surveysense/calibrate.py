@@ -25,10 +25,12 @@ Targets outside a column's range raise ``InfeasibleTargetsError`` naming the
 first such column. Jointly infeasible targets are certified by a phase-1
 linear program, run at most once per problem, at its first rejected step or
 its first Hessian past ``ILL_CONDITIONED``. Columns the rank guard cuts, and
-columns whose range is within ``tol`` (any weights meet their targets), are
-masked in the loop (dual pinned at 0, gradient entry zeroed, Hessian row and
-column set to the identity) and still verified at the end. Each column is
-taken about its mean in the logits, which softmax ignores.
+columns whose range is within ``TOL`` (any weights meet a target within
+``TOL`` of all their values), are masked in the loop (dual pinned at 0,
+gradient entry zeroed, Hessian row and column set to the identity) and still
+verified at the end. Each column is taken about its mean in the logits,
+which softmax ignores. A solve converges when every column's violation is
+within ``TOL``, and gives up after ``MAX_ITER`` iterations.
 
 ``solve_raking`` solves one problem, as a stack of one on its own rows, and
 logs its cut columns and non-convergence. ``solve_many`` serves the
@@ -43,7 +45,7 @@ are, for ``data.build_features`` at load.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NoReturn
 
 import numpy as np
@@ -51,6 +53,12 @@ import numpy as np
 from .errors import InfeasibleTargetsError
 
 logger = logging.getLogger(__name__)
+
+#: largest constraint violation of a converged solve
+TOL = 1e-8
+
+#: iterations after which a solve returns its least-violating iterate
+MAX_ITER = 200
 
 #: Hessian condition number at which Newton first gives way to the phase-1
 #: program, when no step has been rejected before
@@ -134,7 +142,7 @@ class WeightVector:
 
 @dataclass(frozen=True)
 class CalibrationProblem:
-    """Design matrix, targets, and solver settings for one calibration.
+    """Design matrix and targets of one calibration.
 
     A row may stand for several identical respondent rows (a weighted
     design cell): ``row_counts`` then holds each row's multiplicity and
@@ -148,8 +156,6 @@ class CalibrationProblem:
     column_names: tuple[str, ...] | None = None
     column_sources: tuple[frozenset, ...] | None = None
     base_weights: np.ndarray | None = None
-    tol: float = 1e-8
-    max_iter: int = 200
     row_counts: np.ndarray | None = None
 
     def __post_init__(self):
@@ -203,9 +209,10 @@ class CalibrationProblem:
 
 
 def _classify_failure(
-    problem: CalibrationProblem, threshold: float = INFEASIBLE_SLACK
+    cols: np.ndarray, targets: np.ndarray, names, threshold: float = INFEASIBLE_SLACK
 ) -> np.ndarray | None:
-    """Distinguish jointly infeasible targets from plain non-convergence.
+    """Distinguish jointly infeasible targets from plain non-convergence, on
+    the (p, n) columns ``cols`` named ``names``.
 
     Runs a phase-1 feasibility program over the probability simplex with
     per-constraint slack; a minimal total slack above ``threshold`` proves
@@ -214,31 +221,27 @@ def _classify_failure(
     """
     from scipy.optimize import linprog
 
-    n, p = problem.n, problem.p
+    p, n = cols.shape
     c = np.concatenate([np.zeros(n), np.ones(2 * p)])
     a_eq = np.zeros((p + 1, n + 2 * p))
-    a_eq[:p, :n] = problem.matrix.T
+    a_eq[:p, :n] = cols
     a_eq[:p, n : n + p] = -np.eye(p)
     a_eq[:p, n + p :] = np.eye(p)
     a_eq[p, :n] = 1.0
-    b_eq = np.concatenate([problem.targets, [1.0]])
+    b_eq = np.concatenate([targets, [1.0]])
     res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     if not res.success:
         return None
     slack = res.x[n : n + p] + res.x[n + p :]
     if slack.sum() > threshold:
-        _raise_joint(problem, slack)
+        _raise_joint(cols, targets, names, slack)
     return slack
 
 
-def _raise_joint(problem: CalibrationProblem, slack: np.ndarray) -> NoReturn:
+def _raise_joint(cols: np.ndarray, targets: np.ndarray, names, slack: np.ndarray) -> NoReturn:
     j = int(np.argmax(slack))
-    col = problem.matrix[:, j]
     raise InfeasibleTargetsError(
-        problem.column_names[j],
-        float(problem.targets[j]),
-        (float(col.min()), float(col.max())),
-        joint=True,
+        names[j], float(targets[j]), (float(cols[j].min()), float(cols[j].max())), joint=True
     )
 
 
@@ -445,14 +448,14 @@ def solve_many(
 ) -> list[WeightVector | InfeasibleTargetsError]:
     """Solve a stack of calibrations that share one matrix of rows or cells.
 
-    ``problem`` gives the matrix, the column names, ``tol`` and
-    ``max_iter``. Problem b has targets ``targets[b]``, keeps the cells
-    where ``row_counts[b]`` is positive, with base mass ``base_weights[b]``
-    there, and enforces the columns where the boolean ``columns[b]`` is
-    True (every column by default); ``warm_start[b]`` is its starting dual,
-    aligned with all columns. Any of these may be given once, unstacked,
-    for every problem; targets, base weights and counts not given are the
-    problem's own (1 per row where it has none).
+    ``problem`` gives the matrix and the column names. Problem b has
+    targets ``targets[b]``, keeps the cells where ``row_counts[b]`` is
+    positive, with base mass ``base_weights[b]`` there, and enforces the
+    columns where the boolean ``columns[b]`` is True (every column by
+    default); ``warm_start[b]`` is its starting dual, aligned with all
+    columns. Any of these may be given once, unstacked, for every problem;
+    targets, base weights and counts not given are the problem's own (1 per
+    row where it has none).
 
     Returns, per problem, what a stack of that problem alone gives on its
     own cells and columns from the same warm start, to the bit: a
@@ -508,37 +511,34 @@ def solve_many(
             own = slice(None)
         if keep.size == p:
             keep = slice(None)
-        part = CalibrationProblem(
-            np.ascontiguousarray(problem.matrix[own][:, keep]),
-            targets[members[0], keep],
-            column_names=tuple(np.asarray(problem.column_names, dtype=object)[keep]),
-            tol=problem.tol,
-            max_iter=problem.max_iter,
-        )
+        matrix = np.ascontiguousarray(problem.matrix[own][:, keep])
+        cols = np.ascontiguousarray(matrix.T)  # column reductions run along rows
+        names = np.asarray(problem.column_names, dtype=object)[keep]
         t, mass, count, lam = (
             a[members][:, sel]
             for a, sel in ((targets, keep), (base, own), (counts, own), (warm, keep))
         )
         # a target outside its column's range is infeasible, and so is one on
         # the boundary, since entropy weights are strictly positive; a
-        # constant column admits its own value, to 1e-9
-        cols = np.ascontiguousarray(part.matrix.T)  # column reductions run along rows
+        # constant column admits its own value, to 1e-9. Any weights meet a
+        # target within TOL of every value of a column no wider than TOL, so
+        # such a column admits it and takes no part in the rank guard or the
+        # step
         lo, hi = cols.min(axis=1), cols.max(axis=1)
+        idle = (hi > lo) & (hi - lo <= TOL)
         constant = np.abs(t - lo) <= 1e-9 * np.maximum(1.0, np.abs(lo))
-        outside = ~np.where(hi == lo, constant, (lo < t) & (t < hi))
+        inside = np.where(idle, (hi - TOL <= t) & (t <= lo + TOL), (lo < t) & (t < hi))
+        outside = ~np.where(hi == lo, constant, inside)
         for pos in np.flatnonzero(outside.any(axis=1)):
             j = int(np.argmax(outside[pos]))
             results[members[pos]] = InfeasibleTargetsError(
-                part.column_names[j], float(t[pos, j]), (float(lo[j]), float(hi[j]))
+                names[j], float(t[pos, j]), (float(lo[j]), float(hi[j]))
             )
         todo = np.flatnonzero(~outside.any(axis=1))
-        # any weights meet a target inside a range no wider than tol, so such
-        # a column takes no part in the rank guard or the step
-        idle = (hi > lo) & (hi - lo <= part.tol)
         guarded = np.flatnonzero(~idle)
         cut = np.zeros(t.shape, dtype=bool)
         if todo.size and guarded.size:
-            design = part.matrix if guarded.size == part.p else part.matrix[:, guarded]
+            design = matrix if guarded.size == len(cols) else matrix[:, guarded]
             # each member has every cell, so the range screen gives the peaks
             peak = np.maximum(hi, -lo)[guarded]
             if np.all(count[todo] == count[todo[0]]):
@@ -547,11 +547,11 @@ def solve_many(
                 verdicts = _dependent_columns(design, count[todo], peak)
             for pos, dropped in zip(todo, verdicts):
                 cut[pos, guarded[list(dropped)]] = True
-        size = batch_size(*part.matrix.shape)
+        size = batch_size(*matrix.shape)
         for start in range(0, todo.size, size):
             chunk = todo[start : start + size]
             outcomes = _newton_batch(
-                part, cols, t[chunk], mass[chunk], lam[chunk], cut[chunk], idle
+                cols, names, t[chunk], mass[chunk], lam[chunk], cut[chunk], idle
             )
             for pos, outcome in zip(chunk, outcomes):
                 results[members[pos]] = outcome
@@ -570,20 +570,20 @@ def _states(phi_t, log_q, lam, targets):
     return logits, top[:, 0] + np.log(total[:, 0]) - np.einsum("bp,bp->b", lam, targets)
 
 
-def _newton_batch(part, cols, targets, base, lam, cut, idle):
+def _newton_batch(cols, names, targets, base, lam, cut, idle):
     """Damped Newton over a stack of problems on every cell and column of
-    ``part`` (``cols`` is its matrix transposed, C-contiguous), each with its
-    own targets, base mass and warm start. A column ``cut`` by the rank
-    guard, or ``idle`` because its range is within ``tol``, keeps a dual of
-    0, a zero gradient entry and an identity row and column in the Hessian,
-    and is verified with the others at the end.
+    the (p, k) C-contiguous ``cols``, whose names are the object array
+    ``names``, each with its own targets, base mass and warm start. A column
+    ``cut`` by the rank guard, or ``idle`` because its range is within
+    ``TOL``, keeps a dual of 0, a zero gradient entry and an identity row
+    and column in the Hessian, and is verified with the others at the end.
 
     Every product is formed per problem, so a problem's rounding does not
     depend on the rest of the stack, and the Hessian is centred before its
     product, so no digits cancel when one cell carries nearly all the mass.
     A problem's phase-1 program runs at most once: at its first rejected
     step or first Hessian past ``ILL_CONDITIONED``, raising when its slack
-    exceeds what ``tol`` allows, or else after the last step if the problem
+    exceeds what ``TOL`` allows, or else after the last step if the problem
     has not converged. Returns per problem a ``WeightVector`` or the
     ``InfeasibleTargetsError`` naming its broken constraint and cut columns.
     """
@@ -591,7 +591,6 @@ def _newton_batch(part, cols, targets, base, lam, cut, idle):
     # digits, so each column is taken about its mean over the cells
     center = cols.mean(axis=1)
     phi_t, goal = cols - center[:, None], targets - center
-    tol, max_iter = part.tol, part.max_iter
     (m, p), n = lam.shape, phi_t.shape[1]
     active = ~(cut | idle)
     free = active.sum(axis=1)
@@ -608,21 +607,20 @@ def _newton_batch(part, cols, targets, base, lam, cut, idle):
     growth = np.full(m, _MU_FACTOR)  # mu's factor at the next rejection
     slack: dict = {}  # by position, for each problem whose program ran
     results: list = [None] * m
-    names = np.asarray(part.column_names, dtype=object)
 
     def phase1(positions):
         for pos in positions:
             if pos in slack:
                 continue
-            threshold = max(INFEASIBLE_SLACK, p * tol)
+            threshold = max(INFEASIBLE_SLACK, p * TOL)
             try:
-                slack[pos] = _classify_failure(replace(part, targets=targets[pos]), threshold)
+                slack[pos] = _classify_failure(cols, targets[pos], names, threshold)
             except InfeasibleTargetsError as err:
                 err.dropped_columns = tuple(names[cut[pos]])
                 slack[pos], results[pos] = None, err
 
     live = np.arange(m)  # positions of the problems still iterating
-    for iteration in range(max_iter + 1):
+    for iteration in range(MAX_ITER + 1):
         mean = (phi_t @ prob[:, :, None])[:, :, 0]
         miss = np.abs(mean - goal[live]).max(axis=1, initial=0.0)  # cut columns too
         grad = np.where(active[live], mean - goal[live], 0.0)
@@ -633,14 +631,14 @@ def _newton_batch(part, cols, targets, base, lam, cut, idle):
         # done when every column is met, or when the enforced ones are and
         # stop improving: a cut column's target then disagrees with the
         # columns it depends on
-        done = (miss <= tol) | ((gap <= tol) & (gap >= 0.5 * previous[live]))
+        done = (miss <= TOL) | ((gap <= TOL) & (gap >= 0.5 * previous[live]))
         previous[live] = gap
         steps[0, live[done]] = iteration
         if done.any():
             live, prob, lam, objective, mean, grad = (
                 a[~done] for a in (live, prob, lam, objective, mean, grad)
             )
-        if live.size == 0 or iteration == max_iter:
+        if live.size == 0 or iteration == MAX_ITER:
             break
         centred = phi_t - mean[:, :, None]
         centred *= np.sqrt(prob)[:, None, :]
@@ -690,7 +688,7 @@ def _newton_batch(part, cols, targets, base, lam, cut, idle):
         go = np.asarray([results[pos] is None for pos in live.tolist()], dtype=bool)
         if not go.all():
             live, prob, lam, objective = live[go], prob[go], lam[go], objective[go]
-    steps[0, live] = max_iter
+    steps[0, live] = MAX_ITER
 
     # the verdict over every column, cut ones included (their targets must be
     # consistent to pass); a problem that did not converge keeps its
@@ -700,14 +698,14 @@ def _newton_batch(part, cols, targets, base, lam, cut, idle):
     w /= w.sum(axis=1, keepdims=True) / n
     violations = np.abs((phi_t @ (w / n)[:, :, None])[:, :, 0] - goal).max(axis=1, initial=0.0)
     for pos in np.flatnonzero([r is None for r in results]):
-        converged = bool(violations[pos] <= tol)
+        converged = bool(violations[pos] <= TOL)
         if not converged:
             # raises when the targets are the problem
             try:
                 if pos not in slack:
-                    _classify_failure(replace(part, targets=targets[pos]))
+                    _classify_failure(cols, targets[pos], names)
                 elif slack[pos] is not None and slack[pos].sum() > INFEASIBLE_SLACK:
-                    _raise_joint(replace(part, targets=targets[pos]), slack[pos])
+                    _raise_joint(cols, targets[pos], names, slack[pos])
             except InfeasibleTargetsError as err:
                 err.dropped_columns = tuple(names[cut[pos]])
                 results[pos] = err

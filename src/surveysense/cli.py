@@ -100,18 +100,15 @@ class _Run:
 
     @cached_property
     def sweep(self):
-        from .partial import binary_grid, partial_sweep, standardized_grid
+        from .partial import partial_sweep
 
         pipe, cfg = self.pipeline, self.cfg
         name = cfg.sweep_variable
         if name is None:
             raise ConfigError("sweep.variable is not set in the config")
         v = np.asarray(pipe.frame.column(name), dtype=np.float64)
-        if cfg.sweep_grid is not None:
-            grid = np.asarray(cfg.sweep_grid, dtype=np.float64)
-        else:
-            grid = binary_grid() if pipe.frame.kind(name) == "binary" else standardized_grid(v)
-        return partial_sweep(pipe.problem, v, pipe.y, label=name, grid=grid, baseline=pipe.baseline)
+        return partial_sweep(pipe.problem, v, pipe.y, label=name, grid=cfg.sweep_grid,
+                             baseline=pipe.baseline)
 
     @cached_property
     def detection(self):

@@ -193,14 +193,19 @@ def _multinomial_step(xt, y_onehot, lam, theta):
     old = theta[:, :, 1:].copy()
     hit = np.zeros(len(theta), dtype=bool)
     for cls in range(y_onehot.shape[2]):
-        eta = xt @ theta.transpose(0, 2, 1)
-        eta -= eta.max(axis=2, keepdims=True)
-        prob = np.exp(eta)
-        prob /= prob.sum(axis=2, keepdims=True)
+        prob = _softmax(xt @ theta.transpose(0, 2, 1))
         pk = np.clip(prob[:, :, cls], _PROB_CLIP, 1 - _PROB_CLIP)
         hit |= _irls_stack(xt, y_onehot[:, :, cls], pk, lam, theta[:, cls])
     theta[:, :, 0] -= theta[:, :, 0].mean(axis=1, keepdims=True)
     return hit, np.max(np.abs(theta[:, :, 1:] - old), axis=(1, 2))
+
+
+def _softmax(eta: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of ``eta``, in place."""
+    eta -= eta.max(axis=-1, keepdims=True)
+    np.exp(eta, out=eta)
+    eta /= eta.sum(axis=-1, keepdims=True)
+    return eta
 
 
 def lasso_path(
@@ -245,12 +250,9 @@ def lasso_path(
 
 def _lambda_max(x: np.ndarray, response: np.ndarray, kind: str) -> float:
     n = x.shape[0]
-    if kind == "continuous":
-        return float(np.max(np.abs(x.T @ response)) / n)
-    if kind == "binary":
-        return float(np.max(np.abs(x.T @ (response - response.mean()))) / n)
-    centered = response - response.mean(axis=0, keepdims=True)
-    return float(np.max(np.abs(x.T @ centered)) / n)
+    if kind != "continuous":
+        response = response - response.mean(axis=0, keepdims=True)
+    return float(np.max(np.abs(x.T @ response)) / n)
 
 
 def _holdout_losses(x, response, kind, coefs) -> np.ndarray:
@@ -267,10 +269,7 @@ def _holdout_losses(x, response, kind, coefs) -> np.ndarray:
         return -2.0 * np.mean(
             response * np.log(prob) + (1 - response) * np.log1p(-prob), axis=1
         )
-    eta = x @ coefs.transpose(0, 2, 1)
-    eta -= eta.max(axis=2, keepdims=True)
-    prob = np.exp(eta)
-    prob /= prob.sum(axis=2, keepdims=True)
+    prob = _softmax(x @ coefs.transpose(0, 2, 1))
     picked = np.clip((prob * response).sum(axis=2), _PROB_CLIP, None)
     return -2.0 * np.mean(np.log(picked), axis=1)
 
@@ -385,12 +384,7 @@ class MixedGraph:
 def _predictor_block(values: np.ndarray, kind: str, name: str) -> np.ndarray:
     """Standardized predictor columns for one node."""
     if kind == "categorical":
-        levels = sorted(set(values.tolist()))
-        if len(levels) < 2:
-            raise DetectionError(f"categorical node {name!r} has one level")
-        block = np.column_stack(
-            [(values == level).astype(np.float64) for level in levels]
-        )
+        block = _indicators(values, name)
     else:
         block = np.asarray(values, dtype=np.float64)[:, None]
     sd = block.std(axis=0)
@@ -408,6 +402,11 @@ def _response_for(values: np.ndarray, kind: str, name: str):
         return (values - values.mean()) / sd
     if kind == "binary":
         return np.asarray(values, dtype=np.float64)
+    return _indicators(values, name)
+
+
+def _indicators(values: np.ndarray, name: str) -> np.ndarray:
+    """One 0/1 column per level of a categorical node, levels sorted."""
     levels = sorted(set(values.tolist()))
     if len(levels) < 2:
         raise DetectionError(f"categorical node {name!r} has one level")

@@ -56,7 +56,6 @@ class SweepPoint:
     se: float
     feasible: bool
     converged: bool
-    max_violation: float
     is_baseline: bool = False
 
 
@@ -66,14 +65,6 @@ class PartialSweep:
     points: tuple[SweepPoint, ...]
     baseline_t: float  # weighted mean of V under the baseline weights
     baseline_estimate: float
-
-    @property
-    def grid(self) -> np.ndarray:
-        return np.asarray([p.t_v for p in self.points])
-
-    @property
-    def estimates(self) -> np.ndarray:
-        return np.asarray([p.estimate for p in self.points])
 
 
 def binary_grid(step: float = 0.01) -> np.ndarray:
@@ -158,8 +149,6 @@ def partial_sweep(
         column_names=problem.column_names + (label,),
         base_weights=mass,
         row_counts=counts,
-        tol=problem.tol,
-        max_iter=problem.max_iter,
     )
     targets = np.column_stack([np.tile(problem.targets, (grid.size, 1)), grid])
     warm = np.append(baseline.dual_for(problem.column_names), 0.0)
@@ -175,8 +164,7 @@ def partial_sweep(
             points.append(
                 SweepPoint(
                     t_v=float(t_v), estimate=float("nan"), se=float("nan"),
-                    feasible=False, converged=False, max_violation=float("inf"),
-                    is_baseline=is_baseline,
+                    feasible=False, converged=False, is_baseline=is_baseline,
                 )
             )
             continue
@@ -190,7 +178,6 @@ def partial_sweep(
                 se=weighted_se(y, w),
                 feasible=True,
                 converged=outcome.diagnostics.converged,
-                max_violation=outcome.diagnostics.max_violation,
                 is_baseline=is_baseline,
             )
         )

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from importlib import resources
 from itertools import repeat
 from pathlib import Path
@@ -125,11 +126,6 @@ def build_pipeline(cfg: RunConfig) -> Pipeline:
     return Pipeline(config=cfg, frame=frame, problem=problem, y=y, baseline=baseline)
 
 
-def _num(value: float) -> float | None:
-    v = float(value)
-    return v if np.isfinite(v) else None
-
-
 def estimates_block(pipe: Pipeline) -> dict:
     ones = np.ones_like(pipe.y)
     return {
@@ -145,18 +141,21 @@ def estimates_block(pipe: Pipeline) -> dict:
     }
 
 
+def _record(obj, *nullable: str) -> dict:
+    """A report record: the fields of the dataclass ``obj``, each tuple as a
+    list (jsonschema's ``array`` refuses a tuple) and a non-finite or None
+    value of a field named in ``nullable`` as null."""
+    record = {}
+    for field in fields(obj):
+        value = getattr(obj, field.name)
+        if field.name in nullable and not (value is not None and math.isfinite(value)):
+            value = None
+        record[field.name] = list(value) if isinstance(value, tuple) else value
+    return record
+
+
 def calibration_block(pipe: Pipeline) -> dict:
-    d = pipe.baseline.diagnostics
-    return {
-        "converged": bool(d.converged),
-        "iterations": int(d.iterations),
-        "max_violation": float(d.max_violation),
-        "dual_norm": float(d.dual_norm),
-        "newton_steps": int(d.newton_steps),
-        "fallback_sweeps": int(d.fallback_sweeps),
-        "columns": list(pipe.problem.column_names),
-        "dropped_columns": list(d.dropped_columns),
-    }
+    return {**_record(pipe.baseline.diagnostics), "columns": list(pipe.problem.column_names)}
 
 
 def robustness_block(pipe: Pipeline, b_star: float) -> dict:
@@ -178,19 +177,7 @@ def robustness_block(pipe: Pipeline, b_star: float) -> dict:
 
 
 def benchmarks_block(records: list[BenchmarkRecord]) -> list[dict]:
-    return [
-        {
-            "label": r.label,
-            "r2_raw": float(r.r2_raw),
-            "r2": float(r.r2),
-            "rho": float(r.rho),
-            "est_bias": float(r.est_bias),
-            "mrcs": None if r.mrcs is None else _num(r.mrcs),
-            "rho_defined": bool(r.rho_defined),
-            "converged": bool(r.converged),
-        }
-        for r in records
-    ]
+    return [_record(r, "mrcs") for r in records]
 
 
 def contour_block(grid: ContourGrid) -> dict:
@@ -213,17 +200,7 @@ def sweep_block(sweep: PartialSweep) -> dict:
         "label": sweep.label,
         "baseline_t": float(sweep.baseline_t),
         "baseline_estimate": float(sweep.baseline_estimate),
-        "points": [
-            {
-                "t_v": float(p.t_v),
-                "estimate": _num(p.estimate),
-                "se": _num(p.se),
-                "feasible": bool(p.feasible),
-                "converged": bool(p.converged),
-                "is_baseline": bool(p.is_baseline),
-            }
-            for p in sweep.points
-        ],
+        "points": [_record(p, "estimate", "se") for p in sweep.points],
         "csv": "sweep.csv",
         "svg": "sweep.svg",
     }
@@ -269,11 +246,7 @@ def assemble_report(
         "estimates": estimates_block(pipe),
         "calibration": calibration_block(pipe),
         "balance": balance_table(pipe.problem, pipe.baseline.values),
-        "scale": {
-            "var_y": float(pipe.scale.var_y),
-            "var_w": float(pipe.scale.var_w),
-            "mu_hat": float(pipe.scale.mu_hat),
-        },
+        "scale": _record(pipe.scale),
         "robustness": robustness,
         "benchmarks": benchmarks if benchmarks is not None else [],
         "contour": contour,
@@ -346,9 +319,8 @@ def write_weights_csv(path: Path, pipe: Pipeline) -> None:
 
 
 def write_balance_csv(path: Path, pipe: Pipeline) -> None:
-    _write_rows(path, ["column", "target", "unweighted", "weighted"],
-                ([b["column"], b["target"], b["unweighted"], b["weighted"]]
-                 for b in balance_table(pipe.problem, pipe.baseline.values)))
+    table = balance_table(pipe.problem, pipe.baseline.values)
+    _write_rows(path, list(table[0]), (row.values() for row in table))
 
 
 def write_contour_csv(path: Path, grid: ContourGrid) -> None:
@@ -372,10 +344,8 @@ def write_benchmarks_csv(path: Path, blocks: list[dict]) -> None:
 
 
 def write_sweep_csv(path: Path, sweep: PartialSweep) -> None:
-    _write_rows(
-        path, ["t_v", "estimate", "se", "feasible", "converged", "is_baseline"],
-        ([p.t_v, p.estimate, p.se, p.feasible, p.converged, p.is_baseline] for p in sweep.points),
-    )
+    header = [field.name for field in fields(sweep.points[0])]
+    _write_rows(path, header, ([getattr(p, name) for name in header] for p in sweep.points))
 
 
 def write_detection_artifacts(out: Path, rep: DetectionReport) -> str:

@@ -26,16 +26,14 @@ __all__ = ["render_contour", "render_sweep"]
 class _Frame:
     """Affine map from data coordinates into the SVG pixel frame."""
 
-    def __init__(self, x_range, y_range, *, width=640, height=480,
-                 left=62, right=18, top=42, bottom=48):
+    width, height = 640, 480
+    left, right, top, bottom = 62, 18, 42, 48
+    plot_w = width - left - right
+    plot_h = height - top - bottom
+
+    def __init__(self, x_range, y_range):
         self.x0, self.x1 = x_range
         self.y0, self.y1 = y_range
-        self.width = width
-        self.height = height
-        self.left = left
-        self.top = top
-        self.plot_w = width - left - right
-        self.plot_h = height - top - bottom
 
     def x(self, v: float) -> float:
         return self.left + (v - self.x0) / (self.x1 - self.x0) * self.plot_w
@@ -170,17 +168,15 @@ def render_contour(grid: ContourGrid) -> str:
         bounds = grid.boundary[mask]
         inside = bounds <= frame.y1 + 1e-12
         if np.any(inside):
-            poly = [(frame.x(r), frame.y(min(b, frame.y1)))
-                    for r, b in zip(rhos[inside], bounds[inside])]
+            boundary_px = [(frame.x(r), frame.y(min(b, frame.y1)))
+                           for r, b in zip(rhos[inside], bounds[inside])]
             top_edge = [(frame.x(rhos[inside][-1]), frame.y(frame.y1)),
                         (frame.x(rhos[inside][0]), frame.y(frame.y1))]
-            coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in poly + top_edge)
+            coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in boundary_px + top_edge)
             parts.append(
                 f'<polygon points="{coords}" fill="#e8534a" fill-opacity="0.18" '
                 'stroke="none"/>'
             )
-            boundary_px = [(frame.x(r), frame.y(min(b, frame.y1)))
-                           for r, b in zip(rhos[inside], bounds[inside])]
             parts.append(_polyline(boundary_px, 'stroke="#c0392b" stroke-width="2"'))
 
     scale_product = grid.scale.var_y * grid.scale.var_w

@@ -2,7 +2,7 @@
 
 import logging
 import math
-from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ import pytest
 from surveysense import (
     benchmark,
     benchmark_table,
+    calibrate,
     loo_weights,
     min_k,
     mrcs,
@@ -146,8 +147,8 @@ def test_benchmark_table_names_the_leave_outs_that_did_not_converge(solved, capl
     # one Newton step from the baseline dual leaves each leave-out short of
     # tol; benchmarks.csv has no converged column, so one warning names them
     problem, y, full = solved
-    with caplog.at_level(logging.WARNING):
-        records = benchmark_table(replace(problem, max_iter=1), full, y, ("x1", "x2", "x3"))
+    with caplog.at_level(logging.WARNING), mock.patch.object(calibrate, "MAX_ITER", 1):
+        records = benchmark_table(problem, full, y, ("x1", "x2", "x3"))
     stuck = [r.label for r in records if not r.converged]
     assert stuck
     assert [r.getMessage() for r in caplog.records] == [

@@ -61,10 +61,13 @@ def test_reestimate_changes_draws(outcome):
     assert not np.array_equal(fixed.draws, redo.draws)
 
 
-def test_few_draws_warns(outcome):
+def test_few_draws_warns(outcome, caplog):
     problem, y = outcome
-    with pytest.warns(UserWarning, match="below the 100"):
+    with caplog.at_level(logging.WARNING, logger="surveysense.bootstrap"):
         bootstrap_interval(problem, y, ZERO, b=20, seed=0)
+    assert [r.getMessage() for r in caplog.records] == [
+        "20 draws is below the 100 needed for a reportable interval"
+    ]
 
 
 def test_argument_validation(outcome):

@@ -213,10 +213,9 @@ def test_first_newton_direction_keeps_the_digits_a_heavy_cell_cancels():
         seen.append((hess.copy(), rhs.copy()))
         return solve(hess, rhs)
 
-    with mock.patch.object(calibrate, "_solve", recording):
-        calibrate.solve_many(
-            CalibrationProblem(cells, [target], max_iter=1), [target], mass, np.ones(2)
-        )
+    with mock.patch.object(calibrate, "_solve", recording), \
+            mock.patch.object(calibrate, "MAX_ITER", 1):
+        calibrate.solve_many(CalibrationProblem(cells, [target]), [target], mass, np.ones(2))
     hess, rhs = seen[0]
     first = rhs[0, 0] / hess[0, 0, 0]
     prob, _ = calibrate._states(cells.T, np.log(mass / mass.sum())[None], np.zeros((1, 1)),
@@ -235,9 +234,7 @@ def test_solve_many_failure_reasons():
         [0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [1.0, 1.0, 1.0],
         [1.0, 0.0, 0.0],
     ])
-    template = CalibrationProblem(
-        cells, np.full(3, 0.5), column_names=("x1", "x2", "x3"), max_iter=3
-    )
+    template = CalibrationProblem(cells, np.full(3, 0.5), column_names=("x1", "x2", "x3"))
     counts = np.ones((4, 5))
     counts[2, 4] = 0.0  # without cell 4 the guard must drop x3
     targets = np.array([
@@ -247,10 +244,11 @@ def test_solve_many_failure_reasons():
         [0.6, 0.5, 0.4],  # feasible, but three steps from a far start
     ])
     warm = np.zeros((4, 3))
-    solved = calibrate.solve_raking(replace(template, targets=targets[0], max_iter=200))
+    solved = calibrate.solve_raking(replace(template, targets=targets[0]))
     warm[0] = solved.dual
     warm[3] = [9.0, -9.0, 9.0]
-    results = calibrate.solve_many(template, targets, counts, counts, warm_start=warm)
+    with mock.patch.object(calibrate, "MAX_ITER", 3):
+        results = calibrate.solve_many(template, targets, counts, counts, warm_start=warm)
     reasons = [calibrate.failure_reason(r) for r in results]
     assert reasons == [None, "infeasible", "rank_deficient", "not_converged"]
     np.testing.assert_allclose(results[0].values, solved.values, rtol=0.0, atol=1e-12)
@@ -277,8 +275,9 @@ def test_an_overflowing_stack_solves_without_runtime_warnings(seed, reasons):
     counts[:, 0] += 1.0
     lo, hi = cells.min(axis=0), cells.max(axis=0)
     targets = lo + (hi - lo) * rng.uniform(0.05, 0.95, (6, 4))
-    problem = CalibrationProblem(cells, targets[0], max_iter=5)
-    outcomes = calibrate.solve_many(problem, targets, counts + (counts == 0), counts)
+    problem = CalibrationProblem(cells, targets[0])
+    with mock.patch.object(calibrate, "MAX_ITER", 5):
+        outcomes = calibrate.solve_many(problem, targets, counts + (counts == 0), counts)
     assert [calibrate.failure_reason(o) for o in outcomes] == reasons
     for outcome in outcomes:
         if isinstance(outcome, calibrate.WeightVector):
@@ -338,11 +337,8 @@ def resampled_cell_stacks(draw):
         targets = cells.T @ w / w.sum()
         if mode == "outside":
             targets[int(rng.integers(p))] = cells.max() + 0.1
-    problem = CalibrationProblem(
-        cells, targets, column_names=tuple(f"c{j}" for j in range(p)),
-        max_iter=draw(st.sampled_from([5, 200])),
-    )
-    return problem, mass, counts
+    problem = CalibrationProblem(cells, targets, column_names=tuple(f"c{j}" for j in range(p)))
+    return problem, mass, counts, draw(st.sampled_from([5, 200]))
 
 
 @SETTINGS
@@ -350,8 +346,9 @@ def resampled_cell_stacks(draw):
 def test_failure_reason_matches_the_rank_guard_oracle(drawn):
     # the reason the solver records equals the one found by running the
     # rank guard again on each failed problem's own cells and counts
-    problem, mass, counts = drawn
-    outcomes = calibrate.solve_many(problem, base_weights=mass, row_counts=counts)
+    problem, mass, counts, max_iter = drawn
+    with mock.patch.object(calibrate, "MAX_ITER", max_iter):
+        outcomes = calibrate.solve_many(problem, base_weights=mass, row_counts=counts)
     for outcome, row in zip(outcomes, counts):
         own = row > 0
         reason = calibrate.failure_reason(outcome)
@@ -435,6 +432,31 @@ class TestSolveRaking:
         )
         with pytest.raises(InfeasibleTargetsError):
             solve_raking(at_edge)
+
+    @staticmethod
+    @pytest.mark.parametrize("offset", [0.0, 1e-12, -1e-10, 5e-13])
+    def test_target_within_tol_of_an_idle_column_converges(offset):
+        # the second column is 1e-12 wide, so any weights meet a target
+        # within TOL of both its ends, its own ends included
+        rng = np.random.default_rng(5)
+        x = (rng.random(50) < 0.4).astype(float)
+        idle = np.full(50, 0.3)
+        idle[::2] += 1e-12
+        problem = CalibrationProblem(np.column_stack([x, idle]), [0.4, 0.3 + offset])
+        result = solve_raking(problem)
+        assert result.diagnostics.converged
+        assert abs(idle @ result.values / 50 - (0.3 + offset)) <= abs(offset) + 2e-12
+
+    @staticmethod
+    def test_target_past_tol_of_an_idle_column_is_refused():
+        idle = np.full(50, 0.3)
+        idle[::2] += 1e-12
+        x = np.resize([0.0, 1.0, 1.0], 50)
+        problem = CalibrationProblem(np.column_stack([x, idle]), [0.4, 0.3 - 2e-8],
+                                     column_names=("x", "idle"))
+        with pytest.raises(InfeasibleTargetsError) as info:
+            solve_raking(problem)
+        assert info.value.constraint == "idle" and not info.value.joint
 
     @staticmethod
     def test_joint_infeasibility_detected(monkeypatch):

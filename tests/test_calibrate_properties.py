@@ -1,6 +1,6 @@
 """Property tests of the raking solver on adversarial inputs.
 
-Every case must either converge within ``tol`` or raise
+Every case must either converge within ``calibrate.TOL`` or raise
 ``InfeasibleTargetsError`` naming one of its constraints; targets realized
 by positive weights must converge, nearly collinear columns included. Only
 targets infeasible by less than the phase-1 program certifies, or a design
@@ -124,9 +124,9 @@ def counted_phase1():
     """Record every call of the solver's phase-1 program."""
     calls = []
 
-    def counting(problem, *args):
-        calls.append(problem)
-        return PHASE1(problem, *args)
+    def counting(*args):
+        calls.append(args)
+        return PHASE1(*args)
 
     calibrate._classify_failure = counting
     try:
@@ -138,7 +138,7 @@ def counted_phase1():
 def phase1_names(problem):
     """The constraint the phase-1 program blames on its own, or None."""
     try:
-        PHASE1(problem)
+        PHASE1(problem.matrix.T, problem.targets, problem.column_names)
     except InfeasibleTargetsError as err:
         return err.constraint
     return None
@@ -170,7 +170,7 @@ def test_solve_converges_or_names_a_constraint(drawn):
     assert np.all(np.isfinite(result.values)) and np.all(result.values >= 0)
     assert abs(result.values.mean() - 1.0) < 1e-12
     if diag.converged:
-        assert diag.max_violation <= problem.tol
+        assert diag.max_violation <= calibrate.TOL
     else:
         # targets infeasible by less than the phase-1 program certifies, or
         # realized targets on a design whose weakest Hessian direction at the
@@ -274,6 +274,8 @@ def row_level_solve(problem, warm_start=None):
         lo, hi, t = float(col.min()), float(col.max()), float(problem.targets[j])
         if hi == lo and abs(t - lo) <= 1e-9 * max(1.0, abs(lo)):
             continue
+        if 0.0 < hi - lo <= calibrate.TOL and hi - calibrate.TOL <= t <= lo + calibrate.TOL:
+            continue
         if not (lo < t < hi):
             raise InfeasibleTargetsError(problem.column_names[j], t, (lo, hi))
     counts = np.ones(n) if problem.row_counts is None else problem.row_counts
@@ -299,10 +301,10 @@ def row_level_solve(problem, warm_start=None):
     prob, objective = state(lam)
     phase1_run = False
     slack = None
-    for _ in range(problem.max_iter):
+    for _ in range(calibrate.MAX_ITER):
         mean = phi.T @ prob
         grad = mean - t
-        if float(np.max(np.abs(grad), initial=0.0)) <= problem.tol:
+        if float(np.max(np.abs(grad), initial=0.0)) <= calibrate.TOL:
             break
         used_newton = False
         centred = (phi - mean) * np.sqrt(prob)[:, None]
@@ -331,7 +333,8 @@ def row_level_solve(problem, warm_start=None):
             plain = False
             if not phase1_run:
                 phase1_run = True
-                slack = PHASE1(problem, max(calibrate.INFEASIBLE_SLACK, problem.p * problem.tol))
+                threshold = max(calibrate.INFEASIBLE_SLACK, problem.p * calibrate.TOL)
+                slack = PHASE1(problem.matrix.T, problem.targets, problem.column_names, threshold)
             for j in range(p_cols):
                 share = float(prob @ raw[:, j])
                 if binary_col[j]:
@@ -358,12 +361,14 @@ def row_level_solve(problem, warm_start=None):
     w = n * prob
     w = w / w.mean()
     violation = float(np.max(np.abs(problem.matrix.T @ (w / n) - problem.targets), initial=0.0))
-    converged = violation <= problem.tol
+    converged = violation <= calibrate.TOL
     if not converged:
         if not phase1_run:
-            PHASE1(problem)
+            PHASE1(problem.matrix.T, problem.targets, problem.column_names)
         elif slack is not None and slack.sum() > calibrate.INFEASIBLE_SLACK:
-            calibrate._raise_joint(problem, slack)
+            calibrate._raise_joint(
+                problem.matrix.T, problem.targets, problem.column_names, slack
+            )
     return converged, w, tuple(problem.column_names[j] for j in dropped_idx), plain
 
 

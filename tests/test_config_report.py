@@ -1,15 +1,19 @@
 """Config parsing rules and deterministic report assembly."""
 
 import json
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from surveysense.bias import SensitivityParams
+from surveysense.benchmark import BenchmarkRecord
+from surveysense.bias import ObservedScale, SensitivityParams
 from surveysense.bootstrap import bootstrap_interval
+from surveysense.calibrate import RakingDiagnostics
 from surveysense.config import config_from_dict, load_config
 from surveysense.errors import ConfigError, SchemaError
+from surveysense.partial import SweepPoint
 from surveysense.report import (
     _cell,
     _schema,
@@ -314,6 +318,18 @@ class TestAssembledReport:
 
         schema = _schema()
         jsonschema.validators.validator_for(schema).check_schema(schema)
+
+    def test_each_record_layout_is_declared_once(self):
+        # a record the report builds from a dataclass has exactly its fields
+        props = _schema()["properties"]
+        layouts = [
+            (props["benchmarks"]["items"], BenchmarkRecord, ()),
+            (props["sweep"]["properties"]["points"]["items"], SweepPoint, ()),
+            (props["scale"], ObservedScale, ()),
+            (props["calibration"], RakingDiagnostics, ("columns",)),
+        ]
+        for block, record, extra in layouts:
+            assert set(block["required"]) == {f.name for f in fields(record)} | set(extra)
 
     def test_weights_csv_round_trips_floats(self, pipeline, tmp_path):
         pipe, _ = pipeline

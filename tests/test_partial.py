@@ -146,7 +146,7 @@ def test_cell_sweep_matches_row_level_oracle(base_weights):
     sweep = partial_sweep(
         problem, v, y, label="v", grid=np.linspace(0.05, 0.75, 8), baseline=baseline
     )
-    oracle = row_level_sweep(problem, v, y, sweep.grid, baseline)
+    oracle = row_level_sweep(problem, v, y, [p.t_v for p in sweep.points], baseline)
     flags = [(p.feasible, p.converged) for p in sweep.points]
     assert flags == [point[:2] for point in oracle]
     assert 0 < sum(not p.feasible for p in sweep.points) < len(sweep.points)

@@ -8,7 +8,10 @@ checkout). Each tree then runs in one fresh interpreter with its own
 ``src/`` first on ``sys.path``, calling ``cli.main`` in turn for every
 subcommand at every ``--format`` its ``cli._COMMANDS`` entry lists, on
 every job config of cells-5k, rows-10k and graph-16, then ``simulate``
-and the same subcommands on the simulate bundle's config. Both trees
+and the same subcommands on the simulate bundle's config. A copy of that
+config weights on x1 and x2 alone and sweeps x3 on the default grid, which
+no job config leaves to the program; ``partial`` and ``summary`` run on it
+at every format. Both trees
 write to the same output paths, cleared between trees, so the paths they
 print agree; each tree's root is masked in its stderr.
 
@@ -101,9 +104,9 @@ def _child(plan_path: str) -> None:
                        "stderr": stderr.getvalue().replace(str(src.parent), "<tree>"),
                        "files": files}
 
-    def every_command(label: str, config: str) -> None:
+    def every_command(label: str, config: str, names=None) -> None:
         for name, command in cli._COMMANDS.items():
-            if name == "simulate":
+            if name == "simulate" or names is not None and name not in names:
                 continue
             for fmt in command.stdout:
                 where = out / label / f"{name}-{fmt}"
@@ -116,6 +119,10 @@ def _child(plan_path: str) -> None:
         bundle = out / "bundle"
         call("simulate", ["simulate", "--out", str(bundle)], bundle)
         every_command("bundle", str(bundle / "config.json"))
+        config = json.loads((bundle / "config.json").read_text())
+        config.update(weighting={"variables": ["x1", "x2"]}, sweep={"variable": "x3"})
+        (bundle / "sweep.json").write_text(json.dumps(config))
+        every_command("bundle-sweep", str(bundle / "sweep.json"), ("partial", "summary"))
     (Path(plan_path).parent / "runs.json").write_text(json.dumps(runs))
 
 
