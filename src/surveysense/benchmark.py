@@ -111,7 +111,7 @@ def mrcs(mu_hat: float, b_star: float, est_bias: float) -> float:
 def _held_out(
     problem: CalibrationProblem,
     covariates: tuple[str, ...],
-    baseline: WeightVector | None,
+    baseline: WeightVector,
 ) -> list[WeightVector]:
     """Re-solve the calibration once per covariate, without every column
     sourced from it: one stack on the problem's rows, a column mask per
@@ -124,7 +124,7 @@ def _held_out(
     keep = [[c not in problem.sources_for(j) for j in range(problem.p)] for c in covariates]
     outcomes = solve_many(
         problem,
-        warm_start=None if baseline is None else baseline.dual_for(problem.column_names),
+        warm_start=baseline.dual_for(problem.column_names),
         columns=np.array(keep, dtype=bool).reshape(len(covariates), problem.p),
     )
     for outcome in outcomes:
@@ -134,12 +134,10 @@ def _held_out(
 
 
 def loo_weights(
-    problem: CalibrationProblem,
-    covariate: str,
-    *,
-    baseline: WeightVector | None = None,
+    problem: CalibrationProblem, covariate: str, *, baseline: WeightVector
 ) -> WeightVector:
-    """Re-solve the calibration without every column sourced from ``covariate``.
+    """Re-solve the calibration without every column sourced from ``covariate``,
+    warm-started from the ``baseline`` solution's tilt.
 
     Interaction columns count as sourced from each participating variable.
     Dropping the only constraint returns the normalized base weights (the

@@ -6,12 +6,12 @@ weighting scheme and the ideal one. Its alignment with the outcome
 determine the bias of the weighted estimator exactly:
 
     bias = rho * sqrt(var(Y) * var(w) * R2 / (1 - R2))        for R2 < 1
-    bias = rho * sqrt(var(Y) * var(w_ideal))                  at R2 = 1
 
 where every variance is over the observed sample with the population
-(denominator n) convention. The covariance form cov(eps, Y) equals the
-formula whenever w is the projection of w_ideal onto the weighting
-features.
+(denominator n) convention. At R2 = 1 the bias is rho * sqrt(var(Y) *
+var(w_ideal)), which the estimable scale cannot give, so ``bias`` refuses
+it. The covariance form cov(eps, Y) equals the formula whenever w is the
+projection of w_ideal onto the weighting features.
 """
 
 from __future__ import annotations
@@ -104,34 +104,22 @@ def error_vector(w: np.ndarray, w_ideal: np.ndarray) -> np.ndarray:
     return eps
 
 
-def bias(
-    params: SensitivityParams,
-    scale: ObservedScale,
-    *,
-    var_w_ideal: float | None = None,
-) -> float:
-    """Bias of the weighted mean at a sensitivity point.
+def bias(params: SensitivityParams, scale: ObservedScale) -> float:
+    """Bias of the weighted mean at a sensitivity point with R2 < 1.
 
-    The boundary R2 = 1 (weights capture none of the ideal variation)
-    switches to the var_w_ideal form and requires that argument.
+    At the boundary R2 = 1 (weights capture none of the ideal variation) the
+    bias needs var(w_ideal), and this raises ``ValueError``.
     """
     if params.r2 == 1.0:
-        if var_w_ideal is None:
-            raise ValueError("R2 = 1 requires var_w_ideal")
-        return params.rho * math.sqrt(scale.var_y * var_w_ideal)
+        raise ValueError("the bias at R2 = 1 needs var(w_ideal)")
     return params.rho * math.sqrt(
         scale.var_y * scale.var_w * params.r2 / (1.0 - params.r2)
     )
 
 
-def adjusted_estimate(
-    params: SensitivityParams,
-    scale: ObservedScale,
-    *,
-    var_w_ideal: float | None = None,
-) -> float:
+def adjusted_estimate(params: SensitivityParams, scale: ObservedScale) -> float:
     """Point estimate after removing the bias implied by ``params``."""
-    return scale.mu_hat - bias(params, scale, var_w_ideal=var_w_ideal)
+    return scale.mu_hat - bias(params, scale)
 
 
 def ipw_error(

@@ -60,10 +60,6 @@ class BootstrapResult:
     #: dropped draws by ``calibrate.FAILURE_REASONS`` key; sums to ``dropped``
     dropped_by_reason: dict[str, int]
 
-    @property
-    def interval(self) -> tuple[float, float]:
-        return (self.lower, self.upper)
-
 
 def bootstrap_interval(
     problem: CalibrationProblem,
@@ -149,7 +145,7 @@ def _reestimated_draws(
     q = problem.base_weights
     cells, cell_of_row = design_cells(problem.matrix)
     n_cells = cells.shape[0]
-    design = replace(problem, matrix=cells, base_weights=None, row_counts=None)
+    design = replace(problem, matrix=cells, base_weights=None)
     chunk = batch_size(n_cells, problem.p)
     kept = []
     dropped_by_reason = dict.fromkeys(FAILURE_REASONS, 0)

@@ -35,11 +35,11 @@ within ``TOL``, and gives up after ``MAX_ITER`` iterations.
 ``solve_raking`` solves one problem, as a stack of one on its own rows, and
 logs its cut columns and non-convergence. ``solve_many`` serves the
 fan-outs (leave-one-out column masks on rows; bootstrap draws and sweep
-points as counts on ``design_cells``) and logs nothing: each problem's
-outcome, weights or the error, names the columns the rank guard cut. The
-guard, ``_dependent_columns``, takes a stack of positive counts and one peak
-magnitude per column; ``check_rank`` runs it on one matrix's rows as they
-are, for ``data.build_features`` at load.
+points as arrays of mass and counts on ``design_cells``) and logs nothing:
+each problem's outcome, weights or the error, names the columns the rank
+guard cut. The guard, ``_dependent_columns``, takes a stack of positive
+counts and one peak magnitude per column; ``check_rank`` runs it on one
+matrix's rows as they are, for ``data.build_features`` at load.
 """
 
 from __future__ import annotations
@@ -142,13 +142,10 @@ class WeightVector:
 
 @dataclass(frozen=True)
 class CalibrationProblem:
-    """Design matrix and targets of one calibration.
+    """Design matrix and targets of one calibration, one row per respondent.
 
-    A row may stand for several identical respondent rows (a weighted
-    design cell): ``row_counts`` then holds each row's multiplicity and
-    ``base_weights`` the cell's total base mass. The dual only sees that
-    mass, and the rank guard weighs each row by its count, so the solve
-    decides exactly as it would on the expanded rows.
+    Design cells that stand for several identical rows are solved through
+    ``solve_many``, which takes each cell's base mass and count.
     """
 
     matrix: np.ndarray  # (n, p)
@@ -156,7 +153,6 @@ class CalibrationProblem:
     column_names: tuple[str, ...] | None = None
     column_sources: tuple[frozenset, ...] | None = None
     base_weights: np.ndarray | None = None
-    row_counts: np.ndarray | None = None
 
     def __post_init__(self):
         matrix = np.atleast_2d(np.asarray(self.matrix, dtype=np.float64))
@@ -181,18 +177,10 @@ class CalibrationProblem:
                 raise ValueError("base_weights length differs from rows")
             if not np.all(np.isfinite(base)) or np.any(base <= 0):
                 raise ValueError("base_weights must be positive and finite")
-        counts = self.row_counts
-        if counts is not None:
-            counts = np.asarray(counts, dtype=np.float64)
-            if counts.shape[0] != matrix.shape[0]:
-                raise ValueError("row_counts length differs from rows")
-            if not np.all(np.isfinite(counts)) or np.any(counts <= 0):
-                raise ValueError("row_counts must be positive and finite")
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "column_names", tuple(names))
         object.__setattr__(self, "base_weights", base)
-        object.__setattr__(self, "row_counts", counts)
 
     @property
     def n(self) -> int:
@@ -454,8 +442,8 @@ def solve_many(
     columns where the boolean ``columns[b]`` is True (every column by
     default); ``warm_start[b]`` is its starting dual, aligned with all
     columns. Any of these may be given once, unstacked, for every problem;
-    targets, base weights and counts not given are the problem's own (1 per
-    row where it has none).
+    targets and base weights not given are the problem's own (1 per row
+    where it has none), and counts not given are 1 per row.
 
     Returns, per problem, what a stack of that problem alone gives on its
     own cells and columns from the same warm start, to the bit: a
@@ -471,12 +459,10 @@ def solve_many(
     ones = np.ones(k)
     if base_weights is None:
         base_weights = ones if problem.base_weights is None else problem.base_weights
-    if row_counts is None:
-        row_counts = ones if problem.row_counts is None else problem.row_counts
     given = [
         ("targets", problem.targets if targets is None else targets, p, np.float64),
         ("base_weights", base_weights, k, np.float64),
-        ("row_counts", row_counts, k, np.float64),
+        ("row_counts", ones if row_counts is None else row_counts, k, np.float64),
         ("warm_start", np.zeros(p) if warm_start is None else warm_start, p, np.float64),
         ("columns", np.ones(p, dtype=bool) if columns is None else columns, p, bool),
     ]
@@ -583,9 +569,11 @@ def _newton_batch(cols, names, targets, base, lam, cut, idle):
     product, so no digits cancel when one cell carries nearly all the mass.
     A problem's phase-1 program runs at most once: at its first rejected
     step or first Hessian past ``ILL_CONDITIONED``, raising when its slack
-    exceeds what ``TOL`` allows, or else after the last step if the problem
-    has not converged. Returns per problem a ``WeightVector`` or the
-    ``InfeasibleTargetsError`` naming its broken constraint and cut columns.
+    exceeds max(``INFEASIBLE_SLACK``, p * ``TOL``), or else after the last
+    step if the problem has not converged. A problem that ends unconverged
+    raises when its slack exceeds ``INFEASIBLE_SLACK`` alone. Returns per
+    problem a ``WeightVector`` or the ``InfeasibleTargetsError`` naming its
+    broken constraint and cut columns.
     """
     # softmax ignores a column's offset, which would only cost the logits
     # digits, so each column is taken about its mean over the cells
@@ -607,14 +595,16 @@ def _newton_batch(cols, names, targets, base, lam, cut, idle):
     growth = np.full(m, _MU_FACTOR)  # mu's factor at the next rejection
     slack: dict = {}  # by position, for each problem whose program ran
     results: list = [None] * m
+    loose = max(INFEASIBLE_SLACK, p * TOL)  # while iterating, what TOL allows
 
-    def phase1(positions):
+    def phase1(positions, threshold):
+        # the program runs once per problem; a slack above threshold is its result
         for pos in positions:
-            if pos in slack:
-                continue
-            threshold = max(INFEASIBLE_SLACK, p * TOL)
             try:
-                slack[pos] = _classify_failure(cols, targets[pos], names, threshold)
+                if pos not in slack:
+                    slack[pos] = _classify_failure(cols, targets[pos], names, threshold)
+                elif slack[pos] is not None and slack[pos].sum() > threshold:
+                    _raise_joint(cols, targets[pos], names, slack[pos])
             except InfeasibleTargetsError as err:
                 err.dropped_columns = tuple(names[cut[pos]])
                 slack[pos], results[pos] = None, err
@@ -649,7 +639,7 @@ def _newton_batch(cols, names, targets, base, lam, cut, idle):
         singular = -np.sort(-np.abs(np.linalg.eigvalsh(hess)), axis=1)
         largest = singular[:, 0]
         ill = largest >= ILL_CONDITIONED * singular[np.arange(live.size), free[live] - 1]
-        phase1(live[ill])
+        phase1(live[ill], loose)
         # Marquardt's scaling: each column is damped in proportion to its own
         # curvature, so a column's units do not decide how far it may move
         damping = np.maximum(mu[live], np.where(ill, _EIGEN_FLOOR, 0.0))
@@ -684,7 +674,7 @@ def _newton_batch(cols, names, targets, base, lam, cut, idle):
         lam[accept], prob[accept], objective[accept] = (
             cand[accept], cand_prob[accept], cand_obj[accept]
         )
-        phase1(live[~accept])
+        phase1(live[~accept], loose)
         go = np.asarray([results[pos] is None for pos in live.tolist()], dtype=bool)
         if not go.all():
             live, prob, lam, objective = live[go], prob[go], lam[go], objective[go]
@@ -699,16 +689,9 @@ def _newton_batch(cols, names, targets, base, lam, cut, idle):
     violations = np.abs((phi_t @ (w / n)[:, :, None])[:, :, 0] - goal).max(axis=1, initial=0.0)
     for pos in np.flatnonzero([r is None for r in results]):
         converged = bool(violations[pos] <= TOL)
-        if not converged:
-            # raises when the targets are the problem
-            try:
-                if pos not in slack:
-                    _classify_failure(cols, targets[pos], names)
-                elif slack[pos] is not None and slack[pos].sum() > INFEASIBLE_SLACK:
-                    _raise_joint(cols, targets[pos], names, slack[pos])
-            except InfeasibleTargetsError as err:
-                err.dropped_columns = tuple(names[cut[pos]])
-                results[pos] = err
+        if not converged:  # a NaN violation goes to the program too
+            phase1([pos], INFEASIBLE_SLACK)
+            if results[pos] is not None:
                 continue
         diag = RakingDiagnostics(
             converged=converged,

@@ -29,7 +29,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Callable
@@ -58,7 +58,8 @@ class _Run:
             raise ConfigError("--config is required for this command")
         cfg, self.sha = load_config(args.config)
         out = args.out if args.out is not None else os.environ.get("SURVEYSENSE_OUT")
-        return cfg.with_overrides(out=out, seed=args.seed)
+        overrides = {"out": out, "seed": args.seed}
+        return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
     @cached_property
     def out(self) -> Path:
@@ -96,7 +97,8 @@ class _Run:
             self.pipeline.scale, cfg.require_b_star(),
             rho_step=cfg.rho_step, r2_step=cfg.r2_step, r2_max=cfg.r2_max,
         )
-        return grid.with_benchmarks([(r.label, r.rho, r.r2) for r in records if r.converged])
+        return replace(grid, benchmark_points=tuple(
+            (r.label, r.rho, r.r2) for r in records if r.converged))
 
     @cached_property
     def sweep(self):
@@ -122,8 +124,7 @@ class _Run:
         else:  # detect reads the survey alone
             frame = _layer("report").load_survey(cfg)
         return detect(
-            {name: frame.column(name) for name in frame.columns},
-            {name: frame.kind(name) for name in frame.columns},
+            frame.columns, frame.kinds,
             cfg.outcome, cfg.detection_sampling_set, cfg.detection_partial,
             lam=cfg.detection_lambda, seed=cfg.seed,
         )

@@ -125,6 +125,9 @@ class RunConfig:
                     f"op ({' '.join(_FILTER_OPS)}) and value, not {spec!r}"
                 )
             numeric = self.schema[spec["column"]] != "categorical"
+            if not numeric and spec["op"] not in ("==", "!="):
+                raise ConfigError(f"filters[{i}] op {spec['op']!r} needs a numeric column, "
+                                  f"{spec['column']!r} is categorical")
             if numeric and not _is_number(spec["value"]):
                 raise ConfigError(f"filters[{i}] value must be a number for numeric column "
                                   f"{spec['column']!r}, not {spec['value']!r}")
@@ -144,19 +147,6 @@ class RunConfig:
                 "(it is a substantive choice with no default)"
             )
         return self.b_star
-
-    def with_overrides(
-        self,
-        *,
-        out: str | None = None,
-        seed: int | None = None,
-    ) -> "RunConfig":
-        changes: dict[str, Any] = {}
-        if out is not None:
-            changes["out"] = out
-        if seed is not None:
-            changes["seed"] = seed
-        return replace(self, **changes) if changes else self
 
 
 def _rule(*checks, convert=None):

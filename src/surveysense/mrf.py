@@ -59,6 +59,10 @@ _PROB_CLIP = 1e-9
 _MAX_OUTER = 60
 #: largest coefficient change of a sweep or an IRLS step that counts as settled
 _TOL = 1e-7
+#: ``lam="cv"``: folds, and a geometric path from lambda_max down to a ratio of it
+_FOLDS = 10
+_N_LAMBDAS = 30
+_LAMBDA_MIN_RATIO = 0.01
 
 
 def _cd_stack(gram, grad, lam, beta, *, intercept, active_set, max_sweeps, active_only=None):
@@ -419,9 +423,6 @@ def fit_mrf(
     *,
     lam: float | str = "cv",
     seed: int = 0,
-    folds: int = 10,
-    n_lambdas: int = 30,
-    lambda_min_ratio: float = 0.01,
 ) -> MixedGraph:
     """Estimate the conditional-independence graph of the given columns.
 
@@ -459,9 +460,9 @@ def fit_mrf(
         lam_max = _lambda_max(x, response, kinds[name])
         designs.append((x, response, lam_max))
         if lam == "cv" and lam_max != 0.0:
-            path = np.geomspace(lam_max, lam_max * lambda_min_ratio, n_lambdas)
-            fold_id = _fold_ids(n, folds, stream_for_node(seed, i))
-            cv[i] = _CVNode(x, response, kinds[name], path, fold_id, folds)
+            path = np.geomspace(lam_max, lam_max * _LAMBDA_MIN_RATIO, _N_LAMBDAS)
+            fold_id = _fold_ids(n, _FOLDS, stream_for_node(seed, i))
+            cv[i] = _CVNode(x, response, kinds[name], path, fold_id, _FOLDS)
     # then every node's folds at once
     all_losses, all_stopped = _cv_losses(list(cv.values()))
     cv_fits = dict(zip(cv, zip(all_losses, all_stopped)))
@@ -497,7 +498,7 @@ def fit_mrf(
             flags.append(f"{name}: {x.shape[1]} parameters for {n} rows")
         if i in cv and cv_fits[i][1]:
             flags.append(
-                f"{name}: {cv_fits[i][1]} of {folds} CV fold fits stopped at the iteration limit"
+                f"{name}: {cv_fits[i][1]} of {_FOLDS} CV fold fits stopped at the iteration limit"
             )
         if i not in fits:
             continue

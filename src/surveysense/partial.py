@@ -28,7 +28,6 @@ from .calibrate import (
     WeightVector,
     design_cells,
     solve_many,
-    solve_raking,
     weighted_mean,
     weighted_se,
 )
@@ -95,9 +94,9 @@ def partial_sweep(
     v: np.ndarray,
     y: np.ndarray,
     *,
+    baseline: WeightVector,
     label: str = "V",
     grid: np.ndarray | None = None,
-    baseline: WeightVector | None = None,
 ) -> PartialSweep:
     """Estimate the outcome under each posited margin for ``v``.
 
@@ -112,9 +111,8 @@ def partial_sweep(
         variable and to the standardized-offset grid otherwise. The
         baseline margin is always inserted so the curve passes through
         the unaugmented solution.
-    baseline : WeightVector, optional
-        Solved baseline; computed here when absent. Its tilt warm-starts
-        every grid point.
+    baseline : WeightVector
+        The solved baseline. Its tilt warm-starts every grid point.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.shape[0] != problem.n:
@@ -127,8 +125,6 @@ def partial_sweep(
     if np.ptp(v) == 0.0:
         raise ValueError(f"{label!r} is constant; nothing to sweep")
 
-    if baseline is None:
-        baseline = solve_raking(problem)
     baseline_t = weighted_mean(v, baseline.values)
     baseline_mu = weighted_mean(y, baseline.values)
 
@@ -144,15 +140,11 @@ def partial_sweep(
     mass = np.bincount(cell_of_row, weights=q)
     counts = np.bincount(cell_of_row).astype(np.float64)
     augmented = CalibrationProblem(
-        cells,
-        np.append(problem.targets, baseline_t),
-        column_names=problem.column_names + (label,),
-        base_weights=mass,
-        row_counts=counts,
+        cells, np.append(problem.targets, baseline_t), column_names=problem.column_names + (label,)
     )
     targets = np.column_stack([np.tile(problem.targets, (grid.size, 1)), grid])
     warm = np.append(baseline.dual_for(problem.column_names), 0.0)
-    outcomes = solve_many(augmented, targets, warm_start=warm)
+    outcomes = solve_many(augmented, targets, mass, counts, warm_start=warm)
     if cut := {name for outcome in outcomes for name in outcome.dropped_columns}:
         logger.warning("sweep of %r: dropping dependent constraint columns: %s",
                        label, ", ".join(sorted(cut, key=augmented.column_names.index)))

@@ -3,7 +3,7 @@
 Ground truth comes in two layers:
 
 * ``generate`` draws a finite population from a discrete-cell covariate law
-  with a cell-dependent binary (or normal) confounder, a logistic selection
+  with a cell-dependent binary confounder, a logistic selection
   model, and a linear outcome model.
 * ``oracle_decomposition`` computes, for one drawn sample, the ideal
   inverse-probability weights, their projection onto the covariate cells
@@ -69,8 +69,7 @@ class SyntheticDGP:
 
     Selection follows logit P(S=1 | cell, U) = sel_intercept +
     features(cell) . sel_coef + sel_u_coef * U; the outcome is linear with
-    Gaussian noise. ``u_kind`` "binary" draws U ~ Bernoulli(u_param[cell]),
-    "normal" draws U ~ N(u_param[cell], 1).
+    Gaussian noise. U ~ Bernoulli(u_param[cell]).
     """
 
     n_population: int
@@ -85,7 +84,6 @@ class SyntheticDGP:
     out_u_coef: float
     noise_sd: float
     seed: int
-    u_kind: str = "binary"
 
     def __post_init__(self):
         probs = np.asarray(self.cell_probs, dtype=np.float64)
@@ -95,9 +93,7 @@ class SyntheticDGP:
             raise ValueError("one feature row per cell required")
         if len(self.u_param) != len(self.cell_probs):
             raise ValueError("one confounder parameter per cell required")
-        if self.u_kind not in ("binary", "normal"):
-            raise ValueError(f"unknown u_kind {self.u_kind!r}")
-        if self.u_kind == "binary" and not all(0 < p < 1 for p in self.u_param):
+        if not all(0 < p < 1 for p in self.u_param):
             raise ValueError("binary confounder prevalences must lie in (0, 1)")
         if self.noise_sd < 0:
             raise ValueError("noise_sd must be nonnegative")
@@ -156,11 +152,7 @@ def generate(dgp: SyntheticDGP, replication: int = 0) -> Population:
     rng_cells = stream(dgp.seed, replication, STAGE_COVARIATES)
     cell = rng_cells.choice(dgp.n_cells, size=n, p=np.asarray(dgp.cell_probs))
     rng_u = stream(dgp.seed, replication, STAGE_CONFOUNDER)
-    params = np.asarray(dgp.u_param)[cell]
-    if dgp.u_kind == "binary":
-        u = (rng_u.random(n) < params).astype(np.float64)
-    else:
-        u = params + rng_u.standard_normal(n)
+    u = (rng_u.random(n) < np.asarray(dgp.u_param)[cell]).astype(np.float64)
     rng_y = stream(dgp.seed, replication, STAGE_OUTCOME)
     y = dgp.outcome_mean(cell, u) + dgp.noise_sd * rng_y.standard_normal(n)
     return Population(

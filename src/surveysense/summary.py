@@ -108,11 +108,6 @@ class ContourGrid:
     b_star: float
     benchmark_points: tuple[tuple[str, float, float], ...] = field(default=())
 
-    def with_benchmarks(self, points) -> "ContourGrid":
-        from dataclasses import replace
-
-        return replace(self, benchmark_points=tuple(points))
-
 
 def contour_grid(
     scale: ObservedScale,

@@ -108,9 +108,13 @@ def _text(at: str, style: str, text: str) -> str:
     return f'<text {at} font-family="Helvetica, Arial, sans-serif" {style}>{text}</text>'
 
 
+def _points(points: list[tuple[float, float]]) -> str:
+    """A ``points`` attribute's value: each pixel pair to two decimals."""
+    return " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
+
+
 def _polyline(points: list[tuple[float, float]], style: str) -> str:
-    coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
-    return f'<polyline points="{coords}" fill="none" {style}/>'
+    return f'<polyline points="{_points(points)}" fill="none" {style}/>'
 
 
 def _svg(width: int, height: int, parts: list[str]) -> str:
@@ -172,10 +176,9 @@ def render_contour(grid: ContourGrid) -> str:
                            for r, b in zip(rhos[inside], bounds[inside])]
             top_edge = [(frame.x(rhos[inside][-1]), frame.y(frame.y1)),
                         (frame.x(rhos[inside][0]), frame.y(frame.y1))]
-            coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in boundary_px + top_edge)
             parts.append(
-                f'<polygon points="{coords}" fill="#e8534a" fill-opacity="0.18" '
-                'stroke="none"/>'
+                f'<polygon points="{_points(boundary_px + top_edge)}" fill="#e8534a" '
+                'fill-opacity="0.18" stroke="none"/>'
             )
             parts.append(_polyline(boundary_px, 'stroke="#c0392b" stroke-width="2"'))
 
@@ -242,10 +245,8 @@ def render_sweep(sweep: PartialSweep) -> str:
             continue
         band_up = [(frame.x(p.t_v), frame.y(p.estimate + p.se)) for p in run]
         band_dn = [(frame.x(p.t_v), frame.y(p.estimate - p.se)) for p in reversed(run)]
-        coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in band_up + band_dn)
-        parts.append(
-            f'<polygon points="{coords}" fill="#1d5fa8" fill-opacity="0.12" stroke="none"/>'
-        )
+        parts.append(f'<polygon points="{_points(band_up + band_dn)}" fill="#1d5fa8" '
+                     'fill-opacity="0.12" stroke="none"/>')
         line = [(frame.x(p.t_v), frame.y(p.estimate)) for p in run]
         parts.append(_polyline(line, 'stroke="#1d5fa8" stroke-width="2"'))
 

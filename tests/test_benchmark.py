@@ -95,7 +95,7 @@ def test_loo_weights_drop_all_sourced_columns(solved):
     assert loo.constraint_ids == ("x2", "x3")
     assert loo.diagnostics.converged
     with pytest.raises(ValueError, match="not among"):
-        loo_weights(problem, "income")
+        loo_weights(problem, "income", baseline=full)
 
 
 class TestBenchmark:

@@ -33,9 +33,10 @@ def test_bias_sign_follows_rho():
 def test_bias_at_r2_one_needs_ideal_variance():
     scale = ObservedScale(var_y=1.0, var_w=1.0, mu_hat=0.0)
     params = SensitivityParams(rho=1.0, r2=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"R2 = 1 needs var\(w_ideal\)"):
         bias(params, scale)
-    assert bias(params, scale, var_w_ideal=4.0) == pytest.approx(2.0)
+    with pytest.raises(ValueError, match=r"R2 = 1"):
+        adjusted_estimate(params, scale)
 
 
 def test_adjusted_estimate_removes_bias():

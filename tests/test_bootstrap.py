@@ -26,7 +26,7 @@ def test_same_seed_same_interval(outcome):
     problem, y = outcome
     a = bootstrap_interval(problem, y, ZERO, b=150, seed=7)
     b = bootstrap_interval(problem, y, ZERO, b=150, seed=7)
-    assert a.interval == b.interval
+    assert (a.lower, a.upper) == (b.lower, b.upper)
     assert np.array_equal(a.draws, b.draws)
     c = bootstrap_interval(problem, y, ZERO, b=150, seed=8)
     assert not np.array_equal(a.draws, c.draws)

@@ -508,12 +508,10 @@ class TestSolveRaking:
         names = ("a", "b")
         rows = CalibrationProblem(np.repeat(cells, [5000, 5000, 1], axis=0), targets,
                                   column_names=names)
-        weighted = CalibrationProblem(cells, targets, column_names=names,
-                                      base_weights=counts, row_counts=counts)
         unweighted = CalibrationProblem(cells, targets, column_names=names,
                                         base_weights=counts)
         by_rows = solve_raking(rows)
-        by_cells = solve_raking(weighted)
+        (by_cells,) = solve_many(unweighted, row_counts=counts)
         assert by_rows.diagnostics.dropped_columns == ("b",)
         assert by_cells.diagnostics.dropped_columns == ("b",)
         assert solve_raking(unweighted).diagnostics.dropped_columns == ()

@@ -237,10 +237,10 @@ def test_solve_many_matches_solve_raking_on_each_problem(stack):
         alone = CalibrationProblem(
             problem.matrix[np.ix_(own, keep)], targets[i, keep],
             column_names=tuple(names[keep]), base_weights=mass[i, own],
-            row_counts=counts[i, own],
         )
         # the stack of one that solve_raking solves, from the same warm start
-        (want,) = solve_many(alone, warm_start=None if warm is None else warm[i, keep])
+        (want,) = solve_many(alone, row_counts=counts[i, own],
+                             warm_start=None if warm is None else warm[i, keep])
         if isinstance(want, InfeasibleTargetsError):
             event("infeasible")
             assert isinstance(got, InfeasibleTargetsError)
@@ -278,8 +278,7 @@ def row_level_solve(problem, warm_start=None):
             continue
         if not (lo < t < hi):
             raise InfeasibleTargetsError(problem.column_names[j], t, (lo, hi))
-    counts = np.ones(n) if problem.row_counts is None else problem.row_counts
-    (dropped_idx,) = rank_guard(problem.matrix, counts)
+    (dropped_idx,) = rank_guard(problem.matrix, np.ones(n))
     plain = not dropped_idx
     kept = np.asarray([j for j in range(problem.p) if j not in dropped_idx], dtype=int)
     raw, raw_t = problem.matrix[:, kept], problem.targets[kept]

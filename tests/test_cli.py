@@ -594,6 +594,12 @@ def test_bad_seed_flag_exits_2(capsys, demo_bundle, tmp_path, command, seed):
                                 "y": "continuous"},
                     "weighting": {"variables": ["x1", "x2"]}, "sweep": {"variable": "x3"}},
          "sweep.variable must be binary or continuous: ['x3']"),
+        # an ordering op on a categorical column, refused before the survey
+        # (which lacks grp) is read
+        ("weight", {"columns": {"x1": "binary", "x2": "binary", "x3": "binary",
+                                "y": "continuous", "grp": "categorical"},
+                    "filters": [{"column": "grp", "op": "<", "value": "a"}]},
+         "filters[0] op '<' needs a numeric column, 'grp' is categorical"),
     ],
 )
 def test_config_mistakes_exit_2_at_load(capsys, demo_bundle, tmp_path, command, block, message):
@@ -775,6 +781,61 @@ def test_public_names_are_reached_outside_the_tests():
                  ROOT / "tests" / "test_acceptance.py"]:
         used.update(re.findall(r"\w+", path.read_text()))
     assert sorted(public - used) == []
+
+
+def _defaulted_params(owner, args, skip):
+    """(owner, name, position) of each parameter with a default; position is its
+    index among a call's positional arguments, None when it is keyword-only."""
+    positional = [*args.posonlyargs, *args.args]
+    for i in range(len(positional) - len(args.defaults), len(positional)):
+        yield owner, positional[i].arg, i - skip
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield owner, arg.arg, None
+
+
+def _defaulted_values(tree):
+    """Each defaulted parameter of a module's public functions and methods and
+    each defaulted field of its public dataclasses, named by what a call names."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield from _defaulted_params(node.name, node.args, 0)
+        if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+            continue
+        if any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+            fields = [item for item in node.body if isinstance(item, ast.AnnAssign)]
+            yield from ((node.name, f.target.id, i) for i, f in enumerate(fields) if f.value)
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                static = any(ast.unparse(d) == "staticmethod" for d in item.decorator_list)
+                yield from _defaulted_params(item.name, item.args, 0 if static else 1)
+
+
+def test_defaulted_values_are_set_outside_the_tests():
+    # a default only unit tests change is a setting no user has: each is passed
+    # by keyword to its function, class or dataclasses.replace, or by position
+    # in a call that wide, by the package, the demos, README's python blocks or
+    # the acceptance contract; a RunConfig field is set when a config key names it
+    from surveysense.config import _KEYS
+
+    package = Path(surveysense.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    values = [value for path in modules if path.name != "__init__.py"
+              for value in _defaulted_values(ast.parse(path.read_text()))]
+    sources = [path.read_text() for path in [*modules, *sorted((ROOT / "demos").glob("*.py")),
+                                             ROOT / "tests" / "test_acceptance.py"]]
+    sources += re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    keywords, widest = {("RunConfig", field) for _, field, _ in _KEYS}, {}
+    for call in (node for source in sources for node in ast.walk(ast.parse(source))
+                 if isinstance(node, ast.Call)):
+        name = getattr(call.func, "id", getattr(call.func, "attr", None))
+        keywords.update((name, kw.arg) for kw in call.keywords)
+        width = sum(not isinstance(arg, ast.Starred) for arg in call.args)
+        widest[name] = max(widest.get(name, 0), width)
+    unset = [f"{owner}.{name}" for owner, name, position in values
+             if not {(owner, name), ("replace", name)} & keywords
+             and (position is None or widest.get(owner, 0) <= position)]
+    assert unset == []
 
 
 def test_far_b_star_exits_2_naming_it_before_the_fan_outs(capsys, demo_bundle, tmp_path, monkeypatch):

@@ -23,11 +23,12 @@ def test_a_tree_agrees_with_itself_and_a_report_change_shows(tmp_path):
     runs = compare_trees.run_tree(ROOT, configs, out, bundle=False)
     pairs = sum(len(command.stdout) for name, command in cli._COMMANDS.items()
                 if name != "simulate")
-    assert len(runs) == pairs * len(configs)
+    assert len(runs) == pairs * len(configs) + 1  # and detect_cv with a categorical node
     assert compare_trees.differences(runs, compare_trees.run_tree(ROOT, configs, out, False)) == []
     # the graph jobs' detect runs, at every format, fit, screen and write
     detects = [f"graph-16-s3-{job} detect --format {fmt}"
                for job in ("detect", "detect_cv") for fmt in cli._COMMANDS["detect"].stdout]
+    detects.append("graph-16-s3-detect_cv-n13 detect --format json")
     assert all(runs[label]["exit"] == 0 and runs[label]["files"] for label in detects)
 
     configs = {label: path for label, path in configs.items() if label.startswith("cells-5k")}

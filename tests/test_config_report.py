@@ -1,7 +1,7 @@
 """Config parsing rules and deterministic report assembly."""
 
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -122,9 +122,9 @@ class TestConfigDict:
     def test_seed_range_and_override(self):
         cfg = config_from_dict(minimal_config(seed=2**64 - 1))
         assert cfg.seed == 2**64 - 1
-        assert cfg.with_overrides(seed=0).seed == 0
+        assert replace(cfg, seed=0).seed == 0
         with pytest.raises(ConfigError, match="^seed must be"):
-            cfg.with_overrides(seed=-1)
+            replace(cfg, seed=-1)
 
     @pytest.mark.parametrize(
         "entry",
@@ -209,13 +209,19 @@ class TestConfigDict:
             cfg.require_b_star()
         assert config_from_dict(minimal_config(b_star=2)).require_b_star() == 2.0
 
-    def test_overrides(self):
-        cfg = config_from_dict(minimal_config(seed=5))
-        same = cfg.with_overrides()
-        assert same is cfg
-        bumped = cfg.with_overrides(out="elsewhere", seed=9)
+    def test_overrides(self, tmp_path, monkeypatch):
+        # --out and --seed replace the config's values; a flag not given keeps them
+        from surveysense.cli import _Run
+
+        monkeypatch.delenv("SURVEYSENSE_OUT", raising=False)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(minimal_config(seed=5)))
+        cfg, _ = load_config(str(path))
+        same = _Run(SimpleNamespace(config=str(path), out=None, seed=None)).cfg
+        assert same == cfg
+        bumped = _Run(SimpleNamespace(config=str(path), out="elsewhere", seed=9)).cfg
         assert (bumped.out, bumped.seed) == ("elsewhere", 9)
-        assert cfg.seed == 5  # original untouched
+        assert bumped == replace(cfg, out="elsewhere", seed=9)
 
 
 class TestLoadConfig:

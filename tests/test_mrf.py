@@ -549,7 +549,8 @@ def _row_form_path(*args, **kwargs):
 @pytest.mark.parametrize("lam", [0.08, "cv"])
 def test_fit_mrf_matches_row_form_oracle(lam):
     cols, kinds = _mixed_16_node_sample(300, seed=4)
-    got = fit_mrf(cols, kinds, lam=lam, seed=1, n_lambdas=12)
+    with mock.patch.object(mrf, "_N_LAMBDAS", 12):
+        got = fit_mrf(cols, kinds, lam=lam, seed=1)
     # every node's folds, and then every node's final fit, in stacks give the
     # bits of the scalar kernel run node by node and fold by fold
     lambdas, weights, flags = _oracle_fit_mrf(cols, kinds, lam=lam, seed=1, n_lambdas=12)
@@ -599,7 +600,9 @@ def test_fits_that_stop_at_a_limit_are_flagged():
     assert fit_mrf(cols, kinds, lam=1e-2).flags == ()
     fixed = fit_mrf(cols, kinds, lam=1e-4)
     assert fixed.flags[0] == "b: the fit stopped at the iteration limit"
-    cv = fit_mrf(cols, kinds, lam="cv", folds=5, n_lambdas=10, lambda_min_ratio=1e-4)
+    with (mock.patch.object(mrf, "_FOLDS", 5), mock.patch.object(mrf, "_N_LAMBDAS", 10),
+          mock.patch.object(mrf, "_LAMBDA_MIN_RATIO", 1e-4)):
+        cv = fit_mrf(cols, kinds, lam="cv")
     assert cv.flags[0] == "b: 5 of 5 CV fold fits stopped at the iteration limit"
     assert "b: the fit stopped at the iteration limit" in cv.flags
     assert not any(f.startswith(("x:", "y:")) for f in cv.flags)
@@ -812,7 +815,8 @@ def test_node_at_its_lambda_max_gets_no_phantom_edges(kind):
         z = rng.standard_normal(300)
         cols["t"] = ((z > 0.0) if kind == "binary" else np.searchsorted([-0.4, 0.4], z)) * 1.0
         kinds = {**dict.fromkeys(cols, "continuous"), "t": kind}
-        graph = fit_mrf(cols, kinds, lam="cv", seed=seed, folds=5, n_lambdas=10)
+        with mock.patch.object(mrf, "_FOLDS", 5), mock.patch.object(mrf, "_N_LAMBDAS", 10):
+            graph = fit_mrf(cols, kinds, lam="cv", seed=seed)
         assert not np.any((graph.weights > 0.0) & (graph.weights < 1e-12))
         x = np.hstack([mrf._predictor_block(cols[m], "continuous", m) for m in cols if m != "t"])
         response = mrf._response_for(cols["t"], kind, "t")

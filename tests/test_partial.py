@@ -58,7 +58,8 @@ class TestPartialSweep:
         problem, _, y = self.build()
         v = problem.matrix[:, 0].copy()
         with caplog.at_level(logging.WARNING):
-            sweep = partial_sweep(problem, v, y, label="v", grid=np.array([0.3, 0.5, 0.7]))
+            sweep = partial_sweep(problem, v, y, label="v", grid=np.array([0.3, 0.5, 0.7]),
+                                  baseline=solve_raking(problem))
         assert [r.getMessage() for r in caplog.records] == [
             "sweep of 'v': dropping dependent constraint columns: v"
         ]
@@ -78,23 +79,25 @@ class TestPartialSweep:
     def test_monotone_response_to_posited_margin(self):
         # y loads positively on v, so raising the posited margin raises mu
         problem, v, y = self.build()
-        sweep = partial_sweep(problem, v, y, grid=np.array([0.2, 0.4, 0.6, 0.8]))
+        sweep = partial_sweep(problem, v, y, grid=np.array([0.2, 0.4, 0.6, 0.8]),
+                              baseline=solve_raking(problem))
         feasible = [p.estimate for p in sweep.points if p.feasible]
         assert feasible == sorted(feasible)
 
     def test_sweep_variable_must_not_be_weighted(self):
         problem, v, y = self.build()
         with pytest.raises(ValueError, match="already a weighting variable"):
-            partial_sweep(problem, v, y, label="x")
+            partial_sweep(problem, v, y, label="x", baseline=solve_raking(problem))
 
     def test_constant_v_rejected(self):
         problem, _, y = self.build()
         with pytest.raises(ValueError, match="constant"):
-            partial_sweep(problem, np.ones(problem.n), y)
+            partial_sweep(problem, np.ones(problem.n), y, baseline=solve_raking(problem))
 
     def test_out_of_range_margin_flagged_infeasible(self):
         problem, v, y = self.build()
-        sweep = partial_sweep(problem, v, y, grid=np.array([0.5, 1.0]))
+        sweep = partial_sweep(problem, v, y, grid=np.array([0.5, 1.0]),
+                              baseline=solve_raking(problem))
         flags = {p.t_v: p.feasible for p in sweep.points}
         assert flags[1.0] is False
         assert flags[0.5] is True

@@ -72,8 +72,6 @@ def test_dgp_validation():
         dataclasses.replace(good, cell_probs=(0.5,) * 8)
     with pytest.raises(ValueError, match="prevalences"):
         dataclasses.replace(good, u_param=(0.0,) * 8)
-    with pytest.raises(ValueError, match="u_kind"):
-        dataclasses.replace(good, u_kind="poisson")
 
 
 class TestOracleDecomposition:
@@ -132,8 +130,6 @@ def expected_decomposition(dgp: SyntheticDGP) -> ExpectedDecomposition:
     conditional mean and variance (noise_sd), which is all the covariance
     and variance terms need.
     """
-    if dgp.u_kind != "binary":
-        raise NotImplementedError("atom enumeration needs a binary confounder")
     cells = np.arange(dgp.n_cells)
     cell_idx = np.repeat(cells, 2)
     u_val = np.tile([0.0, 1.0], dgp.n_cells)
@@ -199,11 +195,6 @@ class TestExpectedDecomposition:
         # positive confounder effects in both models push mu_hat above mu
         assert limit.bias > 0.0
         assert limit.mu_hat_limit > limit.mu_true
-
-    def test_normal_confounder_unsupported(self):
-        dgp = dataclasses.replace(three_covariate_dgp(), u_kind="normal")
-        with pytest.raises(NotImplementedError):
-            expected_decomposition(dgp)
 
 
 class TestGaussianMRF:

@@ -122,12 +122,6 @@ class TestContourGrid:
         far = self.build(mu_hat=100.0)
         assert killer_region_area(far) == 0.0
 
-    def test_with_benchmarks_returns_new_grid(self):
-        grid = self.build()
-        tagged = grid.with_benchmarks([("age", 0.2, 0.1)])
-        assert tagged.benchmark_points == (("age", 0.2, 0.1),)
-        assert grid.benchmark_points == ()
-
     def test_grid_matches_pointwise_formula(self):
         grid = self.build(mu_hat=2.0, b_star=0.5)
         i, j = 3, 4

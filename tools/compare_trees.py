@@ -8,10 +8,14 @@ checkout). Each tree then runs in one fresh interpreter with its own
 ``src/`` first on ``sys.path``, calling ``cli.main`` in turn for every
 subcommand at every ``--format`` its ``cli._COMMANDS`` entry lists, on
 every job config of cells-5k, rows-10k and graph-16, then ``simulate``
-and the same subcommands on the simulate bundle's config. A copy of that
-config weights on x1 and x2 alone and sweeps x3 on the default grid, which
-no job config leaves to the program; ``partial`` and ``summary`` run on it
-at every format. Both trees
+and the same subcommands on the simulate bundle's config. Copies of
+configs reach paths no job config takes: each graph-16 ``detect_cv``
+config with the categorical n13 added runs ``detect --format json`` (a
+multinomial node under cross validation); copies of the bundle's config
+weight on x1 and x2 alone and sweep x3 on the default grid (``partial``
+and ``summary``), bootstrap with fixed weights (``bootstrap``) and drop
+the few rows with y >= 6.5 by a filter (``summary``), each at every
+format. Both trees
 write to the same output paths, cleared between trees, so the paths they
 print agree; each tree's root is masked in its stderr.
 
@@ -115,14 +119,28 @@ def _child(plan_path: str) -> None:
 
     for label, config in plan["configs"].items():
         every_command(label, config)
+        if label.startswith("graph-16-") and label.endswith("-detect_cv"):
+            # a categorical node under cross validation
+            spec = json.loads(Path(config).read_text())
+            spec["columns"]["n13"] = "categorical"
+            copy = Path(config).with_name("detect_cv_n13.json")
+            copy.write_text(json.dumps(spec))
+            where = out / f"{label}-n13"
+            call(f"{label}-n13 detect --format json",
+                 ["detect", "--config", str(copy), "--out", str(where), "--format", "json"], where)
     if plan["bundle"]:
         bundle = out / "bundle"
         call("simulate", ["simulate", "--out", str(bundle)], bundle)
         every_command("bundle", str(bundle / "config.json"))
         config = json.loads((bundle / "config.json").read_text())
-        config.update(weighting={"variables": ["x1", "x2"]}, sweep={"variable": "x3"})
-        (bundle / "sweep.json").write_text(json.dumps(config))
-        every_command("bundle-sweep", str(bundle / "sweep.json"), ("partial", "summary"))
+        for name, changes, commands in (
+            ("sweep", {"weighting": {"variables": ["x1", "x2"]}, "sweep": {"variable": "x3"}},
+             ("partial", "summary")),
+            ("fixed", {"bootstrap": {"reestimate": False}}, ("bootstrap",)),
+            ("filtered", {"filters": [{"column": "y", "op": "<", "value": 6.5}]}, ("summary",)),
+        ):
+            (bundle / f"{name}.json").write_text(json.dumps({**config, **changes}))
+            every_command(f"bundle-{name}", str(bundle / f"{name}.json"), commands)
     (Path(plan_path).parent / "runs.json").write_text(json.dumps(runs))
 
 
