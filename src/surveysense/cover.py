@@ -14,7 +14,6 @@ reports the cover using as few partial nodes as possible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from math import ceil
 
 import numpy as np
@@ -166,19 +165,15 @@ def solve_separating_set(pmat: PathMatrix, partial: tuple[str, ...] = ()) -> Sep
         )
     partial_idx = {pmat.columns.index(name) for name in partial}
 
-    all_rows = [frozenset(compress(range(len(pmat.columns)), row)) for row in pmat.matrix.tolist()]
+    all_rows = list(pmat.rows)
     allowed_rows = [row.difference(partial_idx) for row in all_rows]
     blocked = [r for r, row in enumerate(allowed_rows) if not row]
 
     if blocked:
-        status = (
-            STATUS_DIRECT
-            if any(pmat.is_direct[r] for r in blocked)
-            else STATUS_NONE
-        )
+        status = STATUS_DIRECT if any(len(pmat.paths[r]) == 2 for r in blocked) else STATUS_NONE
         penalty = float(len(pmat.columns) + 1)
         costs = {j: penalty if j in partial_idx else 1.0 for j in range(len(pmat.columns))}
-        cover, _ = _min_cost_cover(all_rows, costs)
+        cover, explored = _min_cost_cover(all_rows, costs)
         relaxed_nodes = tuple(sorted(pmat.columns[j] for j in cover))
         relaxed_partial = tuple(name for name in relaxed_nodes if name in set(partial))
         return SeparatingSetResult(
@@ -188,7 +183,7 @@ def solve_separating_set(pmat: PathMatrix, partial: tuple[str, ...] = ()) -> Sep
             blocked_paths=tuple(pmat.paths[r] for r in blocked),
             relaxed_nodes=relaxed_nodes,
             relaxed_partial=relaxed_partial,
-            nodes_explored=0,
+            nodes_explored=explored,
         )
 
     costs = {j: 1.0 for j in range(len(pmat.columns))}

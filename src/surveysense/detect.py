@@ -2,14 +2,16 @@
 
 Fits the conditional-dependence graph from raw columns, enumerates every
 dependence path between the outcome and the sampling set, and solves for
-a smallest fully observed blocking set, which a walk over the graph then
-confirms. The report says what to weight on, or why no defensible set
-exists and what to do instead.
+a smallest fully observed blocking set. A breadth-first walk over the
+graph then looks for a path the set misses (one longer than path
+enumeration reaches); each such path becomes one more row of the cover,
+which is solved again until the walk finds none. The report says what to
+weight on, or why no defensible set exists and what to do instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -17,13 +19,12 @@ import numpy as np
 from .cover import (
     STATUS_DIRECT,
     STATUS_FOUND,
-    STATUS_NONE,
     SeparatingSetResult,
     solve_separating_set,
 )
 from .errors import DetectionError
 from .mrf import MixedGraph, fit_mrf
-from .paths import MAX_PATH_EDGES, PathMatrix, enumerate_paths
+from .paths import PathMatrix, enumerate_paths
 
 __all__ = ["DetectionReport", "detect", "graph_to_dot"]
 
@@ -138,9 +139,16 @@ def detect(
 
     graph = fit_mrf(columns, kinds, lam=lam, seed=seed)
     pmat = enumerate_paths(graph, outcome, tuple(sampling_set))
-    result = solve_separating_set(pmat, tuple(partial))
-    blockers = result.nodes if result.status == STATUS_FOUND else result.relaxed_nodes
-    _check_separated(graph, outcome, tuple(sampling_set), blockers)
+    while True:
+        result = solve_separating_set(pmat, tuple(partial))
+        blockers = result.nodes if result.status == STATUS_FOUND else result.relaxed_nodes
+        leak = _shortest_leak(graph, outcome, tuple(sampling_set), blockers)
+        if leak is None:
+            break
+        # every separator blocks this path too, and the set misses it, so the
+        # loop adds a new row each time and ends
+        row = frozenset(pmat.columns.index(name) for name in leak[1:])
+        pmat = replace(pmat, rows=(*pmat.rows, row), paths=(*pmat.paths, leak))
     return DetectionReport(
         graph=graph,
         path_matrix=pmat,
@@ -152,29 +160,30 @@ def detect(
     )
 
 
-def _check_separated(
+def _shortest_leak(
     graph: MixedGraph, outcome: str, sampling_set: tuple[str, ...], blockers: tuple[str, ...]
-) -> None:
-    """Raise ``DetectionError`` naming each sampling node that a walk over
-    ``graph`` from the outcome still reaches with ``blockers`` removed: one
-    joined to it only by paths longer than ``MAX_PATH_EDGES`` edges, which
-    path enumeration does not record, so no blocker was chosen for them."""
+) -> tuple[str, ...] | None:
+    """The shortest path from the outcome to the first sampling node that a
+    breadth-first walk over ``graph``, in node order, reaches without passing
+    a node of ``blockers``; None when the blockers separate them."""
     adjacency = graph.adjacency()
     index = {name: i for i, name in enumerate(graph.names)}
+    targets = {index[name] for name in sampling_set}
     cut = {index[name] for name in blockers}
-    seen, frontier = {index[outcome]}, [index[outcome]]
-    while frontier:
-        for j in np.flatnonzero(adjacency[frontier.pop()]).tolist():
-            if j not in seen and j not in cut:
-                seen.add(j)
-                frontier.append(j)
-    leaks = [name for name in sampling_set if index[name] in seen]
-    if leaks:
-        raise DetectionError(
-            f"sampling-set node(s) {leaks} stay connected to {outcome!r} past the blocking set "
-            f"{list(blockers)}, by paths longer than the {MAX_PATH_EDGES} edges "
-            "(MAX_PATH_EDGES) that path enumeration covers"
-        )
+    parent = {index[outcome]: None}
+    order = [index[outcome]]
+    for i in order:
+        for j in np.flatnonzero(adjacency[i]).tolist():
+            if j in parent or j in cut:
+                continue
+            parent[j] = i
+            if j in targets:
+                path = [j]
+                while parent[path[-1]] is not None:
+                    path.append(parent[path[-1]])
+                return tuple(graph.names[k] for k in reversed(path))
+            order.append(j)
+    return None
 
 
 def graph_to_dot(report: DetectionReport) -> str:

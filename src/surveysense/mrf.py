@@ -460,8 +460,10 @@ def fit_mrf(
         lam_max = _lambda_max(x, response, kinds[name])
         designs.append((x, response, lam_max))
         if lam == "cv" and lam_max != 0.0:
+            from .simulate import STAGE_GRAPH, stream  # the fold streams; CV alone loads it
+
             path = np.geomspace(lam_max, lam_max * _LAMBDA_MIN_RATIO, _N_LAMBDAS)
-            fold_id = _fold_ids(n, _FOLDS, stream_for_node(seed, i))
+            fold_id = _fold_ids(n, _FOLDS, stream(seed, i, STAGE_GRAPH))
             cv[i] = _CVNode(x, response, kinds[name], path, fold_id, _FOLDS)
     # then every node's folds at once
     all_losses, all_stopped = _cv_losses(list(cv.values()))
@@ -526,8 +528,3 @@ def fit_mrf(
         flags=tuple(flags),
     )
 
-
-def stream_for_node(seed: int, node_index: int) -> np.random.Generator:
-    from .simulate import STAGE_GRAPH, stream
-
-    return stream(seed, node_index, STAGE_GRAPH)

@@ -1,11 +1,10 @@
 """Simple-path enumeration between the outcome and the sampling set.
 
 Every simple path from the outcome node to any sampling-set node is a
-dependence channel that weighting must block. Paths are collected into a
-binary matrix with one row per path and one column per candidate node
-(every node except the outcome); a row marks the nodes lying on that path,
+dependence channel that weighting must block. Each path becomes one row:
+the set of candidate nodes (every node except the outcome) lying on it,
 all of which are eligible to block it by conditioning. A direct edge has a
-single marked node, its own endpoint.
+single candidate, its own endpoint.
 """
 
 from __future__ import annotations
@@ -27,17 +26,22 @@ PATH_CAP = 1_000_000
 class PathMatrix:
     """Paths as rows over candidate blocker columns.
 
-    ``matrix[r, c]`` is True when candidate ``columns[c]`` lies on path r
-    (the outcome is never a candidate). ``paths`` keeps the full node
+    ``rows[r]`` holds the indices into ``columns`` of the candidates on path
+    r (the outcome is never a candidate). ``paths`` keeps the full node
     sequences for certificates and reporting.
     """
 
-    outcome: str
     columns: tuple[str, ...]
-    matrix: np.ndarray  # bool (n_paths, n_candidates)
+    rows: tuple[frozenset[int], ...]
     paths: tuple[tuple[str, ...], ...]
-    terminals: tuple[str, ...]
-    is_direct: tuple[bool, ...]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The rows as a bool (n_paths, n_candidates) matrix."""
+        matrix = np.zeros((len(self.rows), len(self.columns)), dtype=bool)
+        for r, row in enumerate(self.rows):
+            matrix[r, list(row)] = True
+        return matrix
 
     @property
     def n_paths(self) -> int:
@@ -93,15 +97,8 @@ def enumerate_paths(graph: MixedGraph, outcome: str, sampling_set: tuple[str, ..
 
     columns = tuple(name for name in graph.names if name != outcome)
     col_index = {name: c for c, name in enumerate(columns)}
-    matrix = np.zeros((len(found), len(columns)), dtype=bool)
-    for r, nodes in enumerate(found):
-        for name in nodes[1:]:
-            matrix[r, col_index[name]] = True
     return PathMatrix(
-        outcome=outcome,
         columns=columns,
-        matrix=matrix,
+        rows=tuple(frozenset(col_index[name] for name in nodes[1:]) for nodes in found),
         paths=tuple(found),
-        terminals=tuple(nodes[-1] for nodes in found),
-        is_direct=tuple(len(nodes) == 2 for nodes in found),
     )

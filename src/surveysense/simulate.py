@@ -231,9 +231,7 @@ def oracle_decomposition(population: Population, sample: np.ndarray) -> OracleDe
     )
 
 
-def three_covariate_dgp(
-    seed: int = 20260822, n_population: int = 100_000
-) -> SyntheticDGP:
+def three_covariate_dgp(seed: int = 20260822) -> SyntheticDGP:
     """Eight-cell reference population: three correlated binary covariates,
     a cell-dependent binary confounder, and roughly 5 percent selection."""
     cells = [(a, b, c) for a in (0.0, 1.0) for b in (0.0, 1.0) for c in (0.0, 1.0)]
@@ -242,7 +240,7 @@ def three_covariate_dgp(
         0.25 + 0.30 * a + 0.15 * b - 0.10 * c for (a, b, c) in cells
     )
     return SyntheticDGP(
-        n_population=n_population,
+        n_population=100_000,
         cell_probs=tuple(base / base.sum()),
         cell_features=tuple(cells),
         u_param=prevalence,

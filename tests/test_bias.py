@@ -1,6 +1,6 @@
 """Bias formula, decompositions, and the exact IPW error construction."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -149,7 +149,7 @@ class TestDecompose:
     @staticmethod
     def test_simulation_oracle_matches_decompose():
         # oracle_decomposition recomputes decompose's arithmetic inline
-        pop = generate(three_covariate_dgp(seed=5, n_population=30_000))
+        pop = generate(replace(three_covariate_dgp(seed=5), n_population=30_000))
         sample = draw_sample(pop)
         dec = oracle_decomposition(pop, sample)
         want = decompose(dec.w, dec.w_ideal, pop.y[sample])

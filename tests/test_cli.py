@@ -784,19 +784,21 @@ def test_public_names_are_reached_outside_the_tests():
 
 
 def _defaulted_params(owner, args, skip):
-    """(owner, name, position) of each parameter with a default; position is its
-    index among a call's positional arguments, None when it is keyword-only."""
+    """(owner, name, position, False) of each parameter with a default; position
+    is its index among a call's positional arguments, None when it is
+    keyword-only."""
     positional = [*args.posonlyargs, *args.args]
     for i in range(len(positional) - len(args.defaults), len(positional)):
-        yield owner, positional[i].arg, i - skip
+        yield owner, positional[i].arg, i - skip, False
     for arg, default in zip(args.kwonlyargs, args.kw_defaults):
         if default is not None:
-            yield owner, arg.arg, None
+            yield owner, arg.arg, None, False
 
 
 def _defaulted_values(tree):
     """Each defaulted parameter of a module's public functions and methods and
-    each defaulted field of its public dataclasses, named by what a call names."""
+    each defaulted field of its public dataclasses, named by what a call names;
+    the last entry says whether it is a dataclass field."""
     for node in tree.body:
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
             yield from _defaulted_params(node.name, node.args, 0)
@@ -804,7 +806,8 @@ def _defaulted_values(tree):
             continue
         if any("dataclass" in ast.unparse(d) for d in node.decorator_list):
             fields = [item for item in node.body if isinstance(item, ast.AnnAssign)]
-            yield from ((node.name, f.target.id, i) for i, f in enumerate(fields) if f.value)
+            yield from ((node.name, f.target.id, i, True)
+                        for i, f in enumerate(fields) if f.value)
         for item in node.body:
             if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
                 static = any(ast.unparse(d) == "staticmethod" for d in item.decorator_list)
@@ -815,7 +818,8 @@ def test_defaulted_values_are_set_outside_the_tests():
     # a default only unit tests change is a setting no user has: each is passed
     # by keyword to its function, class or dataclasses.replace, or by position
     # in a call that wide, by the package, the demos, README's python blocks or
-    # the acceptance contract; a RunConfig field is set when a config key names it
+    # the acceptance contract; a RunConfig field is set when a config key names it,
+    # and a replace keyword sets only a dataclass field of that name
     from surveysense.config import _KEYS
 
     package = Path(surveysense.__file__).parent
@@ -832,8 +836,8 @@ def test_defaulted_values_are_set_outside_the_tests():
         keywords.update((name, kw.arg) for kw in call.keywords)
         width = sum(not isinstance(arg, ast.Starred) for arg in call.args)
         widest[name] = max(widest.get(name, 0), width)
-    unset = [f"{owner}.{name}" for owner, name, position in values
-             if not {(owner, name), ("replace", name)} & keywords
+    unset = [f"{owner}.{name}" for owner, name, position, field in values
+             if (owner, name) not in keywords and not (field and ("replace", name) in keywords)
              and (position is None or widest.get(owner, 0) <= position)]
     assert unset == []
 

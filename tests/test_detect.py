@@ -1,19 +1,22 @@
 """Detection pipeline: graph fit, path screen, recommendation text."""
 
 import importlib
+import itertools
 import json
-import re
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surveysense import detect, enumerate_paths, solve_separating_set
 from surveysense.cover import STATUS_DIRECT, STATUS_FOUND
 from surveysense.detect import graph_to_dot
 from surveysense.errors import DetectionError
-from surveysense.mrf import MixedGraph, fit_mrf
+from surveysense.mrf import fit_mrf
 from surveysense.simulate import gaussian_mrf_sample
+from test_paths_cover import graph_from_edges
 
 
 def chain_data(n=2000, seed=0):
@@ -77,38 +80,133 @@ def test_direct_dependence_on_partial_node():
     assert "sweep the posited margins" in report.recommendation
 
 
-def test_paths_past_the_edge_limit_fail_detection():
-    # On an 11-node chain the outcome reaches c10 only along 10 edges, past
-    # MAX_PATH_EDGES = 8: no path is enumerated and the empty set is found,
-    # so the walk over the graph must refuse it rather than recommend
-    # unweighted estimation. With a partial node p on a direct edge, the
-    # relaxed set {p} is the one walked.
+def graph_of(names, edges):
+    """The unit-weight graph over ``names`` with ``edges`` as index pairs."""
+    return graph_from_edges(names, [(names[i], names[j]) for i, j in edges])
+
+
+def detect_on(graph, outcome, sampling_set, partial=()):
+    """``detect`` with the graph fit replaced by ``graph``."""
     detect_module = importlib.import_module("surveysense.detect")
+    columns = {name: np.zeros(3) for name in graph.names}
+    with mock.patch.object(detect_module, "fit_mrf", lambda *args, **kwargs: graph):
+        return detect(columns, graph.kinds, outcome, sampling_set, partial)
+
+
+def reached(graph, outcome, blockers):
+    """Every node an unlimited breadth-first walk from the outcome reaches
+    without passing a blocker."""
+    adjacency, index = graph.adjacency(), {name: i for i, name in enumerate(graph.names)}
+    seen = {index[outcome]}
+    frontier = [index[outcome]]
+    while frontier:
+        for j in np.flatnonzero(adjacency[frontier.pop()]).tolist():
+            if j not in seen and graph.names[j] not in blockers:
+                seen.add(j)
+                frontier.append(j)
+    return {graph.names[i] for i in seen}
+
+
+def smallest_separator(graph, outcome, sampling_set, partial):
+    """The size of a smallest fully observed separating set, by exhaustive search."""
+    candidates = [n for n in graph.names if n != outcome and n not in partial]
+    for size in range(len(candidates) + 1):
+        for combo in itertools.combinations(candidates, size):
+            if reached(graph, outcome, set(combo)).isdisjoint(sampling_set):
+                return size
+    return None
+
+
+def test_paths_past_the_edge_limit_become_rows():
+    # On an 11-node chain the outcome reaches c10 only along 10 edges, past
+    # paths.MAX_PATH_EDGES = 8: no path is enumerated and the empty set is
+    # found, so the walk over the graph finds the chain, which becomes a row.
+    # With a partial node p on a direct edge, the relaxed set {p} is walked
+    # and gains c01 the same way.
     names = tuple(f"c{i:02d}" for i in range(11)) + ("p",)
-    weights = np.zeros((12, 12))
-    for i, j in [(i, i + 1) for i in range(10)] + [(0, 11)]:
-        weights[i, j] = weights[j, i] = 1.0
-    kinds = dict.fromkeys(names, "continuous")
-    graph = MixedGraph(names, kinds, weights, dict.fromkeys(names, 0.0))
+    graph = graph_of(names, [(i, i + 1) for i in range(10)] + [(0, 11)])
     result = solve_separating_set(enumerate_paths(graph, "c00", ("c10",)))
     assert (result.status, result.nodes, result.certificate) == (STATUS_FOUND, (), ())
 
-    def leak(blockers):
-        return re.escape(
-            "sampling-set node(s) ['c10'] stay connected to 'c00' past the blocking set "
-            f"{blockers}, by paths longer than the 8 edges (MAX_PATH_EDGES) that path "
-            "enumeration covers"
-        )
+    report = detect_on(graph, "c00", ("c10",))
+    assert (report.status, report.separating_set) == (STATUS_FOUND, ("c01",))
+    assert report.path_matrix.paths == (names[:11],)
+    payload = report.to_dict()
+    assert payload["path_count"] == 1
+    assert payload["certificate"] == [{"path": list(names[:11]), "blocked_by": "c01"}]
+    assert report.recommendation == "weight on {c01} to block every dependence path"
 
-    with pytest.raises(DetectionError, match=leak([])):
-        detect_module._check_separated(graph, "c00", ("c10",), result.nodes)
-    detect_module._check_separated(graph, "c00", ("c10",), ("c05",))
-    columns = {name: np.zeros(3) for name in names}
-    with mock.patch.object(detect_module, "fit_mrf", lambda *args, **kwargs: graph):
-        with pytest.raises(DetectionError, match=leak([])):
-            detect(columns, kinds, "c00", ("c10",))
-        with pytest.raises(DetectionError, match=leak(["p"])):
-            detect(columns, kinds, "c00", ("p", "c10"), partial=("p",))
+    report = detect_on(graph, "c00", ("p", "c10"), partial=("p",))
+    assert report.status == STATUS_DIRECT
+    assert report.result.relaxed_nodes == ("c01", "p")
+    assert report.path_matrix.paths == (("c00", "p"), names[:11])
+
+
+def test_a_seeded_24_node_graph_blocks_its_one_long_leak():
+    # chords only within the first and the last six nodes of a 24-node chain:
+    # n03 is reached within 8 edges, n23 only along the 12-edge middle
+    rng = np.random.default_rng(24)
+    names = tuple(f"n{i:02d}" for i in range(24))
+    chords = [tuple(rng.choice(6, size=2, replace=False) + base) for base in (0, 18)
+              for _ in range(4)]
+    graph = graph_of(names, [(i, i + 1) for i in range(23)] + chords)
+    sampling = ("n03", "n23")
+    enumerated = enumerate_paths(graph, "n00", sampling)
+    assert {path[-1] for path in enumerated.paths} == {"n03"}
+    report = detect_on(graph, "n00", sampling)
+    assert report.path_matrix.n_paths > enumerated.n_paths
+    assert report.path_matrix.paths[-1][-1] == "n23"
+    assert report.status == STATUS_FOUND and report.separating_set
+    assert reached(graph, "n00", set(report.separating_set)).isdisjoint(sampling)
+    assert len(report.separating_set) == smallest_separator(graph, "n00", sampling, ())
+
+
+@st.composite
+def sparse_graphs(draw):
+    """A spanning path over 11-16 nodes plus up to three chords, the outcome
+    among its first three nodes, one or two sampling nodes in its second
+    half, and which of those are partial."""
+    n = draw(st.integers(11, 16))
+    names = tuple(f"v{i:02d}" for i in range(n))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    chords = draw(st.lists(pairs, max_size=3))
+    graph = graph_of(names, [(i, i + 1) for i in range(n - 1)] + chords)
+    outcome = names[draw(st.integers(0, 2))]
+    sampling = tuple(draw(st.lists(st.sampled_from(names[n // 2:]), min_size=1, max_size=2,
+                                   unique=True)))
+    partial = tuple(name for name in sampling if draw(st.booleans()))
+    return graph, outcome, sampling, partial
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(sparse_graphs())
+def test_sparse_graphs_get_a_separating_set(case):
+    graph, outcome, sampling, partial = case
+    report = detect_on(graph, outcome, sampling, partial)
+    blockers = report.separating_set if report.status == STATUS_FOUND else report.result.relaxed_nodes
+    assert reached(graph, outcome, set(blockers)).isdisjoint(sampling)
+    if report.status == STATUS_FOUND:
+        assert len(blockers) == smallest_separator(graph, outcome, sampling, partial)
+
+
+@st.composite
+def small_graphs(draw):
+    """Any graph of 2-9 nodes, where no simple path exceeds 8 edges."""
+    n = draw(st.integers(2, 9))
+    names = tuple(f"v{i}" for i in range(n))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = [pair for pair in pairs if draw(st.booleans())]
+    nodes = draw(st.lists(st.sampled_from(names), min_size=2, max_size=min(n, 4), unique=True))
+    partial = tuple(name for name in nodes[1:] if draw(st.booleans()))
+    return graph_of(names, edges), nodes[0], tuple(nodes[1:]), partial
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(small_graphs())
+def test_graphs_within_the_edge_limit_add_no_row(case):
+    graph, outcome, sampling, partial = case
+    report = detect_on(graph, outcome, sampling, partial)
+    assert report.path_matrix == enumerate_paths(graph, outcome, sampling)
 
 
 def test_input_validation():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import surveysense.mrf as mrf
 from surveysense.errors import DetectionError
 from surveysense.mrf import MixedGraph, fit_mrf, lasso_path
-from surveysense.simulate import gaussian_mrf_sample
+from surveysense.simulate import STAGE_GRAPH, gaussian_mrf_sample, stream
 
 # --- row-form oracle ----------------------------------------------------------
 # Coordinate descent in row form: every coordinate update reads and writes the
@@ -515,7 +515,7 @@ def _oracle_fit_mrf(columns, kinds, *, lam, seed, folds=10, n_lambdas=30, ratio=
             continue
         if lam == "cv":
             path = np.geomspace(lam_max, lam_max * ratio, n_lambdas)
-            fold_id = _oracle_fold_ids(n, folds, mrf.stream_for_node(seed, i))
+            fold_id = _oracle_fold_ids(n, folds, stream(seed, i, STAGE_GRAPH))
             losses, stopped = _oracle_cv_losses(x, response, kinds[name], path, fold_id, folds,
                                                 path_fn)
             lam_i = _oracle_one_se(losses, path)

@@ -41,9 +41,8 @@ class TestEnumeratePaths:
         pmat = enumerate_paths(CHAIN, "y", ("x",))
         assert pmat.paths == (("y", "v", "x"),)
         assert pmat.columns == ("v", "x")
+        assert pmat.rows == (frozenset({0, 1}),)
         np.testing.assert_array_equal(pmat.matrix, [[True, True]])
-        assert pmat.is_direct == (False,)
-        assert pmat.terminals == ("x",)
 
     @staticmethod
     def test_cycle_two_routes():
@@ -142,24 +141,13 @@ def brute_force_min_cover(matrix):
 
 
 def random_path_matrix(rng, q):
-    n_rows = int(rng.integers(1, 10))
-    matrix = np.zeros((n_rows, q), dtype=bool)
-    for r in range(n_rows):
-        k = int(rng.integers(1, max(2, q // 2)))
-        matrix[r, rng.choice(q, size=k, replace=False)] = True
     columns = tuple(f"n{j}" for j in range(q))
-    paths = tuple(
-        ("y",) + tuple(columns[j] for j in np.flatnonzero(matrix[r]))
-        for r in range(n_rows)
+    rows = tuple(
+        frozenset(rng.choice(q, size=int(rng.integers(1, max(2, q // 2))), replace=False).tolist())
+        for _ in range(int(rng.integers(1, 10)))
     )
-    return PathMatrix(
-        outcome="y",
-        columns=columns,
-        matrix=matrix,
-        paths=paths,
-        terminals=tuple(p[-1] for p in paths),
-        is_direct=tuple(len(p) == 2 for p in paths),
-    )
+    paths = tuple(("y",) + tuple(columns[j] for j in sorted(row)) for row in rows)
+    return PathMatrix(columns=columns, rows=rows, paths=paths)
 
 
 def test_solver_matches_exhaustive_search():
@@ -242,7 +230,7 @@ def test_packing_first_search_matches_lp_only_oracle():
     rng = np.random.default_rng(12)
     for _ in range(60):
         pmat = random_path_matrix(rng, q=int(rng.integers(3, 13)))
-        rows = [frozenset(np.flatnonzero(row).tolist()) for row in pmat.matrix]
+        rows = list(pmat.rows)
         q = len(pmat.columns)
         _assert_matches_lp_only(rows, dict.fromkeys(range(q), 1.0))
         # partial nodes cost q + 1, as in the relaxed cover
@@ -257,6 +245,19 @@ def test_packing_first_search_matches_lp_only_oracle():
         assert dataclasses.replace(got, nodes_explored=0) == dataclasses.replace(
             want, nodes_explored=0
         )
+
+
+def test_relaxed_solve_reports_its_search_count():
+    # a row of partial nodes alone makes the status a failure; the relaxed
+    # cover's search count is reported, not dropped
+    rows = tuple(_dense_rows(0)) + (frozenset({28, 29}),)
+    columns = tuple(f"n{j:02d}" for j in range(30))
+    pmat = PathMatrix(columns, rows, tuple(("y", *(columns[j] for j in sorted(row))) for row in rows))
+    result = solve_separating_set(pmat, partial=("n28", "n29"))
+    assert result.status == STATUS_NONE
+    costs = {j: 31.0 if j >= 28 else 1.0 for j in range(30)}
+    _, explored = cover._min_cost_cover(list(rows), costs)
+    assert result.nodes_explored == explored > 0
 
 
 @pytest.mark.parametrize("seed", [0, 2, 5])

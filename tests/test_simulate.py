@@ -41,7 +41,7 @@ class TestStream:
 
 
 def test_generate_is_deterministic():
-    dgp = three_covariate_dgp(seed=5, n_population=2000)
+    dgp = dataclasses.replace(three_covariate_dgp(seed=5), n_population=2000)
     a = generate(dgp, replication=1)
     b = generate(dgp, replication=1)
     np.testing.assert_array_equal(a.y, b.y)
@@ -51,7 +51,7 @@ def test_generate_is_deterministic():
 
 
 def test_generate_respects_cell_probabilities():
-    dgp = three_covariate_dgp(seed=0, n_population=200_000)
+    dgp = dataclasses.replace(three_covariate_dgp(seed=0), n_population=200_000)
     pop = generate(dgp)
     observed = np.bincount(pop.cell, minlength=8) / pop.n
     np.testing.assert_allclose(observed, dgp.cell_probs, atol=0.005)
@@ -77,7 +77,7 @@ def test_dgp_validation():
 class TestOracleDecomposition:
     @staticmethod
     def decomposition(seed=11):
-        dgp = three_covariate_dgp(seed=seed, n_population=30_000)
+        dgp = dataclasses.replace(three_covariate_dgp(seed=seed), n_population=30_000)
         pop = generate(dgp)
         return pop, oracle_decomposition(pop, draw_sample(pop))
 
@@ -180,7 +180,7 @@ def expected_decomposition(dgp: SyntheticDGP) -> ExpectedDecomposition:
 
 class TestExpectedDecomposition:
     def test_matches_large_samples(self):
-        dgp = three_covariate_dgp(seed=9, n_population=400_000)
+        dgp = dataclasses.replace(three_covariate_dgp(seed=9), n_population=400_000)
         limit = expected_decomposition(dgp)
         pop = generate(dgp)
         idx = draw_sample(pop)

@@ -14,8 +14,14 @@ config with the categorical n13 added runs ``detect --format json`` (a
 multinomial node under cross validation); copies of the bundle's config
 weight on x1 and x2 alone and sweep x3 on the default grid (``partial``
 and ``summary``), bootstrap with fixed weights (``bootstrap``) and drop
-the few rows with y >= 6.5 by a filter (``summary``), each at every
-format. Both trees
+the few rows with y >= 6.5 by a filter (``summary``); copies of the
+bundle's files and config read a population file with a weight column
+(``weight`` and ``summary``), sweep a continuous column z on its default
+grid (``partial`` and ``summary``), drop a row holding ``NA`` (``weight``
+and ``summary``), read a quoted header through ``csv.reader``
+(``weight``), declare x1 categorical with a margin row per level
+(``weight`` and ``summary``) and fit a graph with no edges at
+``detection.lambda`` 1000 (``detect``), each at every format. Both trees
 write to the same output paths, cleared between trees, so the paths they
 print agree; each tree's root is masked in its stderr.
 
@@ -133,15 +139,51 @@ def _child(plan_path: str) -> None:
         call("simulate", ["simulate", "--out", str(bundle)], bundle)
         every_command("bundle", str(bundle / "config.json"))
         config = json.loads((bundle / "config.json").read_text())
+        _write_bundle_copies(bundle)
         for name, changes, commands in (
             ("sweep", {"weighting": {"variables": ["x1", "x2"]}, "sweep": {"variable": "x3"}},
              ("partial", "summary")),
             ("fixed", {"bootstrap": {"reestimate": False}}, ("bootstrap",)),
             ("filtered", {"filters": [{"column": "y", "op": "<", "value": 6.5}]}, ("summary",)),
+            ("population", {"margins": None,
+                            "population": {"path": "population_w.csv", "weight": "w"}},
+             ("weight", "summary")),
+            ("continuous-sweep", {"survey": "survey_z.csv", "sweep": {"variable": "z"},
+                                  "columns": {**config["columns"], "z": "continuous"}},
+             ("partial", "summary")),
+            ("missing", {"survey": "survey_na.csv"}, ("weight", "summary")),
+            ("quoted", {"survey": "survey_quoted.csv"}, ("weight",)),
+            ("categorical", {"margins": "margins_cat.csv",
+                             "columns": {**config["columns"], "x1": "categorical"}},
+             ("weight", "summary")),
+            ("no-edges", {"detection": {**config["detection"], "lambda": 1000}}, ("detect",)),
         ):
             (bundle / f"{name}.json").write_text(json.dumps({**config, **changes}))
             every_command(f"bundle-{name}", str(bundle / f"{name}.json"), commands)
     (Path(plan_path).parent / "runs.json").write_text(json.dumps(runs))
+
+
+def _write_bundle_copies(bundle: Path) -> None:
+    """Copies of the bundle's files for the extra bundle configs: the
+    population with a weight column ``w``; the survey with a continuous
+    column ``z``, with the first row's ``y`` written ``NA``, and with its
+    header quoted; the margins with a row for each level of ``x1``."""
+    def lines(name):
+        return (bundle / name).read_text().splitlines()
+
+    def write(name, rows):
+        (bundle / name).write_text("\n".join(rows) + "\n")
+
+    header, *rows = lines("population.csv")
+    write("population_w.csv", [header + ",w", *(f"{row},{1 + i % 3}" for i, row in enumerate(rows))])
+    header, *rows = lines("survey.csv")
+    z = [int(row[0]) + (i % 10) / 10 for i, row in enumerate(rows)]  # row[0] is x1
+    write("survey_z.csv", [header + ",z", *(f"{row},{v!r}" for row, v in zip(rows, z))])
+    write("survey_na.csv", [header, rows[0].rpartition(",")[0] + ",NA", *rows[1:]])
+    write("survey_quoted.csv", [",".join(f'"{name}"' for name in header.split(",")), *rows])
+    margins = lines("margins.csv")
+    share = float(next(row for row in margins if row.startswith("x1,")).rpartition(",")[2])
+    write("margins_cat.csv", [*margins, f"x1,0,{1.0 - share!r}"])
 
 
 def differences(parent: dict[str, dict], change: dict[str, dict]) -> list[str]:
