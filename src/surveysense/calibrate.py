@@ -38,8 +38,11 @@ fan-outs (leave-one-out column masks on rows; bootstrap draws and sweep
 points as arrays of mass and counts on ``design_cells``) and logs nothing:
 each problem's outcome, weights or the error, names the columns the rank
 guard cut. The guard, ``_dependent_columns``, takes a stack of positive
-counts and one peak magnitude per column; ``check_rank`` runs it on one
-matrix's rows as they are, for ``data.build_features`` at load.
+counts and one peak magnitude per column. It takes the columns in order,
+after the implicit normalization constraint, and cuts each one the kept
+columns before it span, so of a dependent set the last column goes.
+``check_rank`` runs it on one matrix's rows as they are, for
+``data.build_features`` at load.
 """
 
 from __future__ import annotations
@@ -88,12 +91,6 @@ _EIGEN_FLOOR = 2e-14
 
 #: working-set budget of one ``solve_many`` batch, in bytes
 BATCH_BYTES = 4 << 20
-
-#: remaining column norms this close to the largest, relative to the
-#: columns' own norms and per square root of the rows, count as tied in
-#: pivoting; the earliest is taken. The n-row QR leaves equal columns'
-#: R factors up to about sqrt(n) ulps apart.
-PIVOT_TIE = 8 * np.finfo(np.float64).eps
 
 #: a problem whose Gram matrix has its smallest eigenvalue above this share
 #: of its trace is full rank without a QR; see ``_gram_certifies``
@@ -197,7 +194,7 @@ class CalibrationProblem:
 
 
 def _classify_failure(
-    cols: np.ndarray, targets: np.ndarray, names, threshold: float = INFEASIBLE_SLACK
+    cols: np.ndarray, targets: np.ndarray, names, threshold: float
 ) -> np.ndarray | None:
     """Distinguish jointly infeasible targets from plain non-convergence, on
     the (p, n) columns ``cols`` named ``names``.
@@ -292,9 +289,9 @@ def batch_size(cells: int, columns: int) -> int:
 
 def check_rank(matrix: np.ndarray) -> tuple[int, ...]:
     """Indices of the columns of ``matrix`` that the rank guard cuts on its
-    rows as they are, each column scaled by its largest magnitude: the
-    linearly dependent ones, judged with the implicit normalization
-    constraint included (a constant column is dependent)."""
+    rows as they are, each column scaled by its largest magnitude: each
+    column that the kept columns before it span, with the implicit
+    normalization constraint first (so a constant column is cut)."""
     matrix = np.asarray(matrix, dtype=np.float64)
     peak = np.abs(matrix).max(axis=0, initial=0.0)
     return _dependent_columns(matrix, np.ones((1, len(matrix))), peak)[0]
@@ -308,14 +305,14 @@ def _dependent_columns(matrix: np.ndarray, counts: np.ndarray, peak: np.ndarray)
     Full rank is settled first from each problem's count-weighted
     (p+1)-square Gram matrix (``_gram_certifies``), one product over the
     rows. Only the problems it cannot settle build the augmented design
-    and run the QR: the n-row QR runs in numpy, and so does the
-    column-pivoted QR of its (p+1)-row R factor, whose column inner
-    products, hence pivots, are the full matrix's. Pivoting takes the
-    earliest of the columns whose remaining norms tie to within
-    ``PIVOT_TIE * sqrt(n)`` of their own norms, so of two equal columns the
-    later one is dropped, whatever the rounding. The rank is the number of
-    pivoted |r_kk| above 1e-10 * max(|r_11|, 1); the columns pivoted past
-    it are dependent.
+    [1 | X / peak] and take its R factor, in numpy; R's column inner
+    products are the design's. The columns are then taken in order, and
+    one is cut when at most 1e-10 * max(largest column norm, 1) of it is
+    left after the kept columns' reflections (Householder QR with column
+    deletion; Golub & Van Loan, Matrix Computations, 4th ed., section 5.2).
+    So of any dependent set the latest column goes: the later of two equal
+    columns, a constant column (the intercept comes first), and the last
+    column of a combination.
     """
     n, p = matrix.shape
     found = [()] * len(counts)
@@ -325,16 +322,23 @@ def _dependent_columns(matrix: np.ndarray, counts: np.ndarray, peak: np.ndarray)
     augmented = np.ones((todo.size, n, p + 1))
     augmented[:, :, 1:] = matrix / np.maximum(peak, 1e-300)
     augmented *= np.sqrt(counts[todo])[:, :, None]
-    r = np.linalg.qr(augmented, mode="r")
-    diag, pivots = _pivoted_diagonal(r, PIVOT_TIE * np.sqrt(n))
-    ranks = np.sum(diag > 1e-10 * np.maximum(diag[:, :1], 1.0), axis=1)
-    constant = np.flatnonzero(np.ptp(matrix, axis=0) == 0.0).tolist()
-    for i, rank, order in zip(todo, ranks, pivots):
-        dependent = {int(j) - 1 for j in order[rank:] if j > 0}
-        if 0 in order[rank:]:
-            # pivoting discarded the intercept; blame a constant design column
-            dependent.update(constant)
-        found[i] = tuple(sorted(dependent))
+    for i, r in zip(todo, np.linalg.qr(augmented, mode="r")):
+        floor = 1e-10 * max(np.linalg.norm(r, axis=0).max(), 1.0)
+        kept, cut = 0, []
+        for j in range(p + 1):
+            x = r[kept:, j]  # what the kept columns leave of column j
+            alpha = np.linalg.norm(x)
+            if alpha <= floor:
+                cut.append(j)
+            else:  # reflect it onto the axis: v = x + sign(x0)|x| e0
+                v = x.copy()
+                v[0] += np.copysign(alpha, v[0])
+                v /= np.linalg.norm(v)
+                r[kept:, j:] -= 2.0 * np.outer(v, v @ r[kept:, j:])
+                kept += 1
+        # the intercept is the longest column (every |X / peak| <= 1), so it
+        # is cut only when every column is
+        found[i] = tuple(j - 1 for j in cut if j)
     return found
 
 
@@ -356,9 +360,8 @@ def _gram_certifies(matrix: np.ndarray, counts: np.ndarray, peak: np.ndarray) ->
     λ_min(AᵀA) is at least 0.9·τ·max(trace, 1), and σ_min(A) at least
     about 1e-5·max(‖A‖_F, 1). The QR path cuts nothing while σ_min(R)
     exceeds 1e-10·max(largest column norm, 1), five orders lower, since
-    every pivoted |r_kk| is at least σ_min(R) and |r_11| is the largest
-    column norm; its own backward error, about n·(p+1)·eps·‖A‖_F, cannot
-    close that gap.
+    what the earlier columns leave of any column is at least σ_min(R); its
+    own backward error, about n·(p+1)·eps·‖A‖_F, cannot close that gap.
     """
     n, p = matrix.shape
     root = np.sqrt(counts)
@@ -375,38 +378,6 @@ def _gram_certifies(matrix: np.ndarray, counts: np.ndarray, peak: np.ndarray) ->
     trace = np.einsum("bii->b", gram)
     tau = max(GRAM_TAU, 10.0 * (n + p + 1) * np.finfo(np.float64).eps)
     return smallest > tau * np.maximum(trace, 1.0)
-
-
-def _pivoted_diagonal(r: np.ndarray, tie: float) -> tuple[np.ndarray, np.ndarray]:
-    """|diag R| and the column order of a column-pivoted Householder QR of
-    each matrix in a (B, m, c) stack, taking the earliest of the columns
-    whose remaining norms are within ``tie`` times their own norms of the
-    largest."""
-    r = r.copy()
-    batch, m, c = r.shape
-    order = np.tile(np.arange(c), (batch, 1))
-    diag = np.zeros((batch, min(m, c)))
-    every = np.arange(batch)
-    slack = tie * np.sqrt(np.einsum("bij,bij->bj", r, r))
-    for k in range(min(m, c)):
-        tail = r[:, k:, k:]
-        norms = np.sqrt(np.einsum("bij,bij->bj", tail, tail))
-        top = np.argmax(norms, axis=1)
-        bar = norms[every, top][:, None] - np.maximum(slack[:, k:], slack[every, k + top][:, None])
-        # swaps reorder the columns, so earliest means the smallest index
-        pick = np.argmin(np.where(norms >= bar, order[:, k:], c), axis=1)
-        alpha = norms[every, pick]
-        swap = k + pick
-        for arr in (r, order, slack):
-            arr[every, ..., k], arr[every, ..., swap] = arr[every, ..., swap], arr[every, ..., k].copy()
-        diag[:, k] = alpha
-        # reflect column k onto the axis: v = x + sign(x0)|x| e0
-        v = r[:, k:, k].copy()
-        v[:, 0] += np.copysign(alpha, v[:, 0])
-        scale = np.einsum("bi,bi->b", v, v)
-        v /= np.sqrt(np.where(scale > 0.0, scale, 1.0))[:, None]
-        tail -= 2.0 * v[:, :, None] * np.einsum("bi,bij->bj", v, tail)[:, None, :]
-    return diag, order
 
 
 def design_cells(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -137,6 +137,9 @@ class RunConfig:
         if math.prod(round(min(n, MAX_GRID_POINTS)) + 1 for n in axes) > MAX_GRID_POINTS:
             raise ConfigError(f"grid.rho_step {self.rho_step!r} and grid.r2_step {self.r2_step!r} "
                               f"make a contour grid over the cap of {MAX_GRID_POINTS:,} points")
+        if round(axes[1]) == 0:
+            raise ConfigError(f"grid.r2_max {self.r2_max!r} and grid.r2_step {self.r2_step!r} "
+                              "make an R2 axis of one point; a contour needs two")
         check_seed(self.seed)
 
     def require_b_star(self) -> float:

@@ -281,14 +281,13 @@ def _holdout_losses(x, response, kind, coefs) -> np.ndarray:
 @dataclass(frozen=True)
 class _CVNode:
     """One node's cross-validation problem: its design, response, descending
-    penalty path and the fold of each row."""
+    penalty path and the fold of each row, folds 0 to ``fold_id.max()``."""
 
     x: np.ndarray
     response: np.ndarray
     kind: str
     lambdas: np.ndarray
     fold_id: np.ndarray
-    folds: int
 
 
 def _fold_ids(n: int, folds: int, rng: np.random.Generator) -> np.ndarray:
@@ -324,11 +323,11 @@ def _cv_losses(nodes: list[_CVNode]) -> tuple[list[np.ndarray], list[int]]:
     problems = []
     for i, node in enumerate(nodes):
         n, p = node.x.shape
-        for fold in range(node.folds):
+        for fold in range(node.fold_id.max() + 1):
             n_held = int(np.count_nonzero(node.fold_id == fold))
             key = (node.kind, p, node.response.shape[1:], n - n_held, len(node.lambdas), n_held)
             problems.append((key, (i, fold)))
-    losses = [np.empty((node.folds, len(node.lambdas))) for node in nodes]
+    losses = [np.empty((node.fold_id.max() + 1, len(node.lambdas))) for node in nodes]
     stopped = [0] * len(nodes)
     for kind, chunk in _stacks(problems):
         held = [nodes[i].fold_id == fold for i, fold in chunk]
@@ -464,7 +463,7 @@ def fit_mrf(
 
             path = np.geomspace(lam_max, lam_max * _LAMBDA_MIN_RATIO, _N_LAMBDAS)
             fold_id = _fold_ids(n, _FOLDS, stream(seed, i, STAGE_GRAPH))
-            cv[i] = _CVNode(x, response, kinds[name], path, fold_id, _FOLDS)
+            cv[i] = _CVNode(x, response, kinds[name], path, fold_id)
     # then every node's folds at once
     all_losses, all_stopped = _cv_losses(list(cv.values()))
     cv_fits = dict(zip(cv, zip(all_losses, all_stopped)))

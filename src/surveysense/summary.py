@@ -128,6 +128,8 @@ def contour_grid(
         raise ValueError("r2_max must lie in (0, 1)")
     n_rho = int(round(2.0 / rho_step)) + 1
     n_r2 = int(round(r2_max / r2_step)) + 1
+    if n_r2 < 2:
+        raise ValueError("r2_max / r2_step must round to at least 1: a contour needs two R2 points")
     rho_axis = np.linspace(-1.0, 1.0, n_rho)
     r2_axis = np.linspace(0.0, r2_max, n_r2)
 

@@ -26,36 +26,29 @@ from surveysense.calibrate import _gram_certifies, check_rank
 
 
 def full_row_rank_guard(matrix, row_counts=None):
-    """The rank guard with scipy's pivoted QR over all n rows, kept as the
-    oracle for the solver's guard, which pivots only the (p+1)-row R factor."""
+    """The rank guard with scipy's QR over all n rows, kept as the oracle for
+    the solver's guard, which eliminates on the (p+1)-row R factor: the
+    columns of [1 | X / peak] are taken in order, and one is cut when the QR
+    of the kept columns followed by it leaves it a last diagonal entry of
+    at most 1e-10 * max(largest column norm, 1)."""
     import scipy.linalg
 
     scale = np.maximum(np.abs(matrix).max(axis=0), 1e-300)
     augmented = np.column_stack([np.ones(len(matrix)), matrix / scale])
     if row_counts is not None:
         augmented *= np.sqrt(row_counts)[:, None]
-    r, pivots = scipy.linalg.qr(augmented, mode="r", pivoting=True)
-    diag = np.abs(np.diag(r))
-    rank = int(np.sum(diag > 1e-10 * max(diag[0], 1.0)))
-    dropped = sorted(int(j) - 1 for j in pivots[rank:] if j > 0)
-    if 0 in pivots[rank:]:
-        constants = [j for j in range(matrix.shape[1]) if np.ptp(matrix[:, j]) == 0.0]
-        dropped = sorted(set(dropped) | set(constants))
-    return tuple(dropped)
+    floor = 1e-10 * max(np.linalg.norm(augmented, axis=0).max(), 1.0)
+    kept = []
+    for j in range(augmented.shape[1]):
+        (r,) = scipy.linalg.qr(augmented[:, kept + [j]], mode="r")
+        if len(kept) < len(r) and abs(r[len(kept), len(kept)]) > floor:
+            kept.append(j)
+    return tuple(j - 1 for j in range(1, augmented.shape[1]) if j not in kept)
 
 
 def assert_rank_guard_matches_oracle(matrix, counts=None):
     got = check_rank(matrix) if counts is None else rank_guard(matrix, counts)[0]
-    want = full_row_rank_guard(matrix, counts)
-    if got != want:
-        # An exact tie in pivoting (a duplicated column, or equal norms left
-        # once the intercept is taken) is broken by rounding, differently in
-        # the two factorizations. Which tied column goes is then arbitrary,
-        # but the guard must drop as many and keep a basis of the same span.
-        event("tie broken differently")
-        assert len(got) == len(want)
-        kept = [j for j in range(matrix.shape[1]) if j not in got]
-        assert full_row_rank_guard(matrix[:, kept], counts) == ()
+    assert got == full_row_rank_guard(matrix, counts)
 
 
 @SETTINGS
@@ -72,10 +65,10 @@ def test_rank_guard_matches_full_row_oracle(problem, data):
 
 
 def test_rank_guard_drops_the_later_of_tied_columns():
-    # Pivoting takes the earliest of tied columns, so the later of two equal
-    # columns is the one dropped whatever the rounding: as rows, as cells
-    # with counts, and in the design where the guard that pivoted with
-    # scipy dropped the first of the pair
+    # The columns are taken in order, so the later of two equal columns is
+    # the one dropped whatever the rounding: as rows, as cells with counts,
+    # and in the design where a guard that pivoted with scipy dropped the
+    # first of the pair
     found = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
     assert check_rank(found) == (1,)
     assert rank_guard(found, np.array([1e6, 1e6, 1.0])) == [(1,)]

@@ -138,7 +138,8 @@ def counted_phase1():
 def phase1_names(problem):
     """The constraint the phase-1 program blames on its own, or None."""
     try:
-        PHASE1(problem.matrix.T, problem.targets, problem.column_names)
+        PHASE1(problem.matrix.T, problem.targets, problem.column_names,
+               calibrate.INFEASIBLE_SLACK)
     except InfeasibleTargetsError as err:
         return err.constraint
     return None
@@ -363,7 +364,8 @@ def row_level_solve(problem, warm_start=None):
     converged = violation <= calibrate.TOL
     if not converged:
         if not phase1_run:
-            PHASE1(problem.matrix.T, problem.targets, problem.column_names)
+            PHASE1(problem.matrix.T, problem.targets, problem.column_names,
+                   calibrate.INFEASIBLE_SLACK)
         elif slack is not None and slack.sum() > calibrate.INFEASIBLE_SLACK:
             calibrate._raise_joint(
                 problem.matrix.T, problem.targets, problem.column_names, slack

@@ -652,6 +652,14 @@ def test_path_and_name_keys_must_be_strings(capsys, demo_bundle, tmp_path, block
         # the squared gap overflowed, and the report failed to write after all the work
         ({"b_star": 1e308}, "b_star must be finite and within ±1e50, not 1e+308"),
         ({"b_star": -1.0000001e50}, "b_star must be finite and within ±1e50, not -1.0000001e+50"),
+        # round(0.4) and round(0.5) are 0: an R2 axis of one point crashed the
+        # report's step and the SVG's scale
+        ({"grid": {"r2_step": 1.0, "r2_max": 0.4}},
+         "grid.r2_max 0.4 and grid.r2_step 1.0 make an R2 axis of one point; a contour "
+         "needs two"),
+        ({"grid": {"r2_step": 0.9, "r2_max": 0.45}},
+         "grid.r2_max 0.45 and grid.r2_step 0.9 make an R2 axis of one point; a contour "
+         "needs two"),
     ],
 )
 def test_grid_and_b_star_fail_at_load(capsys, demo_bundle, tmp_path, monkeypatch, block, message):

@@ -564,11 +564,26 @@ def test_check_rank_flags_constant_and_dependent_columns():
     a = rng.normal(size=40)
     b = rng.normal(size=40)
     assert check_rank(np.column_stack([a, b])) == ()
-    assert check_rank(np.column_stack([a, b, a + b])) != ()
-    assert 1 in check_rank(np.column_stack([a, np.ones(40)]))
+    assert check_rank(np.column_stack([a, b, a + b])) == (2,)
+    assert check_rank(np.column_stack([a, np.ones(40)])) == (1,)
     # one row whose only entry is zero: the column's peak is 0, so its
     # scale falls to the floor and the column is cut
     assert check_rank(np.array([[0.0]])) == (0,)
+
+
+@pytest.mark.parametrize("kind", ["binary", "continuous"])
+def test_build_features_cuts_the_last_column_of_a_dependency(kind):
+    # the rank guard takes the columns in order, so the column that the
+    # earlier ones span is the one named, not one of the earlier ones
+    rng = np.random.default_rng(3)
+    drawn = {"binary": (rng.random((2, 500)) < 0.5) * 1.0, "continuous": rng.normal(size=(2, 500))}
+    a, b = drawn[kind]
+    columns = {"a": a, "b": b, "d": a - b if kind == "binary" else 3 * a + 2 * b}
+    frame = frame_of(columns, {"a": kind, "b": kind, "d": "continuous"})
+    target = PopulationTarget(frame, np.ones(500))
+    with pytest.raises(RankDeficiencyError) as err:
+        build_features(frame, target, terms_from_config(list(columns)))
+    assert err.value.columns == ("d",)
 
 
 def test_build_features_margin_targets(tmp_path):

@@ -291,7 +291,7 @@ def test_cv_lambda_deterministic_given_rng_key():
 
     def pick(key):
         fold_id = mrf._fold_ids(200, 10, np.random.default_rng(key))
-        (losses,), _ = mrf._cv_losses([mrf._CVNode(x, y, "continuous", lambdas, fold_id, 10)])
+        (losses,), _ = mrf._cv_losses([mrf._CVNode(x, y, "continuous", lambdas, fold_id)])
         return mrf._one_se(losses, lambdas)
 
     assert pick(1) == pick(1)
@@ -658,10 +658,14 @@ def cv_stacks(draw, limits=False):
         lambdas = np.geomspace(lam_max, lam_max * draw(st.sampled_from(ratios)),
                                draw(st.integers(2, 6)))
         fold_id = _oracle_fold_ids(n, folds, rng)
-        nodes.append(mrf._CVNode(x, response, kind, lambdas, fold_id, folds))
+        nodes.append(mrf._CVNode(x, response, kind, lambdas, fold_id))
     # chunk budget: one problem per chunk, two or three problems per chunk
     # of the largest stack, or the package's
     return nodes, draw(st.sampled_from([1, 2, 3, None]))
+
+
+def _n_folds(node):
+    return len(np.unique(node.fold_id))
 
 
 def _largest_stack(nodes):
@@ -671,7 +675,7 @@ def _largest_stack(nodes):
     sizes = {}
     for node in nodes:
         n, p = node.x.shape
-        for fold in range(node.folds):
+        for fold in range(_n_folds(node)):
             n_train = n - int(np.count_nonzero(node.fold_id == fold))
             key = (node.kind, p, node.response.shape[1:], n_train, len(node.lambdas))
             sizes[key] = sizes.get(key, 0) + 1
@@ -694,12 +698,12 @@ def test_stacked_cv_equals_per_fold_oracle(case):
             mock.patch.object(mrf, "BATCH_BYTES", budget or mrf.BATCH_BYTES):
         losses, stopped = mrf._cv_losses(nodes)
     if budget == 1:
-        assert calls.call_count == sum(node.folds for node in nodes)
+        assert calls.call_count == sum(_n_folds(node) for node in nodes)
     elif per_chunk in (2, 3) and nodes and largest > 1:
         assert any(2 <= len(call.args[0]) <= 3 for call in calls.call_args_list)
     for node, got, got_stopped in zip(nodes, losses, stopped):
         want, want_stopped = _oracle_cv_losses(
-            node.x, node.response, node.kind, node.lambdas, node.fold_id, node.folds
+            node.x, node.response, node.kind, node.lambdas, node.fold_id, _n_folds(node)
         )
         assert np.array_equal(got, want)
         assert got_stopped == want_stopped
@@ -707,13 +711,13 @@ def test_stacked_cv_equals_per_fold_oracle(case):
     if nodes:
         # fit_mrf's pick: folds drawn by _fold_ids, losses, then the 1-SE rule
         node = nodes[0]
-        fold_id = mrf._fold_ids(len(node.x), node.folds, np.random.default_rng(7))
+        fold_id = mrf._fold_ids(len(node.x), _n_folds(node), np.random.default_rng(7))
         assert np.array_equal(
-            fold_id, _oracle_fold_ids(len(node.x), node.folds, np.random.default_rng(7))
+            fold_id, _oracle_fold_ids(len(node.x), _n_folds(node), np.random.default_rng(7))
         )
         (got,), _ = mrf._cv_losses([dataclasses.replace(node, fold_id=fold_id)])
         want, _ = _oracle_cv_losses(node.x, node.response, node.kind, node.lambdas, fold_id,
-                                    node.folds)
+                                    _n_folds(node))
         assert mrf._one_se(got, node.lambdas) == _oracle_one_se(want, node.lambdas)
 
 

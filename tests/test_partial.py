@@ -65,6 +65,22 @@ class TestPartialSweep:
         ]
         assert [p.feasible for p in sweep.points] == [p.is_baseline for p in sweep.points]
 
+    @staticmethod
+    def test_a_swept_combination_of_weighting_columns_is_the_one_cut(caplog):
+        # v = x1 - x2 is spanned by the columns before it, so the rank guard
+        # cuts v, the last of the three, and keeps both weighting columns
+        rng = np.random.default_rng(3)
+        n = 500
+        x1, x2 = (rng.random((2, n)) < 0.5).astype(float)
+        y = x1 + x2 + rng.normal(size=n)
+        matrix = np.column_stack([x1, x2])
+        problem = CalibrationProblem(matrix, matrix.mean(axis=0) + 0.02, column_names=("x1", "x2"))
+        with caplog.at_level(logging.WARNING):
+            partial_sweep(problem, x1 - x2, y, label="v", baseline=solve_raking(problem))
+        assert [r.getMessage() for r in caplog.records] == [
+            "sweep of 'v': dropping dependent constraint columns: v"
+        ]
+
     def test_curve_passes_through_baseline(self):
         problem, v, y = self.build()
         baseline = solve_raking(problem)

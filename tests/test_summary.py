@@ -95,6 +95,12 @@ class TestContourGrid:
         assert grid.bias.shape == (len(grid.rho_axis), len(grid.r2_axis))
         assert grid.adjusted.shape == grid.bias.shape
 
+    @staticmethod
+    def test_an_r2_axis_of_one_point_is_refused():
+        scale = ObservedScale(var_y=1.0, var_w=1.0, mu_hat=1.0)
+        with pytest.raises(ValueError, match="two R2 points"):
+            contour_grid(scale, 0.0, r2_step=1.0, r2_max=0.4)
+
     def test_bias_zero_along_both_axes(self):
         grid = self.build()
         i0 = np.where(grid.rho_axis == 0.0)[0][0]

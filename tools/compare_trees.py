@@ -21,7 +21,9 @@ grid (``partial`` and ``summary``), drop a row holding ``NA`` (``weight``
 and ``summary``), read a quoted header through ``csv.reader``
 (``weight``), declare x1 categorical with a margin row per level
 (``weight`` and ``summary``) and fit a graph with no edges at
-``detection.lambda`` 1000 (``detect``), each at every format. Both trees
+``detection.lambda`` 1000 (``detect``), and add a column x4 equal to
+x1, weighted with a margin row of its own (``weight``, which the rank
+guard refuses) or swept (``partial``), each at every format. Both trees
 write to the same output paths, cleared between trees, so the paths they
 print agree; each tree's root is masked in its stderr.
 
@@ -157,6 +159,11 @@ def _child(plan_path: str) -> None:
                              "columns": {**config["columns"], "x1": "categorical"}},
              ("weight", "summary")),
             ("no-edges", {"detection": {**config["detection"], "lambda": 1000}}, ("detect",)),
+            ("dependent", {"survey": "survey_x4.csv", "margins": "margins_x4.csv",
+                           "columns": {**config["columns"], "x4": "binary"},
+                           "weighting": {"variables": ["x1", "x2", "x3", "x4"]}}, ("weight",)),
+            ("dependent-sweep", {"survey": "survey_x4.csv", "sweep": {"variable": "x4"},
+                                 "columns": {**config["columns"], "x4": "binary"}}, ("partial",)),
         ):
             (bundle / f"{name}.json").write_text(json.dumps({**config, **changes}))
             every_command(f"bundle-{name}", str(bundle / f"{name}.json"), commands)
@@ -166,8 +173,9 @@ def _child(plan_path: str) -> None:
 def _write_bundle_copies(bundle: Path) -> None:
     """Copies of the bundle's files for the extra bundle configs: the
     population with a weight column ``w``; the survey with a continuous
-    column ``z``, with the first row's ``y`` written ``NA``, and with its
-    header quoted; the margins with a row for each level of ``x1``."""
+    column ``z``, with the first row's ``y`` written ``NA``, with its
+    header quoted, and with a column ``x4`` equal to ``x1``; the margins
+    with a row for each level of ``x1``, and with a row for ``x4``."""
     def lines(name):
         return (bundle / name).read_text().splitlines()
 
@@ -181,9 +189,11 @@ def _write_bundle_copies(bundle: Path) -> None:
     write("survey_z.csv", [header + ",z", *(f"{row},{v!r}" for row, v in zip(rows, z))])
     write("survey_na.csv", [header, rows[0].rpartition(",")[0] + ",NA", *rows[1:]])
     write("survey_quoted.csv", [",".join(f'"{name}"' for name in header.split(",")), *rows])
+    write("survey_x4.csv", [header + ",x4", *(f"{row},{row[0]}" for row in rows)])
     margins = lines("margins.csv")
     share = float(next(row for row in margins if row.startswith("x1,")).rpartition(",")[2])
     write("margins_cat.csv", [*margins, f"x1,0,{1.0 - share!r}"])
+    write("margins_x4.csv", [*margins, f"x4,1,{share!r}"])
 
 
 def differences(parent: dict[str, dict], change: dict[str, dict]) -> list[str]:
